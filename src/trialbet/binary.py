@@ -108,15 +108,3 @@ class BinaryState:
         state.i = d["i"]
         state.ledger = WealthLedger.from_state_dict(d["ledger"])
         return state
-
-
-def binary_delta(state: BinaryState) -> float:
-    return state.delta()
-
-
-def binary_wager(state: BinaryState, outcome: int, i: int) -> float:
-    return state.wager(outcome, i)
-
-
-def binary_step(state: BinaryState, outcome: int, arm: int):
-    return state.step(outcome, arm)

@@ -203,8 +203,9 @@ def _monitor_summary(variant: str, state, events: int) -> dict:
         out["delta_hat"] = state.delta()
         out["counts"] = {"good_trt": state.good_trt, "total_trt": state.total_trt,
                          "good_ctrl": state.good_ctrl, "total_ctrl": state.total_ctrl}
-    if isinstance(out.get("relative_risk"), float) and math.isinf(out["relative_risk"]):
-        out["relative_risk"] = "inf"
+    for key in ("e_value", "relative_risk"):  # JSON has no infinity
+        if isinstance(out.get(key), float) and math.isinf(out[key]):
+            out[key] = "inf"
     return out
 
 
@@ -401,13 +402,14 @@ def cmd_wage(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_rows(scenario: SimScenario, n_trials: int) -> list[list]:
-    """Replay ``n_trials`` replications through the streaming monitors.
+def _trajectory_steps(scenario: SimScenario, n_trials: int) -> list[list]:
+    """Replay ``n_trials`` replications through the streaming monitors and
+    return each trial's recorded ``WealthStep`` list.
 
     Uses the same per-replication seeding as the Monte Carlo engine, so
     trajectory exports show exactly the trials the engine scored.
     """
-    rows = []
+    trials = []
     p = scenario.params
     for trial in range(n_trials):
         rng = engine.rep_rng(scenario.seed, trial)
@@ -447,42 +449,42 @@ def _trajectory_rows(scenario: SimScenario, n_trials: int) -> list[list]:
             state = MultistateState(**sched_args)
             for is_good, arm in zip(trial_data.good.tolist(), trial_data.arms.tolist()):
                 state.step_classified(is_good, arm)
-        for step in state.ledger.steps:
-            rows.append([trial + 1, step.index, step.wager, step.multiplier, step.wealth])
-    return rows
+        trials.append(state.ledger.steps)
+    return trials
 
 
-def _write_svg(path: str, rows: list[list], threshold: float) -> None:
-    """Minimal log-scale trajectory plot; one polyline per trial."""
+def _write_svg(path: str, trials: list[list], threshold: float) -> None:
+    """Minimal log-scale trajectory plot; one polyline per trial.
+
+    Plotted from log-wealth, so trials whose e-value leaves the float range
+    (``wealth`` saturates to ``inf``) still get finite coordinates.
+    """
     width, height, margin = 840, 520, 50
-    by_trial: dict[int, list[tuple[int, float]]] = {}
-    for trial, index, _, _, wealth in rows:
-        by_trial.setdefault(trial, []).append((index, wealth))
-    max_x = max((pt[0] for pts in by_trial.values() for pt in pts), default=1)
-    vals = [max(pt[1], 1e-12) for pts in by_trial.values() for pt in pts]
-    lo = min(min(vals, default=1.0), 1.0 / threshold)
-    hi = max(max(vals, default=1.0), threshold * 2)
-    ly_lo, ly_hi = math.log10(lo), math.log10(hi)
+    floor = -12.0  # log10 of the smallest wealth drawn
+    series = [[(step.index, max(step.log_wealth / math.log(10), floor)) for step in steps]
+              for steps in trials if steps]
+    max_x = max((pt[0] for pts in series for pt in pts), default=1)
+    vals = [pt[1] for pts in series for pt in pts]
+    ly_lo = min(min(vals, default=0.0), -math.log10(threshold))
+    ly_hi = max(max(vals, default=0.0), math.log10(threshold * 2))
 
     def sx(x): return margin + (width - 2 * margin) * x / max_x
-    def sy(v): return height - margin - (height - 2 * margin) * \
-        (math.log10(max(v, 1e-12)) - ly_lo) / (ly_hi - ly_lo)
+    def sy(ly): return height - margin - (height - 2 * margin) * (ly - ly_lo) / (ly_hi - ly_lo)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    ty = sy(threshold)
+    ty = sy(math.log10(threshold))
     parts.append(f'<line x1="{margin}" y1="{ty:.1f}" x2="{width - margin}" y2="{ty:.1f}" '
                  f'stroke="red" stroke-dasharray="6,4"/>')
-    oy = sy(1.0)
+    oy = sy(0.0)
     parts.append(f'<line x1="{margin}" y1="{oy:.1f}" x2="{width - margin}" y2="{oy:.1f}" '
                  f'stroke="gray" stroke-dasharray="2,4"/>')
-    decade = math.ceil(ly_lo)
-    while decade <= ly_hi:
-        yy = sy(10 ** decade)
+    stride = max(1, math.ceil((ly_hi - ly_lo) / 20))  # at most about 20 axis labels
+    for decade in range(math.ceil(ly_lo), math.floor(ly_hi) + 1, stride):
+        yy = sy(decade)
         parts.append(f'<text x="4" y="{yy + 4:.1f}" font-size="11">1e{decade}</text>')
-        decade += 1
-    for pts in by_trial.values():
-        path_d = " ".join(f"{sx(x):.1f},{sy(v):.1f}" for x, v in pts)
+    for pts in series:
+        path_d = " ".join(f"{sx(x):.1f},{sy(ly):.1f}" for x, ly in pts)
         parts.append(f'<polyline points="{path_d}" fill="none" stroke="steelblue" '
                      f'stroke-opacity="0.45" stroke-width="1"/>')
     parts.append(f'<text x="{margin}" y="{height - 12}" font-size="11">'
@@ -495,10 +497,12 @@ def _write_svg(path: str, rows: list[list], threshold: float) -> None:
 
 def cmd_trajectories(args) -> int:
     scenario = _load_scenario(args)
-    rows = _trajectory_rows(scenario, args.trials)
+    trials = _trajectory_steps(scenario, args.trials)
+    rows = [[trial, step.index, step.wager, step.multiplier, step.wealth]
+            for trial, steps in enumerate(trials, 1) for step in steps]
     _write_csv(args.out, ["trial", "index", "lambda", "multiplier", "wealth"], rows)
     if args.svg:
-        _write_svg(args.svg, rows, 1.0 / scenario.alpha)
+        _write_svg(args.svg, trials, 1.0 / scenario.alpha)
     print(f"wrote {len(rows)} steps from {args.trials} trials to {args.out}")
     return EXIT_OK
 

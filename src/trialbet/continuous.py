@@ -7,14 +7,19 @@ Cohen's d says which arm unusual outcomes have favored so far.  Their product
 (scaled by the ramp and a cap ``c_max``) sets the tilt of the wager away
 from 0.5.  No bets are placed until ``burn_in`` past outcomes exist; wealth
 is carried forward unchanged through that window.
+
+The past outcomes are kept as a sorted multiset, so the median is an index
+lookup and the MAD a binary search (:func:`robust_center_scale`); one event
+costs O(log n) comparisons plus the O(n) memmove of ``bisect.insort``.  The
+streaming monitor and the batch replay in ``simlab.batch`` share this kernel,
+and both return the same floats as ``np.median`` over the unsorted history.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
 
@@ -22,20 +27,53 @@ DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 DEFAULT_C_MAX = 0.6
 
 
-def robust_center_scale(values) -> tuple[float, float]:
+def robust_center_scale(s) -> tuple[float, float]:
     """Median and raw MAD (no consistency constant) of past outcomes.
+
+    ``s`` must be sorted ascending.  The median is the middle element (the
+    mean of the middle pair for an even count); the MAD is the median of
+    ``|x - med|``, found by :func:`_nearest_window` without building the
+    distances.  Both equal ``np.median`` of the unsorted history bit for bit.
 
     A zero or non-finite MAD falls back to scale 1 so standardization never
     degenerates (constant early histories are common).
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
+    h = len(s)
+    if h == 0:
         raise ValueError("insufficient history: need at least one past outcome")
-    med = float(np.median(arr))
-    mad = float(np.median(np.abs(arr - med)))
+    mid = h // 2
+    if h % 2:
+        med = float(s[mid])
+        mad = _nearest_window(s, med, mid + 1)
+    else:
+        med = (s[mid - 1] + s[mid]) / 2
+        mad = (_nearest_window(s, med, mid) + _nearest_window(s, med, mid + 1)) / 2
     if not math.isfinite(mad) or mad <= 0.0:
         mad = 1.0
     return med, mad
+
+
+def _nearest_window(s, med: float, j: int) -> float:
+    """The j-th smallest (1-based) ``|x - med|`` over the sorted sequence ``s``.
+
+    Distances fall then rise along ``s``, so the j nearest points form a
+    window ``s[a:a+j]``, whose largest distance is
+    ``max(med - s[a], s[a+j-1] - med)``.  The predicate
+    ``s[a+j-1] - med >= med - s[a]`` is monotone in ``a``; at its first true
+    ``a`` the right end bounds the window, one step earlier the left end did,
+    and the smaller of the two is the answer.  ``med - x`` and ``x - med`` are
+    exact negatives in IEEE arithmetic, so each distance equals ``abs(x - med)``.
+    """
+    lo, hi = 0, len(s) - j + 1  # lo == len(s) - j + 1: no window satisfies it
+    while lo < hi:
+        a = (lo + hi) // 2
+        if s[a + j - 1] - med >= med - s[a]:
+            hi = a
+        else:
+            lo = a + 1
+    if lo + j <= len(s) and (lo == 0 or s[lo + j - 1] - med <= med - s[lo - 1]):
+        return s[lo + j - 1] - med
+    return med - s[lo - 1]
 
 
 def squash(r: float) -> float:
@@ -78,7 +116,7 @@ class ContinuousState:
     p: float = 0.5
     alpha: float = 0.05
     record_steps: bool = True
-    values: list[float] = field(default_factory=list)
+    values: list[float] = field(default_factory=list)  # past outcomes, sorted
     trt: _ArmMoments = field(default_factory=_ArmMoments)
     ctrl: _ArmMoments = field(default_factory=_ArmMoments)
     ledger: WealthLedger = None  # type: ignore[assignment]
@@ -132,7 +170,7 @@ class ContinuousState:
         if i >= 2 and (i - 1) >= self.sched.burn_in:
             lam = self.wager(y, i)
             step = apply_bet(self.ledger, lam, arm, self.p, i)
-        self.values.append(y)
+        insort(self.values, y)
         (self.trt if arm == 1 else self.ctrl).add(y)
         return step
 
@@ -157,21 +195,11 @@ class ContinuousState:
             alpha=d["ledger"]["alpha"],
             record_steps=False,
         )
-        state.values = [float.fromhex(v) for v in d["values"]]
+        # sorted, so checkpoints written in arrival order resume bit-exactly
+        state.values = sorted(float.fromhex(v) for v in d["values"])
         for key, tgt in (("trt", state.trt), ("ctrl", state.ctrl)):
             n, mean, m2 = d[key]
             tgt.n, tgt.mean, tgt.m2 = n, float.fromhex(mean), float.fromhex(m2)
         state.ledger = WealthLedger.from_state_dict(d["ledger"])
         return state
 
-
-def running_cohens_d(state: ContinuousState) -> float:
-    return state.cohens_d()
-
-
-def continuous_wager(state: ContinuousState, y: float, i: int) -> float:
-    return state.wager(y, i)
-
-
-def continuous_step(state: ContinuousState, y: float, arm: int):
-    return state.step(y, arm)

@@ -10,7 +10,8 @@ Crossing that threshold is the (anytime-valid) rejection rule.
 
 Wealth is tracked in log space: long null streams multiply thousands of
 factors slightly below 1 and would underflow a plain product.  Exported
-e-values exponentiate; the threshold test compares against ``log(1/alpha)``.
+e-values exponentiate (saturating to ``inf`` past the float range, where the
+log stays exact); the threshold test compares against ``log(1/alpha)``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def ramp_coefficient(i: int, sched: RampSchedule) -> float:
     return min(1.0, max(0.0, (i - sched.burn_in) / sched.ramp))
 
 
+def _exp_wealth(log_wealth: float) -> float:
+    """Wealth from log-wealth; ``inf`` once it exceeds the float range."""
+    try:
+        return math.exp(log_wealth)
+    except OverflowError:
+        return math.inf
+
+
 def clamp_wager(raw: float, lo: float = WAGER_MIN, hi: float = WAGER_MAX) -> float:
     """Clamp a raw wager into [lo, hi]; identity on interior values."""
     if not math.isfinite(raw):
@@ -68,7 +77,7 @@ class WealthStep:
 
     @property
     def wealth(self) -> float:
-        return math.exp(self.log_wealth)
+        return _exp_wealth(self.log_wealth)
 
 
 @dataclass
@@ -102,7 +111,7 @@ class WealthLedger:
 
     @property
     def wealth(self) -> float:
-        return math.exp(self.log_wealth)
+        return _exp_wealth(self.log_wealth)
 
     def apply(self, wager: float, multiplier: float, index: int) -> WealthStep:
         """Multiply wealth by a realized payout and update the crossed latch."""

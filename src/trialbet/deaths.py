@@ -133,11 +133,3 @@ class DeathsState:
         state.d_ctrl = d["d_ctrl"]
         state.ledger = WealthLedger.from_state_dict(d["ledger"])
         return state
-
-
-def deaths_wager(state: DeathsState, i: int) -> float:
-    return state.wager(i)
-
-
-def deaths_step(state: DeathsState, arm: int):
-    return state.step(arm)

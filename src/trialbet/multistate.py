@@ -224,7 +224,3 @@ class MultistateState:
         state.total_ctrl = d["total_ctrl"]
         state.ledger = WealthLedger.from_state_dict(d["ledger"])
         return state
-
-
-def multistate_step(state: MultistateState, transition: tuple, arm: int):
-    return state.step(transition[0], transition[1], arm)

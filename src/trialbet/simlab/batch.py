@@ -13,8 +13,11 @@ switches: ``fixed_dev`` for the binary monitor, ``bet_rule`` for survival,
 
 from __future__ import annotations
 
+from bisect import insort
+
 import numpy as np
 
+from ..continuous import robust_center_scale
 from ..core import WAGER_MAX, WAGER_MIN
 from ..multistate import WAGER_MAX as MS_WAGER_MAX
 from ..multistate import WAGER_MIN as MS_WAGER_MIN
@@ -160,23 +163,21 @@ def continuous_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = 50,
                           sign_only: bool = False) -> np.ndarray:
     """Continuous-monitor replay for a whole batch of same-length trials.
 
-    ``treatment`` and ``outcome`` are (n_trials, n) matrices; rows are
-    independent trials sharing a common length, which lets the per-step
-    median/MAD scans run across the batch.  Returns the (n_trials, n)
-    log-wealth matrix.  ``sign_only`` drops the magnitude of the running
-    Cohen's d, keeping only its sign (the degraded strategy studied in the
-    wage-asymmetry comparison).
+    ``treatment`` and ``outcome`` are (n_trials, n) matrices (a single trial
+    may be passed 1-D); rows are independent trials.  Each row keeps its past
+    outcomes sorted with ``bisect.insort`` and takes every prefix's median and
+    MAD from the streaming monitor's kernel, ``robust_center_scale``; the arm
+    moments, ramp and payouts then take a few numpy passes over that row.
+    Returns the (n_trials, n) log-wealth matrix.  ``sign_only`` drops the
+    magnitude of the running Cohen's d, keeping only its sign (the degraded
+    strategy studied in the wage-asymmetry comparison).
     """
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
     m, n = y.shape
-
-    n1 = np.cumsum(t, axis=1)
-    s1 = np.cumsum(t * y, axis=1)
-    q1 = np.cumsum(t * y * y, axis=1)
-    n0 = np.cumsum(1 - t, axis=1)
-    s0 = np.cumsum((1 - t) * y, axis=1)
-    q0 = np.cumsum((1 - t) * y * y, axis=1)
+    first = max(2, burn_in + 1)  # 1-based index of the first bet; (i-1) past values
+    idx = np.arange(first, n + 1)
+    ramp_frac = np.clip((idx - burn_in) / ramp, 0.0, 1.0)
 
     def arm_stats(cnt, ssum, sqsum):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -186,26 +187,34 @@ def continuous_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = 50,
         sd = np.where((cnt < 2) | (sd == 0.0), 1.0, sd)
         return mean, sd
 
-    log_mult = np.zeros((m, n))
-    for i in range(max(2, burn_in + 1), n + 1):  # 1-based index; (i-1) past values
-        hist = y[:, : i - 1]
-        med = np.median(hist, axis=1)
-        mad = np.median(np.abs(hist - med[:, None]), axis=1)
-        mad = np.where(np.isfinite(mad) & (mad > 0.0), mad, 1.0)
-        r = (y[:, i - 1] - med) / mad
+    out = np.zeros((m, n))
+    past = slice(first - 2, n - 1)  # cumulative index i - 2: the last past value
+    center = np.empty(idx.size)
+    scale = np.empty(idx.size)
+    for row in range(m):
+        tr, yr = t[row], y[row]
+        hist = sorted(yr[: first - 2].tolist())
+        for k, v in enumerate(yr[past].tolist()):
+            insort(hist, v)
+            center[k], scale[k] = robust_center_scale(hist)
+        r = (yr[first - 1:] - center) / scale
         g = r / (1.0 + np.abs(r))
 
-        k = i - 2  # cumulative index of the last past observation
-        m1, sd1 = arm_stats(n1[:, k], s1[:, k], q1[:, k])
-        m0, sd0 = arm_stats(n0[:, k], s0[:, k], q0[:, k])
+        n1 = np.cumsum(tr)[past]
+        s1 = np.cumsum(tr * yr)[past]
+        q1 = np.cumsum(tr * yr * yr)[past]
+        n0 = np.cumsum(1 - tr)[past]
+        s0 = np.cumsum((1 - tr) * yr)[past]
+        q0 = np.cumsum((1 - tr) * yr * yr)[past]
+        m1, sd1 = arm_stats(n1, s1, q1)
+        m0, sd0 = arm_stats(n0, s0, q0)
         s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
         d_hat = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
-        d_hat = np.where((n1[:, k] == 0) | (n0[:, k] == 0), 0.0, d_hat)
+        d_hat = np.where((n1 == 0) | (n0 == 0), 0.0, d_hat)
         if sign_only:
             d_hat = np.sign(d_hat)
 
-        ramp_frac = min(1.0, max(0.0, (i - burn_in) / ramp))
         lam = np.clip(0.5 + ramp_frac * c_max * g * d_hat, WAGER_MIN, WAGER_MAX)
-        mult = np.where(t[:, i - 1] == 1, lam / p, (1.0 - lam) / (1.0 - p))
-        log_mult[:, i - 1] = np.log(mult)
-    return np.cumsum(log_mult, axis=1)
+        mult = np.where(tr[first - 1:] == 1, lam / p, (1.0 - lam) / (1.0 - p))
+        out[row, first - 1:] = np.log(mult)
+    return np.cumsum(out, axis=1)

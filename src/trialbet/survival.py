@@ -159,20 +159,8 @@ class SurvivalState:
         return state
 
 
-def risk_proportion(state: SurvivalState) -> float:
-    return state.risk_proportion()
-
-
 def score_increment(event_arm: int, p_j: float) -> float:
     """Log-rank score increment: treated indicator minus risk-set proportion."""
     if event_arm not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {event_arm}")
     return float(event_arm) - p_j
-
-
-def survival_bet(state: SurvivalState, j: int) -> float:
-    return state.bet(j)
-
-
-def survival_step(state: SurvivalState, record: SurvivalRecord):
-    return state.step(record)

@@ -63,6 +63,24 @@ class TestMonitor:
         report = json.loads(out)
         assert report["crossed"] is True and report["crossed_at"] is not None
 
+    def test_overflowing_e_value_reports_inf(self, capsys, tmp_path):
+        # log-e passes 709.78, beyond which exp() leaves the float range
+        rng = np.random.default_rng(1)
+        t, y = binary_trial(rng, 60_000, 0.6, 0.2)
+        path = tmp_path / "strong.ndjson"
+        write_ndjson(path, [{"arm": int(a), "outcome": int(o)} for a, o in zip(t, y)])
+        code, out, err = run_cli(capsys, "monitor", "--variant", "binary",
+                                 "--input", str(path))
+        assert code == EXIT_CROSSED
+        assert "Traceback" not in err
+
+        def reject(constant):
+            raise ValueError(f"invalid JSON constant {constant}")
+
+        report = json.loads(out, parse_constant=reject)
+        assert report["e_value"] == "inf"
+        assert report["log_e_value"] > 709.79
+
     def test_malformed_json_reports_line(self, capsys, tmp_path):
         path = tmp_path / "bad.ndjson"
         path.write_text('{"arm": 1, "outcome": 0}\nnot json at all\n')
@@ -343,6 +361,25 @@ class TestTrajectories:
         assert len(lines) == 2 + 3 * 59
         svg = out_svg.read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    def test_overflowing_trajectory_svg(self, capsys, tmp_path):
+        # log-e passes 709.78, where the wealth column saturates to inf
+        sc = tmp_path / "strong.json"
+        sc.write_text(json.dumps({
+            "variant": "binary",
+            "params": {"n_patients": 8000, "p_ctrl": 0.1, "p_trt": 0.9},
+            "n_sims": 1, "seed": 3,
+        }))
+        out_csv = tmp_path / "traj.csv"
+        out_svg = tmp_path / "traj.svg"
+        code, _, _ = run_cli(capsys, "trajectories", "--scenario", str(sc),
+                             "--trials", "1", "--out", str(out_csv),
+                             "--svg", str(out_svg))
+        assert code == EXIT_OK
+        assert out_csv.read_text().splitlines()[-1].endswith(",inf")
+        svg = out_svg.read_text()
+        assert "polyline" in svg and "nan" not in svg and "inf" not in svg
+        assert svg.count("<text") <= 25
 
     def test_zero_trials_writes_header_only(self, capsys, tmp_path):
         sc = self.scenario_file(tmp_path)

@@ -1,6 +1,9 @@
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hs
 
 from trialbet.continuous import ContinuousState, robust_center_scale, squash
 from trialbet.core import RampSchedule
@@ -27,6 +30,31 @@ class TestRobustCenterScale:
         med, mad = robust_center_scale([1.0, 2.0, 4.0, 8.0])
         assert med == 3.0
         assert mad == 1.5  # |deviations| sorted {1,1,2,5}; middle pair averages to 1.5
+
+
+def numpy_center_scale(xs):
+    """The kernel's contract, written with np.median over unsorted data."""
+    arr = np.asarray(xs, dtype=float)
+    med = float(np.median(arr))
+    mad = float(np.median(np.abs(arr - med)))
+    if not math.isfinite(mad) or mad <= 0.0:
+        mad = 1.0
+    return med, mad
+
+
+_tied = hs.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 1.5, 3.0])
+_any_magnitude = hs.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+_tiny = hs.floats(min_value=-1e-9, max_value=1e-9, allow_nan=False)
+
+
+@given(hs.lists(hs.one_of(_tied, _any_magnitude, _tiny), min_size=1, max_size=60))
+def test_sorted_kernel_matches_numpy_median_and_mad(xs):
+    assert robust_center_scale(sorted(xs)) == numpy_center_scale(xs)
+
+
+@given(hs.lists(hs.integers(-3, 3).map(float), min_size=1, max_size=41))
+def test_sorted_kernel_matches_numpy_on_heavy_ties(xs):
+    assert robust_center_scale(sorted(xs)) == numpy_center_scale(xs)
 
 
 class TestSquash:
@@ -193,3 +221,40 @@ def test_state_dict_round_trip_bit_exact():
         st.step(yy, tt)
         clone.step(yy, tt)
     assert clone.ledger.log_wealth == st.ledger.log_wealth
+
+
+def test_resume_from_arrival_order_checkpoint_bit_exact():
+    """A checkpoint whose ``values`` are in arrival order (as older versions
+    wrote them) resumes to the same final log-e as an uninterrupted run."""
+    rng = np.random.default_rng(21)
+    t, y = continuous_trial(rng, 300, 0.3, 0.0)
+    events = list(zip(y.tolist(), t.tolist()))
+    full = ContinuousState()
+    head = ContinuousState()
+    for yy, tt in events:
+        full.step(yy, tt)
+    for yy, tt in events[:170]:
+        head.step(yy, tt)
+    saved = head.state_dict()
+    saved["values"] = [v.hex() for v, _ in events[:170]]
+    assert saved["values"] != sorted(saved["values"], key=float.fromhex)
+    resumed = ContinuousState.from_state_dict(saved)
+    for yy, tt in events[170:]:
+        resumed.step(yy, tt)
+    assert resumed.ledger.log_wealth == full.ledger.log_wealth
+
+
+def test_history_stays_sorted():
+    rng = np.random.default_rng(22)
+    t, y = continuous_trial(rng, 120, 0.0, 0.0)
+    st = ContinuousState(sched=RampSchedule(5, 5))
+    for yy, tt in zip(y.tolist(), t.tolist()):
+        st.step(yy, tt)
+        assert st.values == sorted(st.values)
+    assert sorted(st.values) == sorted(y.tolist())
+    saved = st.state_dict()
+    saved["values"] = [v.hex() for v in y.tolist()]  # arrival order
+    clone = ContinuousState.from_state_dict(saved)
+    assert clone.values == sorted(y.tolist())
+    clone.step(0.25, 1)
+    assert clone.values == sorted(clone.values)

@@ -99,6 +99,14 @@ class TestWealthLedger:
         assert led.wealth == 0.0  # underflows on export only
         assert math.isfinite(led.log_wealth)
 
+    def test_wealth_saturates_on_long_winning_streaks(self):
+        led = WealthLedger(record_steps=True)
+        for i in range(1200):
+            led.apply(0.9, 1.9, i + 1)
+        assert led.wealth == math.inf  # overflows on export only
+        assert led.steps[-1].wealth == math.inf
+        assert led.log_wealth == pytest.approx(1200 * math.log(1.9), rel=1e-12)
+
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(ValueError):
             WealthLedger().apply(0.5, 0.0, 1)
