@@ -9,26 +9,16 @@ resumed under different parameters.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 from datetime import datetime, timezone
 from typing import Any
 
-from .binary import BinaryState
-from .continuous import ContinuousState
-from .deaths import DeathsState
-from .multistate import MultistateState
-from .survival import SurvivalState
+from .variants import MONITORS
 
 SCHEMA_VERSION = 1
-
-_STATE_TYPES = {
-    "binary": BinaryState,
-    "deaths": DeathsState,
-    "continuous": ContinuousState,
-    "survival": SurvivalState,
-    "multistate": MultistateState,
-}
 
 
 class CheckpointError(ValueError):
@@ -43,7 +33,7 @@ def config_hash(config: dict[str, Any]) -> str:
 def dump_checkpoint(variant: str, state, config: dict[str, Any],
                     position: int) -> dict[str, Any]:
     """``position`` is the input line number of the last processed event."""
-    if variant not in _STATE_TYPES:
+    if variant not in MONITORS:
         raise CheckpointError(f"unknown variant {variant!r}")
     return {
         "schema": SCHEMA_VERSION,
@@ -68,15 +58,31 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     expected = config_hash(config)
     if doc.get("config_sha256") != expected:
         raise CheckpointError("checkpoint configuration does not match; refusing to resume")
-    state = _STATE_TYPES[variant].from_state_dict(doc["state"])
+    state = MONITORS[variant].state.from_state_dict(doc["state"])
     return state, int(doc["position"])
 
 
 def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any],
                           position: int) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dump_checkpoint(variant, state, config, position), fh)
-        fh.write("\n")
+    """Replace the checkpoint at ``path`` atomically.
+
+    The document goes to a temporary file in the same directory, is synced to
+    disk, and only then renamed over ``path``: a crash mid-write leaves the
+    previous checkpoint, the only resume point, intact.
+    """
+    doc = dump_checkpoint(variant, state, config, position)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+            fh.write("\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint_file(path: str, variant: str, config: dict[str, Any]):

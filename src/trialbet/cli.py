@@ -22,60 +22,43 @@ import math
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
 from . import checkpoint as ckpt
-from .binary import BinaryState
-from .continuous import ContinuousState
-from .core import RampSchedule
-from .deaths import DeathsState
-from .multistate import MultistateState
-from .simlab import engine, generators, sizing
-from .simlab.scenario import SCHEMA_VERSION, SimScenario, multistate_matrices
-from .simlab.strategies import BettingStrategy
-from .survival import SurvivalRecord, SurvivalState
+from .continuous import DEFAULT_C_MAX
+from .survival import DEFAULT_BET_CAP
+from .variants import MONITORS, SCHEMA_VERSION, Monitor, flag_field
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CROSSED = 10
-
-_DEFAULT_SCHEDULES = {
-    "binary": (50, 100),
-    "deaths": (30, 50),
-    "continuous": (50, 100),
-    "survival": (30, 50),
-    "multistate": (30, 50),
-}
-
-_EVENT_FIELDS = {
-    "binary": ({"arm", "outcome"}, set()),
-    "deaths": ({"arm"}, set()),
-    "continuous": ({"arm", "y"}, set()),
-    "survival": ({"time", "status", "arm"}, {"entry_time"}),
-    "multistate": ({"from", "to", "arm"}, {"day"}),
-}
 
 
 class EventError(ValueError):
     pass
 
 
-def _require_binary_flag(record: dict, key: str, line_no: int) -> int:
-    v = record[key]
-    if v not in (0, 1):
-        raise EventError(f"line {line_no}: field {key!r} must be 0 or 1, got {v!r}")
-    return int(v)
+def _strict(obj):
+    """``obj`` with every non-finite float as a string ("inf"): JSON has no infinity."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
+    return obj
 
 
-def _require_finite(record: dict, key: str, line_no: int) -> float:
-    v = record[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-        raise EventError(f"line {line_no}: field {key!r} must be a finite number, got {v!r}")
-    return float(v)
+def _write_json(doc, path: str | None = None) -> None:
+    """Write ``doc`` as strict JSON to ``path``, or to stdout when it is None."""
+    text = json.dumps(_strict(doc), indent=2, allow_nan=False) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
-def parse_event(variant: str, line: str, line_no: int) -> dict:
-    """Parse and strictly validate one NDJSON record.
+def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
+    """Parse and strictly validate one NDJSON record; returns the ``step`` arguments.
 
     Unknown fields are rejected rather than ignored: a misspelled field in a
     monitoring stream must fail loudly, not silently change the analysis.
@@ -86,150 +69,60 @@ def parse_event(variant: str, line: str, line_no: int) -> dict:
         raise EventError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
     if not isinstance(record, dict):
         raise EventError(f"line {line_no}: record must be a JSON object")
-    required, optional = _EVENT_FIELDS[variant]
-    missing = required - set(record)
+    missing = monitor.required - set(record)
     if missing:
         raise EventError(f"line {line_no}: missing fields {sorted(missing)}")
-    unknown = set(record) - required - optional
+    unknown = set(record) - monitor.required - monitor.optional
     if unknown:
         raise EventError(f"line {line_no}: unknown fields {sorted(unknown)}")
-    out: dict = {"arm": _require_binary_flag(record, "arm", line_no)}
-    if variant == "binary":
-        out["outcome"] = _require_binary_flag(record, "outcome", line_no)
-    elif variant == "continuous":
-        out["y"] = _require_finite(record, "y", line_no)
-    elif variant == "survival":
-        out["time"] = _require_finite(record, "time", line_no)
-        out["status"] = _require_binary_flag(record, "status", line_no)
-        if "entry_time" in record:
-            entry = _require_finite(record, "entry_time", line_no)
-            if out["time"] - entry < 0:
-                raise EventError(f"line {line_no}: negative time on study")
-            out["time"] -= entry
-    elif variant == "multistate":
-        for key in ("from", "to"):
-            if not isinstance(record[key], str):
-                raise EventError(f"line {line_no}: field {key!r} must be a state name")
-        out["from"] = record["from"]
-        out["to"] = record["to"]
-    return out
+    try:
+        return monitor.parse(record, flag_field(record, "arm"))
+    except ValueError as exc:
+        raise EventError(f"line {line_no}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # monitor
 # ---------------------------------------------------------------------------
 
-def _monitor_config(args) -> dict:
-    burn_default, ramp_default = _DEFAULT_SCHEDULES[args.variant]
-    cfg = {
-        "variant": args.variant,
-        "alpha": args.alpha,
-        "burn_in": args.burn_in if args.burn_in is not None else burn_default,
-        "ramp": args.ramp if args.ramp is not None else ramp_default,
-    }
-    if args.variant in ("binary", "continuous"):
-        cfg["p"] = args.p
-    if args.variant == "continuous":
-        cfg["c_max"] = args.c_max
-    if args.variant == "survival":
-        if args.risk_trt is None or args.risk_ctrl is None:
-            raise EventError("survival monitoring needs --risk-trt and --risk-ctrl "
-                             "(initial per-arm cohort sizes)")
-        cfg["lambda_max"] = args.lambda_max
-        cfg["risk_trt"] = args.risk_trt
-        cfg["risk_ctrl"] = args.risk_ctrl
+def _monitor_config(args, monitor: Monitor) -> dict:
+    """Alpha, schedule and options from the command line, defaults from the monitor."""
+    cfg = {"variant": args.variant, "alpha": args.alpha}
+    defaults = monitor.defaults
+    for key in ("burn_in", "ramp", *monitor.options):
+        value = getattr(args, key)
+        cfg[key] = defaults.get(key) if value is None else value
+    missing = [f"--{key.replace('_', '-')}" for key in monitor.options if cfg[key] is None]
+    if missing:
+        raise EventError(f"{args.variant} monitoring needs {' and '.join(missing)}")
     return cfg
 
 
-def _build_state(cfg: dict):
-    sched = RampSchedule(cfg["burn_in"], cfg["ramp"])
-    variant = cfg["variant"]
-    if variant == "binary":
-        return BinaryState(sched=sched, p=cfg["p"], alpha=cfg["alpha"], record_steps=False)
-    if variant == "deaths":
-        return DeathsState(sched=sched, alpha=cfg["alpha"], record_steps=False)
-    if variant == "continuous":
-        return ContinuousState(sched=sched, c_max=cfg["c_max"], p=cfg["p"],
-                               alpha=cfg["alpha"], record_steps=False)
-    if variant == "survival":
-        return SurvivalState(risk_trt=cfg["risk_trt"], risk_ctrl=cfg["risk_ctrl"],
-                             sched=sched, lambda_max=cfg["lambda_max"],
-                             alpha=cfg["alpha"], record_steps=False)
-    return MultistateState(sched=sched, alpha=cfg["alpha"], record_steps=False)
-
-
-def _apply_event(variant: str, state, ev: dict, line_no: int):
-    try:
-        if variant == "binary":
-            return state.step(ev["outcome"], ev["arm"])
-        if variant == "deaths":
-            return state.step(ev["arm"])
-        if variant == "continuous":
-            return state.step(ev["y"], ev["arm"])
-        if variant == "survival":
-            return state.step(SurvivalRecord(ev["time"], ev["status"], ev["arm"]))
-        return state.step(ev["from"], ev["to"], ev["arm"])
-    except ValueError as exc:
-        raise EventError(f"line {line_no}: {exc}") from exc
-
-
-def _monitor_summary(variant: str, state, events: int) -> dict:
+def _monitor_summary(monitor: Monitor, variant: str, state) -> dict:
     led = state.ledger
-    out = {
+    return {
         "schema": SCHEMA_VERSION,
         "variant": variant,
-        "events": events,
+        "events": monitor.events(state),
         "e_value": led.wealth,
         "log_e_value": led.log_wealth,
         "threshold": led.threshold,
         "crossed": led.crossed,
         "crossed_at": led.crossed_at,
+        **monitor.report(state),
     }
-    if variant == "binary":
-        out["delta_hat"] = state.delta()
-        out["counts"] = {"n_trt": state.n_trt, "e_trt": state.e_trt,
-                         "n_ctrl": state.n_ctrl, "e_ctrl": state.e_ctrl}
-    elif variant == "deaths":
-        out["p_hat"] = state.p_hat()
-        out["relative_risk"] = state.final_rr()
-        out["counts"] = {"d_trt": state.d_trt, "d_ctrl": state.d_ctrl}
-    elif variant == "continuous":
-        out["cohens_d"] = state.cohens_d()
-        out["n"] = state.i
-    elif variant == "survival":
-        out["cum_score"] = state.cum_z
-        out["risk_set"] = {"trt": state.risk_trt, "ctrl": state.risk_ctrl}
-    elif variant == "multistate":
-        out["delta_hat"] = state.delta()
-        out["counts"] = {"good_trt": state.good_trt, "total_trt": state.total_trt,
-                         "good_ctrl": state.good_ctrl, "total_ctrl": state.total_ctrl}
-    for key in ("e_value", "relative_risk"):  # JSON has no infinity
-        if isinstance(out.get(key), float) and math.isinf(out[key]):
-            out[key] = "inf"
-    return out
-
-
-def _event_count(variant: str, state) -> int:
-    if variant == "binary":
-        return state.i
-    if variant == "deaths":
-        return state.total
-    if variant == "continuous":
-        return state.i
-    if variant == "survival":
-        return state.records_seen
-    return state.total
 
 
 def cmd_monitor(args) -> int:
-    cfg = _monitor_config(args)
     variant = args.variant
+    monitor = MONITORS[variant]
+    cfg = _monitor_config(args, monitor)
     position = 0  # line number of the last processed event
     if args.checkpoint and args.resume:
         state, position = ckpt.read_checkpoint_file(args.checkpoint, variant, cfg)
         print(f"resumed from checkpoint at line {position}", file=sys.stderr)
     else:
-        state = _build_state(cfg)
+        state = monitor.build(cfg)
 
     already_crossed = state.ledger.crossed
     stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
@@ -239,8 +132,11 @@ def cmd_monitor(args) -> int:
                 continue
             if line_no <= position:
                 continue  # input replays the full stream; skip processed lines
-            ev = parse_event(variant, line, line_no)
-            _apply_event(variant, state, ev, line_no)
+            step_args = parse_event(monitor, line, line_no)
+            try:
+                state.step(*step_args)
+            except ValueError as exc:
+                raise EventError(f"line {line_no}: {exc}") from exc
             position = line_no
             if state.ledger.crossed and not already_crossed:
                 already_crossed = True
@@ -248,7 +144,7 @@ def cmd_monitor(args) -> int:
                 print(f"CROSSED at event {state.ledger.crossed_at}: "
                       f"e-value {state.ledger.wealth:.3f} >= {state.ledger.threshold:g} "
                       f"[{stamp}]", file=sys.stderr)
-            n_events = _event_count(variant, state)
+            n_events = monitor.events(state)
             if args.progress_every and n_events % args.progress_every == 0:
                 print(f"event {n_events}: e-value {state.ledger.wealth:.4g}",
                       file=sys.stderr)
@@ -261,13 +157,10 @@ def cmd_monitor(args) -> int:
 
     if args.checkpoint:
         ckpt.write_checkpoint_file(args.checkpoint, variant, state, cfg, position)
-    report = _monitor_summary(variant, state, _event_count(variant, state))
-    json.dump(report, sys.stdout, indent=2)
-    print()
+    report = _monitor_summary(monitor, variant, state)
+    _write_json(report)
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+        _write_json(report, args.report)
     return EXIT_CROSSED if state.ledger.crossed else EXIT_OK
 
 
@@ -275,21 +168,20 @@ def cmd_monitor(args) -> int:
 # simulate / power / compare / wage / trajectories
 # ---------------------------------------------------------------------------
 
-def _load_scenario(args) -> SimScenario:
+def _load_scenario(args):
+    from .simlab.scenario import SimScenario
+
     with open(args.scenario, encoding="utf-8") as fh:
         doc = json.load(fh)
-    scenario = SimScenario.from_dict(doc)
-    sims = getattr(args, "sims", None)
-    seed = getattr(args, "seed", None)
-    if sims is not None or seed is not None:
-        scenario = SimScenario(variant=scenario.variant, params=dict(scenario.params),
-                               n_sims=sims if sims is not None else scenario.n_sims,
-                               alpha=scenario.alpha,
-                               seed=seed if seed is not None else scenario.seed)
-    return scenario
+    for key, value in (("n_sims", getattr(args, "sims", None)), ("seed", args.seed)):
+        if value is not None:
+            doc[key] = value
+    return SimScenario.from_dict(doc)
 
 
 def cmd_simulate(args) -> int:
+    from .simlab import engine
+
     scenario = _load_scenario(args)
     oc = engine.run_operating_characteristics(scenario, n_workers=args.workers)
     med_cross = ("-" if oc.median_first_crossing is None
@@ -301,13 +193,13 @@ def cmd_simulate(args) -> int:
     print(f"median stream len   {oc.median_stream_length:.0f}")
     print(f"median final e      {oc.final_e_median:.4g}")
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(oc.to_dict(), fh, indent=2)
-            fh.write("\n")
+        _write_json(oc.to_dict(), args.json)
     return EXIT_OK
 
 
 def cmd_power(args) -> int:
+    from .simlab import sizing
+
     if args.variant in ("binary", "deaths") and (args.p1 is None or args.p2 is None):
         raise ValueError(f"--p1 and --p2 are required for {args.variant} sizing")
     if args.variant == "continuous" and args.d is None:
@@ -338,6 +230,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_compare(args) -> int:
+    from .simlab import engine
+
     baselines = [float(b) for b in args.baselines.split(",")]
     rows = engine.head_to_head_deaths_vs_binary(
         baselines, arr=args.arr, power=args.power, alpha=args.alpha,
@@ -355,19 +249,18 @@ def cmd_compare(args) -> int:
                    [[r.baseline, r.coin, r.n_patients, r.mean_deaths,
                      r.binary_power, r.deaths_power, r.delta_pp, r.winner] for r in rows])
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA_VERSION,
-                       "rows": [r.__dict__ for r in rows]}, fh, indent=2)
-            fh.write("\n")
+        _write_json({"schema": SCHEMA_VERSION, "rows": [r.__dict__ for r in rows]}, args.json)
     return EXIT_OK
 
 
 def _wage_setup(args):
+    from .simlab.strategies import BettingStrategy
+
     # n stays None unless --n is given: each effect then runs at its own
     # frequentist design size, the convention the comparisons calibrate to
     if args.variant == "survival":
         effects = [float(x) for x in args.hr.split(",")]
-        fixed = args.fixed if args.fixed is not None else 0.25
+        fixed = args.fixed if args.fixed is not None else DEFAULT_BET_CAP
         strategies = [BettingStrategy("fixed", fixed), BettingStrategy("half-kelly")]
     elif args.variant == "binary":
         effects = [float(x) for x in args.arr.split(",")]
@@ -380,6 +273,8 @@ def _wage_setup(args):
 
 
 def cmd_wage(args) -> int:
+    from .simlab import engine
+
     effects, n, strategies = _wage_setup(args)
     cells = engine.wage_study(args.variant, strategies, effects, n,
                               n_sims=args.sims, alpha=args.alpha, seed=args.seed)
@@ -395,60 +290,37 @@ def cmd_wage(args) -> int:
                    [[c.variant, c.strategy, c.effect, c.n_patients, c.n_sims,
                      c.power, c.se, c.median_final_e, c.median_crossing] for c in cells])
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"schema": SCHEMA_VERSION,
-                       "cells": [c.__dict__ for c in cells]}, fh, indent=2)
-            fh.write("\n")
+        _write_json({"schema": SCHEMA_VERSION, "cells": [c.__dict__ for c in cells]}, args.json)
     return EXIT_OK
 
 
-def _trajectory_steps(scenario: SimScenario, n_trials: int) -> list[list]:
+def _trajectory_steps(scenario, n_trials: int) -> list[list]:
     """Replay ``n_trials`` replications through the streaming monitors and
     return each trial's recorded ``WealthStep`` list.
 
-    Uses the same per-replication seeding as the Monte Carlo engine, so
-    trajectory exports show exactly the trials the engine scored.
+    Uses the same per-replication seeding and generators as the Monte Carlo
+    engine, so trajectory exports show exactly the trials the engine scored.
+    A scenario whose wager rule only the batch replay implements is refused.
     """
-    trials = []
+    from .simlab import engine
+    from .simlab.scenario import SIM_VARIANTS
+
+    sim = SIM_VARIANTS[scenario.variant]
+    monitor = MONITORS[scenario.variant]
     p = scenario.params
+    for key in sim.batch_only:
+        if p[key] != sim.defaults[key]:
+            raise ValueError(f"trajectories streams the {scenario.variant} monitor, which "
+                             f"has no {key}={p[key]!r}; use simulate for this scenario")
+    trials = []
     for trial in range(n_trials):
-        rng = engine.rep_rng(scenario.seed, trial)
-        sched_args = dict(sched=RampSchedule(p["burn_in"], p["ramp"]),
-                          alpha=scenario.alpha, record_steps=True)
-        if scenario.variant == "binary":
-            t, y = generators.binary_trial(rng, p["n_patients"], p["p_trt"],
-                                           p["p_ctrl"], p["p_alloc"])
-            state = BinaryState(p=p["p_alloc"], **sched_args)
-            for outcome, arm in zip(y.tolist(), t.tolist()):
-                state.step(outcome, arm)
-        elif scenario.variant == "deaths":
-            arms = generators.death_stream(rng, p["n_deaths"], p["coin"])
-            state = DeathsState(**sched_args)
-            for arm in arms.tolist():
-                state.step(arm)
-        elif scenario.variant == "continuous":
-            t, y = generators.continuous_trial(rng, p["n_patients"], p["mu_trt"],
-                                               p["mu_ctrl"], p["sd"], p["p_alloc"])
-            state = ContinuousState(c_max=p["c_max"], p=p["p_alloc"], **sched_args)
-            for value, arm in zip(y.tolist(), t.tolist()):
-                state.step(value, arm)
-        elif scenario.variant == "survival":
-            time, status, t, entry = generators.survival_trial(
-                rng, p["n_patients"], p["hr"], p["shape"], p["scale"],
-                p["censor_upper"], p["recruit_period"])
-            order = np.argsort(time - entry, kind="stable")
-            state = SurvivalState(risk_trt=int(t.sum()), risk_ctrl=int((1 - t).sum()),
-                                  lambda_max=p["lambda_max"], **sched_args)
-            for k in order.tolist():
-                state.step(SurvivalRecord(float(time[k] - entry[k]), int(status[k]),
-                                          int(t[k])))
-        else:  # multistate
-            m_trt, m_ctrl = multistate_matrices(p["effect"], p["matrices"])
-            trial_data = generators.multistate_trial(rng, p["n_patients"], m_trt,
-                                                     m_ctrl, p["start"], p["horizon"])
-            state = MultistateState(**sched_args)
-            for is_good, arm in zip(trial_data.good.tolist(), trial_data.arms.tolist()):
-                state.step_classified(is_good, arm)
+        data = sim.generate(engine.rep_rng(scenario.seed, trial), p)
+        options, events = sim.feed(data, p)
+        state = monitor.build({"alpha": scenario.alpha, "burn_in": p["burn_in"],
+                               "ramp": p["ramp"], **options}, record_steps=True)
+        step = getattr(state, sim.step)
+        for args in events:
+            step(*args)
         trials.append(state.ledger.steps)
     return trials
 
@@ -518,16 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mon = sub.add_parser("monitor", help="monitor an NDJSON event stream")
-    mon.add_argument("--variant", required=True, choices=list(_DEFAULT_SCHEDULES))
+    mon.add_argument("--variant", required=True, choices=list(MONITORS))
     mon.add_argument("--input", default="-", help="NDJSON file, or - for stdin")
     mon.add_argument("--alpha", type=float, default=0.05)
     mon.add_argument("--burn-in", type=int, default=None)
     mon.add_argument("--ramp", type=int, default=None)
-    mon.add_argument("--p", type=float, default=0.5, help="allocation probability")
-    mon.add_argument("--c-max", type=float, default=0.6)
-    mon.add_argument("--lambda-max", type=float, default=0.25)
-    mon.add_argument("--risk-trt", type=int, default=None)
-    mon.add_argument("--risk-ctrl", type=int, default=None)
+    # defaults of None are filled from the variant's monitor
+    mon.add_argument("--p", type=float, default=None, help="allocation probability")
+    mon.add_argument("--c-max", type=float, default=None)
+    mon.add_argument("--lambda-max", type=float, default=None)
+    mon.add_argument("--risk-trt", type=int, default=None,
+                     help="initial treated cohort size (survival)")
+    mon.add_argument("--risk-ctrl", type=int, default=None,
+                     help="initial control cohort size (survival)")
     mon.add_argument("--checkpoint", default=None)
     mon.add_argument("--resume", action="store_true",
                      help="resume from --checkpoint before reading input")
@@ -574,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     wage.add_argument("--d", default="0.20")
     wage.add_argument("--n", type=int, default=None)
     wage.add_argument("--fixed", type=float, default=None)
-    wage.add_argument("--sign-c", type=float, default=0.6)
+    wage.add_argument("--sign-c", type=float, default=DEFAULT_C_MAX)
     wage.add_argument("--sims", type=int, default=1000)
     wage.add_argument("--alpha", type=float, default=0.05)
     wage.add_argument("--seed", type=int, default=0)

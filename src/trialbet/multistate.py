@@ -104,30 +104,6 @@ TREATMENT_DAILY = TransitionMatrix((
 ))
 
 
-def simulate_patient_path(matrix: TransitionMatrix, rng, start: str = ICU,
-                          horizon: int = 28):
-    """Daily categorical draws from ``start`` until absorption or ``horizon``.
-
-    Returns (final_state, transitions) where transitions is a list of
-    (from_state, to_state, day) recording state changes only.
-    """
-    model = matrix.model
-    arr = matrix.as_array()
-    cum = np.cumsum(arr, axis=1)
-    state = model.index(start)
-    absorbing = {model.index(s) for s in model.absorbing}
-    transitions = []
-    for day in range(1, horizon + 1):
-        if state in absorbing:
-            break
-        new_state = int(np.searchsorted(cum[state], rng.random(), side="right"))
-        new_state = min(new_state, len(model.states) - 1)
-        if new_state != state:
-            transitions.append((model.states[state], model.states[new_state], day))
-        state = new_state
-    return model.states[state], transitions
-
-
 @dataclass
 class MultistateState:
     """Streaming state for the transition monitor; one instance per trial."""

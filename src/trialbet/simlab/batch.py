@@ -17,10 +17,16 @@ from bisect import insort
 
 import numpy as np
 
+from .. import binary, continuous, deaths, multistate, survival
 from ..continuous import robust_center_scale
 from ..core import WAGER_MAX, WAGER_MIN
 from ..multistate import WAGER_MAX as MS_WAGER_MAX
 from ..multistate import WAGER_MIN as MS_WAGER_MIN
+
+# Keyword defaults are each monitor's own, so a bare replay matches a default monitor.
+_BINARY, _DEATHS = binary.DEFAULT_SCHEDULE, deaths.DEFAULT_SCHEDULE
+_CONTINUOUS, _SURVIVAL = continuous.DEFAULT_SCHEDULE, survival.DEFAULT_SCHEDULE
+_MULTISTATE = multistate.DEFAULT_SCHEDULE
 
 
 def _ramp(idx: np.ndarray, burn_in: int, ramp: int) -> np.ndarray:
@@ -30,7 +36,7 @@ def _ramp(idx: np.ndarray, burn_in: int, ramp: int) -> np.ndarray:
 def _shift(cum: np.ndarray) -> np.ndarray:
     """Prefix values: cum over entries strictly before each position."""
     out = np.empty_like(cum)
-    out[0] = 0
+    out[:1] = 0
     out[1:] = cum[:-1]
     return out
 
@@ -41,8 +47,8 @@ def first_crossing(log_wealth: np.ndarray, alpha: float) -> int | None:
     return int(hits[0]) + 1 if hits.size else None
 
 
-def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = 50,
-                      ramp: int = 100, fixed_dev: float | None = None) -> np.ndarray:
+def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_in,
+                      ramp: int = _BINARY.ramp, fixed_dev: float | None = None) -> np.ndarray:
     """Binary monitor replay; index i bets from counts over patients 1..i-1.
 
     ``fixed_dev`` switches to the prespecified-wager strategy: every patient
@@ -75,7 +81,8 @@ def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = 50,
     return np.cumsum(log_mult)
 
 
-def deaths_log_wealth(arms, burn_in: int = 30, ramp: int = 50) -> np.ndarray:
+def deaths_log_wealth(arms, burn_in: int = _DEATHS.burn_in,
+                      ramp: int = _DEATHS.ramp) -> np.ndarray:
     """Deaths-only replay over an ordered stream of death arm labels."""
     a = np.asarray(arms, dtype=np.int64)
     n = a.size
@@ -91,8 +98,9 @@ def deaths_log_wealth(arms, burn_in: int = 30, ramp: int = 50) -> np.ndarray:
     return np.cumsum(np.log(mult))
 
 
-def survival_log_wealth(time, status, treatment, burn_in: int = 30, ramp: int = 50,
-                        lambda_max: float = 0.25, bet_rule: str = "fixed",
+def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_in,
+                        ramp: int = _SURVIVAL.ramp, lambda_max: float = survival.DEFAULT_BET_CAP,
+                        bet_rule: str = "fixed",
                         presorted: bool = False) -> np.ndarray:
     """Survival replay; one entry per record (censored records bet nothing).
 
@@ -136,7 +144,8 @@ def survival_log_wealth(time, status, treatment, burn_in: int = 30, ramp: int = 
     return np.cumsum(np.log(mult))
 
 
-def multistate_log_wealth(good, arms, burn_in: int = 30, ramp: int = 50) -> np.ndarray:
+def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
+                          ramp: int = _MULTISTATE.ramp) -> np.ndarray:
     """Transition-stream replay; both arms need history before bets start."""
     g = np.asarray(good, dtype=np.int64)
     a = np.asarray(arms, dtype=np.int64)
@@ -158,8 +167,9 @@ def multistate_log_wealth(good, arms, burn_in: int = 30, ramp: int = 50) -> np.n
     return np.cumsum(np.log(mult))
 
 
-def continuous_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = 50,
-                          ramp: int = 100, c_max: float = 0.6,
+def continuous_log_wealth(treatment, outcome, p: float = 0.5,
+                          burn_in: int = _CONTINUOUS.burn_in, ramp: int = _CONTINUOUS.ramp,
+                          c_max: float = continuous.DEFAULT_C_MAX,
                           sign_only: bool = False) -> np.ndarray:
     """Continuous-monitor replay for a whole batch of same-length trials.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..deaths import death_coin
 from . import batch, generators
-from .scenario import OperatingCharacteristics, SimScenario, multistate_matrices
+from .scenario import SIM_VARIANTS, OperatingCharacteristics, SimScenario, normalize_params
 from .sizing import size_logrank, size_t_test, size_two_proportion
 from .strategies import BettingStrategy
 
@@ -28,69 +28,26 @@ def rep_rng(seed: int, rep: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
-def _replicate(scenario: SimScenario, rep: int):
-    """Run one replication; returns (first_crossing or nan, final_log_e, stream_len)."""
-    p = scenario.params
-    rng = rep_rng(scenario.seed, rep)
-    variant = scenario.variant
-    if variant == "binary":
-        t, y = generators.binary_trial(rng, p["n_patients"], p["p_trt"], p["p_ctrl"],
-                                       p["p_alloc"])
-        logw = batch.binary_log_wealth(t, y, p["p_alloc"], p["burn_in"], p["ramp"],
-                                       p["fixed_dev"])
-    elif variant == "deaths":
-        arms = generators.death_stream(rng, p["n_deaths"], p["coin"])
-        logw = batch.deaths_log_wealth(arms, p["burn_in"], p["ramp"])
-    elif variant == "survival":
-        time, status, t, entry = generators.survival_trial(
-            rng, p["n_patients"], p["hr"], p["shape"], p["scale"],
-            p["censor_upper"], p["recruit_period"])
-        study_time = time - entry  # identical to time when entry is simultaneous
-        logw = batch.survival_log_wealth(study_time, status, t, p["burn_in"],
-                                         p["ramp"], p["lambda_max"], p["bet_rule"])
-    elif variant == "multistate":
-        m_trt, m_ctrl = multistate_matrices(p["effect"], p["matrices"])
-        trial = generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
-                                            p["start"], p["horizon"])
-        if trial.arms.size < p["burn_in"]:
-            return math.nan, 0.0, trial.arms.size
-        logw = batch.multistate_log_wealth(trial.good, trial.arms, p["burn_in"],
-                                           p["ramp"])
-    elif variant == "continuous":
-        raise RuntimeError("continuous replications run batched; see _run_range")
-    else:  # pragma: no cover - scenario validation rejects this earlier
-        raise ValueError(f"unknown variant {variant!r}")
-    crossing = batch.first_crossing(logw, scenario.alpha)
-    final = float(logw[-1]) if logw.size else 0.0
-    return (math.nan if crossing is None else float(crossing)), final, logw.size
+def _exp(log_e) -> float:
+    """e-value from log-e; ``inf`` past the float range, without a warning."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_e))
 
 
 def _run_range(scenario: SimScenario, start: int, stop: int):
     """Replications [start, stop); returns (crossing, final_log_e, stream_len) arrays."""
+    sim = SIM_VARIANTS[scenario.variant]
+    p = scenario.params
     n = stop - start
     crossing = np.full(n, np.nan)
     final = np.zeros(n)
     length = np.zeros(n, dtype=np.int64)
-    if scenario.variant == "continuous":
-        p = scenario.params
-        n_pat = p["n_patients"]
-        t = np.empty((n, n_pat), dtype=np.int8)
-        y = np.empty((n, n_pat))
-        for k, rep in enumerate(range(start, stop)):
-            rng = rep_rng(scenario.seed, rep)
-            t[k], y[k] = generators.continuous_trial(
-                rng, n_pat, p["mu_trt"], p["mu_ctrl"], p["sd"], p["p_alloc"])
-        logw = batch.continuous_log_wealth(t, y, p["p_alloc"], p["burn_in"],
-                                           p["ramp"], p["c_max"], p["sign_only"])
-        log_thresh = -math.log(scenario.alpha)
-        for k in range(n):
-            hits = np.nonzero(logw[k] >= log_thresh)[0]
-            crossing[k] = hits[0] + 1 if hits.size else math.nan
-            final[k] = logw[k, -1]
-            length[k] = n_pat
-    else:
-        for k, rep in enumerate(range(start, stop)):
-            crossing[k], final[k], length[k] = _replicate(scenario, rep)
+    for k, rep in enumerate(range(start, stop)):
+        logw = sim.replay(sim.generate(rep_rng(scenario.seed, rep), p), p)
+        hit = batch.first_crossing(logw, scenario.alpha)
+        crossing[k] = math.nan if hit is None else hit
+        final[k] = logw[-1] if logw.size else 0.0
+        length[k] = logw.size
     return crossing, final, length
 
 
@@ -130,7 +87,7 @@ def run_operating_characteristics(scenario: SimScenario,
     else:
         med_cross, frac = None, None
     log_q = np.quantile(final, _E_QUANTILES)
-    quantiles = {f"q{int(q * 100):02d}": float(np.exp(v))
+    quantiles = {f"q{int(q * 100):02d}": _exp(v)
                  for q, v in zip(_E_QUANTILES, log_q)}
     return OperatingCharacteristics(
         variant=scenario.variant,
@@ -142,7 +99,7 @@ def run_operating_characteristics(scenario: SimScenario,
         median_first_crossing=med_cross,
         median_crossing_fraction=frac,
         median_stream_length=median_len,
-        final_e_median=float(np.exp(np.median(final))),
+        final_e_median=_exp(np.median(final)),
         final_e_quantiles=quantiles,
         params=dict(scenario.params),
         seed=scenario.seed,
@@ -215,13 +172,19 @@ class WageCell:
     median_crossing: float | None
 
 
-def _wage_design_n(variant: str, effect: float, power: float, alpha: float,
-                   p_ctrl: float) -> int:
+def _wage_params(variant: str, effect: float, n_patients: int | None, power: float,
+                 alpha: float, p_ctrl: float, sd: float, shape: float,
+                 scale: float) -> dict:
+    """Scenario parameters of one wage cell's trials; ``n_patients`` None sizes them."""
     if variant == "survival":
-        return size_logrank(effect, power, alpha)
+        n = size_logrank(effect, power, alpha) if n_patients is None else n_patients
+        return {"n_patients": n, "hr": effect, "shape": shape, "scale": scale}
     if variant == "binary":
-        return size_two_proportion(p_ctrl, p_ctrl - effect, power, alpha)
-    return size_t_test(effect, power, alpha)
+        n = (size_two_proportion(p_ctrl, p_ctrl - effect, power, alpha)
+             if n_patients is None else n_patients)
+        return {"n_patients": n, "p_ctrl": p_ctrl, "p_trt": p_ctrl - effect}
+    n = size_t_test(effect, power, alpha) if n_patients is None else n_patients
+    return {"n_patients": n, "mu_trt": effect, "sd": sd}
 
 
 def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
@@ -237,7 +200,8 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     strategy comparisons are calibrated against); pass an explicit
     ``n_patients`` to hold the trial size fixed across effects.  Within one
     effect, every strategy replays the same trials, so cell contrasts are
-    paired.
+    paired.  A cell is the scenario of its effect with the strategy's
+    parameters, over replications ``e_idx * n_sims`` onwards.
     """
     strategies = [s if isinstance(s, BettingStrategy) else BettingStrategy(*s)
                   for s in strategies]
@@ -245,24 +209,13 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
         s.validate(variant)
     if variant not in ("survival", "binary", "continuous"):
         raise ValueError(f"wage study does not cover variant {variant!r}")
+    sim = SIM_VARIANTS[variant]
     cells = []
     for e_idx, effect in enumerate(effects):
-        n_pat = n_patients if n_patients is not None else \
-            _wage_design_n(variant, effect, design_power, alpha, p_ctrl)
-        trials = []
-        for rep in range(n_sims):
-            rng = rep_rng(seed, e_idx * n_sims + rep)
-            if variant == "survival":
-                time, status, t, _ = generators.survival_trial(
-                    rng, n_pat, effect, shape, scale)
-                order = np.argsort(time, kind="stable")
-                trials.append((time[order], status[order], t[order]))
-            elif variant == "binary":
-                trials.append(generators.binary_trial(rng, n_pat,
-                                                      p_ctrl - effect, p_ctrl))
-            else:
-                trials.append(generators.continuous_trial(rng, n_pat,
-                                                          effect, 0.0, sd))
+        params = normalize_params(variant, _wage_params(
+            variant, effect, n_patients, design_power, alpha, p_ctrl, sd, shape, scale))
+        trials = [sim.generate(rep_rng(seed, e_idx * n_sims + rep), params)
+                  for rep in range(n_sims)]
         for s in strategies:
             crossings, finals = _wage_evaluate(variant, s, trials, alpha)
             hits = [c for c in crossings if c is not None]
@@ -271,44 +224,24 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
                 variant=variant,
                 strategy=s.label(),
                 effect=effect,
-                n_patients=n_pat,
+                n_patients=params["n_patients"],
                 n_sims=n_sims,
                 power=power,
                 se=math.sqrt(power * (1.0 - power) / n_sims),
-                median_final_e=float(np.exp(np.median(finals))),
+                median_final_e=_exp(np.median(finals)),
                 median_crossing=float(np.median(hits)) if hits else None,
             ))
     return cells
 
 
 def _wage_evaluate(variant: str, strategy: BettingStrategy, trials, alpha: float):
-    """Replay every trial under one strategy; continuous runs as one batch."""
+    """Replay every trial under one strategy: the variant's replay, run with
+    its default parameters overridden by the strategy's."""
+    sim = SIM_VARIANTS[variant]
+    params = {**sim.defaults, **strategy.params(variant)}
     crossings, finals = [], []
-    if variant == "continuous":
-        t = np.stack([tr[0] for tr in trials])
-        y = np.stack([tr[1] for tr in trials])
-        if strategy.kind == "adaptive":
-            logw = batch.continuous_log_wealth(t, y)
-        else:
-            logw = batch.continuous_log_wealth(t, y, c_max=strategy.value,
-                                               sign_only=True)
-        for row in logw:
-            crossings.append(batch.first_crossing(row, alpha))
-            finals.append(float(row[-1]))
-        return crossings, finals
     for data in trials:
-        if variant == "survival":
-            time, status, t = data
-            if strategy.kind == "fixed":
-                logw = batch.survival_log_wealth(time, status, t, presorted=True,
-                                                 lambda_max=strategy.value)
-            else:
-                logw = batch.survival_log_wealth(time, status, t, presorted=True,
-                                                 bet_rule="half_kelly")
-        else:  # binary
-            t, y = data
-            dev = None if strategy.kind == "adaptive" else -abs(strategy.value)
-            logw = batch.binary_log_wealth(t, y, fixed_dev=dev)
+        logw = sim.replay(data, params)
         crossings.append(batch.first_crossing(logw, alpha))
         finals.append(float(logw[-1]))
     return crossings, finals

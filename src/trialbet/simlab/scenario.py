@@ -1,44 +1,143 @@
-"""Scenario and result containers for the Monte Carlo lab.
+"""Scenario and result containers for the Monte Carlo lab, and its variant table.
 
 A scenario pins everything a run needs - variant, generator parameters,
 replication count, alpha, and the master seed - so that identical scenarios
 reproduce identical operating characteristics bit for bit, regardless of how
 many workers execute them.
+
+``SIM_VARIANTS`` holds, per variant, the scenario parameters with their
+defaults and the three things the lab does with a trial: draw it, replay it
+through the batch kernel, and feed it to the streaming monitor.  The engine,
+the wage study and trajectory exports all go through it; adding a variant is
+one row here and one in ``trialbet.variants``, whose schedule and wager-cap
+defaults the rows below reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
+
+import numpy as np
 
 from ..multistate import CONTROL_DAILY, TREATMENT_DAILY, TransitionMatrix
+from ..survival import SurvivalRecord
+from ..variants import MONITORS, SCHEMA_VERSION
+from . import batch, generators
 
-SCHEMA_VERSION = 1
+_REQUIRED: Any = object()  # marks a parameter without a default
 
-VARIANTS = ("binary", "deaths", "continuous", "survival", "multistate")
 
-# Per-variant parameter defaults; None marks a required key.
-_PARAM_SPECS: dict[str, dict[str, Any]] = {
-    "binary": {
-        "n_patients": None, "p_ctrl": None, "p_trt": "=p_ctrl", "p_alloc": 0.5,
-        "burn_in": 50, "ramp": 100, "fixed_dev": "none",
-    },
-    "deaths": {
-        "n_deaths": None, "coin": 0.5, "burn_in": 30, "ramp": 50,
-    },
-    "continuous": {
-        "n_patients": None, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
-        "p_alloc": 0.5, "burn_in": 50, "ramp": 100, "c_max": 0.6, "sign_only": False,
-    },
-    "survival": {
-        "n_patients": None, "hr": 1.0, "shape": 1.2, "scale": 10.0,
-        "censor_upper": "none", "recruit_period": "none",
-        "burn_in": 30, "ramp": 50, "lambda_max": 0.25, "bet_rule": "fixed",
-    },
-    "multistate": {
-        "n_patients": None, "effect": "alternative", "matrices": "none",
-        "horizon": 28, "start": "ICU", "burn_in": 30, "ramp": 50,
-    },
+def _alias(default) -> bool:
+    """A default of "=key" takes the value of parameter ``key``."""
+    return isinstance(default, str) and default.startswith("=")
+
+
+@dataclass(frozen=True)
+class SimVariant:
+    """How the lab draws, replays and streams one variant's trials.
+
+    ``generate(rng, params)`` draws one trial.  ``replay(data, params)`` is
+    its log-wealth after each observation, from the batch kernel.
+    ``feed(data, params)`` gives the streaming monitor's options and the
+    arguments of each call to its ``step`` method (trajectory exports).
+    Generators and kernels are looked up on their modules at call time.
+    """
+
+    params: dict[str, Any]   # defaults, in report order; _REQUIRED or an alias
+    generate: Callable
+    replay: Callable
+    feed: Callable
+    step: str = "step"       # the state method ``feed``'s arguments go to
+    batch_only: tuple[str, ...] = ()  # wager rules the streaming monitor lacks
+    check: Callable[[dict], None] = lambda params: None
+
+    @property
+    def defaults(self) -> dict[str, Any]:
+        """Every parameter that has a default of its own, at that default."""
+        return {key: v for key, v in self.params.items()
+                if v is not _REQUIRED and not _alias(v)}
+
+
+def _monitor(variant: str, *options: str) -> dict[str, Any]:
+    """The monitor's burn-in and ramp defaults, then the named options'."""
+    defaults = MONITORS[variant].defaults
+    return {key: defaults[key] for key in ("burn_in", "ramp", *options)}
+
+
+def _replay_survival(data, p):
+    time, status, arm, entry = data
+    return batch.survival_log_wealth(time - entry, status, arm, p["burn_in"], p["ramp"],
+                                     p["lambda_max"], p["bet_rule"])
+
+
+def _feed_survival(data, p):
+    time, status, arm, entry = data
+    study_time = time - entry  # identical to time when entry is simultaneous
+    order = np.argsort(study_time, kind="stable").tolist()
+    options = {"lambda_max": p["lambda_max"], "risk_trt": int(arm.sum()),
+               "risk_ctrl": int((1 - arm).sum())}
+    return options, ((SurvivalRecord(float(study_time[k]), int(status[k]), int(arm[k])),)
+                     for k in order)
+
+
+def _multistate_trial(rng, p):
+    m_trt, m_ctrl = multistate_matrices(p["effect"], p["matrices"])
+    return generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
+                                       p["start"], p["horizon"])
+
+
+def _check_multistate(p) -> None:
+    if p["effect"] not in ("alternative", "null"):
+        raise ValueError("multistate effect must be 'alternative' or 'null'")
+    if p["matrices"] is not None and set(p["matrices"]) != {"trt", "ctrl"}:
+        raise ValueError("matrices must provide exactly 'trt' and 'ctrl' rows")
+
+
+SIM_VARIANTS: dict[str, SimVariant] = {
+    "binary": SimVariant(
+        {"n_patients": _REQUIRED, "p_ctrl": _REQUIRED, "p_trt": "=p_ctrl", "p_alloc": 0.5,
+         **_monitor("binary"), "fixed_dev": None},
+        generate=lambda rng, p: generators.binary_trial(
+            rng, p["n_patients"], p["p_trt"], p["p_ctrl"], p["p_alloc"]),
+        replay=lambda d, p: batch.binary_log_wealth(
+            *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
+        feed=lambda d, p: ({"p": p["p_alloc"]}, zip(d[1].tolist(), d[0].tolist())),
+        batch_only=("fixed_dev",)),
+    "deaths": SimVariant(
+        {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
+        generate=lambda rng, p: generators.death_stream(rng, p["n_deaths"], p["coin"]),
+        replay=lambda arms, p: batch.deaths_log_wealth(arms, p["burn_in"], p["ramp"]),
+        feed=lambda arms, p: ({}, zip(arms.tolist()))),
+    "continuous": SimVariant(
+        {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
+         "p_alloc": 0.5, **_monitor("continuous", "c_max"), "sign_only": False},
+        generate=lambda rng, p: generators.continuous_trial(
+            rng, p["n_patients"], p["mu_trt"], p["mu_ctrl"], p["sd"], p["p_alloc"]),
+        replay=lambda d, p: batch.continuous_log_wealth(
+            *d, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"])[0],
+        feed=lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
+                           zip(d[1].tolist(), d[0].tolist())),
+        batch_only=("sign_only",)),
+    "survival": SimVariant(
+        {"n_patients": _REQUIRED, "hr": 1.0, "shape": 1.2, "scale": 10.0,
+         "censor_upper": None, "recruit_period": None,
+         **_monitor("survival", "lambda_max"), "bet_rule": "fixed"},
+        generate=lambda rng, p: generators.survival_trial(
+            rng, p["n_patients"], p["hr"], p["shape"], p["scale"], p["censor_upper"],
+            p["recruit_period"]),
+        replay=_replay_survival,
+        feed=_feed_survival,
+        batch_only=("bet_rule",)),
+    "multistate": SimVariant(
+        {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
+         "horizon": 28, "start": "ICU", **_monitor("multistate")},
+        generate=_multistate_trial,
+        replay=lambda d, p: batch.multistate_log_wealth(d.good, d.arms, p["burn_in"],
+                                                        p["ramp"]),
+        feed=lambda d, p: ({}, zip(d.good.tolist(), d.arms.tolist())),
+        step="step_classified",  # the generator emits transitions already classified
+        check=_check_multistate),
 }
 
 
@@ -48,35 +147,21 @@ def normalize_params(variant: str, params: Mapping[str, Any]) -> dict[str, Any]:
     Unknown keys are rejected rather than ignored; a silently dropped typo in
     a monitoring configuration is worse than a hard error.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    param_spec = _PARAM_SPECS[variant]
-    unknown = set(params) - set(param_spec)
+    if variant not in SIM_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(SIM_VARIANTS)}")
+    sim = SIM_VARIANTS[variant]
+    unknown = set(params) - set(sim.params)
     if unknown:
         raise ValueError(f"unknown parameters for {variant}: {sorted(unknown)}")
     out: dict[str, Any] = {}
-    for key, default in param_spec.items():
-        if key in params:
-            out[key] = params[key]
-        elif default is None:
+    for key, default in sim.params.items():
+        value = params.get(key, default)
+        if value is _REQUIRED:
             raise ValueError(f"missing required parameter {key!r} for {variant}")
-        elif isinstance(default, str) and default.startswith("="):
-            out[key] = None  # alias resolved below
-        elif default == "none":
-            out[key] = None
-        else:
-            out[key] = default
-    if variant == "binary" and out["p_trt"] is None:
-        out["p_trt"] = out["p_ctrl"]
-    if variant == "continuous" and out["mu_trt"] is None:
-        out["mu_trt"] = out["mu_ctrl"]
-    if variant == "multistate":
-        if out["effect"] not in ("alternative", "null"):
-            raise ValueError("multistate effect must be 'alternative' or 'null'")
-        if out["matrices"] is not None:
-            m = out["matrices"]
-            if set(m) != {"trt", "ctrl"}:
-                raise ValueError("matrices must provide exactly 'trt' and 'ctrl' rows")
+        if _alias(default) and (value is default or value is None):
+            value = out[default[1:]]
+        out[key] = value
+    sim.check(out)
     return out
 
 

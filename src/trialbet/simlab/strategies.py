@@ -10,10 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-_KINDS_BY_VARIANT = {
-    "survival": {"fixed", "half-kelly"},
-    "binary": {"adaptive", "fixed"},
-    "continuous": {"adaptive", "sign-only"},
+# A strategy is a set of scenario parameters for its variant's replay, built
+# from the strategy's value; ``adaptive`` keeps the variant's own defaults.
+_PARAMS_BY_VARIANT = {
+    "survival": {"fixed": lambda v: {"lambda_max": v},
+                 "half-kelly": lambda v: {"bet_rule": "half_kelly"}},
+    "binary": {"adaptive": lambda v: {},
+               "fixed": lambda v: {"fixed_dev": -abs(v)}},
+    "continuous": {"adaptive": lambda v: {},
+                   "sign-only": lambda v: {"c_max": v, "sign_only": True}},
 }
 
 
@@ -36,7 +41,7 @@ class BettingStrategy:
     value: float | None = None
 
     def validate(self, variant: str) -> None:
-        allowed = _KINDS_BY_VARIANT.get(variant)
+        allowed = _PARAMS_BY_VARIANT.get(variant)
         if allowed is None:
             raise ValueError(f"no strategies defined for variant {variant!r}")
         if self.kind not in allowed:
@@ -45,6 +50,11 @@ class BettingStrategy:
         if self.kind in ("fixed", "sign-only"):
             if self.value is None or not 0.0 < self.value < 1.0:
                 raise ValueError(f"strategy {self.kind!r} needs a value in (0,1)")
+
+    def params(self, variant: str) -> dict:
+        """The scenario parameters this strategy sets for ``variant``'s replay."""
+        self.validate(variant)
+        return _PARAMS_BY_VARIANT[variant][self.kind](self.value)
 
     def label(self) -> str:
         if self.value is None:

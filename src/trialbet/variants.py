@@ -1,0 +1,126 @@
+"""The five monitors as one table: what the live monitor knows of each variant.
+
+A row names the streaming state class, its default ramp schedule, the options
+its constructor takes from the command line, the NDJSON fields of one event
+and how they become the arguments of ``step``, and the fields its report
+adds.  The ``monitor`` command and the checkpoint reader look a variant up
+here, once per run; adding a variant is one row.  Option defaults are read
+from the state class itself, so each is stated once, in its module.
+
+Imports no ``simlab`` code, so the monitoring path loads neither the Monte
+Carlo lab nor scipy.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Any, Callable
+
+from . import binary, continuous, deaths, multistate, survival
+from .core import RampSchedule
+
+SCHEMA_VERSION = 1  # of the JSON reports and CSV exports
+
+
+@dataclass(frozen=True)
+class Monitor:
+    """One variant's streaming monitor, as the CLI and checkpoints drive it."""
+
+    state: type
+    schedule: RampSchedule           # the module's DEFAULT_SCHEDULE
+    options: tuple[str, ...]         # constructor keywords set from the command line
+    required: frozenset[str]         # NDJSON fields of one event, "arm" included
+    optional: frozenset[str]
+    parse: Callable[[dict, int], tuple]  # (record, arm) -> arguments of ``step``
+    report: Callable[[Any], dict]    # fields the report adds for this variant
+    events: Callable[[Any], int]     # events the state has consumed
+
+    @property
+    def defaults(self) -> dict[str, Any]:
+        """Burn-in, ramp, and each option that has a default in the state class."""
+        out: dict[str, Any] = {"burn_in": self.schedule.burn_in, "ramp": self.schedule.ramp}
+        for f in dataclasses.fields(self.state):
+            if f.name in self.options and f.default is not dataclasses.MISSING:
+                out[f.name] = f.default
+        return out
+
+    def build(self, config: dict[str, Any], record_steps: bool = False):
+        """A fresh state from a monitor configuration (alpha, schedule, options)."""
+        return self.state(sched=RampSchedule(config["burn_in"], config["ramp"]),
+                          alpha=config["alpha"], record_steps=record_steps,
+                          **{key: config[key] for key in self.options})
+
+
+def flag_field(record: dict, key: str) -> int:
+    v = record[key]
+    if v not in (0, 1):
+        raise ValueError(f"field {key!r} must be 0 or 1, got {v!r}")
+    return int(v)
+
+
+def _finite_field(record: dict, key: str) -> float:
+    v = record[key]
+    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+        raise ValueError(f"field {key!r} must be a finite number, got {v!r}")
+    return float(v)
+
+
+def _state_name(record: dict, key: str) -> str:
+    if not isinstance(record[key], str):
+        raise ValueError(f"field {key!r} must be a state name")
+    return record[key]
+
+
+def _survival_args(record: dict, arm: int) -> tuple:
+    time = _finite_field(record, "time")
+    status = flag_field(record, "status")
+    if "entry_time" in record:
+        entry = _finite_field(record, "entry_time")
+        if time - entry < 0:
+            raise ValueError("negative time on study")
+        time -= entry
+    return (survival.SurvivalRecord(time, status, arm),)
+
+
+MONITORS: dict[str, Monitor] = {
+    "binary": Monitor(
+        binary.BinaryState, binary.DEFAULT_SCHEDULE, ("p",),
+        frozenset({"arm", "outcome"}), frozenset(),
+        parse=lambda r, arm: (flag_field(r, "outcome"), arm),
+        report=lambda s: {"delta_hat": s.delta(),
+                          "counts": {"n_trt": s.n_trt, "e_trt": s.e_trt,
+                                     "n_ctrl": s.n_ctrl, "e_ctrl": s.e_ctrl}},
+        events=attrgetter("i")),
+    "deaths": Monitor(
+        deaths.DeathsState, deaths.DEFAULT_SCHEDULE, (),
+        frozenset({"arm"}), frozenset(),
+        parse=lambda r, arm: (arm,),
+        report=lambda s: {"p_hat": s.p_hat(), "relative_risk": s.final_rr(),
+                          "counts": {"d_trt": s.d_trt, "d_ctrl": s.d_ctrl}},
+        events=attrgetter("total")),
+    "continuous": Monitor(
+        continuous.ContinuousState, continuous.DEFAULT_SCHEDULE, ("p", "c_max"),
+        frozenset({"arm", "y"}), frozenset(),
+        parse=lambda r, arm: (_finite_field(r, "y"), arm),
+        report=lambda s: {"cohens_d": s.cohens_d(), "n": s.i},
+        events=attrgetter("i")),
+    "survival": Monitor(
+        survival.SurvivalState, survival.DEFAULT_SCHEDULE,
+        ("lambda_max", "risk_trt", "risk_ctrl"),
+        frozenset({"time", "status", "arm"}), frozenset({"entry_time"}),
+        parse=_survival_args,
+        report=lambda s: {"cum_score": s.cum_z,
+                          "risk_set": {"trt": s.risk_trt, "ctrl": s.risk_ctrl}},
+        events=attrgetter("records_seen")),
+    "multistate": Monitor(
+        multistate.MultistateState, multistate.DEFAULT_SCHEDULE, (),
+        frozenset({"from", "to", "arm"}), frozenset({"day"}),
+        parse=lambda r, arm: (_state_name(r, "from"), _state_name(r, "to"), arm),
+        report=lambda s: {"delta_hat": s.delta(),
+                          "counts": {"good_trt": s.good_trt, "total_trt": s.total_trt,
+                                     "good_ctrl": s.good_ctrl, "total_ctrl": s.total_ctrl}},
+        events=attrgetter("total")),
+}

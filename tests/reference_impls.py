@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
+
 
 def _clamp(x, lo, hi):
     return max(lo, min(hi, x))
@@ -166,3 +168,27 @@ def compute_multistate_reference(transitions, arms, burn_in=30, ramp=50,
             n_total_ctrl += 1
             n_good_ctrl += is_good
     return wealth
+
+
+def simulate_patient_path(matrix, rng, start="ICU", horizon=28):
+    """Daily categorical draws from ``start`` until absorption or ``horizon``.
+
+    ``matrix`` is a ``TransitionMatrix``.  Returns (final_state, transitions)
+    where transitions is a list of (from_state, to_state, day) recording
+    state changes only.
+    """
+    model = matrix.model
+    arr = matrix.as_array()
+    cum = np.cumsum(arr, axis=1)
+    state = model.index(start)
+    absorbing = {model.index(s) for s in model.absorbing}
+    transitions = []
+    for day in range(1, horizon + 1):
+        if state in absorbing:
+            break
+        new_state = int(np.searchsorted(cum[state], rng.random(), side="right"))
+        new_state = min(new_state, len(model.states) - 1)
+        if new_state != state:
+            transitions.append((model.states[state], model.states[new_state], day))
+        state = new_state
+    return model.states[state], transitions

@@ -207,21 +207,23 @@ def test_monitor_prefix_purity(binary_stream):
     """State after k events is a pure function of the first k events: a
     mid-stream snapshot taken while processing the full stream equals the
     state from replaying only the k-prefix."""
-    from trialbet.cli import _apply_event, _build_state, parse_event
+    from trialbet.cli import parse_event
+    from trialbet.variants import MONITORS
 
     path, _, _ = binary_stream
     lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
+    monitor = MONITORS["binary"]
     cfg = {"variant": "binary", "alpha": 0.05, "burn_in": 50, "ramp": 100, "p": 0.5}
     k = 45
-    full = _build_state(cfg)
+    full = monitor.build(cfg)
     snapshot = None
     for i, line in enumerate(lines, start=1):
-        _apply_event("binary", full, parse_event("binary", line, i), i)
+        full.step(*parse_event(monitor, line, i))
         if i == k:
             snapshot = full.state_dict()
-    prefix_only = _build_state(cfg)
+    prefix_only = monitor.build(cfg)
     for i, line in enumerate(lines[:k], start=1):
-        _apply_event("binary", prefix_only, parse_event("binary", line, i), i)
+        prefix_only.step(*parse_event(monitor, line, i))
     assert prefix_only.state_dict() == snapshot
 
 
@@ -439,3 +441,78 @@ def test_wealth_column_consistency(capsys, tmp_path):
             wealth = 1.0
         wealth *= float(mult)
         assert math.isclose(float(w), wealth, rel_tol=1e-9)
+
+
+def reject_constant(constant):
+    raise ValueError(f"invalid JSON constant {constant}")
+
+
+def test_study_json_is_strict_when_e_values_overflow(capsys, tmp_path, recwarn):
+    # log-e passes 709.78 on every replication, so exp() leaves the float range
+    sc = tmp_path / "strong.json"
+    sc.write_text(json.dumps({
+        "variant": "binary",
+        "params": {"n_patients": 8000, "p_ctrl": 0.1, "p_trt": 0.9},
+        "n_sims": 20, "seed": 1,
+    }))
+    sim_json = tmp_path / "oc.json"
+    code, _, _ = run_cli(capsys, "simulate", "--scenario", str(sc), "--json", str(sim_json))
+    assert code == EXIT_OK
+    doc = json.loads(sim_json.read_text(), parse_constant=reject_constant)
+    assert doc["final_e_median"] == "inf" and doc["final_e_quantiles"]["q10"] == "inf"
+
+    wage_json = tmp_path / "wage.json"
+    code, _, _ = run_cli(capsys, "wage", "--variant", "binary", "--arr", "0.39",
+                         "--n", "12000", "--sims", "5", "--json", str(wage_json))
+    assert code == EXIT_OK
+    cells = json.loads(wage_json.read_text(), parse_constant=reject_constant)["cells"]
+    assert {c["strategy"]: c["median_final_e"] for c in cells}["adaptive"] == "inf"
+    assert not [str(w.message) for w in recwarn]
+
+
+def test_cli_import_loads_no_simlab_or_scipy():
+    import subprocess
+    import sys
+
+    probe = ("import sys, trialbet.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith("
+             "('scipy.', 'trialbet.simlab'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("variant,param", [
+    ("binary", {"n_patients": 60, "p_ctrl": 0.4, "fixed_dev": -0.1}),
+    ("survival", {"n_patients": 60, "bet_rule": "half_kelly"}),
+    ("continuous", {"n_patients": 60, "sign_only": True}),
+])
+def test_trajectories_refuse_batch_only_wager_rules(capsys, tmp_path, variant, param):
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps({"variant": variant, "params": param, "n_sims": 2}))
+    out_csv = tmp_path / "traj.csv"
+    code, _, err = run_cli(capsys, "trajectories", "--scenario", str(sc), "--trials", "1",
+                           "--out", str(out_csv))
+    assert code == EXIT_ERROR
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("stem", ["binary_alt", "binary_null", "continuous_alt",
+                                  "deaths_alt", "multistate_alt", "survival_alt"])
+def test_trajectories_match_engine(stem):
+    """Each exported trial ends at the log-e the engine scores for it."""
+    from pathlib import Path
+
+    from trialbet.cli import _trajectory_steps
+    from trialbet.simlab import engine
+    from trialbet.simlab.scenario import SimScenario
+
+    path = Path(__file__).parent.parent / "scenarios" / f"{stem}.json"
+    scenario = SimScenario.from_dict(json.loads(path.read_text()))
+    n = 3
+    trials = _trajectory_steps(scenario, n)
+    final = engine._run_range(scenario, 0, n)[1]
+    for steps, log_e in zip(trials, final):
+        streamed = steps[-1].log_wealth if steps else 0.0
+        assert abs(streamed - log_e) <= 1e-10

@@ -9,12 +9,12 @@ from trialbet.multistate import (
     StateModel,
     TransitionMatrix,
     classify,
-    simulate_patient_path,
 )
 from trialbet.simlab import batch
 from trialbet.simlab.generators import multistate_trial, day_horizon_distribution
 
 from oracles import mean_final_wealth
+from reference_impls import simulate_patient_path
 
 
 class TestClassify:

@@ -19,7 +19,6 @@ from trialbet.multistate import (
     CONTROL_DAILY,
     TREATMENT_DAILY,
     MultistateState,
-    simulate_patient_path,
 )
 from trialbet.simlab import batch, generators
 from trialbet.survival import SurvivalRecord, SurvivalState, order_records
@@ -30,6 +29,7 @@ from reference_impls import (
     compute_deaths_reference,
     compute_multistate_reference,
     compute_survival_reference,
+    simulate_patient_path,
 )
 
 
