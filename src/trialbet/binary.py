@@ -79,32 +79,3 @@ class BinaryState:
             self.n_ctrl += 1
             self.e_ctrl += outcome
         return step
-
-    def state_dict(self) -> dict:
-        return {
-            "burn_in": self.sched.burn_in,
-            "ramp": self.sched.ramp,
-            "p": self.p,
-            "n_trt": self.n_trt,
-            "n_ctrl": self.n_ctrl,
-            "e_trt": self.e_trt,
-            "e_ctrl": self.e_ctrl,
-            "i": self.i,
-            "ledger": self.ledger.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "BinaryState":
-        state = cls(
-            sched=RampSchedule(d["burn_in"], d["ramp"]),
-            p=d["p"],
-            alpha=d["ledger"]["alpha"],
-            record_steps=False,
-        )
-        state.n_trt = d["n_trt"]
-        state.n_ctrl = d["n_ctrl"]
-        state.e_trt = d["e_trt"]
-        state.e_ctrl = d["e_ctrl"]
-        state.i = d["i"]
-        state.ledger = WealthLedger.from_state_dict(d["ledger"])
-        return state

@@ -2,9 +2,15 @@
 
 A checkpoint captures a monitor mid-stream so that resuming and feeding the
 remaining events reproduces exactly the run that would have processed the
-whole stream at once.  Floats are stored as hex strings (IEEE-754 round
-trip), and the monitor configuration is hashed so a checkpoint cannot be
-resumed under different parameters.
+whole stream at once.  The monitor configuration is hashed so a checkpoint
+cannot be resumed under different parameters.
+
+This module alone knows the format.  A state's saved form is derived from its
+dataclass fields, and a resume rebuilds it through its constructor, so its
+validation runs.  Running floats are IEEE-754 hex strings: every reader parses
+them to the same bits, and they hold ``-inf``, which JSON numbers cannot.
+``alpha`` and the monitor options are written as given: they are the user's
+settings, which the configuration hash pins.  The trajectory is not saved.
 """
 
 from __future__ import annotations
@@ -13,9 +19,14 @@ import contextlib
 import hashlib
 import json
 import os
+from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
-from typing import Any
+from functools import cache
+from typing import Any, get_origin, get_type_hints
 
+from .continuous import _ArmMoments
+from .core import RampSchedule
+from .multistate import StateModel
 from .variants import MONITORS
 
 SCHEMA_VERSION = 1
@@ -23,6 +34,94 @@ SCHEMA_VERSION = 1
 
 class CheckpointError(ValueError):
     pass
+
+
+_AS_GIVEN = frozenset({"alpha"}).union(*(m.options for m in MONITORS.values()))
+_NOT_SAVED = frozenset({"record_steps", "steps"})
+
+
+@cache
+def _layout(cls) -> tuple[tuple[str, str, Any], ...]:
+    """(name, how it is written, type) of each field of ``cls`` a checkpoint
+    holds, in declaration order.  A state's ``alpha`` is left out: its ledger
+    holds it."""
+    hints = get_type_hints(cls)
+    layout = []
+    for f in fields(cls):
+        name, hint = f.name, hints[f.name]
+        if name in _NOT_SAVED or (name == "alpha" and "ledger" in hints):
+            continue
+        how = ("flat" if hint in (RampSchedule, StateModel)  # beside the owner's fields
+               else "row" if hint is _ArmMoments  # a list of its field values
+               else "object" if is_dataclass(hint)
+               else "hex" if hint is float and name not in _AS_GIVEN
+               else "hexes" if hint == list[float]
+               else "list" if (get_origin(hint) or hint) in (tuple, frozenset)
+               else "given")
+        layout.append((name, how, hint))
+    return tuple(layout)
+
+
+def encode_state(obj) -> dict[str, Any]:
+    """The schema-1 JSON object of a monitor state or of a ledger."""
+    out: dict[str, Any] = {}
+    for name, how, hint in _layout(type(obj)):
+        value = getattr(obj, name)
+        if how == "flat":
+            out.update(encode_state(value))
+        elif how == "row":
+            out[name] = list(encode_state(value).values())
+        elif how == "object":
+            out[name] = encode_state(value)
+        elif how == "hex":
+            out[name] = value.hex()
+        elif how == "hexes":
+            out[name] = list(map(float.hex, value))
+        elif how == "list":
+            out[name] = [list(v) if isinstance(v, tuple) else v
+                         for v in (sorted(value) if hint is frozenset else value)]
+        else:
+            out[name] = value
+    return out
+
+
+def _field(doc: dict, name: str, json_type):
+    """``doc[name]``, which must be a ``json_type`` (a bool counts as no number)."""
+    if name not in doc:
+        raise ValueError(f"no field {name!r}")
+    value = doc[name]
+    if not isinstance(value, json_type) or (isinstance(value, bool) and json_type is not bool):
+        raise TypeError(f"field {name!r} has the wrong type: {value!r}")
+    return value
+
+
+def decode_state(cls, doc: dict):
+    """Rebuild a ``cls`` from :func:`encode_state`'s object through its
+    constructor, without step recording.  A missing, mistyped or invalid field
+    raises TypeError or ValueError."""
+    kwargs: dict[str, Any] = {}
+    for name, how, hint in _layout(cls):
+        if how == "flat":
+            kwargs[name] = decode_state(hint, doc)
+        elif how == "row":
+            row = zip([key for key, _, _ in _layout(hint)], _field(doc, name, list), strict=True)
+            kwargs[name] = decode_state(hint, dict(row))
+        elif how == "object":
+            kwargs[name] = decode_state(hint, _field(doc, name, dict))
+        elif how == "hex":
+            kwargs[name] = float.fromhex(_field(doc, name, str))
+        elif how == "hexes":
+            kwargs[name] = list(map(float.fromhex, _field(doc, name, list)))
+        elif how == "list":
+            kwargs[name] = (get_origin(hint) or hint)(tuple(v) if isinstance(v, list) else v
+                                                      for v in _field(doc, name, list))
+        else:
+            kwargs[name] = _field(doc, name, (int, float) if hint is float else hint)
+    if "ledger" in kwargs:
+        kwargs["alpha"] = kwargs["ledger"].alpha
+    if hasattr(cls, "record_steps"):
+        kwargs["record_steps"] = False
+    return cls(**kwargs)
 
 
 def config_hash(config: dict[str, Any]) -> str:
@@ -40,7 +139,7 @@ def dump_checkpoint(variant: str, state, config: dict[str, Any],
         "variant": variant,
         "config_sha256": config_hash(config),
         "position": position,
-        "state": state.state_dict(),
+        "state": encode_state(state),
         "written_at": datetime.now(timezone.utc).isoformat(),
     }
 
@@ -48,8 +147,11 @@ def dump_checkpoint(variant: str, state, config: dict[str, Any],
 def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     """Rebuild (state, position) from a checkpoint document.
 
-    Raises CheckpointError on schema, variant, or configuration mismatch.
+    Raises CheckpointError on a malformed document, or on a schema, variant or
+    configuration mismatch.
     """
+    if not isinstance(doc, dict):
+        raise CheckpointError("corrupt checkpoint: not a JSON object")
     if doc.get("schema") != SCHEMA_VERSION:
         raise CheckpointError(f"unsupported checkpoint schema: {doc.get('schema')!r}")
     if doc.get("variant") != variant:
@@ -58,8 +160,11 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     expected = config_hash(config)
     if doc.get("config_sha256") != expected:
         raise CheckpointError("checkpoint configuration does not match; refusing to resume")
-    state = MONITORS[variant].state.from_state_dict(doc["state"])
-    return state, int(doc["position"])
+    try:
+        state = decode_state(MONITORS[variant].state, _field(doc, "state", dict))
+        return state, _field(doc, "position", int)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
 
 
 def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any],

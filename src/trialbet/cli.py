@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -172,11 +173,9 @@ def _load_scenario(args):
     from .simlab.scenario import SimScenario
 
     with open(args.scenario, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    for key, value in (("n_sims", getattr(args, "sims", None)), ("seed", args.seed)):
-        if value is not None:
-            doc[key] = value
-    return SimScenario.from_dict(doc)
+        scenario = SimScenario.from_dict(json.load(fh))
+    overrides = {"n_sims": getattr(args, "sims", None), "seed": args.seed}
+    return dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def cmd_simulate(args) -> int:
@@ -476,7 +475,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -124,6 +124,7 @@ class ContinuousState:
     def __post_init__(self) -> None:
         if not 0.0 < self.c_max < 1.0:
             raise ValueError(f"c_max must be in (0,1), got {self.c_max}")
+        self.values = sorted(self.values)  # arrival-order checkpoints resume bit-exactly
         if self.ledger is None:
             self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
 
@@ -173,33 +174,3 @@ class ContinuousState:
         insort(self.values, y)
         (self.trt if arm == 1 else self.ctrl).add(y)
         return step
-
-    def state_dict(self) -> dict:
-        return {
-            "burn_in": self.sched.burn_in,
-            "ramp": self.sched.ramp,
-            "c_max": self.c_max,
-            "p": self.p,
-            "values": [v.hex() for v in self.values],
-            "trt": [self.trt.n, self.trt.mean.hex(), self.trt.m2.hex()],
-            "ctrl": [self.ctrl.n, self.ctrl.mean.hex(), self.ctrl.m2.hex()],
-            "ledger": self.ledger.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "ContinuousState":
-        state = cls(
-            sched=RampSchedule(d["burn_in"], d["ramp"]),
-            c_max=d["c_max"],
-            p=d["p"],
-            alpha=d["ledger"]["alpha"],
-            record_steps=False,
-        )
-        # sorted, so checkpoints written in arrival order resume bit-exactly
-        state.values = sorted(float.fromhex(v) for v in d["values"])
-        for key, tgt in (("trt", state.trt), ("ctrl", state.ctrl)):
-            n, mean, m2 = d[key]
-            tgt.n, tgt.mean, tgt.m2 = n, float.fromhex(mean), float.fromhex(m2)
-        state.ledger = WealthLedger.from_state_dict(d["ledger"])
-        return state
-

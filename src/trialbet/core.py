@@ -127,24 +127,6 @@ class WealthLedger:
             self.steps.append(step)
         return step
 
-    def state_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "log_wealth": self.log_wealth.hex(),
-            "n_steps": self.n_steps,
-            "crossed": self.crossed,
-            "crossed_at": self.crossed_at,
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "WealthLedger":
-        led = cls(alpha=d["alpha"], record_steps=False)
-        led.log_wealth = float.fromhex(d["log_wealth"])
-        led.n_steps = d["n_steps"]
-        led.crossed = d["crossed"]
-        led.crossed_at = d["crossed_at"]
-        return led
-
 
 def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float, index: int) -> WealthStep:
     """Settle a two-sided wager against the revealed arm.

@@ -112,24 +112,3 @@ class DeathsState:
         if p >= 0.999:
             return math.inf
         return p / (1.0 - p)
-
-    def state_dict(self) -> dict:
-        return {
-            "burn_in": self.sched.burn_in,
-            "ramp": self.sched.ramp,
-            "d_trt": self.d_trt,
-            "d_ctrl": self.d_ctrl,
-            "ledger": self.ledger.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "DeathsState":
-        state = cls(
-            sched=RampSchedule(d["burn_in"], d["ramp"]),
-            alpha=d["ledger"]["alpha"],
-            record_steps=False,
-        )
-        state.d_trt = d["d_trt"]
-        state.d_ctrl = d["d_ctrl"]
-        state.ledger = WealthLedger.from_state_dict(d["ledger"])
-        return state

@@ -166,37 +166,3 @@ class MultistateState:
             self.total_ctrl += 1
             self.good_ctrl += is_good
         return step
-
-    def state_dict(self) -> dict:
-        return {
-            "burn_in": self.sched.burn_in,
-            "ramp": self.sched.ramp,
-            "states": list(self.model.states),
-            "absorbing": sorted(self.model.absorbing),
-            "good": sorted(list(pair) for pair in self.model.good),
-            "good_trt": self.good_trt,
-            "total_trt": self.total_trt,
-            "good_ctrl": self.good_ctrl,
-            "total_ctrl": self.total_ctrl,
-            "ledger": self.ledger.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "MultistateState":
-        model = StateModel(
-            states=tuple(d["states"]),
-            absorbing=frozenset(d["absorbing"]),
-            good=frozenset(tuple(pair) for pair in d["good"]),
-        )
-        state = cls(
-            model=model,
-            sched=RampSchedule(d["burn_in"], d["ramp"]),
-            alpha=d["ledger"]["alpha"],
-            record_steps=False,
-        )
-        state.good_trt = d["good_trt"]
-        state.total_trt = d["total_trt"]
-        state.good_ctrl = d["good_ctrl"]
-        state.total_ctrl = d["total_ctrl"]
-        state.ledger = WealthLedger.from_state_dict(d["ledger"])
-        return state

@@ -204,11 +204,14 @@ class SimScenario:
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "SimScenario":
-        d = dict(d)
-        d.pop("schema", None)
+        if not isinstance(d, Mapping):
+            raise ValueError("a scenario must be a JSON object")
+        params = d.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError("scenario 'params' must be a JSON object")
         return cls(
             variant=d["variant"],
-            params=dict(d.get("params", {})),
+            params=dict(params),
             n_sims=int(d.get("n_sims", 2000)),
             alpha=float(d.get("alpha", 0.05)),
             seed=int(d.get("seed", 0)),

@@ -129,35 +129,6 @@ class SurvivalState:
         self.last_time = record.time
         return step
 
-    def state_dict(self) -> dict:
-        return {
-            "burn_in": self.sched.burn_in,
-            "ramp": self.sched.ramp,
-            "lambda_max": self.lambda_max,
-            "risk_trt": self.risk_trt,
-            "risk_ctrl": self.risk_ctrl,
-            "cum_z": self.cum_z.hex(),
-            "records_seen": self.records_seen,
-            "last_time": self.last_time.hex(),
-            "ledger": self.ledger.state_dict(),
-        }
-
-    @classmethod
-    def from_state_dict(cls, d: dict) -> "SurvivalState":
-        state = cls(
-            risk_trt=d["risk_trt"],
-            risk_ctrl=d["risk_ctrl"],
-            sched=RampSchedule(d["burn_in"], d["ramp"]),
-            lambda_max=d["lambda_max"],
-            alpha=d["ledger"]["alpha"],
-            record_steps=False,
-        )
-        state.cum_z = float.fromhex(d["cum_z"])
-        state.records_seen = d["records_seen"]
-        state.last_time = float.fromhex(d["last_time"])
-        state.ledger = WealthLedger.from_state_dict(d["ledger"])
-        return state
-
 
 def score_increment(event_arm: int, p_j: float) -> float:
     """Log-rank score increment: treated indicator minus risk-set proportion."""

@@ -325,7 +325,7 @@ def test_c12_wage_asymmetry():
 
 def test_c13_engineering_guarantees():
     # 1. checkpoint resume is bit-exact in log-wealth on fuzz streams
-    from trialbet.checkpoint import dump_checkpoint, load_checkpoint
+    from trialbet.checkpoint import dump_checkpoint, encode_state, load_checkpoint
 
     def fuzz_streams(variant, rng):
         if variant == "binary":
@@ -385,11 +385,11 @@ def test_c13_engineering_guarantees():
     for i, (meth, args) in enumerate(events, start=1):
         getattr(full, meth)(*args)
         if i == k:
-            snapshot = full.state_dict()
+            snapshot = encode_state(full)
     prefix = fresh_state("binary", 0)
     for meth, args in events[:k]:
         getattr(prefix, meth)(*args)
-    purity_ok = prefix.state_dict() == snapshot
+    purity_ok = encode_state(prefix) == snapshot
 
     # 3. (scenario, seed) determinism across worker counts
     scenario = SimScenario("binary", {"n_patients": 150, "p_ctrl": 0.4, "p_trt": 0.3},

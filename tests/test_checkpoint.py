@@ -37,6 +37,61 @@ def test_golden_checkpoint_resumes_bit_exactly(capsys, tmp_path, variant):
     assert report.read_text() == (GOLDEN / f"{variant}.report.json").read_text()
 
 
+def _monitor(variant, source, *argv):
+    return main(["monitor", "--variant", variant, "--input", str(source),
+                 *argv, *GOLDEN_ARGS[variant]])
+
+
+def _head(tmp_path, variant, k):
+    """The first ``k`` lines of a golden stream, as a file."""
+    lines = (GOLDEN / f"{variant}.ndjson").read_text().splitlines(keepends=True)
+    head = tmp_path / f"head{k}.ndjson"
+    head.write_text("".join(lines[:k]))
+    return head
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+def test_writer_reproduces_golden_checkpoint(capsys, tmp_path, variant):
+    """Schema 1 pins the writer as well as the reader: the checkpoint written
+    after the first 60 lines equals the earlier release's, apart from its time."""
+    ck = tmp_path / "ck.json"
+    assert _monitor(variant, _head(tmp_path, variant, 60), "--checkpoint", str(ck)) in (0, 10)
+    written = json.loads(ck.read_text())
+    golden = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
+    written.pop("written_at")
+    golden.pop("written_at")
+    assert written == golden
+
+
+@pytest.mark.parametrize("cut", [1, 37, 119])
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+def test_interrupted_run_resumes_to_same_report(capsys, tmp_path, variant, cut):
+    stream = GOLDEN / f"{variant}.ndjson"
+    full, resumed, ck = tmp_path / "full.json", tmp_path / "resumed.json", tmp_path / "ck.json"
+    code = _monitor(variant, stream, "--report", str(full))
+    assert _monitor(variant, _head(tmp_path, variant, cut), "--checkpoint", str(ck)) in (0, 10)
+    assert _monitor(variant, stream, "--checkpoint", str(ck), "--resume",
+                    "--report", str(resumed)) == code
+    assert f"resumed from checkpoint at line {cut}" in capsys.readouterr().err
+    assert resumed.read_text() == full.read_text()
+    assert full.read_text() == (GOLDEN / f"{variant}.report.json").read_text()
+
+
+@pytest.mark.parametrize("variant,corrupt", [
+    ("binary", lambda doc: [1]),
+    ("continuous", lambda doc: {**doc, "state": {**doc["state"], "values": 5}}),
+    ("binary", lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items()
+                                             if k != "ledger"}}),
+], ids=["not-an-object", "scalar-values", "no-ledger"])
+def test_corrupt_checkpoint_is_one_error_line(capsys, tmp_path, variant, corrupt):
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(corrupt(json.loads((GOLDEN / f"{variant}.ckpt.json").read_text()))))
+    code = _monitor(variant, GOLDEN / f"{variant}.ndjson", "--checkpoint", str(ck), "--resume")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: corrupt checkpoint"), err
+
+
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     monitor = MONITORS["binary"]
     cfg = {"variant": "binary", "alpha": 0.05, "burn_in": 5, "ramp": 10, "p": 0.5}

@@ -207,6 +207,7 @@ def test_monitor_prefix_purity(binary_stream):
     """State after k events is a pure function of the first k events: a
     mid-stream snapshot taken while processing the full stream equals the
     state from replaying only the k-prefix."""
+    from trialbet.checkpoint import encode_state
     from trialbet.cli import parse_event
     from trialbet.variants import MONITORS
 
@@ -220,11 +221,11 @@ def test_monitor_prefix_purity(binary_stream):
     for i, line in enumerate(lines, start=1):
         full.step(*parse_event(monitor, line, i))
         if i == k:
-            snapshot = full.state_dict()
+            snapshot = encode_state(full)
     prefix_only = monitor.build(cfg)
     for i, line in enumerate(lines[:k], start=1):
         prefix_only.step(*parse_event(monitor, line, i))
-    assert prefix_only.state_dict() == snapshot
+    assert encode_state(prefix_only) == snapshot
 
 
 class TestSimulate:
@@ -252,6 +253,19 @@ class TestSimulate:
                                              "typo_field": 1}}))
         code, _, err = run_cli(capsys, "simulate", "--scenario", str(sc))
         assert code == EXIT_ERROR and "unknown parameters" in err
+
+    @pytest.mark.parametrize("doc", [
+        [1],
+        {"variant": "binary", "params": [1, 2]},
+        {"variant": ["binary"]},
+        {"variant": "binary", "params": {"n_patients": "abc", "p_ctrl": 0.4, "p_trt": 0.3}},
+    ], ids=["not-an-object", "params-list", "variant-list", "n-patients-string"])
+    def test_malformed_scenario_is_one_error_line(self, capsys, tmp_path, doc):
+        sc = tmp_path / "bad.json"
+        sc.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(sc), "--seed", "1")
+        assert code == EXIT_ERROR
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
 class TestPower:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as hs
 
+from trialbet.checkpoint import decode_state, encode_state
 from trialbet.continuous import ContinuousState, robust_center_scale, squash
 from trialbet.core import RampSchedule
 from trialbet.simlab import batch
@@ -214,7 +215,7 @@ def test_state_dict_round_trip_bit_exact():
     st = ContinuousState()
     for yy, tt in zip(y.tolist(), t.tolist()):
         st.step(yy, tt)
-    clone = ContinuousState.from_state_dict(st.state_dict())
+    clone = decode_state(ContinuousState, encode_state(st))
     rng2 = np.random.default_rng(10)
     t2, y2 = continuous_trial(rng2, 80, 0.5, 0.0)
     for yy, tt in zip(y2.tolist(), t2.tolist()):
@@ -235,10 +236,10 @@ def test_resume_from_arrival_order_checkpoint_bit_exact():
         full.step(yy, tt)
     for yy, tt in events[:170]:
         head.step(yy, tt)
-    saved = head.state_dict()
+    saved = encode_state(head)
     saved["values"] = [v.hex() for v, _ in events[:170]]
     assert saved["values"] != sorted(saved["values"], key=float.fromhex)
-    resumed = ContinuousState.from_state_dict(saved)
+    resumed = decode_state(ContinuousState, saved)
     for yy, tt in events[170:]:
         resumed.step(yy, tt)
     assert resumed.ledger.log_wealth == full.ledger.log_wealth
@@ -252,9 +253,9 @@ def test_history_stays_sorted():
         st.step(yy, tt)
         assert st.values == sorted(st.values)
     assert sorted(st.values) == sorted(y.tolist())
-    saved = st.state_dict()
+    saved = encode_state(st)
     saved["values"] = [v.hex() for v in y.tolist()]  # arrival order
-    clone = ContinuousState.from_state_dict(saved)
+    clone = decode_state(ContinuousState, saved)
     assert clone.values == sorted(y.tolist())
     clone.step(0.25, 1)
     assert clone.values == sorted(clone.values)

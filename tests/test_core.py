@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as hs
 
+from trialbet.checkpoint import decode_state, encode_state
 from trialbet.core import (
     RampSchedule,
     WealthLedger,
@@ -115,7 +116,7 @@ class TestWealthLedger:
         led = WealthLedger(alpha=0.01)
         for i, m in enumerate([1.3, 0.4, 2.7, 0.99], start=1):
             led.apply(0.5, m, i)
-        clone = WealthLedger.from_state_dict(led.state_dict())
+        clone = decode_state(WealthLedger, encode_state(led))
         assert clone.log_wealth == led.log_wealth
         assert (clone.crossed, clone.crossed_at, clone.n_steps) == \
                (led.crossed, led.crossed_at, led.n_steps)
