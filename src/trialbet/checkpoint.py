@@ -3,7 +3,8 @@
 A checkpoint captures a monitor mid-stream so that resuming and feeding the
 remaining events reproduces exactly the run that would have processed the
 whole stream at once.  The monitor configuration is hashed so a checkpoint
-cannot be resumed under different parameters.
+cannot be resumed under different parameters, and a resume is refused when the
+saved state disagrees with that configuration or with its own position.
 
 This module alone knows the format.  A state's saved form is derived from its
 dataclass fields, and a resume rebuilds it through its constructor, so its
@@ -147,8 +148,10 @@ def dump_checkpoint(variant: str, state, config: dict[str, Any],
 def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     """Rebuild (state, position) from a checkpoint document.
 
-    Raises CheckpointError on a malformed document, or on a schema, variant or
-    configuration mismatch.
+    Raises CheckpointError on a malformed document, on a schema, variant or
+    configuration mismatch, on a setting the state holds that differs from the
+    configuration's (where it names that setting), or on a position before the
+    state's last event.
     """
     if not isinstance(doc, dict):
         raise CheckpointError("corrupt checkpoint: not a JSON object")
@@ -160,11 +163,25 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     expected = config_hash(config)
     if doc.get("config_sha256") != expected:
         raise CheckpointError("checkpoint configuration does not match; refusing to resume")
+    monitor = MONITORS[variant]
     try:
-        state = decode_state(MONITORS[variant].state, _field(doc, "state", dict))
-        return state, _field(doc, "position", int)
+        state = decode_state(monitor.state, _field(doc, "state", dict))
+        position = _field(doc, "position", int)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
+    events = monitor.events(state)
+    if position < events:
+        raise CheckpointError(f"corrupt checkpoint: position {position} is before "
+                              f"its {events} events")
+    settings = {"alpha": state.ledger.alpha, "burn_in": state.sched.burn_in,
+                "ramp": state.sched.ramp,
+                **{key: getattr(state, key) for key in monitor.options
+                   if key not in monitor.running}}
+    for key, value in settings.items():
+        if key in config and value != config[key]:
+            raise CheckpointError(f"checkpoint {key} {value!r} does not match the "
+                                  f"configuration's {config[key]!r}; refusing to resume")
+    return state, position
 
 
 def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any],

@@ -8,12 +8,17 @@ a handful of numpy passes instead of a Python loop.
 
 Strategy variants used by the wage-asymmetry study live here as keyword
 switches: ``fixed_dev`` for the binary monitor, ``bet_rule`` for survival,
-``sign_only`` for continuous.
+``sign_only`` for continuous.  Where strategies share costly work, a replay
+is split into ``<variant>_prepare``, which no wager rule reads (continuous:
+the prefix median/MAD and running Cohen's d; survival: the sort, risk sets
+and scores), and a cheap ``<variant>_bet``; ``<variant>_log_wealth`` is the
+bet of the prepared trial.
 """
 
 from __future__ import annotations
 
 from bisect import insort
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,19 +103,20 @@ def deaths_log_wealth(arms, burn_in: int = _DEATHS.burn_in,
     return np.cumsum(np.log(mult))
 
 
-def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_in,
-                        ramp: int = _SURVIVAL.ramp, lambda_max: float = survival.DEFAULT_BET_CAP,
-                        bet_rule: str = "fixed",
-                        presorted: bool = False) -> np.ndarray:
-    """Survival replay; one entry per record (censored records bet nothing).
+class SurvivalPrepared(NamedTuple):
+    """Strategy-free part of a survival replay, per record in time order."""
 
-    ``bet_rule="fixed"`` is the standard monitor: magnitude ``c * lambda_max``
-    in the direction of the cumulative score.  ``bet_rule="half_kelly"``
-    replaces the fixed magnitude with half the running score-based log-hazard
-    estimate Z/V (V the sum of p(1-p) over past events), clamped to [-0.5, 0.5].
+    event: np.ndarray    # bool: the record is an event (censorings bet nothing)
+    p_j: np.ndarray      # treated share of the risk set just before the record
+    u: np.ndarray        # score increment: arm - p_j at events, 0 at censorings
+    z_prev: np.ndarray   # cumulative score over earlier records
 
-    The ramp index counts records, not events, and risk sets start from the
-    full cohort, so the whole trial's records are required up front.
+
+def survival_prepare(time, status, treatment, presorted: bool = False) -> SurvivalPrepared:
+    """Sort the records by time and derive the risk sets and log-rank scores.
+
+    Risk sets start from the full cohort, so the whole trial's records are
+    required up front.
     """
     t = np.asarray(time, dtype=float)
     s = np.asarray(status, dtype=np.int64)
@@ -120,28 +126,47 @@ def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_i
         t, s, a = t[order], s[order], a[order]
     elif np.any(np.diff(t) < 0):
         raise ValueError("stream not sorted by time on study")
-    n = t.size
-    idx = np.arange(1, n + 1)
-
     risk1 = int(a.sum()) - _shift(np.cumsum(a))
     risk0 = int((1 - a).sum()) - _shift(np.cumsum(1 - a))
     total = risk1 + risk0
     p_j = np.where(total > 0, risk1 / np.maximum(total, 1), 0.5)
     u = np.where(s == 1, a - p_j, 0.0)
-    z_prev = _shift(np.cumsum(u))
+    return SurvivalPrepared(s == 1, p_j, u, _shift(np.cumsum(u)))
 
+
+def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
+                 ramp: int = _SURVIVAL.ramp, lambda_max: float = survival.DEFAULT_BET_CAP,
+                 bet_rule: str = "fixed") -> np.ndarray:
+    """Log-wealth after each record of a prepared survival trial.
+
+    ``bet_rule="fixed"`` is the standard monitor: magnitude ``c * lambda_max``
+    in the direction of the cumulative score.  ``bet_rule="half_kelly"``
+    replaces the fixed magnitude with half the running score-based log-hazard
+    estimate Z/V (V the sum of p(1-p) over past events), clamped to [-0.5, 0.5].
+    The ramp index counts records, not events.
+    """
+    idx = np.arange(1, prep.u.size + 1)
     c = _ramp(idx, burn_in, ramp)
     if bet_rule == "fixed":
-        b = np.where(idx > burn_in, c * lambda_max * np.sign(z_prev), 0.0)
+        b = np.where(idx > burn_in, c * lambda_max * np.sign(prep.z_prev), 0.0)
     elif bet_rule == "half_kelly":
-        v_prev = _shift(np.cumsum(np.where(s == 1, p_j * (1.0 - p_j), 0.0)))
+        v_prev = _shift(np.cumsum(np.where(prep.event, prep.p_j * (1.0 - prep.p_j), 0.0)))
         with np.errstate(invalid="ignore", divide="ignore"):
-            log_hr_hat = np.where(v_prev > 0, z_prev / np.maximum(v_prev, 1e-300), 0.0)
+            log_hr_hat = np.where(v_prev > 0, prep.z_prev / np.maximum(v_prev, 1e-300), 0.0)
         b = np.where(idx > burn_in, c * np.clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
     else:
         raise ValueError(f"unknown bet_rule: {bet_rule!r}")
-    mult = np.where(s == 1, 1.0 + b * u, 1.0)
+    mult = np.where(prep.event, 1.0 + b * prep.u, 1.0)
     return np.cumsum(np.log(mult))
+
+
+def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_in,
+                        ramp: int = _SURVIVAL.ramp, lambda_max: float = survival.DEFAULT_BET_CAP,
+                        bet_rule: str = "fixed",
+                        presorted: bool = False) -> np.ndarray:
+    """Survival replay; one entry per record (censored records bet nothing)."""
+    return survival_bet(survival_prepare(time, status, treatment, presorted),
+                        burn_in, ramp, lambda_max, bet_rule)
 
 
 def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
@@ -167,27 +192,31 @@ def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
     return np.cumsum(np.log(mult))
 
 
-def continuous_log_wealth(treatment, outcome, p: float = 0.5,
-                          burn_in: int = _CONTINUOUS.burn_in, ramp: int = _CONTINUOUS.ramp,
-                          c_max: float = continuous.DEFAULT_C_MAX,
-                          sign_only: bool = False) -> np.ndarray:
-    """Continuous-monitor replay for a whole batch of same-length trials.
+class ContinuousPrepared(NamedTuple):
+    """Strategy-free part of a continuous replay: one row per trial, one column
+    per bet (observations ``max(2, burn_in + 1)`` to ``n``)."""
+
+    n: int               # observations per trial
+    treated: np.ndarray  # bool: the observation's arm is treatment
+    g: np.ndarray        # squashed median/MAD residual of the observation
+    d_hat: np.ndarray    # clamped running Cohen's d over earlier observations
+
+
+def continuous_prepare(treatment, outcome,
+                       burn_in: int = _CONTINUOUS.burn_in) -> ContinuousPrepared:
+    """Residuals and effect estimates of a batch of same-length trials.
 
     ``treatment`` and ``outcome`` are (n_trials, n) matrices (a single trial
     may be passed 1-D); rows are independent trials.  Each row keeps its past
     outcomes sorted with ``bisect.insort`` and takes every prefix's median and
     MAD from the streaming monitor's kernel, ``robust_center_scale``; the arm
-    moments, ramp and payouts then take a few numpy passes over that row.
-    Returns the (n_trials, n) log-wealth matrix.  ``sign_only`` drops the
-    magnitude of the running Cohen's d, keeping only its sign (the degraded
-    strategy studied in the wage-asymmetry comparison).
+    moments then take a few numpy passes over that row.
     """
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
     m, n = y.shape
     first = max(2, burn_in + 1)  # 1-based index of the first bet; (i-1) past values
-    idx = np.arange(first, n + 1)
-    ramp_frac = np.clip((idx - burn_in) / ramp, 0.0, 1.0)
+    width = max(0, n - first + 1)
 
     def arm_stats(cnt, ssum, sqsum):
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -197,10 +226,11 @@ def continuous_log_wealth(treatment, outcome, p: float = 0.5,
         sd = np.where((cnt < 2) | (sd == 0.0), 1.0, sd)
         return mean, sd
 
-    out = np.zeros((m, n))
+    g = np.empty((m, width))
+    d_hat = np.empty((m, width))
     past = slice(first - 2, n - 1)  # cumulative index i - 2: the last past value
-    center = np.empty(idx.size)
-    scale = np.empty(idx.size)
+    center = np.empty(width)
+    scale = np.empty(width)
     for row in range(m):
         tr, yr = t[row], y[row]
         hist = sorted(yr[: first - 2].tolist())
@@ -208,7 +238,7 @@ def continuous_log_wealth(treatment, outcome, p: float = 0.5,
             insort(hist, v)
             center[k], scale[k] = robust_center_scale(hist)
         r = (yr[first - 1:] - center) / scale
-        g = r / (1.0 + np.abs(r))
+        g[row] = r / (1.0 + np.abs(r))
 
         n1 = np.cumsum(tr)[past]
         s1 = np.cumsum(tr * yr)[past]
@@ -219,12 +249,34 @@ def continuous_log_wealth(treatment, outcome, p: float = 0.5,
         m1, sd1 = arm_stats(n1, s1, q1)
         m0, sd0 = arm_stats(n0, s0, q0)
         s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
-        d_hat = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
-        d_hat = np.where((n1 == 0) | (n0 == 0), 0.0, d_hat)
-        if sign_only:
-            d_hat = np.sign(d_hat)
+        d_row = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
+        d_hat[row] = np.where((n1 == 0) | (n0 == 0), 0.0, d_row)
+    return ContinuousPrepared(n, t[:, first - 1:] == 1, g, d_hat)
 
-        lam = np.clip(0.5 + ramp_frac * c_max * g * d_hat, WAGER_MIN, WAGER_MAX)
-        mult = np.where(tr[first - 1:] == 1, lam / p, (1.0 - lam) / (1.0 - p))
-        out[row, first - 1:] = np.log(mult)
+
+def continuous_bet(prep: ContinuousPrepared, p: float = 0.5,
+                   burn_in: int = _CONTINUOUS.burn_in, ramp: int = _CONTINUOUS.ramp,
+                   c_max: float = continuous.DEFAULT_C_MAX,
+                   sign_only: bool = False) -> np.ndarray:
+    """The (n_trials, n) log-wealth matrix of prepared continuous trials.
+
+    ``sign_only`` drops the magnitude of the running Cohen's d, keeping only
+    its sign (the degraded strategy studied in the wage-asymmetry comparison).
+    """
+    first = max(2, burn_in + 1)
+    ramp_frac = np.clip((np.arange(first, prep.n + 1) - burn_in) / ramp, 0.0, 1.0)
+    d_hat = np.sign(prep.d_hat) if sign_only else prep.d_hat
+    lam = np.clip(0.5 + ramp_frac * c_max * prep.g * d_hat, WAGER_MIN, WAGER_MAX)
+    out = np.zeros((prep.g.shape[0], prep.n))
+    out[:, first - 1:] = np.log(np.where(prep.treated, lam / p, (1.0 - lam) / (1.0 - p)))
     return np.cumsum(out, axis=1)
+
+
+def continuous_log_wealth(treatment, outcome, p: float = 0.5,
+                          burn_in: int = _CONTINUOUS.burn_in, ramp: int = _CONTINUOUS.ramp,
+                          c_max: float = continuous.DEFAULT_C_MAX,
+                          sign_only: bool = False) -> np.ndarray:
+    """Continuous-monitor replay for a whole batch of same-length trials;
+    returns the (n_trials, n) log-wealth matrix (see ``continuous_prepare``)."""
+    return continuous_bet(continuous_prepare(treatment, outcome, burn_in),
+                          p, burn_in, ramp, c_max, sign_only)

@@ -43,7 +43,7 @@ def _run_range(scenario: SimScenario, start: int, stop: int):
     final = np.zeros(n)
     length = np.zeros(n, dtype=np.int64)
     for k, rep in enumerate(range(start, stop)):
-        logw = sim.replay(sim.generate(rep_rng(scenario.seed, rep), p), p)
+        logw = sim.bet(sim.prepare(sim.generate(rep_rng(scenario.seed, rep), p), p), p)
         hit = batch.first_crossing(logw, scenario.alpha)
         crossing[k] = math.nan if hit is None else hit
         final[k] = logw[-1] if logw.size else 0.0
@@ -199,9 +199,10 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     its own frequentist design size at ``design_power`` (the convention the
     strategy comparisons are calibrated against); pass an explicit
     ``n_patients`` to hold the trial size fixed across effects.  Within one
-    effect, every strategy replays the same trials, so cell contrasts are
-    paired.  A cell is the scenario of its effect with the strategy's
-    parameters, over replications ``e_idx * n_sims`` onwards.
+    effect, every strategy bets on the same trials, so cell contrasts are
+    paired; each trial is prepared once and bet once per strategy.  A cell is
+    the scenario of its effect with the strategy's parameters, over
+    replications ``e_idx * n_sims`` onwards.
     """
     strategies = [s if isinstance(s, BettingStrategy) else BettingStrategy(*s)
                   for s in strategies]
@@ -214,10 +215,11 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     for e_idx, effect in enumerate(effects):
         params = normalize_params(variant, _wage_params(
             variant, effect, n_patients, design_power, alpha, p_ctrl, sd, shape, scale))
-        trials = [sim.generate(rep_rng(seed, e_idx * n_sims + rep), params)
-                  for rep in range(n_sims)]
+        prepared = [sim.prepare(sim.generate(rep_rng(seed, e_idx * n_sims + rep), params),
+                                sim.defaults)
+                    for rep in range(n_sims)]
         for s in strategies:
-            crossings, finals = _wage_evaluate(variant, s, trials, alpha)
+            crossings, finals = _wage_bet(variant, s, prepared, alpha)
             hits = [c for c in crossings if c is not None]
             power = len(hits) / n_sims
             cells.append(WageCell(
@@ -235,13 +237,20 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
 
 
 def _wage_evaluate(variant: str, strategy: BettingStrategy, trials, alpha: float):
-    """Replay every trial under one strategy: the variant's replay, run with
-    its default parameters overridden by the strategy's."""
+    """Replay every trial under one strategy, as the wage study does."""
+    sim = SIM_VARIANTS[variant]
+    return _wage_bet(variant, strategy, [sim.prepare(data, sim.defaults) for data in trials],
+                     alpha)
+
+
+def _wage_bet(variant: str, strategy: BettingStrategy, prepared, alpha: float):
+    """(first crossing, final log-e) per prepared trial under one strategy: the
+    variant's bet, run with its default parameters overridden by the strategy's."""
     sim = SIM_VARIANTS[variant]
     params = {**sim.defaults, **strategy.params(variant)}
     crossings, finals = [], []
-    for data in trials:
-        logw = sim.replay(data, params)
+    for prep in prepared:
+        logw = sim.bet(prep, params)
         crossings.append(batch.first_crossing(logw, alpha))
         finals.append(float(logw[-1]))
     return crossings, finals

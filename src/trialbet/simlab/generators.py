@@ -90,17 +90,24 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
     if matrix_ctrl.model != model:
         raise ValueError("arm matrices must share one state model")
     arms = (rng.random(n_patients) < 0.5).astype(np.int8)
+    uniforms = rng.random((horizon, n_patients))  # day by day, as separate draws would
     cum = np.stack([matrix_ctrl.as_array().cumsum(axis=1),
                     matrix_trt.as_array().cumsum(axis=1)])
     n_states = len(model.states)
+    # thresholds[k][arm * n_states + state] is that row's cumulative probability
+    # up to state k.  The count of thresholds u reaches is the categorical draw;
+    # leaving out the last (1, or 1-ulp) keeps it a state when u lands past it.
+    thresholds = cum.reshape(2 * n_states, n_states).T[:-1].copy()
+    row = arms.astype(np.intp) * n_states
     states = np.empty((n_patients, horizon + 1), dtype=np.int8)
     states[:, 0] = model.index(start)
     for day in range(horizon):
-        rows = cum[arms, states[:, day]]
-        u = rng.random(n_patients)
-        # (u >= cum).sum() is the categorical draw; clip guards the
-        # measure-zero case of u landing past a row that sums to 1-ulp.
-        states[:, day + 1] = np.minimum((u[:, None] >= rows).sum(axis=1), n_states - 1)
+        key = row + states[:, day]
+        u = uniforms[day]
+        drawn = np.zeros(n_patients, dtype=np.int8)
+        for column in thresholds:
+            drawn += u >= column[key]
+        states[:, day + 1] = drawn
     changed = states[:, 1:] != states[:, :-1]
     pat_idx, day_idx = np.nonzero(changed)  # row-major: grouped by patient
     frm = states[pat_idx, day_idx]

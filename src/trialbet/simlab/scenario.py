@@ -6,8 +6,8 @@ reproduce identical operating characteristics bit for bit, regardless of how
 many workers execute them.
 
 ``SIM_VARIANTS`` holds, per variant, the scenario parameters with their
-defaults and the three things the lab does with a trial: draw it, replay it
-through the batch kernel, and feed it to the streaming monitor.  The engine,
+defaults and what the lab does with a trial: draw it, replay it through the
+batch kernel (prepare, then bet), and feed it to the streaming monitor.  The engine,
 the wage study and trajectory exports all go through it; adding a variant is
 one row here and one in ``trialbet.variants``, whose schedule and wager-cap
 defaults the rows below reuse.
@@ -37,8 +37,11 @@ def _alias(default) -> bool:
 class SimVariant:
     """How the lab draws, replays and streams one variant's trials.
 
-    ``generate(rng, params)`` draws one trial.  ``replay(data, params)`` is
-    its log-wealth after each observation, from the batch kernel.
+    ``generate(rng, params)`` draws one trial.  A replay is
+    ``bet(prepare(data, params), params)``, the trial's log-wealth after each
+    observation from the batch kernel.  ``prepare`` holds the work no wager
+    rule reads, so the wage study prepares a trial once and bets it once per
+    strategy; it is the identity where strategies share nothing.
     ``feed(data, params)`` gives the streaming monitor's options and the
     arguments of each call to its ``step`` method (trajectory exports).
     Generators and kernels are looked up on their modules at call time.
@@ -46,8 +49,9 @@ class SimVariant:
 
     params: dict[str, Any]   # defaults, in report order; _REQUIRED or an alias
     generate: Callable
-    replay: Callable
+    bet: Callable
     feed: Callable
+    prepare: Callable = lambda data, params: data
     step: str = "step"       # the state method ``feed``'s arguments go to
     batch_only: tuple[str, ...] = ()  # wager rules the streaming monitor lacks
     check: Callable[[dict], None] = lambda params: None
@@ -63,12 +67,6 @@ def _monitor(variant: str, *options: str) -> dict[str, Any]:
     """The monitor's burn-in and ramp defaults, then the named options'."""
     defaults = MONITORS[variant].defaults
     return {key: defaults[key] for key in ("burn_in", "ramp", *options)}
-
-
-def _replay_survival(data, p):
-    time, status, arm, entry = data
-    return batch.survival_log_wealth(time - entry, status, arm, p["burn_in"], p["ramp"],
-                                     p["lambda_max"], p["bet_rule"])
 
 
 def _feed_survival(data, p):
@@ -100,22 +98,23 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          **_monitor("binary"), "fixed_dev": None},
         generate=lambda rng, p: generators.binary_trial(
             rng, p["n_patients"], p["p_trt"], p["p_ctrl"], p["p_alloc"]),
-        replay=lambda d, p: batch.binary_log_wealth(
+        bet=lambda d, p: batch.binary_log_wealth(
             *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
         feed=lambda d, p: ({"p": p["p_alloc"]}, zip(d[1].tolist(), d[0].tolist())),
         batch_only=("fixed_dev",)),
     "deaths": SimVariant(
         {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
         generate=lambda rng, p: generators.death_stream(rng, p["n_deaths"], p["coin"]),
-        replay=lambda arms, p: batch.deaths_log_wealth(arms, p["burn_in"], p["ramp"]),
+        bet=lambda arms, p: batch.deaths_log_wealth(arms, p["burn_in"], p["ramp"]),
         feed=lambda arms, p: ({}, zip(arms.tolist()))),
     "continuous": SimVariant(
         {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
          "p_alloc": 0.5, **_monitor("continuous", "c_max"), "sign_only": False},
         generate=lambda rng, p: generators.continuous_trial(
             rng, p["n_patients"], p["mu_trt"], p["mu_ctrl"], p["sd"], p["p_alloc"]),
-        replay=lambda d, p: batch.continuous_log_wealth(
-            *d, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"])[0],
+        prepare=lambda d, p: batch.continuous_prepare(*d, p["burn_in"]),
+        bet=lambda prep, p: batch.continuous_bet(
+            prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"])[0],
         feed=lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
                            zip(d[1].tolist(), d[0].tolist())),
         batch_only=("sign_only",)),
@@ -126,15 +125,16 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         generate=lambda rng, p: generators.survival_trial(
             rng, p["n_patients"], p["hr"], p["shape"], p["scale"], p["censor_upper"],
             p["recruit_period"]),
-        replay=_replay_survival,
+        prepare=lambda d, p: batch.survival_prepare(d[0] - d[3], d[1], d[2]),
+        bet=lambda prep, p: batch.survival_bet(prep, p["burn_in"], p["ramp"],
+                                               p["lambda_max"], p["bet_rule"]),
         feed=_feed_survival,
         batch_only=("bet_rule",)),
     "multistate": SimVariant(
         {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
          "horizon": 28, "start": "ICU", **_monitor("multistate")},
         generate=_multistate_trial,
-        replay=lambda d, p: batch.multistate_log_wealth(d.good, d.arms, p["burn_in"],
-                                                        p["ramp"]),
+        bet=lambda d, p: batch.multistate_log_wealth(d.good, d.arms, p["burn_in"], p["ramp"]),
         feed=lambda d, p: ({}, zip(d.good.tolist(), d.arms.tolist())),
         step="step_classified",  # the generator emits transitions already classified
         check=_check_multistate),
@@ -209,6 +209,8 @@ class SimScenario:
         params = d.get("params", {})
         if not isinstance(params, Mapping):
             raise ValueError("scenario 'params' must be a JSON object")
+        if "variant" not in d:
+            raise ValueError("scenario is missing the required field 'variant'")
         return cls(
             variant=d["variant"],
             params=dict(params),

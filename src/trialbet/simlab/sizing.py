@@ -4,17 +4,14 @@ These reproduce the conventional calculators the simulation studies size
 against: the normal-approximation two-proportion test, the two-sample
 noncentral-t power calculation, and the Schoenfeld-style event count for a
 log-rank design.  Each returns a *total* count (both arms), with the per-arm
-count rounded up.
+count rounded up.  scipy is imported inside the calculators, so a study that
+sizes nothing (``simulate``, ``wage --n``) never loads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
-from scipy.stats import nct, norm
-from scipy.stats import t as t_dist
 
 from ..deaths import death_coin, expected_deaths
 
@@ -27,6 +24,8 @@ def size_two_proportion(p1: float, p2: float, power: float, alpha: float = 0.05)
     Pooled-variance normal approximation; per-arm n is rounded up, matching
     the standard calculator this mirrors.
     """
+    from scipy.stats import norm
+
     for name, p in (("p1", p1), ("p2", p2)):
         if not 0.0 < p < 1.0:
             raise ValueError(f"{name} must be in (0,1), got {p}")
@@ -49,6 +48,10 @@ def size_t_test(d: float, power: float, alpha: float = 0.05) -> int:
     Solves the exact noncentral-t power equation for the continuous per-arm
     n, then rounds up.
     """
+    from scipy.optimize import brentq
+    from scipy.stats import nct
+    from scipy.stats import t as t_dist
+
     if d <= 0.0:
         raise ValueError(f"effect size must be > 0, got {d}")
     if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
@@ -65,6 +68,8 @@ def size_t_test(d: float, power: float, alpha: float = 0.05) -> int:
 
 def size_logrank(target_hr: float, power: float, alpha: float = 0.05) -> int:
     """Total event count for a two-sided log-rank design at the target hazard ratio."""
+    from scipy.stats import norm
+
     if target_hr <= 0.0 or target_hr == 1.0:
         raise ValueError(f"hazard ratio must be positive and != 1, got {target_hr}")
     if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):

@@ -37,6 +37,7 @@ class Monitor:
     parse: Callable[[dict, int], tuple]  # (record, arm) -> arguments of ``step``
     report: Callable[[Any], dict]    # fields the report adds for this variant
     events: Callable[[Any], int]     # events the state has consumed
+    running: tuple[str, ...] = ()    # options the state updates as events arrive
 
     @property
     def defaults(self) -> dict[str, Any]:
@@ -114,7 +115,8 @@ MONITORS: dict[str, Monitor] = {
         parse=_survival_args,
         report=lambda s: {"cum_score": s.cum_z,
                           "risk_set": {"trt": s.risk_trt, "ctrl": s.risk_ctrl}},
-        events=attrgetter("records_seen")),
+        events=attrgetter("records_seen"),
+        running=("risk_trt", "risk_ctrl")),  # the risk sets shrink from the cohort sizes
     "multistate": Monitor(
         multistate.MultistateState, multistate.DEFAULT_SCHEDULE, (),
         frozenset({"from", "to", "arm"}), frozenset({"day"}),

@@ -118,3 +118,44 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     resumed, position = ckpt.read_checkpoint_file(str(path), "binary", cfg)
     assert position == 30 and resumed.i == 30
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+
+@pytest.mark.parametrize("variant,edit,message", [
+    ("binary", {"p": 0.3}, "checkpoint p 0.3 does not match"),
+    ("binary", {"position": -5}, "position -5 is before its 60 events"),
+    ("binary", {"p": 0.3, "position": -5}, "position -5"),
+    ("deaths", {"position": 59}, "position 59 is before its 60 events"),
+    ("continuous", {"c_max": 0.9}, "checkpoint c_max 0.9 does not match"),
+    ("continuous", {"p": 0.6}, "checkpoint p 0.6 does not match"),
+    ("survival", {"lambda_max": 0.5}, "checkpoint lambda_max 0.5 does not match"),
+    ("multistate", {"burn_in": 3}, "checkpoint burn_in 3 does not match"),
+], ids=["binary-p", "binary-position", "binary-p-and-position", "deaths-position",
+        "continuous-c_max", "continuous-p", "survival-lambda_max", "multistate-burn_in"])
+def test_impossible_checkpoint_is_refused(capsys, tmp_path, variant, edit, message):
+    """A position before the state's events, or a setting the state holds that
+    differs from the configuration, is refused instead of resumed."""
+    doc = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
+    for key, value in edit.items():
+        (doc if key == "position" else doc["state"])[key] = value
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps(doc))
+    report = tmp_path / "report.json"
+    code = _monitor(variant, GOLDEN / f"{variant}.ndjson", "--checkpoint", str(ck), "--resume",
+                    "--report", str(report))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
+    assert not report.exists()
+
+
+def test_survival_risk_sets_resume_from_the_checkpoint(capsys, tmp_path):
+    """The risk sets are running values: the checkpoint's, not the cohort sizes
+    the configuration starts from, are the ones a resume continues."""
+    doc = json.loads((GOLDEN / "survival.ckpt.json").read_text())
+    state, position = ckpt.load_checkpoint(doc, "survival", {
+        "variant": "survival", "alpha": 0.05, "burn_in": 30, "ramp": 50,
+        "lambda_max": 0.3, "risk_trt": 60, "risk_ctrl": 60})
+    assert position == 60
+    assert (state.risk_trt, state.risk_ctrl) == (doc["state"]["risk_trt"],
+                                                 doc["state"]["risk_ctrl"])
+    assert state.risk_trt + state.risk_ctrl < 120

@@ -267,6 +267,13 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
+    def test_scenario_without_variant_names_the_field(self, capsys, tmp_path):
+        sc = tmp_path / "bad.json"
+        sc.write_text(json.dumps({"params": {}}))
+        code, _, err = run_cli(capsys, "simulate", "--scenario", str(sc))
+        assert code == EXIT_ERROR
+        assert err == "error: scenario is missing the required field 'variant'\n"
+
 
 class TestPower:
     def test_binary(self, capsys):
@@ -491,6 +498,13 @@ def test_cli_import_loads_no_simlab_or_scipy():
     probe = ("import sys, trialbet.cli; "
              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith("
              "('scipy.', 'trialbet.simlab'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
+
+    # the studies load scipy only to size a trial, which simulate never does
+    probe = ("import sys, trialbet.simlab.engine; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out.strip() == "[]"

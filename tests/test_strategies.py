@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from trialbet.simlab import batch
+from trialbet.simlab.engine import rep_rng
 from trialbet.simlab.generators import survival_trial
-from trialbet.simlab.strategies import BettingStrategy
+from trialbet.simlab.scenario import SIM_VARIANTS, normalize_params
+from trialbet.simlab.strategies import _PARAMS_BY_VARIANT, BettingStrategy
 
 
 class TestValidation:
@@ -59,3 +61,30 @@ def test_unknown_bet_rule_rejected():
     time, status, t, _ = survival_trial(rng, 50)
     with pytest.raises(ValueError, match="unknown bet_rule"):
         batch.survival_log_wealth(time, status, t, bet_rule="kelly^2")
+
+
+def _same(a, b) -> bool:
+    """Equal prepared trials: tuples (raw trials, prepared records) element by
+    element, arrays bit for bit."""
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return np.array_equal(a, b)
+
+
+_TRIAL_PARAMS = {"binary": {"n_patients": 300, "p_ctrl": 0.4, "p_trt": 0.3},
+                 "survival": {"n_patients": 300, "hr": 0.7, "censor_upper": 20.0},
+                 "continuous": {"n_patients": 300, "mu_trt": 0.3}}
+
+
+@pytest.mark.parametrize("variant,kind", [(v, kind) for v in _TRIAL_PARAMS
+                                          for kind in _PARAMS_BY_VARIANT[v]])
+def test_strategy_never_changes_what_is_prepared(variant, kind):
+    """The wage study prepares a trial once for all strategies, which holds only
+    if no strategy parameter reaches ``prepare``."""
+    sim = SIM_VARIANTS[variant]
+    params = normalize_params(variant, _TRIAL_PARAMS[variant])
+    strategy = BettingStrategy(kind, 0.3 if kind in ("fixed", "sign-only") else None)
+    overridden = {**sim.defaults, **strategy.params(variant)}
+    for rep in range(3):
+        data = sim.generate(rep_rng(5, rep), params)
+        assert _same(sim.prepare(data, sim.defaults), sim.prepare(data, overridden))
