@@ -95,8 +95,8 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
                     matrix_trt.as_array().cumsum(axis=1)])
     n_states = len(model.states)
     # thresholds[k][arm * n_states + state] is that row's cumulative probability
-    # up to state k.  The count of thresholds u reaches is the categorical draw;
-    # leaving out the last (1, or 1-ulp) keeps it a state when u lands past it.
+    # up to state k; the count of thresholds u reaches is the categorical draw.
+    # The row total (1, or 1 - ulp) is left out, so a u past it draws the last state.
     thresholds = cum.reshape(2 * n_states, n_states).T[:-1].copy()
     row = arms.astype(np.intp) * n_states
     states = np.empty((n_patients, horizon + 1), dtype=np.int8)

@@ -7,10 +7,10 @@ many workers execute them.
 
 ``SIM_VARIANTS`` holds, per variant, the scenario parameters with their
 defaults and what the lab does with a trial: draw it, replay it through the
-batch kernel (prepare, then bet), and feed it to the streaming monitor.  The engine,
-the wage study and trajectory exports all go through it; adding a variant is
-one row here and one in ``trialbet.variants``, whose schedule and wager-cap
-defaults the rows below reuse.
+batch kernel (prepare, then bet), and feed it to the streaming monitor.  The
+engine, the wage study and trajectory exports all go through it; adding a
+variant is one row here and one in ``trialbet.variants``, whose schedule and
+wager-cap defaults the rows below reuse.
 """
 
 from __future__ import annotations

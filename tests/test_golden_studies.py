@@ -30,9 +30,7 @@ def test_wage_outputs_match_golden(capsys, tmp_path, variant):
     assert main(["wage", "--variant", variant, *WAGE_ARGS[variant], "--json", str(out),
                  "--csv", str(csv)]) == 0
     assert out.read_bytes() == (GOLDEN / f"wage_{variant}.json").read_bytes()
-    golden_csv = GOLDEN / f"wage_{variant}.csv"
-    if golden_csv.exists():
-        assert csv.read_bytes() == golden_csv.read_bytes()
+    assert csv.read_bytes() == (GOLDEN / f"wage_{variant}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("stem", SCENARIOS)
