@@ -76,8 +76,8 @@ _TRIAL_PARAMS = {"binary": {"n_patients": 300, "p_ctrl": 0.4, "p_trt": 0.3},
                  "continuous": {"n_patients": 300, "mu_trt": 0.3}}
 
 
-@pytest.mark.parametrize("variant,kind", [(v, kind) for v in _TRIAL_PARAMS
-                                          for kind in _PARAMS_BY_VARIANT[v]])
+@pytest.mark.parametrize("variant,kind", [(v, kind) for v, kinds in _PARAMS_BY_VARIANT.items()
+                                          for kind in kinds])
 def test_strategy_never_changes_what_is_prepared(variant, kind):
     """The wage study prepares a trial once for all strategies, which holds only
     if no strategy parameter reaches ``prepare``."""
