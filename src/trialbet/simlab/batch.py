@@ -6,6 +6,12 @@ semantics are identical to the streaming state classes - the equivalence is
 pinned by tests - but expressed with cumulative sums so a replication costs
 a handful of numpy passes instead of a Python loop.
 
+Every kernel works along the last axis: a 1-D trial gives its trajectory,
+and a (B, n) block of B same-length trials gives B trajectories in one call,
+each row bit for bit what the row's own 1-D call gives.  The engine replays
+studies block by block, so a replication costs a share of each numpy pass
+rather than a pass of its own.
+
 Strategy variants used by the wage-asymmetry study live here as keyword
 switches: ``fixed_dev`` for the binary monitor, ``bet_rule`` for survival,
 ``sign_only`` for continuous.  Where strategies share costly work, a replay
@@ -41,15 +47,29 @@ def _ramp(idx: np.ndarray, burn_in: int, ramp: int) -> np.ndarray:
 def _shift(cum: np.ndarray) -> np.ndarray:
     """Prefix values: cum over entries strictly before each position."""
     out = np.empty_like(cum)
-    out[:1] = 0
-    out[1:] = cum[:-1]
+    out[..., :1] = 0
+    out[..., 1:] = cum[..., :-1]
     return out
+
+
+def row_outcomes(log_wealth: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first crossing, final log-e) of each row of a (B, n) log-wealth block.
+
+    Crossings are 1-based and NaN where a row never reaches the threshold.
+    An empty row (n = 0) never crosses and ends at log-e 0.
+    """
+    rows = log_wealth.shape[0]
+    if log_wealth.shape[-1] == 0:
+        return np.full(rows, np.nan), np.zeros(rows)
+    hit = log_wealth >= -np.log(alpha)
+    crossing = np.where(hit.any(axis=-1), hit.argmax(axis=-1) + 1.0, np.nan)
+    return crossing, log_wealth[:, -1].copy()
 
 
 def first_crossing(log_wealth: np.ndarray, alpha: float) -> int | None:
     """1-based index of the first threshold crossing, or None."""
-    hits = np.nonzero(log_wealth >= -np.log(alpha))[0]
-    return int(hits[0]) + 1 if hits.size else None
+    crossing = row_outcomes(np.asarray(log_wealth)[None], alpha)[0][0]
+    return None if np.isnan(crossing) else int(crossing)
 
 
 def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_in,
@@ -61,15 +81,15 @@ def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY
     non-events, with no ramp.  A negative dev encodes a protective design
     direction.
     """
-    t = np.asarray(treatment, dtype=np.int64)
-    y = np.asarray(outcome, dtype=np.int64)
-    n = t.size
-    idx = np.arange(1, n + 1)
+    # 0/1 labels as floats: every count below is exact, and the rates need no cast
+    t = np.asarray(treatment, dtype=float)
+    y = np.asarray(outcome, dtype=float)
+    idx = np.arange(1, t.shape[-1] + 1)
     if fixed_dev is None:
-        n1_prev = _shift(np.cumsum(t))
-        e1_prev = _shift(np.cumsum(t * y))
+        n1_prev = _shift(np.cumsum(t, axis=-1))
+        e1_prev = _shift(np.cumsum(t * y, axis=-1))
         n0_prev = idx - 1 - n1_prev
-        e0_prev = _shift(np.cumsum((1 - t) * y))
+        e0_prev = _shift(np.cumsum((1 - t) * y, axis=-1))
         with np.errstate(invalid="ignore", divide="ignore"):
             rate1 = np.where(n1_prev > 0, e1_prev / np.maximum(n1_prev, 1), 0.5)
             rate0 = np.where(n0_prev > 0, e0_prev / np.maximum(n0_prev, 1), 0.5)
@@ -81,18 +101,17 @@ def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY
     lam = np.clip(lam, WAGER_MIN, WAGER_MAX)
     mult = np.where(t == 1, lam / p, (1.0 - lam) / (1.0 - p))
     log_mult = np.log(mult)
-    if fixed_dev is None and n > 0:
-        log_mult[0] = 0.0  # the first patient never bets
-    return np.cumsum(log_mult)
+    if fixed_dev is None:
+        log_mult[..., :1] = 0.0  # the first patient never bets
+    return np.cumsum(log_mult, axis=-1)
 
 
 def deaths_log_wealth(arms, burn_in: int = _DEATHS.burn_in,
                       ramp: int = _DEATHS.ramp) -> np.ndarray:
     """Deaths-only replay over an ordered stream of death arm labels."""
     a = np.asarray(arms, dtype=np.int64)
-    n = a.size
-    idx = np.arange(1, n + 1)
-    d1_prev = _shift(np.cumsum(a))
+    idx = np.arange(1, a.shape[-1] + 1)
+    d1_prev = _shift(np.cumsum(a, axis=-1))
     tot_prev = idx - 1
     p_obs = np.where(tot_prev > 0, d1_prev / np.maximum(tot_prev, 1), 0.5)
     c = _ramp(idx, burn_in, ramp)
@@ -100,7 +119,7 @@ def deaths_log_wealth(arms, burn_in: int = _DEATHS.burn_in,
                    np.clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
                    0.5)
     mult = np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
-    return np.cumsum(np.log(mult))
+    return np.cumsum(np.log(mult), axis=-1)
 
 
 class SurvivalPrepared(NamedTuple):
@@ -116,22 +135,26 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
     """Sort the records by time and derive the risk sets and log-rank scores.
 
     Risk sets start from the full cohort, so the whole trial's records are
-    required up front.
+    required up front.  Each row of a block is its own trial, sorted and
+    counted on its own.
     """
     t = np.asarray(time, dtype=float)
     s = np.asarray(status, dtype=np.int64)
     a = np.asarray(treatment, dtype=np.int64)
     if not presorted:
-        order = np.argsort(t, kind="stable")
-        t, s, a = t[order], s[order], a[order]
-    elif np.any(np.diff(t) < 0):
+        # Distinct times have one sorted order, so the fast sort is stable for
+        # them; tied (or NaN) times take the stable sort, which keeps record order.
+        order = np.argsort(t, axis=-1)
+        ranked = np.take_along_axis(t, order, axis=-1)
+        if not np.all(ranked[..., 1:] > ranked[..., :-1]):
+            order = np.argsort(t, axis=-1, kind="stable")
+        s, a = (np.take_along_axis(x, order, axis=-1) for x in (s, a))
+    elif np.any(np.diff(t, axis=-1) < 0):
         raise ValueError("stream not sorted by time on study")
-    risk1 = int(a.sum()) - _shift(np.cumsum(a))
-    risk0 = int((1 - a).sum()) - _shift(np.cumsum(1 - a))
-    total = risk1 + risk0
-    p_j = np.where(total > 0, risk1 / np.maximum(total, 1), 0.5)
+    risk1 = a.sum(axis=-1, keepdims=True) - _shift(np.cumsum(a, axis=-1))
+    p_j = risk1 / np.arange(a.shape[-1], 0, -1)  # 0/1 arms: this record and all later are at risk
     u = np.where(s == 1, a - p_j, 0.0)
-    return SurvivalPrepared(s == 1, p_j, u, _shift(np.cumsum(u)))
+    return SurvivalPrepared(s == 1, p_j, u, _shift(np.cumsum(u, axis=-1)))
 
 
 def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
@@ -145,19 +168,20 @@ def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
     estimate Z/V (V the sum of p(1-p) over past events), clamped to [-0.5, 0.5].
     The ramp index counts records, not events.
     """
-    idx = np.arange(1, prep.u.size + 1)
+    idx = np.arange(1, prep.u.shape[-1] + 1)
     c = _ramp(idx, burn_in, ramp)
     if bet_rule == "fixed":
         b = np.where(idx > burn_in, c * lambda_max * np.sign(prep.z_prev), 0.0)
     elif bet_rule == "half_kelly":
-        v_prev = _shift(np.cumsum(np.where(prep.event, prep.p_j * (1.0 - prep.p_j), 0.0)))
+        info = np.where(prep.event, prep.p_j * (1.0 - prep.p_j), 0.0)
+        v_prev = _shift(np.cumsum(info, axis=-1))
         with np.errstate(invalid="ignore", divide="ignore"):
             log_hr_hat = np.where(v_prev > 0, prep.z_prev / np.maximum(v_prev, 1e-300), 0.0)
         b = np.where(idx > burn_in, c * np.clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
     else:
         raise ValueError(f"unknown bet_rule: {bet_rule!r}")
     mult = np.where(prep.event, 1.0 + b * prep.u, 1.0)
-    return np.cumsum(np.log(mult))
+    return np.cumsum(np.log(mult), axis=-1)
 
 
 def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_in,
@@ -174,12 +198,11 @@ def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
     """Transition-stream replay; both arms need history before bets start."""
     g = np.asarray(good, dtype=np.int64)
     a = np.asarray(arms, dtype=np.int64)
-    n = a.size
-    idx = np.arange(1, n + 1)
-    tot1_prev = _shift(np.cumsum(a))
-    good1_prev = _shift(np.cumsum(a * g))
+    idx = np.arange(1, a.shape[-1] + 1)
+    tot1_prev = _shift(np.cumsum(a, axis=-1))
+    good1_prev = _shift(np.cumsum(a * g, axis=-1))
     tot0_prev = idx - 1 - tot1_prev
-    good0_prev = _shift(np.cumsum((1 - a) * g))
+    good0_prev = _shift(np.cumsum((1 - a) * g, axis=-1))
     bettable = (idx > burn_in) & (tot1_prev > 0) & (tot0_prev > 0)
     rate1 = good1_prev / np.maximum(tot1_prev, 1)
     rate0 = good0_prev / np.maximum(tot0_prev, 1)
@@ -189,7 +212,7 @@ def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
     lam = np.where(bettable, lam, 0.5)
     lam = np.clip(lam, MS_WAGER_MIN, MS_WAGER_MAX)
     mult = np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
-    return np.cumsum(np.log(mult))
+    return np.cumsum(np.log(mult), axis=-1)
 
 
 class ContinuousPrepared(NamedTuple):

@@ -4,6 +4,11 @@ Determinism contract: replication ``r`` of a scenario with master seed ``s``
 always runs on ``SeedSequence(s, spawn_key=(r,))``, so results are identical
 for any worker count and any chunking of the replication range.  Aggregation
 uses only order-independent reductions over per-replication arrays.
+
+Replications are replayed in blocks: consecutive trials of one stream length
+are stacked into (B, n) arrays of about ``_BLOCK_OBS`` observations, and the
+batch kernel runs once per block.  Every row of a block is computed as its
+own trial would be, so blocking changes no result.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .sizing import size_logrank, size_t_test, size_two_proportion
 from .strategies import BettingStrategy
 
 _E_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
+_BLOCK_OBS = 4096  # observations per replay block; larger blocks add memory more than speed
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
@@ -34,21 +40,46 @@ def _exp(log_e) -> float:
         return float(np.exp(log_e))
 
 
+def _length(trial) -> int:
+    return len(trial[0] if isinstance(trial, tuple) else trial)
+
+
+def _stack(trials: list):
+    if isinstance(trials[0], tuple):
+        return tuple(np.stack(arrays) for arrays in zip(*trials))
+    return np.stack(trials)
+
+
+def _blocks(trials):
+    """Stack consecutive trials of one stream length into (B, n) blocks of at
+    most ``max(1, _BLOCK_OBS // n)`` rows, in trial order."""
+    block: list = []
+    for trial in trials:
+        n = _length(trial)
+        if block and (n != _length(block[0]) or len(block) >= max(1, _BLOCK_OBS // max(n, 1))):
+            yield _stack(block)
+            block = []
+        block.append(trial)
+    if block:
+        yield _stack(block)
+
+
+def _bet_blocks(sim, prepared, params: dict, alpha: float):
+    """(first crossing, final log-e, stream length) per trial of prepared blocks."""
+    parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # no blocks: no trials
+    for prep in prepared:
+        logw = sim.bet(prep, params)
+        parts.append((*batch.row_outcomes(logw, alpha), np.full(len(logw), logw.shape[-1])))
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
 def _run_range(scenario: SimScenario, start: int, stop: int):
     """Replications [start, stop); returns (crossing, final_log_e, stream_len) arrays."""
     sim = SIM_VARIANTS[scenario.variant]
     p = scenario.params
-    n = stop - start
-    crossing = np.full(n, np.nan)
-    final = np.zeros(n)
-    length = np.zeros(n, dtype=np.int64)
-    for k, rep in enumerate(range(start, stop)):
-        logw = sim.bet(sim.prepare(sim.generate(rep_rng(scenario.seed, rep), p), p), p)
-        hit = batch.first_crossing(logw, scenario.alpha)
-        crossing[k] = math.nan if hit is None else hit
-        final[k] = logw[-1] if logw.size else 0.0
-        length[k] = logw.size
-    return crossing, final, length
+    trials = (sim.generate(rep_rng(scenario.seed, rep), p) for rep in range(start, stop))
+    return _bet_blocks(sim, (sim.prepare(block, p) for block in _blocks(trials)), p,
+                       scenario.alpha)
 
 
 def _chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -129,6 +160,8 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
     the arm labels of patients with events, in enrollment order.  Each
     baseline is sized for the frequentist two-proportion design at ``power``.
     """
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
     rows = []
     for b_idx, baseline in enumerate(baselines):
         p_trt = baseline - arr
@@ -200,10 +233,12 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     strategy comparisons are calibrated against); pass an explicit
     ``n_patients`` to hold the trial size fixed across effects.  Within one
     effect, every strategy bets on the same trials, so cell contrasts are
-    paired; each trial is prepared once and bet once per strategy.  A cell is
-    the scenario of its effect with the strategy's parameters, over
+    paired; each block of trials is prepared once and bet once per strategy.
+    A cell is the scenario of its effect with the strategy's parameters, over
     replications ``e_idx * n_sims`` onwards.
     """
+    if n_sims < 1:
+        raise ValueError("n_sims must be >= 1")
     strategies = [s if isinstance(s, BettingStrategy) else BettingStrategy(*s)
                   for s in strategies]
     for s in strategies:
@@ -215,13 +250,13 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     for e_idx, effect in enumerate(effects):
         params = normalize_params(variant, _wage_params(
             variant, effect, n_patients, design_power, alpha, p_ctrl, sd, shape, scale))
-        prepared = [sim.prepare(sim.generate(rep_rng(seed, e_idx * n_sims + rep), params),
-                                sim.defaults)
-                    for rep in range(n_sims)]
+        trials = (sim.generate(rep_rng(seed, e_idx * n_sims + rep), params)
+                  for rep in range(n_sims))
+        prepared = [sim.prepare(block, sim.defaults) for block in _blocks(trials)]
         for s in strategies:
             crossings, finals = _wage_bet(variant, s, prepared, alpha)
-            hits = [c for c in crossings if c is not None]
-            power = len(hits) / n_sims
+            hits = crossings[~np.isnan(crossings)]
+            power = hits.size / n_sims
             cells.append(WageCell(
                 variant=variant,
                 strategy=s.label(),
@@ -231,26 +266,23 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
                 power=power,
                 se=math.sqrt(power * (1.0 - power) / n_sims),
                 median_final_e=_exp(np.median(finals)),
-                median_crossing=float(np.median(hits)) if hits else None,
+                median_crossing=float(np.median(hits)) if hits.size else None,
             ))
     return cells
 
 
 def _wage_evaluate(variant: str, strategy: BettingStrategy, trials, alpha: float):
-    """Replay every trial under one strategy, as the wage study does."""
+    """Replay every trial under one strategy, as the wage study does; returns
+    (first crossing or NaN, final log-e) arrays in trial order."""
     sim = SIM_VARIANTS[variant]
-    return _wage_bet(variant, strategy, [sim.prepare(data, sim.defaults) for data in trials],
-                     alpha)
+    return _wage_bet(variant, strategy,
+                     [sim.prepare(block, sim.defaults) for block in _blocks(trials)], alpha)
 
 
 def _wage_bet(variant: str, strategy: BettingStrategy, prepared, alpha: float):
-    """(first crossing, final log-e) per prepared trial under one strategy: the
-    variant's bet, run with its default parameters overridden by the strategy's."""
+    """(first crossing, final log-e) per trial of prepared blocks under one
+    strategy: the variant's bet, run with its default parameters overridden
+    by the strategy's."""
     sim = SIM_VARIANTS[variant]
     params = {**sim.defaults, **strategy.params(variant)}
-    crossings, finals = [], []
-    for prep in prepared:
-        logw = sim.bet(prep, params)
-        crossings.append(batch.first_crossing(logw, alpha))
-        finals.append(float(logw[-1]))
-    return crossings, finals
+    return _bet_blocks(sim, prepared, params, alpha)[:2]

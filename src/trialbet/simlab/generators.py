@@ -124,23 +124,7 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
     )
 
 
-def day_horizon_distribution(rng, n_patients: int, matrix: TransitionMatrix,
-                             start: str = "ICU", horizon: int = 28) -> np.ndarray:
-    """Empirical state distribution at the horizon for one arm's matrix."""
-    model = matrix.model
-    cum = matrix.as_array().cumsum(axis=1)
-    n_states = len(model.states)
-    states = np.full(n_patients, model.index(start), dtype=np.int8)
-    for _ in range(horizon):
-        u = rng.random(n_patients)
-        drawn = (u[:, None] >= cum[states]).sum(axis=1)
-        states = np.minimum(drawn, n_states - 1).astype(np.int8)
-    counts = np.bincount(states, minlength=len(model.states))
-    return counts / n_patients
-
-
 __all__ = [
     "binary_trial", "death_stream", "continuous_trial", "survival_trial",
-    "MultistateTrial", "multistate_trial", "day_horizon_distribution",
-    "DEFAULT_MODEL",
+    "MultistateTrial", "multistate_trial", "DEFAULT_MODEL",
 ]

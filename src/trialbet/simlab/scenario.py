@@ -37,10 +37,12 @@ def _alias(default) -> bool:
 class SimVariant:
     """How the lab draws, replays and streams one variant's trials.
 
-    ``generate(rng, params)`` draws one trial.  A replay is
-    ``bet(prepare(data, params), params)``, the trial's log-wealth after each
+    ``generate(rng, params)`` draws one trial: an array, or a tuple of
+    equal-length arrays, one entry per observation.  A replay is
+    ``bet(prepare(data, params), params)`` on a block of such trials stacked
+    row-wise into (B, n) arrays; it gives the (B, n) log-wealth after each
     observation from the batch kernel.  ``prepare`` holds the work no wager
-    rule reads, so the wage study prepares a trial once and bets it once per
+    rule reads, so the wage study prepares a block once and bets it once per
     strategy; it is the identity where strategies share nothing.
     ``feed(data, params)`` gives the streaming monitor's options and the
     arguments of each call to its ``step`` method (trajectory exports).
@@ -81,8 +83,9 @@ def _feed_survival(data, p):
 
 def _multistate_trial(rng, p):
     m_trt, m_ctrl = multistate_matrices(p["effect"], p["matrices"])
-    return generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
-                                       p["start"], p["horizon"])
+    trial = generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
+                                        p["start"], p["horizon"])
+    return trial.good, trial.arms
 
 
 def _check_multistate(p) -> None:
@@ -114,7 +117,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
             rng, p["n_patients"], p["mu_trt"], p["mu_ctrl"], p["sd"], p["p_alloc"]),
         prepare=lambda d, p: batch.continuous_prepare(*d, p["burn_in"]),
         bet=lambda prep, p: batch.continuous_bet(
-            prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"])[0],
+            prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"]),
         feed=lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
                            zip(d[1].tolist(), d[0].tolist())),
         batch_only=("sign_only",)),
@@ -134,8 +137,8 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
          "horizon": 28, "start": "ICU", **_monitor("multistate")},
         generate=_multistate_trial,
-        bet=lambda d, p: batch.multistate_log_wealth(d.good, d.arms, p["burn_in"], p["ramp"]),
-        feed=lambda d, p: ({}, zip(d.good.tolist(), d.arms.tolist())),
+        bet=lambda d, p: batch.multistate_log_wealth(*d, p["burn_in"], p["ramp"]),
+        feed=lambda d, p: ({}, zip(d[0].tolist(), d[1].tolist())),
         step="step_classified",  # the generator emits transitions already classified
         check=_check_multistate),
 }

@@ -1,4 +1,4 @@
-"""Brute-force fairness oracles.
+"""Brute-force fairness oracles, and a direct simulation of the state model.
 
 The martingale property says: with the outcome stream frozen, averaging the
 final wealth over *all* possible arm-label sequences (weighted by their
@@ -6,9 +6,15 @@ randomization probabilities) must give exactly 1.  These enumerators replay
 the production bet rules down every branch of the arm tree and accumulate
 that expectation directly - no shortcuts shared with the code under test
 beyond the bet rules themselves.
+
+``day_horizon_distribution`` draws one arm's cohort through its daily
+transition matrix on its own, so the multistate generator's horizon states
+can be checked against it and against the matrix power.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from trialbet.survival import SurvivalRecord
 
@@ -53,3 +59,18 @@ def mean_final_wealth_survival(make_state, times, k: int) -> float:
         if prob > 0.0:
             total += prob * state.ledger.wealth
     return total
+
+
+def day_horizon_distribution(rng, n_patients: int, matrix, start: str = "ICU",
+                             horizon: int = 28) -> np.ndarray:
+    """Empirical state distribution at the horizon for one arm's matrix."""
+    model = matrix.model
+    cum = matrix.as_array().cumsum(axis=1)
+    n_states = len(model.states)
+    states = np.full(n_patients, model.index(start), dtype=np.int8)
+    for _ in range(horizon):
+        u = rng.random(n_patients)
+        drawn = (u[:, None] >= cum[states]).sum(axis=1)
+        states = np.minimum(drawn, n_states - 1).astype(np.int8)
+    counts = np.bincount(states, minlength=len(model.states))
+    return counts / n_patients

@@ -42,7 +42,7 @@ from trialbet.simlab.sizing import (
 from trialbet.simlab.strategies import BettingStrategy
 from trialbet.survival import SurvivalRecord, SurvivalState, order_records
 
-from oracles import mean_final_wealth, mean_final_wealth_survival
+from oracles import day_horizon_distribution, mean_final_wealth, mean_final_wealth_survival
 
 
 def report(cid: str, ok: bool, detail: str) -> None:
@@ -276,8 +276,8 @@ def test_c11_multistate_operating_characteristics():
         "control": np.array([0.208, 0.263, 0.188, 0.341]),
         "treatment": np.array([0.169, 0.166, 0.335, 0.330]),
     }
-    sim_ctrl = generators.day_horizon_distribution(rep_rng(43, 0), 50_000, CONTROL_DAILY)
-    sim_trt = generators.day_horizon_distribution(rep_rng(44, 0), 50_000, TREATMENT_DAILY)
+    sim_ctrl = day_horizon_distribution(rep_rng(43, 0), 50_000, CONTROL_DAILY)
+    sim_trt = day_horizon_distribution(rep_rng(44, 0), 50_000, TREATMENT_DAILY)
     day28_err = max(np.max(np.abs(sim_ctrl - table6["control"])),
                     np.max(np.abs(sim_trt - table6["treatment"])))
     ok = (null.rejection_rate <= 0.01

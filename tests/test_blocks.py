@@ -1,0 +1,157 @@
+"""Block replay: a stacked block of trials gives each row's own 1-D result.
+
+The engine replays consecutive same-length replications as one (B, n) block,
+so every kernel must treat a row exactly as it treats that trial alone, bit
+for bit, and the engine's results must not depend on where a replication
+range starts or stops relative to the blocks.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from trialbet.multistate import CONTROL_DAILY, TREATMENT_DAILY
+from trialbet.simlab import batch, generators
+from trialbet.simlab.engine import _run_range
+from trialbet.simlab.scenario import SimScenario
+
+ROOT = Path(__file__).parent.parent
+LENGTHS = [0, 1, 2, 3, 40, 260]
+ROWS = 5
+SHORT = {"burn_in": 1, "ramp": 3}  # bets from the second observation on
+
+
+def _rows(make, n):
+    """ROWS trials of length n from ``make(rng, n)``, as a list of tuples."""
+    rng = np.random.default_rng(1000 + n)
+    return [make(rng, n) for _ in range(ROWS)]
+
+
+def _stacked(rows):
+    return tuple(np.stack(column) for column in zip(*rows))
+
+
+def _assert_rowwise(kernel, rows, **kwargs):
+    """kernel on the stacked rows equals kernel on each row, bit for bit."""
+    block = kernel(*_stacked(rows), **kwargs)
+    assert block.shape[0] == len(rows)
+    for k, row in enumerate(rows):
+        alone = kernel(*row, **kwargs)
+        assert np.array_equal(block[k], alone.reshape(-1)), (kernel.__name__, kwargs, k)
+
+
+def _binary(rng, n):
+    return generators.binary_trial(rng, n, 0.3, 0.4)
+
+
+def _survival(rng, n):
+    time, status, treatment, _ = generators.survival_trial(rng, n, 0.7, censor_upper=15.0)
+    return time, status, treatment
+
+
+def _tied_survival(rng, n):
+    time, status, treatment = _survival(rng, n)
+    return np.round(time, 1), status, treatment  # rounding makes ties
+
+
+def _multistate(rng, n):
+    trial = generators.multistate_trial(rng, 300, TREATMENT_DAILY, CONTROL_DAILY)
+    return trial.good[:n], trial.arms[:n]
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("options", [{}, SHORT, {"fixed_dev": 0.08}, {"fixed_dev": -0.1}])
+def test_binary_block(n, options):
+    _assert_rowwise(batch.binary_log_wealth, _rows(_binary, n), **options)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("options", [{}, SHORT])
+def test_deaths_block(n, options):
+    rows = _rows(lambda rng, k: (generators.death_stream(rng, k, 0.4),), n)
+    _assert_rowwise(batch.deaths_log_wealth, rows, **options)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("options", [{}, SHORT])
+def test_multistate_block(n, options):
+    rows = _rows(_multistate, n)
+    assert all(row[0].size == n for row in rows)
+    _assert_rowwise(batch.multistate_log_wealth, rows, **options)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("make", [_survival, _tied_survival])
+@pytest.mark.parametrize("presorted", [False, True])
+def test_survival_prepare_block(n, make, presorted):
+    rows = _rows(make, n)
+    in_order = [tuple(x[np.argsort(row[0], kind="stable")] for x in row) for row in rows]
+    if presorted:
+        rows = in_order
+    block = batch.survival_prepare(*_stacked(rows), presorted=presorted)
+    for k, row in enumerate(rows):
+        alone = batch.survival_prepare(*row, presorted=presorted)
+        # tied times keep their record order, as the streaming monitor sees them
+        reference = batch.survival_prepare(*in_order[k], presorted=True)
+        for field, stacked, single, ref in zip(alone._fields, block, alone, reference):
+            assert np.array_equal(stacked[k], single), (field, k)
+            assert np.array_equal(single, ref), (field, k)
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("options", [{}, SHORT, {"lambda_max": 0.6, **SHORT},
+                                     {"bet_rule": "half_kelly"},
+                                     {"bet_rule": "half_kelly", **SHORT}])
+def test_survival_block(n, options):
+    rows = _rows(_tied_survival, n)
+    _assert_rowwise(batch.survival_log_wealth, rows, **options)
+    prepared = [batch.survival_prepare(*row) for row in rows]
+    block = batch.survival_bet(batch.survival_prepare(*_stacked(rows)), **options)
+    for k, prep in enumerate(prepared):
+        assert np.array_equal(block[k], batch.survival_bet(prep, **options))
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+@pytest.mark.parametrize("options", [{}, {"burn_in": 2, "ramp": 3},
+                                     {"sign_only": True, "c_max": 0.6},
+                                     {"sign_only": True, "burn_in": 0, "ramp": 3}])
+def test_continuous_block(n, options):
+    rows = _rows(lambda rng, k: generators.continuous_trial(rng, k, 0.4, 0.0), n)
+    _assert_rowwise(batch.continuous_log_wealth, rows, **options)
+    burn_in = {"burn_in": options["burn_in"]} if "burn_in" in options else {}
+    block = batch.continuous_prepare(*_stacked(rows), **burn_in)
+    for k, row in enumerate(rows):
+        alone = batch.continuous_prepare(*row, **burn_in)
+        assert block.n == alone.n
+        for field in ("treated", "g", "d_hat"):
+            assert np.array_equal(getattr(block, field)[k], getattr(alone, field)[0]), field
+
+
+@pytest.mark.parametrize("n", LENGTHS)
+def test_row_outcomes_match_first_crossing(n):
+    rng = np.random.default_rng(n)
+    block = np.cumsum(rng.normal(0.2, 1.0, (ROWS, n)), axis=-1)
+    crossing, final = batch.row_outcomes(block, 0.05)
+    for k, row in enumerate(block):
+        hit = batch.first_crossing(row, 0.05)
+        assert (np.isnan(crossing[k]) if hit is None else crossing[k] == hit)
+        assert final[k] == (row[-1] if n else 0.0)
+
+
+@pytest.mark.parametrize("stem", ["binary_alt", "binary_null", "continuous_alt",
+                                  "deaths_alt", "multistate_alt", "survival_alt"])
+def test_run_range_is_independent_of_block_boundaries(stem):
+    """A whole range, single replications and odd splits that cut through
+    blocks all give the same per-replication results."""
+    doc = json.loads((ROOT / "scenarios" / f"{stem}.json").read_text())
+    n = 9 if doc["variant"] == "multistate" else 45
+    sc = SimScenario.from_dict({**doc, "n_sims": n})
+    whole = _run_range(sc, 0, n)
+    singles = [_run_range(sc, r, r + 1) for r in range(n)]
+    edges = sorted({0, 1, 4, 7, n // 2, n - 3, n})
+    splits = [_run_range(sc, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    for parts in (singles, splits):
+        for column, joined in zip(whole, zip(*parts)):
+            assert np.array_equal(column, np.concatenate(joined), equal_nan=True)

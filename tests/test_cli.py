@@ -329,6 +329,30 @@ def test_wage_continuous_smoke(capsys):
     assert "sign-only(0.6)" in out and "adaptive" in out
 
 
+@pytest.mark.parametrize("command", [["wage", "--variant", "binary"], ["compare"]])
+@pytest.mark.parametrize("sims", ["0", "-3"])
+def test_study_refuses_fewer_than_one_replication(capsys, command, sims):
+    code, out, err = run_cli(capsys, *command, "--sims", sims)
+    assert code == EXIT_ERROR
+    assert err == "error: n_sims must be >= 1\n"
+
+
+@pytest.mark.parametrize("variant,effect", [("binary", ["--arr", "0.05"]),
+                                            ("continuous", ["--d", "0.3"]),
+                                            ("survival", ["--hr", "0.7"])])
+def test_wage_with_empty_trials(capsys, tmp_path, variant, effect):
+    """Trials of zero patients never bet: no crossing and a final e-value of 1."""
+    json_path = tmp_path / "wage.json"
+    code, _, err = run_cli(capsys, "wage", "--variant", variant, *effect, "--n", "0",
+                           "--sims", "7", "--json", str(json_path))
+    assert code == EXIT_OK, err
+    cells = json.loads(json_path.read_text())["cells"]
+    assert len(cells) == 2
+    for cell in cells:
+        assert cell["n_patients"] == 0 and cell["power"] == 0.0
+        assert cell["median_final_e"] == 1.0 and cell["median_crossing"] is None
+
+
 @pytest.mark.parametrize("variant,records,extra", [
     ("deaths", [{"arm": k % 2} for k in range(90)], []),
     ("continuous", [{"arm": k % 2, "y": float((k * 7) % 13) - 6.0} for k in range(120)], []),

@@ -11,9 +11,9 @@ from trialbet.multistate import (
     classify,
 )
 from trialbet.simlab import batch
-from trialbet.simlab.generators import multistate_trial, day_horizon_distribution
+from trialbet.simlab.generators import multistate_trial
 
-from oracles import mean_final_wealth
+from oracles import day_horizon_distribution, mean_final_wealth
 from reference_impls import simulate_patient_path
 
 

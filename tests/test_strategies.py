@@ -88,3 +88,13 @@ def test_strategy_never_changes_what_is_prepared(variant, kind):
     for rep in range(3):
         data = sim.generate(rep_rng(5, rep), params)
         assert _same(sim.prepare(data, sim.defaults), sim.prepare(data, overridden))
+
+
+@pytest.mark.parametrize("variant", sorted(SIM_VARIANTS))
+def test_strategy_parameters_belong_to_their_variant(variant):
+    """Every key a strategy sets is a scenario parameter of its variant, and
+    every batch-only wager rule of the variant is reachable by some strategy."""
+    kinds = _PARAMS_BY_VARIANT.get(variant, {})
+    set_keys = {key for make in kinds.values() for key in make(0.3)}
+    assert set_keys <= set(SIM_VARIANTS[variant].params)
+    assert set(SIM_VARIANTS[variant].batch_only) <= set_keys
