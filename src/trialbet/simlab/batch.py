@@ -142,12 +142,7 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
     s = np.asarray(status, dtype=np.int64)
     a = np.asarray(treatment, dtype=np.int64)
     if not presorted:
-        # Distinct times have one sorted order, so the fast sort is stable for
-        # them; tied (or NaN) times take the stable sort, which keeps record order.
-        order = np.argsort(t, axis=-1)
-        ranked = np.take_along_axis(t, order, axis=-1)
-        if not np.all(ranked[..., 1:] > ranked[..., :-1]):
-            order = np.argsort(t, axis=-1, kind="stable")
+        order = np.argsort(t, axis=-1, kind="stable")
         s, a = (np.take_along_axis(x, order, axis=-1) for x in (s, a))
     elif np.any(np.diff(t, axis=-1) < 0):
         raise ValueError("stream not sorted by time on study")

@@ -40,14 +40,8 @@ def _exp(log_e) -> float:
         return float(np.exp(log_e))
 
 
-def _length(trial) -> int:
-    return len(trial[0] if isinstance(trial, tuple) else trial)
-
-
-def _stack(trials: list):
-    if isinstance(trials[0], tuple):
-        return tuple(np.stack(arrays) for arrays in zip(*trials))
-    return np.stack(trials)
+def _stack(trials: list) -> tuple:
+    return tuple(np.stack(arrays) for arrays in zip(*trials))
 
 
 def _blocks(trials):
@@ -55,8 +49,8 @@ def _blocks(trials):
     most ``max(1, _BLOCK_OBS // n)`` rows, in trial order."""
     block: list = []
     for trial in trials:
-        n = _length(trial)
-        if block and (n != _length(block[0]) or len(block) >= max(1, _BLOCK_OBS // max(n, 1))):
+        n = len(trial[0])
+        if block and (n != len(block[0][0]) or len(block) >= max(1, _BLOCK_OBS // max(n, 1))):
             yield _stack(block)
             block = []
         block.append(trial)

@@ -37,8 +37,8 @@ def _alias(default) -> bool:
 class SimVariant:
     """How the lab draws, replays and streams one variant's trials.
 
-    ``generate(rng, params)`` draws one trial: an array, or a tuple of
-    equal-length arrays, one entry per observation.  A replay is
+    ``generate(rng, params)`` draws one trial: a tuple of equal-length
+    arrays, one entry per observation.  A replay is
     ``bet(prepare(data, params), params)`` on a block of such trials stacked
     row-wise into (B, n) arrays; it gives the (B, n) log-wealth after each
     observation from the batch kernel.  ``prepare`` holds the work no wager
@@ -107,9 +107,9 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         batch_only=("fixed_dev",)),
     "deaths": SimVariant(
         {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
-        generate=lambda rng, p: generators.death_stream(rng, p["n_deaths"], p["coin"]),
-        bet=lambda arms, p: batch.deaths_log_wealth(arms, p["burn_in"], p["ramp"]),
-        feed=lambda arms, p: ({}, zip(arms.tolist()))),
+        generate=lambda rng, p: (generators.death_stream(rng, p["n_deaths"], p["coin"]),),
+        bet=lambda d, p: batch.deaths_log_wealth(*d, p["burn_in"], p["ramp"]),
+        feed=lambda d, p: ({}, zip(d[0].tolist()))),
     "continuous": SimVariant(
         {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
          "p_alloc": 0.5, **_monitor("continuous", "c_max"), "sign_only": False},
