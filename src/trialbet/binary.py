@@ -60,8 +60,8 @@ class BinaryState:
     def step(self, outcome: int, arm: int):
         """Consume one (outcome, arm) observation: bet, settle, then update counts.
 
-        Returns the settled WealthStep, or None for the first observation,
-        which never bets.
+        Returns the settled WealthStep when the state records steps; None
+        otherwise, and for the first observation, which never bets.
         """
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")

@@ -58,24 +58,35 @@ def _write_json(doc, path: str | None = None) -> None:
             fh.write(text)
 
 
+_DECODER = json.JSONDecoder()  # json.loads' own settings; its C scanner decodes each event
+
+
 def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
     """Parse and strictly validate one NDJSON record; returns the ``step`` arguments.
 
     Unknown fields are rejected rather than ignored: a misspelled field in a
     monitoring stream must fail loudly, not silently change the analysis.
+    A line that is one JSON object followed by whitespace is decoded by the
+    scanner alone; any other line goes through ``json.loads``, so every
+    record accepted and every error reported is exactly ``json.loads``'s.
     """
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise EventError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(record, dict):
-        raise EventError(f"line {line_no}: record must be a JSON object")
-    missing = monitor.required - set(record)
-    if missing:
-        raise EventError(f"line {line_no}: missing fields {sorted(missing)}")
-    unknown = set(record) - monitor.required - monitor.optional
-    if unknown:
-        raise EventError(f"line {line_no}: unknown fields {sorted(unknown)}")
+        record, end = _DECODER.scan_once(line, 0)
+    except (StopIteration, ValueError):
+        record = None
+    if type(record) is not dict or line[end:].strip(" \t\n\r"):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise EventError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(record, dict):
+            raise EventError(f"line {line_no}: record must be a JSON object")
+    keys = record.keys()
+    if not monitor.required <= keys <= monitor.allowed:
+        missing = monitor.required - keys
+        if missing:
+            raise EventError(f"line {line_no}: missing fields {sorted(missing)}")
+        raise EventError(f"line {line_no}: unknown fields {sorted(keys - monitor.allowed)}")
     try:
         return monitor.parse(record, flag_field(record, "arm"))
     except ValueError as exc:
@@ -125,32 +136,34 @@ def cmd_monitor(args) -> int:
     else:
         state = monitor.build(cfg)
 
-    already_crossed = state.ledger.crossed
+    ledger = state.ledger
+    already_crossed = ledger.crossed
+    step = state.step
+    progress_every = args.progress_every
+    checkpoint_every = args.checkpoint_every if args.checkpoint else 0
     stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         for line_no, line in enumerate(stream, start=1):
-            if not line.strip():
-                continue
-            if line_no <= position:
-                continue  # input replays the full stream; skip processed lines
+            if line_no <= position or not line.strip():
+                continue  # a resume replays the full stream; skip processed lines
             step_args = parse_event(monitor, line, line_no)
             try:
-                state.step(*step_args)
+                step(*step_args)
             except ValueError as exc:
                 raise EventError(f"line {line_no}: {exc}") from exc
             position = line_no
-            if state.ledger.crossed and not already_crossed:
+            if ledger.crossed and not already_crossed:
                 already_crossed = True
                 stamp = datetime.now(timezone.utc).isoformat()
-                print(f"CROSSED at event {state.ledger.crossed_at}: "
-                      f"e-value {state.ledger.wealth:.3f} >= {state.ledger.threshold:g} "
+                print(f"CROSSED at event {ledger.crossed_at}: "
+                      f"e-value {ledger.wealth:.3f} >= {ledger.threshold:g} "
                       f"[{stamp}]", file=sys.stderr)
+            if not (progress_every or checkpoint_every):
+                continue
             n_events = monitor.events(state)
-            if args.progress_every and n_events % args.progress_every == 0:
-                print(f"event {n_events}: e-value {state.ledger.wealth:.4g}",
-                      file=sys.stderr)
-            if (args.checkpoint and args.checkpoint_every
-                    and n_events % args.checkpoint_every == 0):
+            if progress_every and n_events % progress_every == 0:
+                print(f"event {n_events}: e-value {ledger.wealth:.4g}", file=sys.stderr)
+            if checkpoint_every and n_events % checkpoint_every == 0:
                 ckpt.write_checkpoint_file(args.checkpoint, variant, state, cfg, position)
     finally:
         if stream is not sys.stdin:
@@ -162,7 +175,7 @@ def cmd_monitor(args) -> int:
     _write_json(report)
     if args.report:
         _write_json(report, args.report)
-    return EXIT_CROSSED if state.ledger.crossed else EXIT_OK
+    return EXIT_CROSSED if ledger.crossed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,8 @@ class ContinuousState:
     def step(self, y: float, arm: int):
         """Consume one (outcome, arm) pair: bet if past burn-in, then record it.
 
-        Returns the settled WealthStep, or None during the no-bet window.
+        Returns the settled WealthStep when the state records steps; None
+        otherwise, and during the no-bet window.
         """
         if not math.isfinite(y):
             raise ValueError(f"outcome must be finite, got {y!r}")

@@ -41,13 +41,9 @@ class RampSchedule:
 
     def coefficient(self, i: int) -> float:
         """Betting strength in [0, 1] at 1-based observation index ``i``."""
-        return ramp_coefficient(i, self)
-
-
-def ramp_coefficient(i: int, sched: RampSchedule) -> float:
-    if i < 1:
-        raise ValueError(f"observation index must be >= 1, got {i}")
-    return min(1.0, max(0.0, (i - sched.burn_in) / sched.ramp))
+        if i < 1:
+            raise ValueError(f"observation index must be >= 1, got {i}")
+        return min(1.0, max(0.0, (i - self.burn_in) / self.ramp))
 
 
 def _exp_wealth(log_wealth: float) -> float:
@@ -113,8 +109,12 @@ class WealthLedger:
     def wealth(self) -> float:
         return _exp_wealth(self.log_wealth)
 
-    def apply(self, wager: float, multiplier: float, index: int) -> WealthStep:
-        """Multiply wealth by a realized payout and update the crossed latch."""
+    def apply(self, wager: float, multiplier: float, index: int) -> WealthStep | None:
+        """Multiply wealth by a realized payout and update the crossed latch.
+
+        Returns the step's ledger row when ``record_steps`` is set, else None:
+        a live monitor keeps no rows, so it builds none.
+        """
         if not (multiplier > 0.0 and math.isfinite(multiplier)):
             raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
         self.log_wealth += math.log(multiplier)
@@ -122,13 +122,15 @@ class WealthLedger:
         if not self.crossed and self.log_wealth >= self.log_threshold:
             self.crossed = True
             self.crossed_at = index
+        if not self.record_steps:
+            return None
         step = WealthStep(index, wager, multiplier, self.log_wealth, self.crossed)
-        if self.record_steps:
-            self.steps.append(step)
+        self.steps.append(step)
         return step
 
 
-def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float, index: int) -> WealthStep:
+def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float,
+              index: int) -> WealthStep | None:
     """Settle a two-sided wager against the revealed arm.
 
     ``wager`` is the fraction staked on arm 1 (allocation probability ``p``);
@@ -142,7 +144,8 @@ def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float, index: int
     return ledger.apply(wager, multiplier, index)
 
 
-def apply_signed_bet(ledger: WealthLedger, bet: float, score: float, index: int) -> WealthStep:
+def apply_signed_bet(ledger: WealthLedger, bet: float, score: float,
+                     index: int) -> WealthStep | None:
     """Settle a signed bet on a zero-mean score: payout ``1 + bet * score``.
 
     Requires ``|bet * score| < 1`` so the payout stays positive.

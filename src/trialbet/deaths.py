@@ -92,7 +92,10 @@ class DeathsState:
         return 0.5
 
     def step(self, arm: int):
-        """Consume one death: bet on its arm at the fair-coin null, then count it."""
+        """Consume one death: bet on its arm at the fair-coin null, then count it.
+
+        Returns the settled WealthStep when the state records steps, else None.
+        """
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = self.total + 1

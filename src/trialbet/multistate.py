@@ -148,12 +148,15 @@ class MultistateState:
         return min(WAGER_MAX, max(WAGER_MIN, lam))
 
     def step(self, from_state: str, to_state: str, arm: int):
-        """Consume one transition: classify, bet on the arm, then update counts."""
+        """Consume one transition: classify, bet on the arm, then update counts.
+
+        Returns the settled WealthStep when the state records steps, else None.
+        """
         is_good = classify(from_state, to_state, self.model)
         return self.step_classified(is_good, arm)
 
     def step_classified(self, is_good: bool, arm: int):
-        """Consume a transition already classified good/bad."""
+        """Consume a transition already classified good/bad; returns as ``step``."""
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = self.total + 1

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..deaths import death_coin
-from . import batch, generators
+from . import batch
 from .scenario import SIM_VARIANTS, OperatingCharacteristics, SimScenario, normalize_params
 from .sizing import size_logrank, size_t_test, size_two_proportion
 from .strategies import BettingStrategy
@@ -67,13 +67,18 @@ def _bet_blocks(sim, prepared, params: dict, alpha: float):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def _replay(sim, trials, params: dict, alpha: float):
+    """(first crossing, final log-e, stream length) per trial, replayed in blocks."""
+    return _bet_blocks(sim, (sim.prepare(block, params) for block in _blocks(trials)), params,
+                       alpha)
+
+
 def _run_range(scenario: SimScenario, start: int, stop: int):
     """Replications [start, stop); returns (crossing, final_log_e, stream_len) arrays."""
     sim = SIM_VARIANTS[scenario.variant]
     p = scenario.params
     trials = (sim.generate(rep_rng(scenario.seed, rep), p) for rep in range(start, stop))
-    return _bet_blocks(sim, (sim.prepare(block, p) for block in _blocks(trials)), p,
-                       scenario.alpha)
+    return _replay(sim, trials, p, scenario.alpha)
 
 
 def _chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
@@ -152,29 +157,31 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
 
     The binary monitor sees every patient; the deaths-only monitor sees just
     the arm labels of patients with events, in enrollment order.  Each
-    baseline is sized for the frequentist two-proportion design at ``power``.
+    baseline is sized for the frequentist two-proportion design at ``power``;
+    its trials are drawn through the binary scenario row, replication ``r``
+    of baseline ``b_idx`` from ``rep_rng(seed, b_idx * n_sims + r)``, and
+    both monitors replay them in blocks.
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
+    binary, deaths = SIM_VARIANTS["binary"], SIM_VARIANTS["deaths"]
     rows = []
     for b_idx, baseline in enumerate(baselines):
         p_trt = baseline - arr
         n_pat = size_two_proportion(baseline, p_trt, power, alpha)
         coin = death_coin(baseline, p_trt)
-        bin_hits = 0
-        death_hits = 0
-        total_deaths = 0
-        for rep in range(n_sims):
-            rng = rep_rng(seed, b_idx * n_sims + rep)
-            t, y = generators.binary_trial(rng, n_pat, p_trt, baseline)
-            logw_bin = batch.binary_log_wealth(t, y)
-            if batch.first_crossing(logw_bin, alpha) is not None:
-                bin_hits += 1
-            death_arms = t[y == 1]
-            total_deaths += death_arms.size
-            logw_d = batch.deaths_log_wealth(death_arms)
-            if logw_d.size and batch.first_crossing(logw_d, alpha) is not None:
-                death_hits += 1
+        params = normalize_params("binary", {"n_patients": n_pat, "p_ctrl": baseline,
+                                             "p_trt": p_trt})
+        trials = [binary.generate(rep_rng(seed, b_idx * n_sims + rep), params)
+                  for rep in range(n_sims)]
+        bin_cross = _replay(binary, trials, params, alpha)[0]
+        # hits and death counts do not depend on trial order, so the death
+        # streams are replayed grouped by length, which fills the blocks
+        streams = sorted(((t[y == 1],) for t, y in trials), key=lambda d: len(d[0]))
+        death_cross, _, n_deaths = _replay(deaths, streams, deaths.defaults, alpha)
+        bin_hits = int(np.count_nonzero(~np.isnan(bin_cross)))
+        death_hits = int(np.count_nonzero(~np.isnan(death_cross)))
+        total_deaths = int(n_deaths.sum())
         bin_power = bin_hits / n_sims
         death_power = death_hits / n_sims
         delta = (death_power - bin_power) * 100.0

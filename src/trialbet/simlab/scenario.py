@@ -88,6 +88,22 @@ def _multistate_trial(rng, p):
     return trial.good, trial.arms
 
 
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = (lambda v: v > 0.0, "> 0")
+_POSITIVE_IF_SET = (lambda v: v is None or v > 0.0, "> 0 when set")
+
+
+def _ranges(**rules) -> Callable[[dict], None]:
+    """A check that refuses any named parameter outside its range: a trial
+    the generator cannot draw is refused, not reported as a result."""
+    def check(p) -> None:
+        for key, (ok, what) in rules.items():
+            if not ok(p[key]):
+                raise ValueError(f"{key} must be {what}, got {p[key]!r}")
+    return check
+
+
 def _check_multistate(p) -> None:
     if p["effect"] not in ("alternative", "null"):
         raise ValueError("multistate effect must be 'alternative' or 'null'")
@@ -104,12 +120,14 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         bet=lambda d, p: batch.binary_log_wealth(
             *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
         feed=lambda d, p: ({"p": p["p_alloc"]}, zip(d[1].tolist(), d[0].tolist())),
-        batch_only=("fixed_dev",)),
+        batch_only=("fixed_dev",),
+        check=_ranges(p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT)),
     "deaths": SimVariant(
         {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
         generate=lambda rng, p: (generators.death_stream(rng, p["n_deaths"], p["coin"]),),
         bet=lambda d, p: batch.deaths_log_wealth(*d, p["burn_in"], p["ramp"]),
-        feed=lambda d, p: ({}, zip(d[0].tolist()))),
+        feed=lambda d, p: ({}, zip(d[0].tolist())),
+        check=_ranges(coin=_UNIT)),
     "continuous": SimVariant(
         {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
          "p_alloc": 0.5, **_monitor("continuous", "c_max"), "sign_only": False},
@@ -120,7 +138,8 @@ SIM_VARIANTS: dict[str, SimVariant] = {
             prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"]),
         feed=lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
                            zip(d[1].tolist(), d[0].tolist())),
-        batch_only=("sign_only",)),
+        batch_only=("sign_only",),
+        check=_ranges(sd=_POSITIVE, p_alloc=_OPEN_UNIT)),
     "survival": SimVariant(
         {"n_patients": _REQUIRED, "hr": 1.0, "shape": 1.2, "scale": 10.0,
          "censor_upper": None, "recruit_period": None,
@@ -132,7 +151,9 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         bet=lambda prep, p: batch.survival_bet(prep, p["burn_in"], p["ramp"],
                                                p["lambda_max"], p["bet_rule"]),
         feed=_feed_survival,
-        batch_only=("bet_rule",)),
+        batch_only=("bet_rule",),
+        check=_ranges(hr=_POSITIVE, shape=_POSITIVE, scale=_POSITIVE,
+                      censor_upper=_POSITIVE_IF_SET, recruit_period=_POSITIVE_IF_SET)),
     "multistate": SimVariant(
         {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
          "horizon": 28, "start": "ICU", **_monitor("multistate")},

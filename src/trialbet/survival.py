@@ -66,7 +66,9 @@ class SurvivalState:
     """Streaming state for the survival monitor; one instance per trial.
 
     Risk sets start at the full per-arm cohort sizes, which must be known
-    up front, and shrink by one for every record processed.
+    up front, and shrink by one for every record processed.  A record for
+    an arm whose risk set is already empty is refused: the cohort size was
+    wrong, so no later risk proportion, and no payout, would be fair.
     """
 
     risk_trt: int
@@ -108,12 +110,17 @@ class SurvivalState:
 
         Events settle the signed bet and then add their score increment to
         the cumulative log-rank score; censorings only shrink the risk set.
-        Returns the settled WealthStep, or None for a censored record.
+        Returns the settled WealthStep when the state records steps; None
+        otherwise, and for a censored record.
         """
         if record.time < self.last_time:
             raise ValueError(
                 f"stream not sorted: time {record.time} after {self.last_time}"
             )
+        if (self.risk_trt if record.arm == 1 else self.risk_ctrl) == 0:
+            arm = "treated" if record.arm == 1 else "control"
+            raise ValueError(f"{arm} risk set is exhausted: more {arm} records than "
+                             f"the {arm} cohort size")
         j = self.records_seen + 1
         step = None
         if record.status == 1:
@@ -122,9 +129,9 @@ class SurvivalState:
             step = apply_signed_bet(self.ledger, b, u, j)
             self.cum_z += u
         if record.arm == 1:
-            self.risk_trt = max(0, self.risk_trt - 1)
+            self.risk_trt -= 1
         else:
-            self.risk_ctrl = max(0, self.risk_ctrl - 1)
+            self.risk_ctrl -= 1
         self.records_seen = j
         self.last_time = record.time
         return step

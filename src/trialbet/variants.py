@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -38,6 +39,11 @@ class Monitor:
     report: Callable[[Any], dict]    # fields the report adds for this variant
     events: Callable[[Any], int]     # events the state has consumed
     running: tuple[str, ...] = ()    # options the state updates as events arrive
+
+    @cached_property
+    def allowed(self) -> frozenset[str]:
+        """Every NDJSON field an event may carry."""
+        return self.required | self.optional
 
     @property
     def defaults(self) -> dict[str, Any]:

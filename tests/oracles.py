@@ -10,13 +10,26 @@ beyond the bet rules themselves.
 ``day_horizon_distribution`` draws one arm's cohort through its daily
 transition matrix on its own, so the multistate generator's horizon states
 can be checked against it and against the matrix power.
+
+``parse_event`` and ``head_to_head_per_trial`` are the plain forms of two
+optimised paths, kept as the references those paths are compared against:
+``json.loads`` plus two set differences per NDJSON record, and one kernel
+call per trial and monitor in the deaths-vs-binary comparison.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
+from trialbet.cli import EventError
+from trialbet.deaths import death_coin
+from trialbet.simlab import batch, generators
+from trialbet.simlab.engine import rep_rng
+from trialbet.simlab.sizing import size_two_proportion
 from trialbet.survival import SurvivalRecord
+from trialbet.variants import flag_field
 
 
 def mean_final_wealth(make_state, apply_arm, k: int, p: float = 0.5) -> float:
@@ -74,3 +87,45 @@ def day_horizon_distribution(rng, n_patients: int, matrix, start: str = "ICU",
         states = np.minimum(drawn, n_states - 1).astype(np.int8)
     counts = np.bincount(states, minlength=len(model.states))
     return counts / n_patients
+
+
+def parse_event(monitor, line: str, line_no: int) -> tuple:
+    """One NDJSON record through ``json.loads`` and two set differences."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise EventError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise EventError(f"line {line_no}: record must be a JSON object")
+    missing = monitor.required - set(record)
+    if missing:
+        raise EventError(f"line {line_no}: missing fields {sorted(missing)}")
+    unknown = set(record) - monitor.required - monitor.optional
+    if unknown:
+        raise EventError(f"line {line_no}: unknown fields {sorted(unknown)}")
+    try:
+        return monitor.parse(record, flag_field(record, "arm"))
+    except ValueError as exc:
+        raise EventError(f"line {line_no}: {exc}") from exc
+
+
+def head_to_head_per_trial(baselines, arr: float, power: float, alpha: float,
+                           n_sims: int, seed: int) -> list[tuple]:
+    """(baseline, coin, N, mean deaths, binary power, deaths power) per baseline,
+    each trial drawn and replayed on its own."""
+    rows = []
+    for b_idx, baseline in enumerate(baselines):
+        p_trt = baseline - arr
+        n_pat = size_two_proportion(baseline, p_trt, power, alpha)
+        bin_hits = death_hits = total_deaths = 0
+        for rep in range(n_sims):
+            t, y = generators.binary_trial(rep_rng(seed, b_idx * n_sims + rep), n_pat,
+                                           p_trt, baseline)
+            bin_hits += batch.first_crossing(batch.binary_log_wealth(t, y), alpha) is not None
+            death_arms = t[y == 1]
+            total_deaths += death_arms.size
+            logw_d = batch.deaths_log_wealth(death_arms)
+            death_hits += bool(logw_d.size) and batch.first_crossing(logw_d, alpha) is not None
+        rows.append((baseline, death_coin(baseline, p_trt), n_pat, total_deaths / n_sims,
+                     bin_hits / n_sims, death_hits / n_sims))
+    return rows

@@ -346,7 +346,7 @@ def test_c13_engineering_guarantees():
         return [("step_classified", (bool(g), int(a)))
                 for g, a in zip(trial.good, trial.arms)]
 
-    def fresh_state(variant, rng_seed):
+    def fresh_state(variant, events):
         if variant == "binary":
             return BinaryState(sched=RampSchedule(20, 40), record_steps=False)
         if variant == "deaths":
@@ -354,7 +354,9 @@ def test_c13_engineering_guarantees():
         if variant == "continuous":
             return ContinuousState(sched=RampSchedule(20, 40), record_steps=False)
         if variant == "survival":
-            return SurvivalState(risk_trt=70, risk_ctrl=70, record_steps=False)
+            n_trt = sum(rec.arm for _, (rec,) in events)  # the stream's own cohort
+            return SurvivalState(risk_trt=n_trt, risk_ctrl=len(events) - n_trt,
+                                 record_steps=False)
         return MultistateState(record_steps=False)
 
     ckpt_ok = True
@@ -363,10 +365,10 @@ def test_c13_engineering_guarantees():
             rng = rep_rng(900 + trial_seed, trial_seed)
             events = fuzz_streams(variant, rng)
             cut = len(events) // 2
-            full = fresh_state(variant, trial_seed)
+            full = fresh_state(variant, events)
             for meth, args in events:
                 getattr(full, meth)(*args)
-            half = fresh_state(variant, trial_seed)
+            half = fresh_state(variant, events)
             for meth, args in events[:cut]:
                 getattr(half, meth)(*args)
             doc = dump_checkpoint(variant, half, {"fuzz": trial_seed}, cut)
@@ -380,13 +382,13 @@ def test_c13_engineering_guarantees():
     rng = rep_rng(901, 0)
     events = fuzz_streams("binary", rng)
     k = 70
-    full = fresh_state("binary", 0)
+    full = fresh_state("binary", events)
     snapshot = None
     for i, (meth, args) in enumerate(events, start=1):
         getattr(full, meth)(*args)
         if i == k:
             snapshot = encode_state(full)
-    prefix = fresh_state("binary", 0)
+    prefix = fresh_state("binary", events)
     for meth, args in events[:k]:
         getattr(prefix, meth)(*args)
     purity_ok = encode_state(prefix) == snapshot

@@ -120,6 +120,16 @@ class TestMonitor:
                                "--input", str(path))
         assert code == EXIT_ERROR and "--risk-trt" in err
 
+    def test_survival_exhausted_risk_set_refused(self, capsys, tmp_path):
+        """Ten treated events against a treated cohort of two: the third is refused."""
+        path = tmp_path / "s.ndjson"
+        write_ndjson(path, [{"time": float(k + 1), "status": 1, "arm": 1} for k in range(10)])
+        code, out, err = run_cli(capsys, "monitor", "--variant", "survival",
+                                 "--risk-trt", "2", "--risk-ctrl", "2", "--input", str(path))
+        assert code == EXIT_ERROR and out == ""
+        assert err.splitlines() == ["error: line 3: treated risk set is exhausted: "
+                                    "more treated records than the treated cohort size"]
+
     def test_survival_entry_time_offsets_clock(self, capsys, tmp_path):
         path = tmp_path / "surv.ndjson"
         write_ndjson(path, [
@@ -267,6 +277,14 @@ class TestSimulate:
         assert code == EXIT_ERROR
         assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
+    def test_impossible_trial_is_refused(self, capsys, tmp_path):
+        sc = tmp_path / "bad.json"
+        sc.write_text(json.dumps({"variant": "binary",
+                                  "params": {"n_patients": 50, "p_ctrl": 0.4, "p_trt": 1.2}}))
+        code, out, err = run_cli(capsys, "simulate", "--scenario", str(sc))
+        assert code == EXIT_ERROR and out == ""
+        assert err == "error: p_trt must be in [0, 1], got 1.2\n"
+
     def test_scenario_without_variant_names_the_field(self, capsys, tmp_path):
         sc = tmp_path / "bad.json"
         sc.write_text(json.dumps({"params": {}}))
@@ -335,6 +353,17 @@ def test_study_refuses_fewer_than_one_replication(capsys, command, sims):
     code, out, err = run_cli(capsys, *command, "--sims", sims)
     assert code == EXIT_ERROR
     assert err == "error: n_sims must be >= 1\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--variant", "survival", "--hr", "-0.5"], "hr must be > 0, got -0.5"),
+    (["--variant", "binary", "--arr", "0.45"], "p_trt must be in [0, 1], got -0.0"),
+])
+def test_wage_refuses_impossible_trials(capsys, argv, message):
+    """With --n given no sizing runs, so the scenario row's check refuses the effect."""
+    code, out, err = run_cli(capsys, "wage", *argv, "--n", "50", "--sims", "3")
+    assert code == EXIT_ERROR and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
 
 
 @pytest.mark.parametrize("variant,effect", [("binary", ["--arr", "0.05"]),

@@ -11,27 +11,26 @@ from trialbet.core import (
     apply_signed_bet,
     clamp_wager,
     martingale_audit,
-    ramp_coefficient,
 )
 
 
 class TestRampSchedule:
     def test_boundaries(self):
         sched = RampSchedule(burn_in=50, ramp=100)
-        assert ramp_coefficient(50, sched) == 0.0
-        assert ramp_coefficient(150, sched) == 1.0
-        assert ramp_coefficient(100, sched) == 0.5  # (100-50)/100, direct evaluation
-        assert ramp_coefficient(1, sched) == 0.0
-        assert ramp_coefficient(10_000, sched) == 1.0
+        assert sched.coefficient(50) == 0.0
+        assert sched.coefficient(150) == 1.0
+        assert sched.coefficient(100) == 0.5  # (100-50)/100, direct evaluation
+        assert sched.coefficient(1) == 0.0
+        assert sched.coefficient(10_000) == 1.0
 
     def test_monotone_piecewise_linear(self):
         sched = RampSchedule(burn_in=30, ramp=50)
-        values = [ramp_coefficient(i, sched) for i in range(1, 200)]
+        values = [sched.coefficient(i) for i in range(1, 200)]
         assert all(0.0 <= v <= 1.0 for v in values)
         assert all(b >= a for a, b in zip(values, values[1:]))
         # linear on the ramp segment
         for i in range(31, 80):
-            assert ramp_coefficient(i, sched) == pytest.approx((i - 30) / 50, abs=0)
+            assert sched.coefficient(i) == pytest.approx((i - 30) / 50, abs=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -39,7 +38,7 @@ class TestRampSchedule:
         with pytest.raises(ValueError):
             RampSchedule(10, 0)
         with pytest.raises(ValueError):
-            ramp_coefficient(0, RampSchedule(10, 10))
+            RampSchedule(10, 10).coefficient(0)
 
 
 class TestClampWager:

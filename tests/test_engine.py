@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from trialbet.simlab.engine import (
 )
 from trialbet.simlab.scenario import SimScenario
 from trialbet.simlab.strategies import BettingStrategy
+
+from oracles import head_to_head_per_trial
 
 
 def small_scenario(**over):
@@ -33,6 +36,24 @@ class TestScenario:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="unknown variant"):
             SimScenario("bayesian", {"n_patients": 10})
+
+    @pytest.mark.parametrize("variant,params,message", [
+        ("binary", {"n_patients": 10, "p_ctrl": 0.4, "p_trt": 1.2}, "p_trt must be in [0, 1]"),
+        ("binary", {"n_patients": 10, "p_ctrl": -0.1}, "p_ctrl must be in [0, 1]"),
+        ("binary", {"n_patients": 10, "p_ctrl": 0.4, "p_alloc": 1.0}, "p_alloc must be in (0, 1)"),
+        ("continuous", {"n_patients": 10, "sd": 0.0}, "sd must be > 0"),
+        ("continuous", {"n_patients": 10, "p_alloc": 0.0}, "p_alloc must be in (0, 1)"),
+        ("survival", {"n_patients": 10, "hr": -0.5}, "hr must be > 0"),
+        ("survival", {"n_patients": 10, "shape": 0.0}, "shape must be > 0"),
+        ("survival", {"n_patients": 10, "scale": float("nan")}, "scale must be > 0"),
+        ("survival", {"n_patients": 10, "censor_upper": 0.0}, "censor_upper must be > 0 when set"),
+        ("survival", {"n_patients": 10, "recruit_period": -1.0},
+         "recruit_period must be > 0 when set"),
+        ("deaths", {"n_deaths": 10, "coin": 1.5}, "coin must be in [0, 1]"),
+    ])
+    def test_impossible_trial_parameters_rejected(self, variant, params, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SimScenario(variant, params)
 
     def test_null_defaults(self):
         sc = SimScenario("binary", {"n_patients": 10, "p_ctrl": 0.4})
@@ -123,6 +144,14 @@ def test_head_to_head_smoke():
     for r in rows:
         assert 0.0 <= r.binary_power <= 1.0 and 0.0 <= r.deaths_power <= 1.0
         assert r.delta_pp == pytest.approx(100 * (r.deaths_power - r.binary_power))
+
+
+def test_head_to_head_matches_per_trial_replay():
+    """Block replay gives the per-trial loop's rows exactly."""
+    rows = head_to_head_deaths_vs_binary([0.10, 0.25, 0.40], n_sims=30, seed=4)
+    assert [(r.baseline, r.coin, r.n_patients, r.mean_deaths, r.binary_power,
+             r.deaths_power) for r in rows] == head_to_head_per_trial(
+        [0.10, 0.25, 0.40], arr=0.05, power=0.80, alpha=0.05, n_sims=30, seed=4)
 
 
 def test_wage_study_pairs_strategies_on_common_trials():

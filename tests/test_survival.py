@@ -94,6 +94,16 @@ class TestStep:
             st.step(SurvivalRecord(float(k), k % 2, arm))
             assert st.risk_trt + st.risk_ctrl == total_before - 1
 
+    @pytest.mark.parametrize("arm,name", [(1, "treated"), (0, "control")])
+    def test_record_for_an_exhausted_arm_is_refused(self, arm, name):
+        st = make_state(1, 1)
+        st.step(SurvivalRecord(1.0, 1, arm))
+        with pytest.raises(ValueError, match=f"^{name} risk set is exhausted"):
+            st.step(SurvivalRecord(2.0, 0, arm))
+        assert st.records_seen == 1 and (st.risk_trt, st.risk_ctrl) == (1 - arm, arm)
+        st.step(SurvivalRecord(2.0, 1, 1 - arm))  # the other arm is still at risk
+        assert (st.risk_trt, st.risk_ctrl) == (0, 0)
+
     def test_multipliers_bounded_by_cap(self):
         rng = np.random.default_rng(4)
         time, status, t, _ = survival_trial(rng, 200, hr=0.6)
