@@ -24,8 +24,6 @@ import sys
 from datetime import datetime, timezone
 
 from . import checkpoint as ckpt
-from .continuous import DEFAULT_C_MAX
-from .survival import DEFAULT_BET_CAP
 from .variants import MONITORS, SCHEMA_VERSION, Monitor, flag_field
 
 EXIT_OK = 0
@@ -72,13 +70,14 @@ def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
     """
     try:
         record, end = _DECODER.scan_once(line, 0)
-    except (StopIteration, ValueError):
+    except (StopIteration, ValueError, RecursionError):
         record = None
     if type(record) is not dict or line[end:].strip(" \t\n\r"):
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EventError(f"line {line_no}: invalid JSON ({exc.msg})") from exc
+        except (json.JSONDecodeError, RecursionError) as exc:
+            reason = getattr(exc, "msg", "nested too deeply")
+            raise EventError(f"line {line_no}: invalid JSON ({reason})") from exc
         if not isinstance(record, dict):
             raise EventError(f"line {line_no}: record must be a JSON object")
     keys = record.keys()
@@ -209,27 +208,25 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def cmd_power(args) -> int:
-    from .simlab import sizing
+def _refuse_unread(args, offered, read, what: str) -> None:
+    """Refuse any option of ``offered`` that was given but that ``what`` does not read."""
+    unread = [f"--{key.replace('_', '-')}" for key in dict.fromkeys(offered)
+              if key not in read and getattr(args, key) is not None]
+    if unread:
+        raise ValueError(f"{what} does not read {' or '.join(unread)}")
 
-    if args.variant in ("binary", "deaths") and (args.p1 is None or args.p2 is None):
-        raise ValueError(f"--p1 and --p2 are required for {args.variant} sizing")
-    if args.variant == "continuous" and args.d is None:
-        raise ValueError("--d is required for continuous sizing")
-    if args.variant == "survival" and args.hr is None:
-        raise ValueError("--hr is required for survival sizing")
-    if args.variant == "binary":
-        print(sizing.size_two_proportion(args.p1, args.p2, args.power, args.alpha))
-    elif args.variant == "continuous":
-        print(sizing.size_t_test(args.d, args.power, args.alpha))
-    elif args.variant == "survival":
-        print(sizing.size_logrank(args.hr, args.power, args.alpha))
-    else:  # deaths
-        design = sizing.deaths_design(args.p1, args.p2, args.power, args.alpha)
-        print(f"frequentist N       {design.n_freq}")
-        print(f"deaths-only N       {design.n_patients}")
-        print(f"expected deaths     {design.deaths_alt} (alt) / {design.deaths_null} (null)")
-        print(f"death coin          {design.coin:.3f}")
+
+def cmd_power(args) -> int:
+    from .simlab.scenario import SIM_VARIANTS
+
+    sim = SIM_VARIANTS[args.variant]
+    values = [getattr(args, key) for key in sim.size_flags]
+    if None in values:
+        raise ValueError(f"{' and '.join(f'--{key}' for key in sim.size_flags)} "
+                         f"{'are' if len(values) > 1 else 'is'} required for {args.variant} sizing")
+    _refuse_unread(args, [key for row in SIM_VARIANTS.values() for key in row.size_flags],
+                   sim.size_flags, f"{args.variant} sizing")
+    print(sim.size(*values, args.power, args.alpha))
     return EXIT_OK
 
 
@@ -239,6 +236,16 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _write_study(args, cls, key: str, rows: list) -> None:
+    """Write a study's ``rows`` of dataclass ``cls`` to ``--csv``, one column
+    per field, and to ``--json`` under ``key``."""
+    if args.csv:
+        _write_csv(args.csv, [f.name for f in dataclasses.fields(cls)],
+                   [list(vars(r).values()) for r in rows])
+    if args.json:
+        _write_json({"schema": SCHEMA_VERSION, key: [vars(r) for r in rows]}, args.json)
 
 
 def cmd_compare(args) -> int:
@@ -254,55 +261,40 @@ def cmd_compare(args) -> int:
         print(f"{r.baseline:8.2f} {r.coin:6.3f} {r.n_patients:6d} {r.mean_deaths:7.1f} "
               f"{100 * r.binary_power:6.1f}% {100 * r.deaths_power:10.1f}% "
               f"{r.delta_pp:+6.1f}pp  {r.winner}")
-    if args.csv:
-        _write_csv(args.csv,
-                   ["baseline", "coin", "n_patients", "mean_deaths",
-                    "binary_power", "deaths_power", "delta_pp", "winner"],
-                   [[r.baseline, r.coin, r.n_patients, r.mean_deaths,
-                     r.binary_power, r.deaths_power, r.delta_pp, r.winner] for r in rows])
-    if args.json:
-        _write_json({"schema": SCHEMA_VERSION, "rows": [r.__dict__ for r in rows]}, args.json)
+    _write_study(args, engine.HeadToHeadRow, "rows", rows)
     return EXIT_OK
 
 
 def _wage_setup(args):
+    """The effects and strategies ``wage`` compares, from the variant's row."""
+    from .simlab.scenario import SIM_VARIANTS
     from .simlab.strategies import BettingStrategy
 
-    # n stays None unless --n is given: each effect then runs at its own
-    # frequentist design size, the convention the comparisons calibrate to
-    if args.variant == "survival":
-        effects = [float(x) for x in args.hr.split(",")]
-        fixed = args.fixed if args.fixed is not None else DEFAULT_BET_CAP
-        strategies = [BettingStrategy("fixed", fixed), BettingStrategy("half-kelly")]
-    elif args.variant == "binary":
-        effects = [float(x) for x in args.arr.split(",")]
-        fixed = args.fixed if args.fixed is not None else 0.10
-        strategies = [BettingStrategy("adaptive"), BettingStrategy("fixed", fixed)]
-    else:
-        effects = [float(x) for x in args.d.split(",")]
-        strategies = [BettingStrategy("adaptive"), BettingStrategy("sign-only", args.sign_c)]
-    return effects, args.n, strategies
+    wage = SIM_VARIANTS[args.variant].wage
+    _refuse_unread(args, [key for row in SIM_VARIANTS.values() if row.wage
+                          for key in row.wage.flags], wage.flags, f"the {args.variant} wage study")
+    given = vars(args)
+    effects = ([wage.default] if given[wage.flag] is None
+               else [float(x) for x in given[wage.flag].split(",")])
+    return effects, [BettingStrategy(kind, rule.default if given.get(rule.flag) is None
+                                     else given[rule.flag])
+                     for kind, rule in wage.strategies.items()]
 
 
 def cmd_wage(args) -> int:
     from .simlab import engine
 
-    effects, n, strategies = _wage_setup(args)
-    cells = engine.wage_study(args.variant, strategies, effects, n,
+    effects, strategies = _wage_setup(args)
+    # n stays None unless --n is given: each effect then runs at its own
+    # frequentist design size, the convention the comparisons calibrate to
+    cells = engine.wage_study(args.variant, strategies, effects, args.n,
                               n_sims=args.sims, alpha=args.alpha, seed=args.seed)
     print(f"{'effect':>8} {'strategy':>16} {'power':>7} {'median E':>10} {'med cross':>10}")
     for c in cells:
         cross = "-" if c.median_crossing is None else f"{c.median_crossing:.0f}"
         print(f"{c.effect:8.2f} {c.strategy:>16} {100 * c.power:6.1f}% "
               f"{c.median_final_e:10.3g} {cross:>10}")
-    if args.csv:
-        _write_csv(args.csv,
-                   ["variant", "strategy", "effect", "n_patients", "n_sims",
-                    "power", "se", "median_final_e", "median_crossing"],
-                   [[c.variant, c.strategy, c.effect, c.n_patients, c.n_sims,
-                     c.power, c.se, c.median_final_e, c.median_crossing] for c in cells])
-    if args.json:
-        _write_json({"schema": SCHEMA_VERSION, "cells": [c.__dict__ for c in cells]}, args.json)
+    _write_study(args, engine.WageCell, "cells", cells)
     return EXIT_OK
 
 
@@ -456,12 +448,13 @@ def build_parser() -> argparse.ArgumentParser:
     wage = sub.add_parser("wage", help="fixed vs adaptive wager comparison")
     wage.add_argument("--variant", required=True,
                       choices=["survival", "binary", "continuous"])
-    wage.add_argument("--hr", default="0.80")
-    wage.add_argument("--arr", default="0.05")
-    wage.add_argument("--d", default="0.20")
+    # effects and strategy values default to None: the variant's row fills them
+    wage.add_argument("--hr", default=None)
+    wage.add_argument("--arr", default=None)
+    wage.add_argument("--d", default=None)
     wage.add_argument("--n", type=int, default=None)
     wage.add_argument("--fixed", type=float, default=None)
-    wage.add_argument("--sign-c", type=float, default=DEFAULT_C_MAX)
+    wage.add_argument("--sign-c", type=float, default=None)
     wage.add_argument("--sims", type=int, default=1000)
     wage.add_argument("--alpha", type=float, default=0.05)
     wage.add_argument("--seed", type=int, default=0)
@@ -488,7 +481,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

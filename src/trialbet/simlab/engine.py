@@ -22,10 +22,10 @@ import numpy as np
 from ..deaths import death_coin
 from . import batch
 from .scenario import SIM_VARIANTS, OperatingCharacteristics, SimScenario, normalize_params
-from .sizing import size_logrank, size_t_test, size_two_proportion
 from .strategies import BettingStrategy
 
 _E_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
+DESIGN_POWER = 0.80  # the power a wage study sizes each effect's trials for
 _BLOCK_OBS = 4096  # observations per replay block; larger blocks add memory more than speed
 
 
@@ -168,7 +168,7 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
     rows = []
     for b_idx, baseline in enumerate(baselines):
         p_trt = baseline - arr
-        n_pat = size_two_proportion(baseline, p_trt, power, alpha)
+        n_pat = binary.size(baseline, p_trt, power, alpha)
         coin = death_coin(baseline, p_trt)
         params = normalize_params("binary", {"n_patients": n_pat, "p_ctrl": baseline,
                                              "p_trt": p_trt})
@@ -179,14 +179,11 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
         # streams are replayed grouped by length, which fills the blocks
         streams = sorted(((t[y == 1],) for t, y in trials), key=lambda d: len(d[0]))
         death_cross, _, n_deaths = _replay(deaths, streams, deaths.defaults, alpha)
-        bin_hits = int(np.count_nonzero(~np.isnan(bin_cross)))
-        death_hits = int(np.count_nonzero(~np.isnan(death_cross)))
-        total_deaths = int(n_deaths.sum())
-        bin_power = bin_hits / n_sims
-        death_power = death_hits / n_sims
+        bin_power = int(np.count_nonzero(~np.isnan(bin_cross))) / n_sims
+        death_power = int(np.count_nonzero(~np.isnan(death_cross))) / n_sims
         delta = (death_power - bin_power) * 100.0
         winner = "deaths" if delta > 1.0 else ("binary" if delta < -1.0 else "tied")
-        rows.append(HeadToHeadRow(baseline, coin, n_pat, total_deaths / n_sims,
+        rows.append(HeadToHeadRow(baseline, coin, n_pat, int(n_deaths.sum()) / n_sims,
                                   bin_power, death_power, delta, winner))
     return rows
 
@@ -206,31 +203,15 @@ class WageCell:
     median_crossing: float | None
 
 
-def _wage_params(variant: str, effect: float, n_patients: int | None, power: float,
-                 alpha: float, p_ctrl: float, sd: float, shape: float,
-                 scale: float) -> dict:
-    """Scenario parameters of one wage cell's trials; ``n_patients`` None sizes them."""
-    if variant == "survival":
-        n = size_logrank(effect, power, alpha) if n_patients is None else n_patients
-        return {"n_patients": n, "hr": effect, "shape": shape, "scale": scale}
-    if variant == "binary":
-        n = (size_two_proportion(p_ctrl, p_ctrl - effect, power, alpha)
-             if n_patients is None else n_patients)
-        return {"n_patients": n, "p_ctrl": p_ctrl, "p_trt": p_ctrl - effect}
-    n = size_t_test(effect, power, alpha) if n_patients is None else n_patients
-    return {"n_patients": n, "mu_trt": effect, "sd": sd}
-
-
 def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
-               n_sims: int = 1000, alpha: float = 0.05, seed: int = 0,
-               p_ctrl: float = 0.40, sd: float = 1.0, shape: float = 1.2,
-               scale: float = 10.0, design_power: float = 0.80) -> list[WageCell]:
+               n_sims: int = 1000, alpha: float = 0.05, seed: int = 0) -> list[WageCell]:
     """Compare betting strategies cell by cell on common simulated trials.
 
     ``effects`` are true hazard ratios (survival), true absolute risk
-    reductions (binary, against ``p_ctrl``), or true standardized mean
-    differences (continuous).  With ``n_patients=None`` each effect runs at
-    its own frequentist design size at ``design_power`` (the convention the
+    reductions (binary, from a 0.40 control rate), or true standardized mean
+    differences (continuous): the variant row's ``wage.trial`` turns each
+    into scenario parameters.  With ``n_patients=None`` each effect runs at
+    its own frequentist design size at ``DESIGN_POWER`` (the convention the
     strategy comparisons are calibrated against); pass an explicit
     ``n_patients`` to hold the trial size fixed across effects.  Within one
     effect, every strategy bets on the same trials, so cell contrasts are
@@ -240,35 +221,26 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     """
     if n_sims < 1:
         raise ValueError("n_sims must be >= 1")
-    strategies = [s if isinstance(s, BettingStrategy) else BettingStrategy(*s)
-                  for s in strategies]
-    for s in strategies:
-        s.validate(variant)
-    if variant not in ("survival", "binary", "continuous"):
-        raise ValueError(f"wage study does not cover variant {variant!r}")
+    replays = [(s.label(), s.params(variant)) for s in strategies]  # validated before sizing
     sim = SIM_VARIANTS[variant]
+    if sim.wage is None:
+        raise ValueError(f"wage study does not cover variant {variant!r}")
     cells = []
     for e_idx, effect in enumerate(effects):
-        params = normalize_params(variant, _wage_params(
-            variant, effect, n_patients, design_power, alpha, p_ctrl, sd, shape, scale))
+        trial = sim.wage.trial(effect)
+        n = sim.size(*trial.values(), DESIGN_POWER, alpha) if n_patients is None else n_patients
+        params = normalize_params(variant, {"n_patients": n, **trial})
         trials = (sim.generate(rep_rng(seed, e_idx * n_sims + rep), params)
                   for rep in range(n_sims))
         prepared = [sim.prepare(block, sim.defaults) for block in _blocks(trials)]
-        for s in strategies:
-            crossings, finals = _wage_bet(variant, s, prepared, alpha)
+        for label, replay in replays:
+            crossings, finals = _bet_blocks(sim, prepared, replay, alpha)[:2]
             hits = crossings[~np.isnan(crossings)]
             power = hits.size / n_sims
-            cells.append(WageCell(
-                variant=variant,
-                strategy=s.label(),
-                effect=effect,
-                n_patients=params["n_patients"],
-                n_sims=n_sims,
-                power=power,
-                se=math.sqrt(power * (1.0 - power) / n_sims),
-                median_final_e=_exp(np.median(finals)),
-                median_crossing=float(np.median(hits)) if hits.size else None,
-            ))
+            cells.append(WageCell(variant, label, effect, params["n_patients"], n_sims, power,
+                                  math.sqrt(power * (1.0 - power) / n_sims),
+                                  _exp(np.median(finals)),
+                                  float(np.median(hits)) if hits.size else None))
     return cells
 
 
@@ -276,14 +248,5 @@ def _wage_evaluate(variant: str, strategy: BettingStrategy, trials, alpha: float
     """Replay every trial under one strategy, as the wage study does; returns
     (first crossing or NaN, final log-e) arrays in trial order."""
     sim = SIM_VARIANTS[variant]
-    return _wage_bet(variant, strategy,
-                     [sim.prepare(block, sim.defaults) for block in _blocks(trials)], alpha)
-
-
-def _wage_bet(variant: str, strategy: BettingStrategy, prepared, alpha: float):
-    """(first crossing, final log-e) per trial of prepared blocks under one
-    strategy: the variant's bet, run with its default parameters overridden
-    by the strategy's."""
-    sim = SIM_VARIANTS[variant]
-    params = {**sim.defaults, **strategy.params(variant)}
-    return _bet_blocks(sim, prepared, params, alpha)[:2]
+    prepared = [sim.prepare(block, sim.defaults) for block in _blocks(trials)]
+    return _bet_blocks(sim, prepared, strategy.params(variant), alpha)[:2]

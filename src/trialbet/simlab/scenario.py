@@ -7,23 +7,25 @@ many workers execute them.
 
 ``SIM_VARIANTS`` holds, per variant, the scenario parameters with their
 defaults and what the lab does with a trial: draw it, replay it through the
-batch kernel (prepare, then bet), and feed it to the streaming monitor.  The
-engine, the wage study and trajectory exports all go through it; adding a
-variant is one row here and one in ``trialbet.variants``, whose schedule and
-wager-cap defaults the rows below reuse.
+batch kernel (prepare, then bet), and feed it to the streaming monitor; and
+its design facts: the calculator that sizes a trial, and what the wage study
+compares.  The engine, the studies, ``power`` and trajectory exports all go
+through it; adding a variant is one row here and one in ``trialbet.variants``,
+whose schedule and wager-cap defaults the rows below reuse.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
+from ..continuous import DEFAULT_C_MAX
 from ..multistate import CONTROL_DAILY, TREATMENT_DAILY, TransitionMatrix
-from ..survival import SurvivalRecord
+from ..survival import DEFAULT_BET_CAP, SurvivalRecord
 from ..variants import MONITORS, SCHEMA_VERSION
-from . import batch, generators
+from . import batch, generators, sizing
 
 _REQUIRED: Any = object()  # marks a parameter without a default
 
@@ -31,6 +33,29 @@ _REQUIRED: Any = object()  # marks a parameter without a default
 def _alias(default) -> bool:
     """A default of "=key" takes the value of parameter ``key``."""
     return isinstance(default, str) and default.startswith("=")
+
+
+class Strategy(NamedTuple):
+    """A wager rule the wage study compares."""
+
+    params: Callable[[float | None], dict]  # the scenario parameters it sets from its value
+    default: float | None = None            # the value ``wage`` runs without ``flag``
+    flag: str | None = None                 # the ``wage`` option that sets the value
+
+
+class Wage(NamedTuple):
+    """What the wage study compares on a variant."""
+
+    flag: str                        # the ``wage`` option that lists the effects
+    default: float                   # the effect run without it
+    trial: Callable[[float], dict]   # one effect's scenario parameters; their values lead the
+                                     # arguments of the row's ``size`` when a trial is sized
+    strategies: dict[str, Strategy]  # the wager rules by kind, in the order ``wage`` reports
+
+    @property
+    def flags(self) -> tuple[str, ...]:
+        """Every ``wage`` option this variant's study reads."""
+        return (self.flag, *(s.flag for s in self.strategies.values() if s.flag))
 
 
 @dataclass(frozen=True)
@@ -57,6 +82,9 @@ class SimVariant:
     step: str = "step"       # the state method ``feed``'s arguments go to
     batch_only: tuple[str, ...] = ()  # wager rules the streaming monitor lacks
     check: Callable[[dict], None] = lambda params: None
+    size: Callable | None = None      # design calculator: size(*flag values, power, alpha)
+    size_flags: tuple[str, ...] = ()  # the ``power`` options that lead its arguments
+    wage: Wage | None = None
 
     @property
     def defaults(self) -> dict[str, Any]:
@@ -92,6 +120,7 @@ _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _POSITIVE = (lambda v: v > 0.0, "> 0")
 _POSITIVE_IF_SET = (lambda v: v is None or v > 0.0, "> 0 when set")
+_ADAPTIVE = Strategy(lambda v: {})  # the variant's own wager: its defaults unchanged
 
 
 def _ranges(**rules) -> Callable[[dict], None]:
@@ -121,13 +150,19 @@ SIM_VARIANTS: dict[str, SimVariant] = {
             *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
         feed=lambda d, p: ({"p": p["p_alloc"]}, zip(d[1].tolist(), d[0].tolist())),
         batch_only=("fixed_dev",),
-        check=_ranges(p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT)),
+        check=_ranges(p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT),
+        size=sizing.size_two_proportion, size_flags=("p1", "p2"),
+        # effects are absolute risk reductions from a 0.40 control rate
+        wage=Wage("arr", 0.05, lambda e: {"p_ctrl": 0.40, "p_trt": 0.40 - e},
+                  {"adaptive": _ADAPTIVE,
+                   "fixed": Strategy(lambda v: {"fixed_dev": -abs(v)}, 0.10, "fixed")})),
     "deaths": SimVariant(
         {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
         generate=lambda rng, p: (generators.death_stream(rng, p["n_deaths"], p["coin"]),),
         bet=lambda d, p: batch.deaths_log_wealth(*d, p["burn_in"], p["ramp"]),
         feed=lambda d, p: ({}, zip(d[0].tolist())),
-        check=_ranges(coin=_UNIT)),
+        check=_ranges(coin=_UNIT),
+        size=sizing.deaths_design, size_flags=("p1", "p2")),
     "continuous": SimVariant(
         {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
          "p_alloc": 0.5, **_monitor("continuous", "c_max"), "sign_only": False},
@@ -139,7 +174,11 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         feed=lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
                            zip(d[1].tolist(), d[0].tolist())),
         batch_only=("sign_only",),
-        check=_ranges(sd=_POSITIVE, p_alloc=_OPEN_UNIT)),
+        check=_ranges(sd=_POSITIVE, p_alloc=_OPEN_UNIT),
+        size=sizing.size_t_test, size_flags=("d",),
+        wage=Wage("d", 0.20, lambda e: {"mu_trt": e},  # sd 1: the effect is Cohen's d
+                  {"adaptive": _ADAPTIVE, "sign-only": Strategy(
+                      lambda v: {"c_max": v, "sign_only": True}, DEFAULT_C_MAX, "sign_c")})),
     "survival": SimVariant(
         {"n_patients": _REQUIRED, "hr": 1.0, "shape": 1.2, "scale": 10.0,
          "censor_upper": None, "recruit_period": None,
@@ -153,7 +192,11 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         feed=_feed_survival,
         batch_only=("bet_rule",),
         check=_ranges(hr=_POSITIVE, shape=_POSITIVE, scale=_POSITIVE,
-                      censor_upper=_POSITIVE_IF_SET, recruit_period=_POSITIVE_IF_SET)),
+                      censor_upper=_POSITIVE_IF_SET, recruit_period=_POSITIVE_IF_SET),
+        size=sizing.size_logrank, size_flags=("hr",),
+        wage=Wage("hr", 0.80, lambda e: {"hr": e},
+                  {"fixed": Strategy(lambda v: {"lambda_max": v}, DEFAULT_BET_CAP, "fixed"),
+                   "half-kelly": Strategy(lambda v: {"bet_rule": "half_kelly"})})),
     "multistate": SimVariant(
         {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
          "horizon": 28, "start": "ICU", **_monitor("multistate")},

@@ -89,6 +89,12 @@ class DeathsDesign:
     deaths_alt: int      # expected deaths under the alternative
     coin: float          # death-coin probability under the alternative
 
+    def __str__(self) -> str:
+        return (f"frequentist N       {self.n_freq}\n"
+                f"deaths-only N       {self.n_patients}\n"
+                f"expected deaths     {self.deaths_alt} (alt) / {self.deaths_null} (null)\n"
+                f"death coin          {self.coin:.3f}")
+
 
 def deaths_design(p_ctrl: float, p_trt: float, power: float = 0.80,
                   alpha: float = 0.05, inflation: float = DEATHS_INFLATION) -> DeathsDesign:

@@ -10,16 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# A strategy is a set of scenario parameters for its variant's replay, built
-# from the strategy's value; ``adaptive`` keeps the variant's own defaults.
-_PARAMS_BY_VARIANT = {
-    "survival": {"fixed": lambda v: {"lambda_max": v},
-                 "half-kelly": lambda v: {"bet_rule": "half_kelly"}},
-    "binary": {"adaptive": lambda v: {},
-               "fixed": lambda v: {"fixed_dev": -abs(v)}},
-    "continuous": {"adaptive": lambda v: {},
-                   "sign-only": lambda v: {"c_max": v, "sign_only": True}},
-}
+from .scenario import SIM_VARIANTS
 
 
 @dataclass(frozen=True)
@@ -41,20 +32,23 @@ class BettingStrategy:
     value: float | None = None
 
     def validate(self, variant: str) -> None:
-        allowed = _PARAMS_BY_VARIANT.get(variant)
-        if allowed is None:
+        sim = SIM_VARIANTS.get(variant)
+        if sim is None or sim.wage is None:
             raise ValueError(f"no strategies defined for variant {variant!r}")
+        allowed = sim.wage.strategies
         if self.kind not in allowed:
             raise ValueError(f"strategy {self.kind!r} not available for {variant} "
                              f"(expected one of {sorted(allowed)})")
-        if self.kind in ("fixed", "sign-only"):
+        if allowed[self.kind].default is not None:  # a rule that takes a value
             if self.value is None or not 0.0 < self.value < 1.0:
                 raise ValueError(f"strategy {self.kind!r} needs a value in (0,1)")
 
     def params(self, variant: str) -> dict:
-        """The scenario parameters this strategy sets for ``variant``'s replay."""
+        """The scenario parameters of ``variant``'s replay under this strategy:
+        the row's defaults, overridden by those the strategy sets."""
         self.validate(variant)
-        return _PARAMS_BY_VARIANT[variant][self.kind](self.value)
+        sim = SIM_VARIANTS[variant]
+        return {**sim.defaults, **sim.wage.strategies[self.kind].params(self.value)}
 
     def label(self) -> str:
         if self.value is None:

@@ -294,29 +294,46 @@ class TestSimulate:
 
 
 class TestPower:
+    """Exact stdout and error text of every variant's design calculator."""
+
     def test_binary(self, capsys):
-        code, out, _ = run_cli(capsys, "power", "--variant", "binary",
-                               "--p1", "0.40", "--p2", "0.35", "--power", "0.80")
-        assert code == EXIT_OK and out.strip() == "2942"
+        code, out, err = run_cli(capsys, "power", "--variant", "binary",
+                                 "--p1", "0.40", "--p2", "0.35", "--power", "0.80")
+        assert (code, out, err) == (EXIT_OK, "2942\n", "")
 
     def test_continuous(self, capsys):
-        _, out, _ = run_cli(capsys, "power", "--variant", "continuous",
-                            "--d", "0.40", "--power", "0.80")
-        assert out.strip() == "200"
+        code, out, err = run_cli(capsys, "power", "--variant", "continuous",
+                                 "--d", "0.40", "--power", "0.80")
+        assert (code, out, err) == (EXIT_OK, "200\n", "")
 
     def test_survival(self, capsys):
-        _, out, _ = run_cli(capsys, "power", "--variant", "survival",
-                            "--hr", "0.80", "--power", "0.80")
-        assert out.strip() == "631"
+        code, out, err = run_cli(capsys, "power", "--variant", "survival",
+                                 "--hr", "0.80", "--power", "0.80")
+        assert (code, out, err) == (EXIT_OK, "631\n", "")
 
     def test_deaths(self, capsys):
-        _, out, _ = run_cli(capsys, "power", "--variant", "deaths",
-                            "--p1", "0.25", "--p2", "0.15")
-        assert "1250" in out and "0.375" in out
+        code, out, err = run_cli(capsys, "power", "--variant", "deaths",
+                                 "--p1", "0.25", "--p2", "0.15")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == ("frequentist N       500\n"
+                       "deaths-only N       1250\n"
+                       "expected deaths     250 (alt) / 313 (null)\n"
+                       "death coin          0.375\n")
 
     def test_missing_args(self, capsys):
-        code, _, err = run_cli(capsys, "power", "--variant", "binary")
-        assert code == EXIT_ERROR and "--p1" in err
+        code, out, err = run_cli(capsys, "power", "--variant", "binary")
+        assert (code, out, err) == (EXIT_ERROR, "",
+                                    "error: --p1 and --p2 are required for binary sizing\n")
+
+    @pytest.mark.parametrize("argv,message", [
+        (["binary", "--p1", "0.4"], "--p1 and --p2 are required for binary sizing"),
+        (["deaths", "--p2", "0.15"], "--p1 and --p2 are required for deaths sizing"),
+        (["continuous"], "--d is required for continuous sizing"),
+        (["survival", "--p1", "0.5"], "--hr is required for survival sizing"),
+    ])
+    def test_missing_flag_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "power", "--variant", *argv)
+        assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
 
 
 def test_compare_smoke(capsys, tmp_path):
@@ -380,6 +397,75 @@ def test_wage_with_empty_trials(capsys, tmp_path, variant, effect):
     for cell in cells:
         assert cell["n_patients"] == 0 and cell["power"] == 0.0
         assert cell["median_final_e"] == 1.0 and cell["median_crossing"] is None
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["wage", "--variant", "binary", "--hr", "0.5", "--sims", "3"],
+     "the binary wage study does not read --hr"),
+    (["wage", "--variant", "continuous", "--fixed", "0.9", "--sims", "3"],
+     "the continuous wage study does not read --fixed"),
+    (["wage", "--variant", "survival", "--arr", "0.1", "--sign-c", "0.3", "--sims", "3"],
+     "the survival wage study does not read --arr or --sign-c"),
+    (["power", "--variant", "survival", "--hr", "0.8", "--p1", "0.5"],
+     "survival sizing does not read --p1"),
+    (["power", "--variant", "deaths", "--p1", "0.25", "--p2", "0.15", "--d", "0.3"],
+     "deaths sizing does not read --d"),
+])
+def test_option_the_variant_does_not_read_is_refused(capsys, argv, message):
+    """An effect or strategy option meant for another variant is refused, not ignored."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_ERROR, "", f"error: {message}\n")
+
+
+def _one_error_line(code: int, err: str) -> str:
+    assert code == EXIT_ERROR and "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+DEEP = "[" * 100_000  # nested past the interpreter's recursion limit
+
+
+def test_deeply_nested_event_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "deep.ndjson"
+    path.write_text('{"arm": 1}\n{"arm": ' + DEEP + "]" * len(DEEP) + "}\n")
+    code, out, err = run_cli(capsys, "monitor", "--variant", "deaths", "--input", str(path))
+    assert out == ""
+    assert _one_error_line(code, err) == "error: line 2: invalid JSON (nested too deeply)"
+
+
+def test_deeply_nested_scenario_is_one_error_line(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"variant": "binary", "params": ' + DEEP)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
+    assert out == ""
+    _one_error_line(code, err)
+
+
+def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_stream):
+    path, _, _ = binary_stream
+    ckpt_path = tmp_path / "ck.json"
+    ckpt_path.write_text('{"schema": 1, "state": ' + DEEP)
+    code, out, err = run_cli(capsys, "monitor", "--variant", "binary", "--input", str(path),
+                             "--checkpoint", str(ckpt_path), "--resume")
+    assert out == ""
+    _one_error_line(code, err)
+
+
+def test_variant_choices_are_the_rows_with_design_facts():
+    """``power`` and ``wage`` list their variants literally (the CLI imports no
+    simlab); the lists must be the rows with a calculator and with strategies."""
+    from trialbet.cli import build_parser
+    from trialbet.simlab.scenario import SIM_VARIANTS
+
+    commands = build_parser()._subparsers._group_actions[0].choices
+
+    def choices(command):
+        return {v for a in commands[command]._actions if a.dest == "variant" for v in a.choices}
+
+    assert choices("power") == {v for v, sim in SIM_VARIANTS.items() if sim.size}
+    assert choices("wage") == {v for v, sim in SIM_VARIANTS.items() if sim.wage}
 
 
 @pytest.mark.parametrize("variant,records,extra", [

@@ -168,6 +168,13 @@ def test_wage_study_rejects_bad_strategy():
         wage_study("binary", [BettingStrategy("half-kelly")], [0.05], 100)
 
 
+@pytest.mark.parametrize("strategies,message", [([BettingStrategy("fixed", 0.2)], "no strategies"),
+                                                ([], "does not cover")])
+def test_wage_study_refuses_a_variant_without_a_wage_row(strategies, message):
+    with pytest.raises(ValueError, match=message):
+        wage_study("deaths", strategies, [0.05], 100)
+
+
 def test_wage_study_sizes_per_effect_when_n_omitted():
     cells = wage_study("survival", [BettingStrategy("fixed", 0.25)],
                        effects=[0.70, 0.80], n_sims=5, seed=1)

@@ -19,6 +19,7 @@ WAGE_ARGS = {
     "binary": ["--arr", "0.05", "--n", "400", "--fixed", "0.08", "--sims", "40", "--seed", "5"],
     "survival": ["--hr", "0.7,0.8", "--sims", "30", "--seed", "1"],
 }
+COMPARE_ARGS = ["--baselines", "0.15,0.40", "--sims", "25", "--seed", "2"]
 SCENARIOS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multistate_alt",
              "survival_alt"]
 
@@ -39,3 +40,11 @@ def test_simulate_outputs_match_golden(capsys, tmp_path, stem):
     assert main(["simulate", "--scenario", str(ROOT / "scenarios" / f"{stem}.json"),
                  "--sims", "40", "--json", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"simulate_{stem}.json").read_bytes()
+
+
+def test_compare_outputs_match_golden(capsys, tmp_path):
+    out = tmp_path / "compare.json"
+    csv = tmp_path / "compare.csv"
+    assert main(["compare", *COMPARE_ARGS, "--json", str(out), "--csv", str(csv)]) == 0
+    assert out.read_bytes() == (GOLDEN / "compare.json").read_bytes()
+    assert csv.read_bytes() == (GOLDEN / "compare.csv").read_bytes()

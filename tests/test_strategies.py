@@ -5,7 +5,7 @@ from trialbet.simlab import batch
 from trialbet.simlab.engine import rep_rng
 from trialbet.simlab.generators import survival_trial
 from trialbet.simlab.scenario import SIM_VARIANTS, normalize_params
-from trialbet.simlab.strategies import _PARAMS_BY_VARIANT, BettingStrategy
+from trialbet.simlab.strategies import BettingStrategy
 
 
 class TestValidation:
@@ -76,15 +76,15 @@ _TRIAL_PARAMS = {"binary": {"n_patients": 300, "p_ctrl": 0.4, "p_trt": 0.3},
                  "continuous": {"n_patients": 300, "mu_trt": 0.3}}
 
 
-@pytest.mark.parametrize("variant,kind", [(v, kind) for v, kinds in _PARAMS_BY_VARIANT.items()
-                                          for kind in kinds])
+@pytest.mark.parametrize("variant,kind", [(v, kind) for v, sim in SIM_VARIANTS.items() if sim.wage
+                                          for kind in sim.wage.strategies])
 def test_strategy_never_changes_what_is_prepared(variant, kind):
     """The wage study prepares a trial once for all strategies, which holds only
     if no strategy parameter reaches ``prepare``."""
     sim = SIM_VARIANTS[variant]
     params = normalize_params(variant, _TRIAL_PARAMS[variant])
     strategy = BettingStrategy(kind, 0.3 if kind in ("fixed", "sign-only") else None)
-    overridden = {**sim.defaults, **strategy.params(variant)}
+    overridden = strategy.params(variant)
     for rep in range(3):
         data = sim.generate(rep_rng(5, rep), params)
         assert _same(sim.prepare(data, sim.defaults), sim.prepare(data, overridden))
@@ -94,7 +94,8 @@ def test_strategy_never_changes_what_is_prepared(variant, kind):
 def test_strategy_parameters_belong_to_their_variant(variant):
     """Every key a strategy sets is a scenario parameter of its variant, and
     every batch-only wager rule of the variant is reachable by some strategy."""
-    kinds = _PARAMS_BY_VARIANT.get(variant, {})
-    set_keys = {key for make in kinds.values() for key in make(0.3)}
+    wage = SIM_VARIANTS[variant].wage
+    rules = wage.strategies.values() if wage else ()
+    set_keys = {key for rule in rules for key in rule.params(0.3)}
     assert set_keys <= set(SIM_VARIANTS[variant].params)
     assert set(SIM_VARIANTS[variant].batch_only) <= set_keys
