@@ -9,10 +9,14 @@ from 0.5.  No bets are placed until ``burn_in`` past outcomes exist; wealth
 is carried forward unchanged through that window.
 
 The past outcomes are kept as a sorted multiset, so the median is an index
-lookup and the MAD a binary search (:func:`robust_center_scale`); one event
-costs O(log n) comparisons plus the O(n) memmove of ``bisect.insort``.  The
-streaming monitor and the batch replay in ``simlab.batch`` share this kernel,
-and both return the same floats as ``np.median`` over the unsorted history.
+lookup and the MAD a search for the window of outcomes nearest the median
+(:func:`robust_center_scale`).  The search gallops from where the previous
+prefix's window started, and an even count reads its second middle distance
+off that window's neighbours, so one event costs O(1) comparisons in the
+typical case (O(log n) at worst) plus the O(n) memmove of ``bisect.insort``.
+The streaming monitor and the batch replay in ``simlab.batch`` share this
+kernel, each carrying the start from prefix to prefix, and both return the
+same floats as ``np.median`` over the unsorted history whatever the start.
 """
 
 from __future__ import annotations
@@ -27,13 +31,27 @@ DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 DEFAULT_C_MAX = 0.6
 
 
-def robust_center_scale(s) -> tuple[float, float]:
-    """Median and raw MAD (no consistency constant) of past outcomes.
+def robust_center_scale(s, start: int = 0) -> tuple[float, float, int]:
+    """Median and raw MAD (no consistency constant) of past outcomes, and the
+    index the MAD search stopped at, to pass back as ``start`` next time.
 
     ``s`` must be sorted ascending.  The median is the middle element (the
-    mean of the middle pair for an even count); the MAD is the median of
-    ``|x - med|``, found by :func:`_nearest_window` without building the
-    distances.  Both equal ``np.median`` of the unsorted history bit for bit.
+    mean of the middle pair for an even count).  The MAD is the median of
+    ``|x - med|``, read off the window ``s[a:a+j]`` of the ``j = len(s) -
+    len(s) // 2`` outcomes nearest the median without building a distance.
+    Distances fall then rise along ``s``, so the predicate
+    ``s[a+j-1] - med >= med - s[a]`` (the right end bounds the window) is
+    monotone in ``a``, and its first true ``a`` is the same from any search
+    start.  The search gallops from the non-negative hint ``start`` (steps
+    1, 2, 4, ... outward, then bisection): O(1) when the window moved a
+    step or two since the hint, O(log n) at worst (shuffled ties can move it
+    by about n/4 at once).  At that ``a`` the right end bounds the window,
+    one step earlier the left end did, and the j-th distance is the smaller
+    of the two.  An even count averages in the (j+1)-th distance: the
+    nearer of that window's two outside neighbours.  ``med - x`` and
+    ``x - med`` are exact negatives in IEEE arithmetic, so each distance
+    equals ``abs(x - med)``, and both results equal ``np.median`` of the
+    unsorted history bit for bit, whatever ``start`` was.
 
     A zero or non-finite MAD falls back to scale 1 so standardization never
     degenerates (constant early histories are common).
@@ -42,38 +60,33 @@ def robust_center_scale(s) -> tuple[float, float]:
     if h == 0:
         raise ValueError("insufficient history: need at least one past outcome")
     mid = h // 2
-    if h % 2:
-        med = float(s[mid])
-        mad = _nearest_window(s, med, mid + 1)
+    w = h - mid - 1  # the window's last index minus its first
+    med = float(s[mid]) if h % 2 else (s[mid - 1] + s[mid]) / 2
+    # Gallop from start (steps 1, 2, 4, ... while in bounds), then bisect.  The
+    # first true a is in [lo, hi]; mid + 1 means none is, which happens only
+    # when the middle pair's sum overflows.
+    lo, hi = 0, mid + 1
+    a, step = (start if start < mid else mid), 1
+    while lo < hi:
+        if s[a + w] - med >= med - s[a]:
+            hi, a = a, a - step
+        else:
+            lo, a = a + 1, a + step
+        step += step
+        if not lo <= a < hi:
+            a = (lo + hi) // 2
+    if lo <= mid and (lo == 0 or s[lo + w] - med <= med - s[lo - 1]):
+        a, mad = lo, s[lo + w] - med
     else:
-        med = (s[mid - 1] + s[mid]) / 2
-        mad = (_nearest_window(s, med, mid) + _nearest_window(s, med, mid + 1)) / 2
+        a, mad = lo - 1, med - s[lo - 1]
+    if not h % 2:
+        if a == 0 or (a < mid and s[a + mid] - med <= med - s[a - 1]):
+            mad = (mad + (s[a + mid] - med)) / 2
+        else:
+            mad = (mad + (med - s[a - 1])) / 2
     if not math.isfinite(mad) or mad <= 0.0:
         mad = 1.0
-    return med, mad
-
-
-def _nearest_window(s, med: float, j: int) -> float:
-    """The j-th smallest (1-based) ``|x - med|`` over the sorted sequence ``s``.
-
-    Distances fall then rise along ``s``, so the j nearest points form a
-    window ``s[a:a+j]``, whose largest distance is
-    ``max(med - s[a], s[a+j-1] - med)``.  The predicate
-    ``s[a+j-1] - med >= med - s[a]`` is monotone in ``a``; at its first true
-    ``a`` the right end bounds the window, one step earlier the left end did,
-    and the smaller of the two is the answer.  ``med - x`` and ``x - med`` are
-    exact negatives in IEEE arithmetic, so each distance equals ``abs(x - med)``.
-    """
-    lo, hi = 0, len(s) - j + 1  # lo == len(s) - j + 1: no window satisfies it
-    while lo < hi:
-        a = (lo + hi) // 2
-        if s[a + j - 1] - med >= med - s[a]:
-            hi = a
-        else:
-            lo = a + 1
-    if lo + j <= len(s) and (lo == 0 or s[lo + j - 1] - med <= med - s[lo - 1]):
-        return s[lo + j - 1] - med
-    return med - s[lo - 1]
+    return med, mad, lo
 
 
 def squash(r: float) -> float:
@@ -125,6 +138,7 @@ class ContinuousState:
         if not 0.0 < self.c_max < 1.0:
             raise ValueError(f"c_max must be in (0,1), got {self.c_max}")
         self.values = sorted(self.values)  # arrival-order checkpoints resume bit-exactly
+        self.mad_start = 0  # the MAD window's search start; not a field, so never saved
         if self.ledger is None:
             self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
 
@@ -151,7 +165,7 @@ class ContinuousState:
             i = self.i + 1
         if i < 2 or (i - 1) < self.sched.burn_in:
             return 0.5
-        med, scale = robust_center_scale(self.values)
+        med, scale, self.mad_start = robust_center_scale(self.values, self.mad_start)
         g = squash((y - med) / scale)
         ramp_frac = self.sched.coefficient(i)
         lam = 0.5 + ramp_frac * self.c_max * g * self.cohens_d()

@@ -227,8 +227,10 @@ def continuous_prepare(treatment, outcome,
     ``treatment`` and ``outcome`` are (n_trials, n) matrices (a single trial
     may be passed 1-D); rows are independent trials.  Each row keeps its past
     outcomes sorted with ``bisect.insort`` and takes every prefix's median and
-    MAD from the streaming monitor's kernel, ``robust_center_scale``; the arm
-    moments then take a few numpy passes over that row.
+    MAD from the streaming monitor's kernel, ``robust_center_scale``, with
+    the MAD window's search start carried from one prefix to the next (and
+    reset for each row); the arm moments then take a few numpy passes over
+    that row.
     """
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
@@ -252,9 +254,10 @@ def continuous_prepare(treatment, outcome,
     for row in range(m):
         tr, yr = t[row], y[row]
         hist = sorted(yr[: first - 2].tolist())
+        a = 0  # the MAD window's search start, carried from prefix to prefix
         for k, v in enumerate(yr[past].tolist()):
             insort(hist, v)
-            center[k], scale[k] = robust_center_scale(hist)
+            center[k], scale[k], a = robust_center_scale(hist, a)
         r = (yr[first - 1:] - center) / scale
         g[row] = r / (1.0 + np.abs(r))
 

@@ -39,9 +39,11 @@ class BettingStrategy:
         if self.kind not in allowed:
             raise ValueError(f"strategy {self.kind!r} not available for {variant} "
                              f"(expected one of {sorted(allowed)})")
-        if allowed[self.kind].default is not None:  # a rule that takes a value
-            if self.value is None or not 0.0 < self.value < 1.0:
-                raise ValueError(f"strategy {self.kind!r} needs a value in (0,1)")
+        if allowed[self.kind].default is None:  # a rule that takes no value
+            if self.value is not None:
+                raise ValueError(f"strategy {self.kind!r} takes no value")
+        elif self.value is None or not 0.0 < self.value < 1.0:
+            raise ValueError(f"strategy {self.kind!r} needs a value in (0,1)")
 
     def params(self, variant: str) -> dict:
         """The scenario parameters of ``variant``'s replay under this strategy:

@@ -1,5 +1,6 @@
 
 import math
+from bisect import insort
 
 import numpy as np
 import pytest
@@ -17,18 +18,18 @@ from oracles import mean_final_wealth
 class TestRobustCenterScale:
     def test_hand_computed(self):
         # |deviations| from median 3 are {2,1,0,1,97}; their median is 1
-        assert robust_center_scale([1, 2, 3, 4, 100]) == (3.0, 1.0)
+        assert robust_center_scale([1, 2, 3, 4, 100])[:2] == (3.0, 1.0)
 
     def test_degenerate_scale_falls_back(self):
-        assert robust_center_scale([5, 5, 5]) == (5.0, 1.0)
-        assert robust_center_scale([0]) == (0.0, 1.0)
+        assert robust_center_scale([5, 5, 5])[:2] == (5.0, 1.0)
+        assert robust_center_scale([0])[:2] == (0.0, 1.0)
 
     def test_empty_history(self):
         with pytest.raises(ValueError, match="insufficient history"):
             robust_center_scale([])
 
     def test_even_history_averages_middle_pair(self):
-        med, mad = robust_center_scale([1.0, 2.0, 4.0, 8.0])
+        med, mad, _ = robust_center_scale([1.0, 2.0, 4.0, 8.0])
         assert med == 3.0
         assert mad == 1.5  # |deviations| sorted {1,1,2,5}; middle pair averages to 1.5
 
@@ -46,16 +47,40 @@ def numpy_center_scale(xs):
 _tied = hs.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 1.5, 3.0])
 _any_magnitude = hs.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 _tiny = hs.floats(min_value=-1e-9, max_value=1e-9, allow_nan=False)
+# the middle pair's sum or a distance overflows to inf
+_near_overflow = hs.sampled_from([-1.7e308, -1e308, 1e308, 1.7e308])
 
 
 @given(hs.lists(hs.one_of(_tied, _any_magnitude, _tiny), min_size=1, max_size=60))
 def test_sorted_kernel_matches_numpy_median_and_mad(xs):
-    assert robust_center_scale(sorted(xs)) == numpy_center_scale(xs)
+    assert robust_center_scale(sorted(xs))[:2] == numpy_center_scale(xs)
 
 
 @given(hs.lists(hs.integers(-3, 3).map(float), min_size=1, max_size=41))
 def test_sorted_kernel_matches_numpy_on_heavy_ties(xs):
-    assert robust_center_scale(sorted(xs)) == numpy_center_scale(xs)
+    assert robust_center_scale(sorted(xs))[:2] == numpy_center_scale(xs)
+
+
+@given(hs.lists(hs.one_of(_tied, _any_magnitude, _tiny, _near_overflow), min_size=1, max_size=60),
+       hs.data())
+def test_kernel_result_does_not_depend_on_the_start(xs, data):
+    start = data.draw(hs.integers(0, len(xs) + 1), label="start")
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = numpy_center_scale(xs)
+    med, mad, found = robust_center_scale(sorted(xs), start)
+    assert (med, mad) == expected
+    assert robust_center_scale(sorted(xs), found) == (med, mad, found)
+
+
+@given(hs.permutations([-1.0] * 40 + [1.0] * 40))
+def test_carried_start_matches_a_fresh_search_at_every_prefix(xs):
+    """Shuffled ties move the MAD window by up to a quarter of the history at
+    once; a start carried over the whole stream still finds it."""
+    hist, start = [], 0
+    for x in xs:
+        insort(hist, x)
+        med, mad, start = robust_center_scale(hist, start)
+        assert (med, mad, start) == robust_center_scale(hist)
 
 
 class TestSquash:
@@ -259,3 +284,24 @@ def test_history_stays_sorted():
     assert clone.values == sorted(y.tolist())
     clone.step(0.25, 1)
     assert clone.values == sorted(clone.values)
+
+
+def test_window_hint_never_changes_a_wager():
+    """The MAD window's search start is a hint, not state: reset it (as a
+    resume does) or set it anywhere partway through a stream, and every
+    wager and the final log-e stay bit-identical."""
+    rng = np.random.default_rng(23)
+    t, y = continuous_trial(rng, 400, 0.3, 0.0)
+    events = list(zip(np.round(y, 1).tolist(), t.tolist()))  # rounding makes ties
+    plain = ContinuousState(sched=RampSchedule(5, 20))
+    nudged = ContinuousState(sched=RampSchedule(5, 20))
+    assert "mad_start" not in encode_state(nudged)
+    hints = np.random.default_rng(24)
+    for k, (yy, tt) in enumerate(events):
+        if k % 7 == 0:
+            nudged.mad_start = 0 if k % 2 else int(hints.integers(0, nudged.i + 2))
+        s0, s1 = plain.step(yy, tt), nudged.step(yy, tt)
+        assert (s0 is None) == (s1 is None)
+        if s0 is not None:
+            assert s0.wager == s1.wager
+    assert nudged.ledger.log_wealth == plain.ledger.log_wealth

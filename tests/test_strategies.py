@@ -21,6 +21,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="needs a value"):
             BettingStrategy("sign-only", 1.5).validate("continuous")
 
+    def test_value_refused_where_the_rule_takes_none(self):
+        """A value on a rule without one would be reported as a cell of its
+        own, identical to the plain rule."""
+        with pytest.raises(ValueError, match="'adaptive' takes no value"):
+            BettingStrategy("adaptive", 0.3).validate("binary")
+        with pytest.raises(ValueError, match="'half-kelly' takes no value"):
+            BettingStrategy("half-kelly", 0.2).validate("survival")
+        BettingStrategy("adaptive").validate("continuous")
+
     def test_labels(self):
         assert BettingStrategy("adaptive").label() == "adaptive"
         assert BettingStrategy("fixed", 0.25).label() == "fixed(0.25)"
