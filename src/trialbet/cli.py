@@ -24,6 +24,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import checkpoint as ckpt
+from .core import _exp_wealth
 from .variants import MONITORS, SCHEMA_VERSION, Monitor, flag_field
 
 EXIT_OK = 0
@@ -298,38 +299,7 @@ def cmd_wage(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_steps(scenario, n_trials: int) -> list[list]:
-    """Replay ``n_trials`` replications through the streaming monitors and
-    return each trial's recorded ``WealthStep`` list.
-
-    Uses the same per-replication seeding and generators as the Monte Carlo
-    engine, so trajectory exports show exactly the trials the engine scored.
-    A scenario whose wager rule only the batch replay implements is refused.
-    """
-    from .simlab import engine
-    from .simlab.scenario import SIM_VARIANTS
-
-    sim = SIM_VARIANTS[scenario.variant]
-    monitor = MONITORS[scenario.variant]
-    p = scenario.params
-    for key in sim.batch_only:
-        if p[key] != sim.defaults[key]:
-            raise ValueError(f"trajectories streams the {scenario.variant} monitor, which "
-                             f"has no {key}={p[key]!r}; use simulate for this scenario")
-    trials = []
-    for trial in range(n_trials):
-        data = sim.generate(engine.rep_rng(scenario.seed, trial), p)
-        options, events = sim.feed(data, p)
-        state = monitor.build({"alpha": scenario.alpha, "burn_in": p["burn_in"],
-                               "ramp": p["ramp"], **options}, record_steps=True)
-        step = getattr(state, sim.step)
-        for args in events:
-            step(*args)
-        trials.append(state.ledger.steps)
-    return trials
-
-
-def _write_svg(path: str, trials: list[list], threshold: float) -> None:
+def _write_svg(path: str, trials: list[tuple], threshold: float) -> None:
     """Minimal log-scale trajectory plot; one polyline per trial.
 
     Plotted from log-wealth, so trials whose e-value leaves the float range
@@ -337,8 +307,8 @@ def _write_svg(path: str, trials: list[list], threshold: float) -> None:
     """
     width, height, margin = 840, 520, 50
     floor = -12.0  # log10 of the smallest wealth drawn
-    series = [[(step.index, max(step.log_wealth / math.log(10), floor)) for step in steps]
-              for steps in trials if steps]
+    series = [list(zip(index.tolist(), (logw / math.log(10)).clip(floor).tolist()))
+              for index, _, _, logw in trials if index.size]
     max_x = max((pt[0] for pts in series for pt in pts), default=1)
     vals = [pt[1] for pts in series for pt in pts]
     ly_lo = min(min(vals, default=0.0), -math.log10(threshold))
@@ -372,10 +342,13 @@ def _write_svg(path: str, trials: list[list], threshold: float) -> None:
 
 
 def cmd_trajectories(args) -> int:
+    from .simlab import engine
+
     scenario = _load_scenario(args)
-    trials = _trajectory_steps(scenario, args.trials)
-    rows = [[trial, step.index, step.wager, step.multiplier, step.wealth]
-            for trial, steps in enumerate(trials, 1) for step in steps]
+    trials = engine.trajectories(scenario, args.trials)
+    rows = [[trial, i, lam, mult, _exp_wealth(log_e)]
+            for trial, columns in enumerate(trials, 1)
+            for i, lam, mult, log_e in zip(*(column.tolist() for column in columns))]
     _write_csv(args.out, ["trial", "index", "lambda", "multiplier", "wealth"], rows)
     if args.svg:
         _write_svg(args.svg, trials, 1.0 / scenario.alpha)

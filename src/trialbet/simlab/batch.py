@@ -1,24 +1,21 @@
-"""Vectorized log-wealth engines for Monte Carlo replication.
+"""Vectorized wager kernels for Monte Carlo replication.
 
-Each function replays a complete event stream and returns the log-wealth
-trajectory (one entry per observation, zero where no bet was placed).  The
-semantics are identical to the streaming state classes - the equivalence is
-pinned by tests - but expressed with cumulative sums so a replication costs
-a handful of numpy passes instead of a Python loop.
-
-Every kernel works along the last axis: a 1-D trial gives its trajectory,
-and a (B, n) block of B same-length trials gives B trajectories in one call,
-each row bit for bit what the row's own 1-D call gives.  The engine replays
-studies block by block, so a replication costs a share of each numpy pass
-rather than a pass of its own.
+Each ``<variant>_bet`` replays a complete event stream and returns the
+(wager, multiplier) arrays of the streaming monitor's bets, one entry per
+observation; where the monitor bets nothing the wager is NaN and the
+multiplier exactly 1.0, so ``log_wealth`` adds exactly 0 there.  The bets
+are the state classes' (tests pin this), computed with cumulative sums
+instead of a Python loop.  Every kernel works along the last axis: a (B, n)
+block of B same-length trials gives B rows in one call, each row bit for bit
+what the row's own 1-D call gives, so the engine replays studies in blocks.
 
 Strategy variants used by the wage-asymmetry study live here as keyword
 switches: ``fixed_dev`` for the binary monitor, ``bet_rule`` for survival,
 ``sign_only`` for continuous.  Where strategies share costly work, a replay
 is split into ``<variant>_prepare``, which no wager rule reads (continuous:
 the prefix median/MAD and running Cohen's d; survival: the sort, risk sets
-and scores), and a cheap ``<variant>_bet``; ``<variant>_log_wealth`` is the
-bet of the prepared trial.
+and scores), and a cheap ``<variant>_bet``.  ``<variant>_log_wealth`` is the
+log-wealth of a whole replay.
 """
 
 from __future__ import annotations
@@ -72,8 +69,13 @@ def first_crossing(log_wealth: np.ndarray, alpha: float) -> int | None:
     return None if np.isnan(crossing) else int(crossing)
 
 
-def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_in,
-                      ramp: int = _BINARY.ramp, fixed_dev: float | None = None) -> np.ndarray:
+def log_wealth(bets) -> np.ndarray:
+    """Log-wealth after each observation of a ``(wager, multiplier)`` replay."""
+    return np.cumsum(np.log(bets[1]), axis=-1)
+
+
+def binary_bet(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_in,
+               ramp: int = _BINARY.ramp, fixed_dev: float | None = None):
     """Binary monitor replay; index i bets from counts over patients 1..i-1.
 
     ``fixed_dev`` switches to the prespecified-wager strategy: every patient
@@ -100,14 +102,17 @@ def binary_log_wealth(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY
         lam = np.where(y == 1, 0.5 + fixed_dev, 0.5 - fixed_dev)
     lam = np.clip(lam, WAGER_MIN, WAGER_MAX)
     mult = np.where(t == 1, lam / p, (1.0 - lam) / (1.0 - p))
-    log_mult = np.log(mult)
-    if fixed_dev is None:
-        log_mult[..., :1] = 0.0  # the first patient never bets
-    return np.cumsum(log_mult, axis=-1)
+    if fixed_dev is None:  # the first patient never bets
+        lam[..., :1] = np.nan
+        mult[..., :1] = 1.0
+    return lam, mult
 
 
-def deaths_log_wealth(arms, burn_in: int = _DEATHS.burn_in,
-                      ramp: int = _DEATHS.ramp) -> np.ndarray:
+def binary_log_wealth(*args, **kwargs) -> np.ndarray:
+    return log_wealth(binary_bet(*args, **kwargs))
+
+
+def deaths_bet(arms, burn_in: int = _DEATHS.burn_in, ramp: int = _DEATHS.ramp):
     """Deaths-only replay over an ordered stream of death arm labels."""
     a = np.asarray(arms, dtype=np.int64)
     idx = np.arange(1, a.shape[-1] + 1)
@@ -118,8 +123,11 @@ def deaths_log_wealth(arms, burn_in: int = _DEATHS.burn_in,
     lam = np.where((idx > burn_in) & (tot_prev > 0),
                    np.clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
                    0.5)
-    mult = np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
-    return np.cumsum(np.log(mult), axis=-1)
+    return lam, np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
+
+
+def deaths_log_wealth(*args, **kwargs) -> np.ndarray:
+    return log_wealth(deaths_bet(*args, **kwargs))
 
 
 class SurvivalPrepared(NamedTuple):
@@ -154,8 +162,8 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
 
 def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
                  ramp: int = _SURVIVAL.ramp, lambda_max: float = survival.DEFAULT_BET_CAP,
-                 bet_rule: str = "fixed") -> np.ndarray:
-    """Log-wealth after each record of a prepared survival trial.
+                 bet_rule: str = "fixed"):
+    """Signed bet and payout at each record of a prepared survival trial.
 
     ``bet_rule="fixed"`` is the standard monitor: magnitude ``c * lambda_max``
     in the direction of the cumulative score.  ``bet_rule="half_kelly"``
@@ -175,8 +183,7 @@ def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
         b = np.where(idx > burn_in, c * np.clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
     else:
         raise ValueError(f"unknown bet_rule: {bet_rule!r}")
-    mult = np.where(prep.event, 1.0 + b * prep.u, 1.0)
-    return np.cumsum(np.log(mult), axis=-1)
+    return np.where(prep.event, b, np.nan), np.where(prep.event, 1.0 + b * prep.u, 1.0)
 
 
 def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_in,
@@ -184,12 +191,12 @@ def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_i
                         bet_rule: str = "fixed",
                         presorted: bool = False) -> np.ndarray:
     """Survival replay; one entry per record (censored records bet nothing)."""
-    return survival_bet(survival_prepare(time, status, treatment, presorted),
-                        burn_in, ramp, lambda_max, bet_rule)
+    return log_wealth(survival_bet(survival_prepare(time, status, treatment, presorted),
+                                   burn_in, ramp, lambda_max, bet_rule))
 
 
-def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
-                          ramp: int = _MULTISTATE.ramp) -> np.ndarray:
+def multistate_bet(good, arms, burn_in: int = _MULTISTATE.burn_in,
+                   ramp: int = _MULTISTATE.ramp):
     """Transition-stream replay; both arms need history before bets start."""
     g = np.asarray(good, dtype=np.int64)
     a = np.asarray(arms, dtype=np.int64)
@@ -206,8 +213,11 @@ def multistate_log_wealth(good, arms, burn_in: int = _MULTISTATE.burn_in,
     lam = np.where(g == 1, 0.5 + 0.5 * c * delta, 0.5 - 0.5 * c * delta)
     lam = np.where(bettable, lam, 0.5)
     lam = np.clip(lam, MS_WAGER_MIN, MS_WAGER_MAX)
-    mult = np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
-    return np.cumsum(np.log(mult), axis=-1)
+    return lam, np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
+
+
+def multistate_log_wealth(*args, **kwargs) -> np.ndarray:
+    return log_wealth(multistate_bet(*args, **kwargs))
 
 
 class ContinuousPrepared(NamedTuple):
@@ -230,7 +240,8 @@ def continuous_prepare(treatment, outcome,
     MAD from the streaming monitor's kernel, ``robust_center_scale``, with
     the MAD window's search start carried from one prefix to the next (and
     reset for each row); the arm moments then take a few numpy passes over
-    that row.
+    that row.  An arm whose raw sum of squares overflows has SD +inf and d 0,
+    as in the monitor once its Welford sum overflows.
     """
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
@@ -239,47 +250,48 @@ def continuous_prepare(treatment, outcome,
     width = max(0, n - first + 1)
 
     def arm_stats(cnt, ssum, sqsum):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = ssum / np.maximum(cnt, 1)
-            var = (sqsum - cnt * mean * mean) / np.maximum(cnt - 1, 1)
-        sd = np.sqrt(np.maximum(var, 0.0))
+        mean = ssum / np.maximum(cnt, 1)
+        var = (sqsum - cnt * mean * mean) / np.maximum(cnt - 1, 1)
+        sd = np.where(np.isfinite(sqsum), np.sqrt(np.maximum(var, 0.0)), np.inf)
         sd = np.where((cnt < 2) | (sd == 0.0), 1.0, sd)
         return mean, sd
 
     g = np.empty((m, width))
     d_hat = np.empty((m, width))
     past = slice(first - 2, n - 1)  # cumulative index i - 2: the last past value
-    center = np.empty(width)
-    scale = np.empty(width)
     for row in range(m):
         tr, yr = t[row], y[row]
         hist = sorted(yr[: first - 2].tolist())
         a = 0  # the MAD window's search start, carried from prefix to prefix
-        for k, v in enumerate(yr[past].tolist()):
+        center, scale = [], []
+        for v in yr[past].tolist():
             insort(hist, v)
-            center[k], scale[k], a = robust_center_scale(hist, a)
-        r = (yr[first - 1:] - center) / scale
+            med, mad, a = robust_center_scale(hist, a)
+            center.append(med)
+            scale.append(mad)
+        r = (yr[first - 1:] - np.array(center)) / np.array(scale)
         g[row] = r / (1.0 + np.abs(r))
 
-        n1 = np.cumsum(tr)[past]
-        s1 = np.cumsum(tr * yr)[past]
-        q1 = np.cumsum(tr * yr * yr)[past]
-        n0 = np.cumsum(1 - tr)[past]
-        s0 = np.cumsum((1 - tr) * yr)[past]
-        q0 = np.cumsum((1 - tr) * yr * yr)[past]
-        m1, sd1 = arm_stats(n1, s1, q1)
-        m0, sd0 = arm_stats(n0, s0, q0)
-        s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
-        d_row = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
-        d_hat[row] = np.where((n1 == 0) | (n0 == 0), 0.0, d_row)
+        with np.errstate(over="ignore", invalid="ignore"):
+            n1 = np.cumsum(tr)[past]
+            s1 = np.cumsum(tr * yr)[past]
+            q1 = np.cumsum(tr * yr * yr)[past]
+            n0 = np.cumsum(1 - tr)[past]
+            s0 = np.cumsum((1 - tr) * yr)[past]
+            q0 = np.cumsum((1 - tr) * yr * yr)[past]
+            m1, sd1 = arm_stats(n1, s1, q1)
+            m0, sd0 = arm_stats(n0, s0, q0)
+            s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
+            d_row = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
+        d_hat[row] = np.where((n1 == 0) | (n0 == 0) | np.isinf(s_pooled), 0.0, d_row)
     return ContinuousPrepared(n, t[:, first - 1:] == 1, g, d_hat)
 
 
 def continuous_bet(prep: ContinuousPrepared, p: float = 0.5,
                    burn_in: int = _CONTINUOUS.burn_in, ramp: int = _CONTINUOUS.ramp,
                    c_max: float = continuous.DEFAULT_C_MAX,
-                   sign_only: bool = False) -> np.ndarray:
-    """The (n_trials, n) log-wealth matrix of prepared continuous trials.
+                   sign_only: bool = False):
+    """The (n_trials, n) wager and multiplier matrices of prepared continuous trials.
 
     ``sign_only`` drops the magnitude of the running Cohen's d, keeping only
     its sign (the degraded strategy studied in the wage-asymmetry comparison).
@@ -288,9 +300,11 @@ def continuous_bet(prep: ContinuousPrepared, p: float = 0.5,
     ramp_frac = np.clip((np.arange(first, prep.n + 1) - burn_in) / ramp, 0.0, 1.0)
     d_hat = np.sign(prep.d_hat) if sign_only else prep.d_hat
     lam = np.clip(0.5 + ramp_frac * c_max * prep.g * d_hat, WAGER_MIN, WAGER_MAX)
-    out = np.zeros((prep.g.shape[0], prep.n))
-    out[:, first - 1:] = np.log(np.where(prep.treated, lam / p, (1.0 - lam) / (1.0 - p)))
-    return np.cumsum(out, axis=1)
+    wager = np.full((prep.g.shape[0], prep.n), np.nan)
+    mult = np.ones_like(wager)
+    wager[:, first - 1:] = lam
+    mult[:, first - 1:] = np.where(prep.treated, lam / p, (1.0 - lam) / (1.0 - p))
+    return wager, mult
 
 
 def continuous_log_wealth(treatment, outcome, p: float = 0.5,
@@ -299,5 +313,5 @@ def continuous_log_wealth(treatment, outcome, p: float = 0.5,
                           sign_only: bool = False) -> np.ndarray:
     """Continuous-monitor replay for a whole batch of same-length trials;
     returns the (n_trials, n) log-wealth matrix (see ``continuous_prepare``)."""
-    return continuous_bet(continuous_prepare(treatment, outcome, burn_in),
-                          p, burn_in, ramp, c_max, sign_only)
+    return log_wealth(continuous_bet(continuous_prepare(treatment, outcome, burn_in),
+                                     p, burn_in, ramp, c_max, sign_only))

@@ -62,7 +62,7 @@ def _bet_blocks(sim, prepared, params: dict, alpha: float):
     """(first crossing, final log-e, stream length) per trial of prepared blocks."""
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # no blocks: no trials
     for prep in prepared:
-        logw = sim.bet(prep, params)
+        logw = batch.log_wealth(sim.bet(prep, params))
         parts.append((*batch.row_outcomes(logw, alpha), np.full(len(logw), logw.shape[-1])))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
@@ -73,12 +73,32 @@ def _replay(sim, trials, params: dict, alpha: float):
                        alpha)
 
 
+def _draw(scenario: SimScenario, start: int, stop: int):
+    """The scenario's row and its replications [start, stop), drawn lazily."""
+    sim = SIM_VARIANTS[scenario.variant]
+    return sim, (sim.generate(rep_rng(scenario.seed, rep), scenario.params)
+                 for rep in range(start, stop))
+
+
 def _run_range(scenario: SimScenario, start: int, stop: int):
     """Replications [start, stop); returns (crossing, final_log_e, stream_len) arrays."""
-    sim = SIM_VARIANTS[scenario.variant]
+    sim, trials = _draw(scenario, start, stop)
+    return _replay(sim, trials, scenario.params, scenario.alpha)
+
+
+def trajectories(scenario: SimScenario, n: int) -> list[tuple]:
+    """Replications 0..n-1 replayed as ``run_operating_characteristics`` replays
+    them; per trial, its (1-based index, wager, multiplier, log-wealth) arrays
+    at the bets placed."""
+    sim, trials = _draw(scenario, 0, n)
     p = scenario.params
-    trials = (sim.generate(rep_rng(scenario.seed, rep), p) for rep in range(start, stop))
-    return _replay(sim, trials, p, scenario.alpha)
+    out = []
+    for block in _blocks(trials):
+        bets = sim.bet(sim.prepare(block, p), p)
+        for wager, mult, logw in zip(*bets, batch.log_wealth(bets)):
+            placed = np.flatnonzero(~np.isnan(wager))
+            out.append((placed + 1, wager[placed], mult[placed], logw[placed]))
+    return out
 
 
 def _chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:

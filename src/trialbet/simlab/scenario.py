@@ -6,12 +6,12 @@ reproduce identical operating characteristics bit for bit, regardless of how
 many workers execute them.
 
 ``SIM_VARIANTS`` holds, per variant, the scenario parameters with their
-defaults and what the lab does with a trial: draw it, replay it through the
-batch kernel (prepare, then bet), and feed it to the streaming monitor; and
-its design facts: the calculator that sizes a trial, and what the wage study
-compares.  The engine, the studies, ``power`` and trajectory exports all go
-through it; adding a variant is one row here and one in ``trialbet.variants``,
-whose schedule and wager-cap defaults the rows below reuse.
+defaults and what the lab does with a trial: draw it and replay it through
+the batch kernel (prepare, then bet); and its design facts: the calculator
+that sizes a trial, and what the wage study compares.  The engine, the
+studies, ``power`` and trajectory exports all go through it; adding a variant
+is one row here and one in ``trialbet.variants``, whose schedule and
+wager-cap defaults the rows below reuse.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple
 
-import numpy as np
-
 from ..continuous import DEFAULT_C_MAX
 from ..multistate import CONTROL_DAILY, TREATMENT_DAILY, TransitionMatrix
-from ..survival import DEFAULT_BET_CAP, SurvivalRecord
+from ..survival import DEFAULT_BET_CAP
 from ..variants import MONITORS, SCHEMA_VERSION
 from . import batch, generators, sizing
 
@@ -60,27 +58,23 @@ class Wage(NamedTuple):
 
 @dataclass(frozen=True)
 class SimVariant:
-    """How the lab draws, replays and streams one variant's trials.
+    """How the lab draws and replays one variant's trials.
 
     ``generate(rng, params)`` draws one trial: a tuple of equal-length
     arrays, one entry per observation.  A replay is
     ``bet(prepare(data, params), params)`` on a block of such trials stacked
-    row-wise into (B, n) arrays; it gives the (B, n) log-wealth after each
-    observation from the batch kernel.  ``prepare`` holds the work no wager
-    rule reads, so the wage study prepares a block once and bets it once per
-    strategy; it is the identity where strategies share nothing.
-    ``feed(data, params)`` gives the streaming monitor's options and the
-    arguments of each call to its ``step`` method (trajectory exports).
-    Generators and kernels are looked up on their modules at call time.
+    row-wise into (B, n) arrays; it gives the (B, n) wager and multiplier
+    of each observation from the batch kernel (NaN and 1.0 where no bet is
+    placed).  ``prepare`` holds the work no wager rule reads, so the wage
+    study prepares a block once and bets it once per strategy; it is the
+    identity where strategies share nothing.  Generators and kernels are
+    looked up on their modules at call time.
     """
 
     params: dict[str, Any]   # defaults, in report order; _REQUIRED or an alias
     generate: Callable
     bet: Callable
-    feed: Callable
     prepare: Callable = lambda data, params: data
-    step: str = "step"       # the state method ``feed``'s arguments go to
-    batch_only: tuple[str, ...] = ()  # wager rules the streaming monitor lacks
     check: Callable[[dict], None] = lambda params: None
     size: Callable | None = None      # design calculator: size(*flag values, power, alpha)
     size_flags: tuple[str, ...] = ()  # the ``power`` options that lead its arguments
@@ -97,16 +91,6 @@ def _monitor(variant: str, *options: str) -> dict[str, Any]:
     """The monitor's burn-in and ramp defaults, then the named options'."""
     defaults = MONITORS[variant].defaults
     return {key: defaults[key] for key in ("burn_in", "ramp", *options)}
-
-
-def _feed_survival(data, p):
-    time, status, arm, entry = data
-    study_time = time - entry  # identical to time when entry is simultaneous
-    order = np.argsort(study_time, kind="stable").tolist()
-    options = {"lambda_max": p["lambda_max"], "risk_trt": int(arm.sum()),
-               "risk_ctrl": int((1 - arm).sum())}
-    return options, ((SurvivalRecord(float(study_time[k]), int(status[k]), int(arm[k])),)
-                     for k in order)
 
 
 def _multistate_trial(rng, p):
@@ -146,10 +130,8 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          **_monitor("binary"), "fixed_dev": None},
         generate=lambda rng, p: generators.binary_trial(
             rng, p["n_patients"], p["p_trt"], p["p_ctrl"], p["p_alloc"]),
-        bet=lambda d, p: batch.binary_log_wealth(
+        bet=lambda d, p: batch.binary_bet(
             *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
-        feed=lambda d, p: ({"p": p["p_alloc"]}, zip(d[1].tolist(), d[0].tolist())),
-        batch_only=("fixed_dev",),
         check=_ranges(p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT),
         size=sizing.size_two_proportion, size_flags=("p1", "p2"),
         # effects are absolute risk reductions from a 0.40 control rate
@@ -159,8 +141,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
     "deaths": SimVariant(
         {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
         generate=lambda rng, p: (generators.death_stream(rng, p["n_deaths"], p["coin"]),),
-        bet=lambda d, p: batch.deaths_log_wealth(*d, p["burn_in"], p["ramp"]),
-        feed=lambda d, p: ({}, zip(d[0].tolist())),
+        bet=lambda d, p: batch.deaths_bet(*d, p["burn_in"], p["ramp"]),
         check=_ranges(coin=_UNIT),
         size=sizing.deaths_design, size_flags=("p1", "p2")),
     "continuous": SimVariant(
@@ -171,9 +152,6 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         prepare=lambda d, p: batch.continuous_prepare(*d, p["burn_in"]),
         bet=lambda prep, p: batch.continuous_bet(
             prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"]),
-        feed=lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
-                           zip(d[1].tolist(), d[0].tolist())),
-        batch_only=("sign_only",),
         check=_ranges(sd=_POSITIVE, p_alloc=_OPEN_UNIT),
         size=sizing.size_t_test, size_flags=("d",),
         wage=Wage("d", 0.20, lambda e: {"mu_trt": e},  # sd 1: the effect is Cohen's d
@@ -186,11 +164,10 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         generate=lambda rng, p: generators.survival_trial(
             rng, p["n_patients"], p["hr"], p["shape"], p["scale"], p["censor_upper"],
             p["recruit_period"]),
+        # records in time-on-study order: time - entry (time when entry is simultaneous)
         prepare=lambda d, p: batch.survival_prepare(d[0] - d[3], d[1], d[2]),
         bet=lambda prep, p: batch.survival_bet(prep, p["burn_in"], p["ramp"],
                                                p["lambda_max"], p["bet_rule"]),
-        feed=_feed_survival,
-        batch_only=("bet_rule",),
         check=_ranges(hr=_POSITIVE, shape=_POSITIVE, scale=_POSITIVE,
                       censor_upper=_POSITIVE_IF_SET, recruit_period=_POSITIVE_IF_SET),
         size=sizing.size_logrank, size_flags=("hr",),
@@ -201,9 +178,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
          "horizon": 28, "start": "ICU", **_monitor("multistate")},
         generate=_multistate_trial,
-        bet=lambda d, p: batch.multistate_log_wealth(*d, p["burn_in"], p["ramp"]),
-        feed=lambda d, p: ({}, zip(d[0].tolist(), d[1].tolist())),
-        step="step_classified",  # the generator emits transitions already classified
+        bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
         check=_check_multistate),
 }
 

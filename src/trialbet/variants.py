@@ -54,10 +54,10 @@ class Monitor:
                 out[f.name] = f.default
         return out
 
-    def build(self, config: dict[str, Any], record_steps: bool = False):
+    def build(self, config: dict[str, Any]):
         """A fresh state from a monitor configuration (alpha, schedule, options)."""
         return self.state(sched=RampSchedule(config["burn_in"], config["ramp"]),
-                          alpha=config["alpha"], record_steps=record_steps,
+                          alpha=config["alpha"], record_steps=False,
                           **{key: config[key] for key in self.options})
 
 

@@ -15,6 +15,10 @@ can be checked against it and against the matrix power.
 optimised paths, kept as the references those paths are compared against:
 ``json.loads`` plus two set differences per NDJSON record, and one kernel
 call per trial and monitor in the deaths-vs-binary comparison.
+
+``stream_trajectories`` replays a scenario's trials through the live monitor
+states, one event at a time, recording every ledger row: the reference the
+batch replay behind ``trialbet trajectories`` is compared against.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ import json
 import numpy as np
 
 from trialbet.cli import EventError
+from trialbet.core import RampSchedule
 from trialbet.deaths import death_coin
 from trialbet.simlab import batch, generators
 from trialbet.simlab.engine import rep_rng
+from trialbet.simlab.scenario import SIM_VARIANTS
 from trialbet.simlab.sizing import size_two_proportion
 from trialbet.survival import SurvivalRecord
-from trialbet.variants import flag_field
+from trialbet.variants import MONITORS, flag_field
 
 
 def mean_final_wealth(make_state, apply_arm, k: int, p: float = 0.5) -> float:
@@ -129,3 +135,50 @@ def head_to_head_per_trial(baselines, arr: float, power: float, alpha: float,
         rows.append((baseline, death_coin(baseline, p_trt), n_pat, total_deaths / n_sims,
                      bin_hits / n_sims, death_hits / n_sims))
     return rows
+
+
+def _feed_survival(data, p):
+    time, status, arm, entry = data
+    study_time = time - entry  # identical to time when entry is simultaneous
+    order = np.argsort(study_time, kind="stable").tolist()
+    options = {"lambda_max": p["lambda_max"], "risk_trt": int(arm.sum()),
+               "risk_ctrl": int((1 - arm).sum())}
+    return options, ((SurvivalRecord(float(study_time[k]), int(status[k]), int(arm[k])),)
+                     for k in order)
+
+
+# per variant, from a drawn trial and its scenario parameters: the monitor's
+# options, and the arguments of each call to its step method
+_FEEDS = {
+    "binary": lambda d, p: ({"p": p["p_alloc"]}, zip(d[1].tolist(), d[0].tolist())),
+    "deaths": lambda d, p: ({}, zip(d[0].tolist())),
+    "continuous": lambda d, p: ({"p": p["p_alloc"], "c_max": p["c_max"]},
+                                zip(d[1].tolist(), d[0].tolist())),
+    "survival": _feed_survival,
+    "multistate": lambda d, p: ({}, zip(d[0].tolist(), d[1].tolist())),
+}
+
+
+def stream_trajectories(scenario, n_trials: int) -> list[list]:
+    """Each of replications 0..n_trials-1 streamed through its monitor state;
+    returns every trial's recorded ``WealthStep`` list.
+
+    The trials are the engine's: the same per-replication seeding and
+    generators.  The monitors know only their default wager rules, so the
+    scenario must use them.  Multistate transitions arrive classified, so
+    they go to ``step_classified``.
+    """
+    variant, p = scenario.variant, scenario.params
+    sim = SIM_VARIANTS[variant]
+    assert all(p[key] == sim.defaults[key] for key in ("fixed_dev", "sign_only", "bet_rule")
+               if key in p), "the streaming monitors have no batch-only wager rule"
+    trials = []
+    for rep in range(n_trials):
+        options, events = _FEEDS[variant](sim.generate(rep_rng(scenario.seed, rep), p), p)
+        state = MONITORS[variant].state(sched=RampSchedule(p["burn_in"], p["ramp"]),
+                                        alpha=scenario.alpha, record_steps=True, **options)
+        step = state.step_classified if variant == "multistate" else state.step
+        for args in events:
+            step(*args)
+        trials.append(state.ledger.steps)
+    return trials

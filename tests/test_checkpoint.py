@@ -159,3 +159,26 @@ def test_survival_risk_sets_resume_from_the_checkpoint(capsys, tmp_path):
     assert (state.risk_trt, state.risk_ctrl) == (doc["state"]["risk_trt"],
                                                  doc["state"]["risk_ctrl"])
     assert state.risk_trt + state.risk_ctrl < 120
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+def test_periodic_checkpoint_survives_a_failed_run(capsys, tmp_path, variant):
+    """``--checkpoint-every 7`` on a stream with a corrupt line after its 35th
+    event: the run fails with one error line, its checkpoint is the one
+    written after event 35, and a resume over the intact stream reports
+    exactly what the uninterrupted run reports."""
+    lines = (GOLDEN / f"{variant}.ndjson").read_text().splitlines(keepends=True)
+    lines[37] = '{"arm": 1,\n'  # line 38
+    broken, ck = tmp_path / "broken.ndjson", tmp_path / "ck.json"
+    broken.write_text("".join(lines))
+    code = _monitor(variant, broken, "--checkpoint", str(ck), "--checkpoint-every", "7")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert [row for row in err.splitlines() if row.startswith("error:")] == [
+        "error: line 38: invalid JSON (Expecting property name enclosed in double quotes)"]
+    assert json.loads(ck.read_text())["position"] == 35
+    report = tmp_path / "report.json"
+    assert _monitor(variant, GOLDEN / f"{variant}.ndjson", "--checkpoint", str(ck), "--resume",
+                    "--report", str(report)) in (0, 10)
+    assert "resumed from checkpoint at line 35" in capsys.readouterr().err
+    assert report.read_text() == (GOLDEN / f"{variant}.report.json").read_text()

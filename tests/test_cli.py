@@ -453,6 +453,64 @@ def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_str
     _one_error_line(code, err)
 
 
+def _schema_2_checkpoint(tmp_path):
+    from test_checkpoint import GOLDEN
+
+    doc = json.loads((GOLDEN / "binary.ckpt.json").read_text())
+    ck = tmp_path / "ck.json"
+    ck.write_text(json.dumps({**doc, "schema": 2}))
+    return ["monitor", "--variant", "binary", "--input", str(GOLDEN / "binary.ndjson"),
+            "--checkpoint", str(ck), "--resume"]
+
+
+def _entry_after_event(tmp_path):
+    path = tmp_path / "events.ndjson"
+    write_ndjson(path, [{"time": 2.0, "status": 1, "arm": 1},
+                        {"time": 3.0, "status": 1, "arm": 0, "entry_time": 4.5}])
+    return ["monitor", "--variant", "survival", "--risk-trt", "5", "--risk-ctrl", "5",
+            "--input", str(path)]
+
+
+def _scenario(doc):
+    def argv(tmp_path):
+        path = tmp_path / "sc.json"
+        path.write_text(json.dumps(doc))
+        return ["simulate", "--scenario", str(path)]
+    return argv
+
+
+def _matrices(edit):
+    from trialbet.multistate import CONTROL_DAILY
+
+    rows = [list(row) for row in CONTROL_DAILY.probs]
+    return _scenario({"variant": "multistate", "n_sims": 2, "params": {
+        "n_patients": 20, "matrices": {"trt": edit(rows), "ctrl": rows}}})
+
+
+_BINARY = {"n_patients": 20, "p_ctrl": 0.4}
+
+
+@pytest.mark.parametrize("argv,message", [
+    (_schema_2_checkpoint, "error: unsupported checkpoint schema: 2"),
+    (_entry_after_event, "error: line 2: negative time on study"),
+    (_scenario({"variant": "binary", "params": _BINARY, "alpha": 1.5}),
+     "error: alpha must be in (0,1)"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 0}),
+     "error: n_sims must be >= 1"),
+    (_matrices(lambda rows: [[1.1, -0.1, 0.0, 0.0], *rows[1:]]),
+     "error: transition probabilities must be >= 0"),
+    (_matrices(lambda rows: rows[:3]), "error: transition matrix must be 4x4, got (3, 4)"),
+    (lambda tmp_path: ["power", "--variant", "binary", "--p1", "0.4", "--p2", "0.3",
+                       "--power", "1.5"], "error: power and alpha must be in (0,1)"),
+], ids=["checkpoint-schema-2", "entry-after-time", "alpha-1.5", "n_sims-0",
+        "negative-matrix-entry", "three-matrix-rows", "power-1.5"])
+def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
+    """Inputs no run can use end in exit 1 and one ``error:`` line."""
+    code, out, err = run_cli(capsys, *argv(tmp_path))
+    assert out == ""
+    assert message in _one_error_line(code, err)
+
+
 def test_variant_choices_are_the_rows_with_design_facts():
     """``power`` and ``wage`` list their variants literally (the CLI imports no
     simlab); the lists must be the rows with a calculator and with strategies."""
@@ -654,32 +712,99 @@ def test_cli_import_loads_no_simlab_or_scipy():
     ("survival", {"n_patients": 60, "bet_rule": "half_kelly"}),
     ("continuous", {"n_patients": 60, "sign_only": True}),
 ])
-def test_trajectories_refuse_batch_only_wager_rules(capsys, tmp_path, variant, param):
-    sc = tmp_path / "sc.json"
-    sc.write_text(json.dumps({"variant": variant, "params": param, "n_sims": 2}))
-    out_csv = tmp_path / "traj.csv"
-    code, _, err = run_cli(capsys, "trajectories", "--scenario", str(sc), "--trials", "1",
-                           "--out", str(out_csv))
-    assert code == EXIT_ERROR
-    assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert not out_csv.exists()
-
-
-@pytest.mark.parametrize("stem", ["binary_alt", "binary_null", "continuous_alt",
-                                  "deaths_alt", "multistate_alt", "survival_alt"])
-def test_trajectories_match_engine(stem):
-    """Each exported trial ends at the log-e the engine scores for it."""
-    from pathlib import Path
-
-    from trialbet.cli import _trajectory_steps
+def test_trajectories_run_every_wager_rule(capsys, tmp_path, variant, param):
+    """Wager rules the streaming monitor lacks export too; each trial's last
+    log-wealth is the final log-e the engine scores, exactly."""
     from trialbet.simlab import engine
     from trialbet.simlab.scenario import SimScenario
 
-    path = Path(__file__).parent.parent / "scenarios" / f"{stem}.json"
-    scenario = SimScenario.from_dict(json.loads(path.read_text()))
+    doc = {"variant": variant, "params": param, "n_sims": 2}
+    sc = tmp_path / "sc.json"
+    sc.write_text(json.dumps(doc))
+    out_csv = tmp_path / "traj.csv"
+    code, out, _ = run_cli(capsys, "trajectories", "--scenario", str(sc), "--trials", "3",
+                           "--out", str(out_csv))
+    assert code == EXIT_OK and out.startswith("wrote ")
+    assert out_csv.read_text().splitlines()[1] == "trial,index,lambda,multiplier,wealth"
+    scenario = SimScenario.from_dict(doc)
+    trials = engine.trajectories(scenario, 3)
+    final = engine._run_range(scenario, 0, 3)[1]
+    if variant == "binary":  # a prespecified wager bets on the first patient too
+        assert [index[0] for index, *_ in trials] == [1, 1, 1]
+    for (index, _, _, logw), log_e in zip(trials, final):
+        assert (logw[-1] if index.size else 0.0) == log_e
+
+
+SCENARIOS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multistate_alt",
+             "survival_alt"]
+
+
+def _scenario_path(stem):
+    from pathlib import Path
+
+    return Path(__file__).parent.parent / "scenarios" / f"{stem}.json"
+
+
+def _committed_scenario(stem):
+    from trialbet.simlab.scenario import SimScenario
+
+    return SimScenario.from_dict(json.loads(_scenario_path(stem).read_text()))
+
+
+@pytest.mark.parametrize("stem", SCENARIOS)
+def test_trajectories_match_engine(stem):
+    """Each exported trial ends at the log-e the engine scores for it."""
+    from trialbet.simlab import engine
+
+    scenario = _committed_scenario(stem)
     n = 3
-    trials = _trajectory_steps(scenario, n)
+    trials = engine.trajectories(scenario, n)
     final = engine._run_range(scenario, 0, n)[1]
-    for steps, log_e in zip(trials, final):
-        streamed = steps[-1].log_wealth if steps else 0.0
-        assert abs(streamed - log_e) <= 1e-10
+    for (index, _, _, logw), log_e in zip(trials, final):
+        assert (logw[-1] if index.size else 0.0) == log_e
+
+
+@pytest.mark.parametrize("stem", SCENARIOS)
+def test_trajectories_match_streaming_monitor(capsys, tmp_path, stem):
+    """The exported CSV holds the rows the live monitor records on the same
+    trials: the same indices, wagers and multipliers.  Continuous wagers may
+    differ in the last digits, from the lab's raw-sum arm moments against the
+    monitor's Welford accumulator, and so may wealth (numpy's log against
+    libm's)."""
+    import oracles
+
+    scenario = _committed_scenario(stem)
+    n = 30
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = run_cli(capsys, "trajectories", "--scenario", str(_scenario_path(stem)),
+                         "--trials", str(n), "--out", str(out_csv))
+    assert code == EXIT_OK
+    rows = [row.split(",") for row in out_csv.read_text().splitlines()[2:]]
+    expected = [(trial, step) for trial, steps
+                in enumerate(oracles.stream_trajectories(scenario, n), 1) for step in steps]
+    assert len(rows) == len(expected)
+    exact = scenario.variant != "continuous"
+    for (trial, index, lam, mult, wealth), (ref_trial, step) in zip(rows, expected):
+        assert (int(trial), int(index)) == (ref_trial, step.index)
+        for got, ref in ((float(lam), step.wager), (float(mult), step.multiplier)):
+            assert got == ref if exact else math.isclose(got, ref, rel_tol=1e-12)
+        assert math.isclose(float(wealth), step.wealth, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("sd", [1e200, 1e307])  # 1e307: the arm sums overflow too
+def test_overflowing_continuous_moments_bet_neutral(capsys, tmp_path, recwarn, sd):
+    """Outcomes whose squares overflow give an arm SD of +inf: Cohen's d is 0
+    and every wager neutral, as in the monitor, not NaN."""
+    sc = tmp_path / "huge.json"
+    sc.write_text(json.dumps({"variant": "continuous",
+                              "params": {"n_patients": 200, "sd": sd}, "n_sims": 20}))
+    code, out, err = run_cli(capsys, "simulate", "--scenario", str(sc))
+    assert code == EXIT_OK and err == ""
+    assert "nan" not in out and "median final e      1\n" in out
+    out_csv = tmp_path / "traj.csv"
+    code, _, _ = run_cli(capsys, "trajectories", "--scenario", str(sc), "--trials", "5",
+                         "--out", str(out_csv))
+    assert code == EXIT_OK
+    rows = [row.split(",") for row in out_csv.read_text().splitlines()[2:]]
+    assert len(rows) == 5 * 150 and {row[4] for row in rows} == {"1.0"}
+    assert not [str(w.message) for w in recwarn]

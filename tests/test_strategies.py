@@ -101,10 +101,8 @@ def test_strategy_never_changes_what_is_prepared(variant, kind):
 
 @pytest.mark.parametrize("variant", sorted(SIM_VARIANTS))
 def test_strategy_parameters_belong_to_their_variant(variant):
-    """Every key a strategy sets is a scenario parameter of its variant, and
-    every batch-only wager rule of the variant is reachable by some strategy."""
+    """Every key a strategy sets is a scenario parameter of its variant."""
     wage = SIM_VARIANTS[variant].wage
     rules = wage.strategies.values() if wage else ()
     set_keys = {key for rule in rules for key in rule.params(0.3)}
     assert set_keys <= set(SIM_VARIANTS[variant].params)
-    assert set(SIM_VARIANTS[variant].batch_only) <= set_keys
