@@ -9,9 +9,9 @@ no bet (there is no history to learn from).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
+from .core import RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 
@@ -22,8 +22,8 @@ class BinaryState:
 
     sched: RampSchedule = DEFAULT_SCHEDULE
     p: float = 0.5
-    alpha: float = 0.05
-    record_steps: bool = True
+    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
+    record_steps: InitVar[bool] = False
     n_trt: int = 0
     n_ctrl: int = 0
     e_trt: int = 0
@@ -31,9 +31,10 @@ class BinaryState:
     i: int = 0  # observations consumed so far
     ledger: WealthLedger = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, alpha: float, record_steps: bool) -> None:
+        check_open_unit("p", self.p)
         if self.ledger is None:
-            self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
+            self.ledger = WealthLedger(alpha, record_steps)
 
     def delta(self) -> float:
         """Running event-rate difference, treatment minus control.
@@ -57,25 +58,22 @@ class BinaryState:
         lam = 0.5 + 0.5 * c * d if outcome == 1 else 0.5 - 0.5 * c * d
         return clamp_wager(lam)
 
-    def step(self, outcome: int, arm: int):
+    def step(self, outcome: int, arm: int) -> None:
         """Consume one (outcome, arm) observation: bet, settle, then update counts.
 
-        Returns the settled WealthStep when the state records steps; None
-        otherwise, and for the first observation, which never bets.
+        The first observation never bets.
         """
         if outcome not in (0, 1):
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         self.i += 1
-        step = None
         if self.i >= 2:
             lam = self.wager(outcome, self.i)
-            step = apply_bet(self.ledger, lam, arm, self.p, self.i)
+            apply_bet(self.ledger, lam, arm, self.p, self.i)
         if arm == 1:
             self.n_trt += 1
             self.e_trt += outcome
         else:
             self.n_ctrl += 1
             self.e_ctrl += outcome
-        return step

@@ -6,12 +6,13 @@ whole stream at once.  The monitor configuration is hashed so a checkpoint
 cannot be resumed under different parameters, and a resume is refused when the
 saved state disagrees with that configuration or with its own position.
 
-This module alone knows the format.  A state's saved form is derived from its
-dataclass fields, and a resume rebuilds it through its constructor, so its
-validation runs.  Running floats are IEEE-754 hex strings: every reader parses
-them to the same bits, and they hold ``-inf``, which JSON numbers cannot.
-``alpha`` and the monitor options are written as given: they are the user's
-settings, which the configuration hash pins.  The trajectory is not saved.
+This module alone knows the format.  A state's saved form is exactly its
+dataclass fields (inputs that are not state are init-only), and a resume
+rebuilds it through its constructor, so its validation runs.  Running floats
+are IEEE-754 hex strings: every reader parses them to the same bits, and they
+hold ``-inf``, which JSON numbers cannot.  ``alpha`` and the monitor options
+are written as given: they are the user's settings, which the configuration
+hash pins.
 """
 
 from __future__ import annotations
@@ -38,20 +39,16 @@ class CheckpointError(ValueError):
 
 
 _AS_GIVEN = frozenset({"alpha"}).union(*(m.options for m in MONITORS.values()))
-_NOT_SAVED = frozenset({"record_steps", "steps"})
 
 
 @cache
 def _layout(cls) -> tuple[tuple[str, str, Any], ...]:
-    """(name, how it is written, type) of each field of ``cls`` a checkpoint
-    holds, in declaration order.  A state's ``alpha`` is left out: its ledger
-    holds it."""
+    """(name, how it is written, type) of each field of ``cls``, in declaration
+    order."""
     hints = get_type_hints(cls)
     layout = []
     for f in fields(cls):
         name, hint = f.name, hints[f.name]
-        if name in _NOT_SAVED or (name == "alpha" and "ledger" in hints):
-            continue
         how = ("flat" if hint in (RampSchedule, StateModel)  # beside the owner's fields
                else "row" if hint is _ArmMoments  # a list of its field values
                else "object" if is_dataclass(hint)
@@ -98,8 +95,8 @@ def _field(doc: dict, name: str, json_type):
 
 def decode_state(cls, doc: dict):
     """Rebuild a ``cls`` from :func:`encode_state`'s object through its
-    constructor, without step recording.  A missing, mistyped or invalid field
-    raises TypeError or ValueError."""
+    constructor.  A missing, mistyped or invalid field raises TypeError or
+    ValueError."""
     kwargs: dict[str, Any] = {}
     for name, how, hint in _layout(cls):
         if how == "flat":
@@ -118,10 +115,6 @@ def decode_state(cls, doc: dict):
                                                       for v in _field(doc, name, list))
         else:
             kwargs[name] = _field(doc, name, (int, float) if hint is float else hint)
-    if "ledger" in kwargs:
-        kwargs["alpha"] = kwargs["ledger"].alpha
-    if hasattr(cls, "record_steps"):
-        kwargs["record_steps"] = False
     return cls(**kwargs)
 
 
@@ -150,8 +143,8 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
 
     Raises CheckpointError on a malformed document, on a schema, variant or
     configuration mismatch, on a setting the state holds that differs from the
-    configuration's (where it names that setting), or on a position before the
-    state's last event.
+    one a fresh run takes from the configuration (its schedule, options, or
+    multistate model), or on a position before the state's last event.
     """
     if not isinstance(doc, dict):
         raise CheckpointError("corrupt checkpoint: not a JSON object")
@@ -173,15 +166,27 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     if position < events:
         raise CheckpointError(f"corrupt checkpoint: position {position} is before "
                               f"its {events} events")
-    settings = {"alpha": state.ledger.alpha, "burn_in": state.sched.burn_in,
-                "ramp": state.sched.ramp,
-                **{key: getattr(state, key) for key in monitor.options
-                   if key not in monitor.running}}
-    for key, value in settings.items():
-        if key in config and value != config[key]:
-            raise CheckpointError(f"checkpoint {key} {value!r} does not match the "
-                                  f"configuration's {config[key]!r}; refusing to resume")
+    # a fresh run takes each setting from the configuration, else from the checkpoint
+    saved = _settings(monitor, state)
+    fresh = monitor.build({**saved, **{key: getattr(state, key) for key in monitor.running},
+                           **config})
+    for key, value in _settings(monitor, fresh).items():
+        if saved[key] != value:
+            raise CheckpointError(f"checkpoint {key} {saved[key]!r} does not match the "
+                                  f"configuration's {value!r}; refusing to resume")
     return state, position
+
+
+def _settings(monitor, state) -> dict[str, Any]:
+    """What a state holds that no event changes: alpha, the schedule, the state
+    model if it has one, and the options the state does not update."""
+    out = {"alpha": state.ledger.alpha}
+    for name, how, _ in _layout(type(state)):
+        if how == "flat":
+            out.update(encode_state(getattr(state, name)))
+    out.update((key, getattr(state, key)) for key in monitor.options
+               if key not in monitor.running)
+    return out
 
 
 def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any],

@@ -99,6 +99,8 @@ def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
 
 def _monitor_config(args, monitor: Monitor) -> dict:
     """Alpha, schedule and options from the command line, defaults from the monitor."""
+    _refuse_unread(args, [key for row in MONITORS.values() for key in row.options],
+                   monitor.options, f"{args.variant} monitoring")
     cfg = {"variant": args.variant, "alpha": args.alpha}
     defaults = monitor.defaults
     for key in ("burn_in", "ramp", *monitor.options):
@@ -129,8 +131,11 @@ def cmd_monitor(args) -> int:
     variant = args.variant
     monitor = MONITORS[variant]
     cfg = _monitor_config(args, monitor)
+    _at_least(args, 0, "checkpoint_every", "progress_every")
+    if (args.resume or args.checkpoint_every) and not args.checkpoint:
+        raise ValueError("--resume and --checkpoint-every need --checkpoint")
     position = 0  # line number of the last processed event
-    if args.checkpoint and args.resume:
+    if args.resume:
         state, position = ckpt.read_checkpoint_file(args.checkpoint, variant, cfg)
         print(f"resumed from checkpoint at line {position}", file=sys.stderr)
     else:
@@ -140,7 +145,7 @@ def cmd_monitor(args) -> int:
     already_crossed = ledger.crossed
     step = state.step
     progress_every = args.progress_every
-    checkpoint_every = args.checkpoint_every if args.checkpoint else 0
+    checkpoint_every = args.checkpoint_every
     stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
         for line_no, line in enumerate(stream, start=1):
@@ -194,6 +199,7 @@ def _load_scenario(args):
 def cmd_simulate(args) -> int:
     from .simlab import engine
 
+    _at_least(args, 1, "workers")
     scenario = _load_scenario(args)
     oc = engine.run_operating_characteristics(scenario, n_workers=args.workers)
     med_cross = ("-" if oc.median_first_crossing is None
@@ -207,6 +213,14 @@ def cmd_simulate(args) -> int:
     if args.json:
         _write_json(oc.to_dict(), args.json)
     return EXIT_OK
+
+
+def _at_least(args, least: int, *keys: str) -> None:
+    """Refuse any of the integer options ``keys`` that was given below ``least``."""
+    for key in keys:
+        if getattr(args, key) < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, "
+                             f"got {getattr(args, key)}")
 
 
 def _refuse_unread(args, offered, read, what: str) -> None:
@@ -234,7 +248,7 @@ def cmd_power(args) -> int:
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# schema: trialbet.v{SCHEMA_VERSION}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -344,6 +358,7 @@ def _write_svg(path: str, trials: list[tuple], threshold: float) -> None:
 def cmd_trajectories(args) -> int:
     from .simlab import engine
 
+    _at_least(args, 0, "trials")  # zero trials exports the header alone
     scenario = _load_scenario(args)
     trials = engine.trajectories(scenario, args.trials)
     rows = [[trial, i, lam, mult, _exp_wealth(log_e)]

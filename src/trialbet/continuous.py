@@ -23,9 +23,9 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
-from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
+from .core import RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 DEFAULT_C_MAX = 0.6
@@ -127,20 +127,20 @@ class ContinuousState:
     sched: RampSchedule = DEFAULT_SCHEDULE
     c_max: float = DEFAULT_C_MAX
     p: float = 0.5
-    alpha: float = 0.05
-    record_steps: bool = True
+    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
+    record_steps: InitVar[bool] = False
     values: list[float] = field(default_factory=list)  # past outcomes, sorted
     trt: _ArmMoments = field(default_factory=_ArmMoments)
     ctrl: _ArmMoments = field(default_factory=_ArmMoments)
     ledger: WealthLedger = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.c_max < 1.0:
-            raise ValueError(f"c_max must be in (0,1), got {self.c_max}")
+    def __post_init__(self, alpha: float, record_steps: bool) -> None:
+        check_open_unit("p", self.p)
+        check_open_unit("c_max", self.c_max)
         self.values = sorted(self.values)  # arrival-order checkpoints resume bit-exactly
         self.mad_start = 0  # the MAD window's search start; not a field, so never saved
         if self.ledger is None:
-            self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
+            self.ledger = WealthLedger(alpha, record_steps)
 
     @property
     def i(self) -> int:
@@ -171,21 +171,15 @@ class ContinuousState:
         lam = 0.5 + ramp_frac * self.c_max * g * self.cohens_d()
         return clamp_wager(lam)
 
-    def step(self, y: float, arm: int):
-        """Consume one (outcome, arm) pair: bet if past burn-in, then record it.
-
-        Returns the settled WealthStep when the state records steps; None
-        otherwise, and during the no-bet window.
-        """
+    def step(self, y: float, arm: int) -> None:
+        """Consume one (outcome, arm) pair: bet if past burn-in, then record it."""
         if not math.isfinite(y):
             raise ValueError(f"outcome must be finite, got {y!r}")
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = self.i + 1
-        step = None
         if i >= 2 and (i - 1) >= self.sched.burn_in:
             lam = self.wager(y, i)
-            step = apply_bet(self.ledger, lam, arm, self.p, i)
+            apply_bet(self.ledger, lam, arm, self.p, i)
         insort(self.values, y)
         (self.trt if arm == 1 else self.ctrl).add(y)
-        return step

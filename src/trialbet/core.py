@@ -11,13 +11,14 @@ Crossing that threshold is the (anytime-valid) rejection rule.
 Wealth is tracked in log space: long null streams multiply thousands of
 factors slightly below 1 and would underflow a plain product.  Exported
 e-values exponentiate (saturating to ``inf`` past the float range, where the
-log stays exact); the threshold test compares against ``log(1/alpha)``.
+log stays exact); the threshold test compares against ``log(1/alpha)``.  A
+settled bet has one outlet, the ledger: settling returns nothing.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 
 # Wager clamp shared by the two-sided monitors (binary, deaths, continuous).
 # Keeps every payout strictly positive so log-wealth stays finite.
@@ -54,6 +55,12 @@ def _exp_wealth(log_wealth: float) -> float:
         return math.inf
 
 
+def check_open_unit(name: str, value: float) -> None:
+    """Refuse a setting outside the open interval (0, 1), NaN included."""
+    if not 0.0 < value < 1.0:
+        raise ValueError(f"{name} must be in (0,1), got {value}")
+
+
 def clamp_wager(raw: float, lo: float = WAGER_MIN, hi: float = WAGER_MAX) -> float:
     """Clamp a raw wager into [lo, hi]; identity on interior values."""
     if not math.isfinite(raw):
@@ -83,19 +90,21 @@ class WealthLedger:
     Single-writer: one ledger per monitored stream.  ``crossed`` latches at
     the first step whose wealth reaches ``1/alpha`` and never unlatches, even
     if wealth later falls (anytime-valid semantics).
+
+    Every field is saved state.  ``record_steps`` is a constructor input: with
+    it, ``steps`` lists each settled bet's ``WealthStep``; else it is None.
     """
 
     alpha: float = 0.05
-    record_steps: bool = True
+    record_steps: InitVar[bool] = False
     log_wealth: float = 0.0
     n_steps: int = 0
     crossed: bool = False
     crossed_at: int | None = None
-    steps: list[WealthStep] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {self.alpha}")
+    def __post_init__(self, record_steps: bool) -> None:
+        check_open_unit("alpha", self.alpha)
+        self.steps: list[WealthStep] | None = [] if record_steps else None
 
     @property
     def threshold(self) -> float:
@@ -109,12 +118,8 @@ class WealthLedger:
     def wealth(self) -> float:
         return _exp_wealth(self.log_wealth)
 
-    def apply(self, wager: float, multiplier: float, index: int) -> WealthStep | None:
-        """Multiply wealth by a realized payout and update the crossed latch.
-
-        Returns the step's ledger row when ``record_steps`` is set, else None:
-        a live monitor keeps no rows, so it builds none.
-        """
+    def apply(self, wager: float, multiplier: float, index: int) -> None:
+        """Multiply wealth by a realized payout and update the crossed latch."""
         if not (multiplier > 0.0 and math.isfinite(multiplier)):
             raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
         self.log_wealth += math.log(multiplier)
@@ -122,15 +127,11 @@ class WealthLedger:
         if not self.crossed and self.log_wealth >= self.log_threshold:
             self.crossed = True
             self.crossed_at = index
-        if not self.record_steps:
-            return None
-        step = WealthStep(index, wager, multiplier, self.log_wealth, self.crossed)
-        self.steps.append(step)
-        return step
+        if self.steps is not None:
+            self.steps.append(WealthStep(index, wager, multiplier, self.log_wealth, self.crossed))
 
 
-def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float,
-              index: int) -> WealthStep | None:
+def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float, index: int) -> None:
     """Settle a two-sided wager against the revealed arm.
 
     ``wager`` is the fraction staked on arm 1 (allocation probability ``p``);
@@ -141,16 +142,15 @@ def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float,
     if arm not in (0, 1):
         raise ValueError(f"arm must be 0 or 1, got {arm}")
     multiplier = wager / p if arm == 1 else (1.0 - wager) / (1.0 - p)
-    return ledger.apply(wager, multiplier, index)
+    ledger.apply(wager, multiplier, index)
 
 
-def apply_signed_bet(ledger: WealthLedger, bet: float, score: float,
-                     index: int) -> WealthStep | None:
+def apply_signed_bet(ledger: WealthLedger, bet: float, score: float, index: int) -> None:
     """Settle a signed bet on a zero-mean score: payout ``1 + bet * score``.
 
     Requires ``|bet * score| < 1`` so the payout stays positive.
     """
-    return ledger.apply(bet, 1.0 + bet * score, index)
+    ledger.apply(bet, 1.0 + bet * score, index)
 
 
 def martingale_audit(wager: float, p: float) -> float:

@@ -10,7 +10,7 @@ never observed: the only input is the ordered stream of arms on deaths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
 
@@ -64,15 +64,15 @@ class DeathsState:
     """Streaming state for deaths-only monitoring; one instance per trial."""
 
     sched: RampSchedule = DEFAULT_SCHEDULE
-    alpha: float = 0.05
-    record_steps: bool = True
+    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
+    record_steps: InitVar[bool] = False
     d_trt: int = 0
     d_ctrl: int = 0
     ledger: WealthLedger = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, alpha: float, record_steps: bool) -> None:
         if self.ledger is None:
-            self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
+            self.ledger = WealthLedger(alpha, record_steps)
 
     @property
     def total(self) -> int:
@@ -91,21 +91,17 @@ class DeathsState:
             return clamp_wager(0.5 + c * (self.p_hat() - 0.5))
         return 0.5
 
-    def step(self, arm: int):
-        """Consume one death: bet on its arm at the fair-coin null, then count it.
-
-        Returns the settled WealthStep when the state records steps, else None.
-        """
+    def step(self, arm: int) -> None:
+        """Consume one death: bet on its arm at the fair-coin null, then count it."""
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = self.total + 1
         lam = self.wager(i)
-        step = apply_bet(self.ledger, lam, arm, 0.5, i)
+        apply_bet(self.ledger, lam, arm, 0.5, i)
         if arm == 1:
             self.d_trt += 1
         else:
             self.d_ctrl += 1
-        return step
 
     def final_rr(self) -> float:
         """Relative risk implied by the final death split, guarded at the clamp edges."""

@@ -10,9 +10,8 @@ assumption: only that arms are randomized and the wager uses past data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+import math
+from dataclasses import InitVar, dataclass
 
 from .core import RampSchedule, WealthLedger, apply_bet
 
@@ -70,21 +69,19 @@ class TransitionMatrix:
     model: StateModel = DEFAULT_MODEL
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.probs, dtype=float)
+        rows = [[float(v) for v in row] for row in self.probs]  # as numpy converts them
         k = len(self.model.states)
-        if arr.shape != (k, k):
-            raise ValueError(f"transition matrix must be {k}x{k}, got {arr.shape}")
-        if np.any(arr < 0.0):
+        shape = (len(rows), *{len(row) for row in rows})
+        if shape != (k, k):
+            raise ValueError(f"transition matrix must be {k}x{k}, got {shape}")
+        if not all(v >= 0.0 for row in rows for v in row):  # NaN is not >= 0 either
             raise ValueError("transition probabilities must be >= 0")
-        if np.any(np.abs(arr.sum(axis=1) - 1.0) > 1e-12):
+        if not all(abs(math.fsum(row) - 1.0) <= 1e-12 for row in rows):
             raise ValueError("each transition-matrix row must sum to 1")
         for s in self.model.absorbing:
-            row = arr[self.model.index(s)]
-            if row[self.model.index(s)] != 1.0:
+            i = self.model.index(s)
+            if rows[i][i] != 1.0:
                 raise ValueError(f"absorbing state {s!r} must have an identity row")
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
 
 
 # Daily transition probabilities of the simulated ICU trial (rows: Ward, ICU,
@@ -110,17 +107,17 @@ class MultistateState:
 
     model: StateModel = DEFAULT_MODEL
     sched: RampSchedule = DEFAULT_SCHEDULE
-    alpha: float = 0.05
-    record_steps: bool = True
+    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
+    record_steps: InitVar[bool] = False
     good_trt: int = 0
     total_trt: int = 0
     good_ctrl: int = 0
     total_ctrl: int = 0
     ledger: WealthLedger = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, alpha: float, record_steps: bool) -> None:
         if self.ledger is None:
-            self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
+            self.ledger = WealthLedger(alpha, record_steps)
 
     @property
     def total(self) -> int:
@@ -147,25 +144,20 @@ class MultistateState:
             lam = 0.5
         return min(WAGER_MAX, max(WAGER_MIN, lam))
 
-    def step(self, from_state: str, to_state: str, arm: int):
-        """Consume one transition: classify, bet on the arm, then update counts.
+    def step(self, from_state: str, to_state: str, arm: int) -> None:
+        """Consume one transition: classify, bet on the arm, then update counts."""
+        self.step_classified(classify(from_state, to_state, self.model), arm)
 
-        Returns the settled WealthStep when the state records steps, else None.
-        """
-        is_good = classify(from_state, to_state, self.model)
-        return self.step_classified(is_good, arm)
-
-    def step_classified(self, is_good: bool, arm: int):
-        """Consume a transition already classified good/bad; returns as ``step``."""
+    def step_classified(self, is_good: bool, arm: int) -> None:
+        """Consume a transition already classified good/bad."""
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = self.total + 1
         lam = self.wager(is_good, i)
-        step = apply_bet(self.ledger, lam, arm, 0.5, i)
+        apply_bet(self.ledger, lam, arm, 0.5, i)
         if arm == 1:
             self.total_trt += 1
             self.good_trt += is_good
         else:
             self.total_ctrl += 1
             self.good_ctrl += is_good
-        return step

@@ -91,8 +91,7 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
         raise ValueError("arm matrices must share one state model")
     arms = (rng.random(n_patients) < 0.5).astype(np.int8)
     uniforms = rng.random((horizon, n_patients))  # day by day, as separate draws would
-    cum = np.stack([matrix_ctrl.as_array().cumsum(axis=1),
-                    matrix_trt.as_array().cumsum(axis=1)])
+    cum = np.asarray([matrix_ctrl.probs, matrix_trt.probs], dtype=float).cumsum(axis=2)
     n_states = len(model.states)
     # thresholds[k][arm * n_states + state] is that row's cumulative probability
     # up to state k; the count of thresholds u reaches is the categorical draw.

@@ -20,6 +20,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple
 
 from ..continuous import DEFAULT_C_MAX
+from ..core import RampSchedule, check_open_unit
 from ..multistate import CONTROL_DAILY, TREATMENT_DAILY, TransitionMatrix
 from ..survival import DEFAULT_BET_CAP
 from ..variants import MONITORS, SCHEMA_VERSION
@@ -204,6 +205,10 @@ def normalize_params(variant: str, params: Mapping[str, Any]) -> dict[str, Any]:
             value = out[default[1:]]
         out[key] = value
     sim.check(out)
+    # the settings the lab shares with the monitor, refused as the monitor refuses them
+    RampSchedule(out["burn_in"], out["ramp"])
+    for cap in out.keys() & {"c_max", "lambda_max"}:
+        check_open_unit(cap, out[cap])
     return out
 
 

@@ -13,9 +13,9 @@ Censored records shrink the risk set without touching wealth.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_signed_bet
+from .core import RampSchedule, WealthLedger, apply_signed_bet, check_open_unit
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 DEFAULT_BET_CAP = 0.25
@@ -75,20 +75,19 @@ class SurvivalState:
     risk_ctrl: int
     sched: RampSchedule = DEFAULT_SCHEDULE
     lambda_max: float = DEFAULT_BET_CAP
-    alpha: float = 0.05
-    record_steps: bool = True
+    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
+    record_steps: InitVar[bool] = False
     cum_z: float = 0.0
     records_seen: int = 0
     last_time: float = -math.inf
     ledger: WealthLedger = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, alpha: float, record_steps: bool) -> None:
         if self.risk_trt < 0 or self.risk_ctrl < 0:
             raise ValueError("risk-set sizes must be >= 0")
-        if not 0.0 < self.lambda_max < 1.0:
-            raise ValueError(f"lambda_max must be in (0,1), got {self.lambda_max}")
+        check_open_unit("lambda_max", self.lambda_max)
         if self.ledger is None:
-            self.ledger = WealthLedger(alpha=self.alpha, record_steps=self.record_steps)
+            self.ledger = WealthLedger(alpha, record_steps)
 
     def risk_proportion(self) -> float:
         """Treated fraction of the current risk set (0.5 when it is empty)."""
@@ -105,13 +104,11 @@ class SurvivalState:
         sign = 0.0 if self.cum_z == 0.0 else math.copysign(1.0, self.cum_z)
         return c * self.lambda_max * sign
 
-    def step(self, record: SurvivalRecord):
+    def step(self, record: SurvivalRecord) -> None:
         """Consume the next time-ordered record.
 
         Events settle the signed bet and then add their score increment to
         the cumulative log-rank score; censorings only shrink the risk set.
-        Returns the settled WealthStep when the state records steps; None
-        otherwise, and for a censored record.
         """
         if record.time < self.last_time:
             raise ValueError(
@@ -122,11 +119,10 @@ class SurvivalState:
             raise ValueError(f"{arm} risk set is exhausted: more {arm} records than "
                              f"the {arm} cohort size")
         j = self.records_seen + 1
-        step = None
         if record.status == 1:
             b = self.bet(j)
             u = score_increment(record.arm, self.risk_proportion())
-            step = apply_signed_bet(self.ledger, b, u, j)
+            apply_signed_bet(self.ledger, b, u, j)
             self.cum_z += u
         if record.arm == 1:
             self.risk_trt -= 1
@@ -134,7 +130,6 @@ class SurvivalState:
             self.risk_ctrl -= 1
         self.records_seen = j
         self.last_time = record.time
-        return step
 
 
 def score_increment(event_arm: int, p_j: float) -> float:

@@ -57,7 +57,7 @@ class Monitor:
     def build(self, config: dict[str, Any]):
         """A fresh state from a monitor configuration (alpha, schedule, options)."""
         return self.state(sched=RampSchedule(config["burn_in"], config["ramp"]),
-                          alpha=config["alpha"], record_steps=False,
+                          alpha=config["alpha"],
                           **{key: config[key] for key in self.options})
 
 

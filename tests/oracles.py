@@ -84,7 +84,7 @@ def day_horizon_distribution(rng, n_patients: int, matrix, start: str = "ICU",
                              horizon: int = 28) -> np.ndarray:
     """Empirical state distribution at the horizon for one arm's matrix."""
     model = matrix.model
-    cum = matrix.as_array().cumsum(axis=1)
+    cum = np.asarray(matrix.probs, dtype=float).cumsum(axis=1)
     n_states = len(model.states)
     states = np.full(n_patients, model.index(start), dtype=np.int8)
     for _ in range(horizon):

@@ -178,8 +178,7 @@ def simulate_patient_path(matrix, rng, start="ICU", horizon=28):
     state changes only.
     """
     model = matrix.model
-    arr = matrix.as_array()
-    cum = np.cumsum(arr, axis=1)
+    cum = np.cumsum(np.asarray(matrix.probs, dtype=float), axis=1)
     state = model.index(start)
     absorbing = {model.index(s) for s in model.absorbing}
     transitions = []

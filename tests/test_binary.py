@@ -11,7 +11,7 @@ from oracles import mean_final_wealth
 
 
 def state_with_counts(n_trt, e_trt, n_ctrl, e_ctrl, i):
-    st = BinaryState()
+    st = BinaryState(record_steps=True)
     st.n_trt, st.e_trt, st.n_ctrl, st.e_ctrl, st.i = n_trt, e_trt, n_ctrl, e_ctrl, i
     return st
 
@@ -53,9 +53,10 @@ class TestWager:
 class TestStep:
     def test_worked_example_sequence(self):
         st = state_with_counts(100, 35, 99, 40, 199)
-        s1 = st.step(1, 0)
-        s2 = st.step(0, 1)
-        s3 = st.step(1, 1)
+        st.step(1, 0)
+        st.step(0, 1)
+        st.step(1, 1)
+        s1, s2, s3 = st.ledger.steps
         assert s1.multiplier == pytest.approx(1.0540404040404040, rel=1e-12)
         assert s2.multiplier == pytest.approx(1.06, abs=1e-12)
         assert s3.multiplier == pytest.approx(0.9365346534653465, rel=1e-12)
@@ -64,10 +65,11 @@ class TestStep:
         assert (st.n_trt, st.e_trt, st.n_ctrl, st.e_ctrl) == (102, 36, 100, 41)
 
     def test_first_patient_never_bets(self):
-        st = BinaryState()
-        assert st.step(1, 1) is None
-        assert st.ledger.wealth == 1.0
-        assert st.step(1, 0) is not None
+        st = BinaryState(record_steps=True)
+        st.step(1, 1)
+        assert st.ledger.steps == [] and st.ledger.wealth == 1.0
+        st.step(1, 0)
+        assert [s.index for s in st.ledger.steps] == [2]
 
     def test_input_validation(self):
         st = BinaryState()

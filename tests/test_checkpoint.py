@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 from trialbet import checkpoint as ckpt
 from trialbet.cli import main
+from trialbet.core import WealthLedger
 from trialbet.variants import MONITORS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -35,6 +37,14 @@ def test_golden_checkpoint_resumes_bit_exactly(capsys, tmp_path, variant):
     assert code in (0, 10), err
     assert "resumed from checkpoint at line 60" in err
     assert report.read_text() == (GOLDEN / f"{variant}.report.json").read_text()
+
+
+@pytest.mark.parametrize("cls", [*(m.state for m in MONITORS.values()), WealthLedger],
+                         ids=lambda cls: cls.__name__)
+def test_saved_form_is_every_field(cls):
+    """Every dataclass field of a state and of the ledger is saved, with no
+    exception: what is not state (alpha, record_steps) is not a field."""
+    assert [name for name, _, _ in ckpt._layout(cls)] == [f.name for f in dataclasses.fields(cls)]
 
 
 def _monitor(variant, source, *argv):
@@ -129,8 +139,11 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     ("continuous", {"p": 0.6}, "checkpoint p 0.6 does not match"),
     ("survival", {"lambda_max": 0.5}, "checkpoint lambda_max 0.5 does not match"),
     ("multistate", {"burn_in": 3}, "checkpoint burn_in 3 does not match"),
+    ("multistate", {"good": [["Ward", "ICU"], ["ICU", "Dead"]]},
+     "checkpoint good [['ICU', 'Dead'], ['Ward', 'ICU']] does not match"),
 ], ids=["binary-p", "binary-position", "binary-p-and-position", "deaths-position",
-        "continuous-c_max", "continuous-p", "survival-lambda_max", "multistate-burn_in"])
+        "continuous-c_max", "continuous-p", "survival-lambda_max", "multistate-burn_in",
+        "multistate-good"])
 def test_impossible_checkpoint_is_refused(capsys, tmp_path, variant, edit, message):
     """A position before the state's events, or a setting the state holds that
     differs from the configuration, is refused instead of resumed."""

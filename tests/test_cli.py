@@ -490,6 +490,20 @@ def _matrices(edit):
 _BINARY = {"n_patients": 20, "p_ctrl": 0.4}
 
 
+def _lab(variant, **params):
+    return _scenario({"variant": variant, "n_sims": 2, "params": {"n_patients": 20, **params}})
+
+
+def _golden_monitor(variant, *argv):
+    """``monitor`` on a golden stream with extra options."""
+    def make(tmp_path):
+        from test_checkpoint import GOLDEN
+
+        return ["monitor", "--variant", variant,
+                "--input", str(GOLDEN / f"{variant}.ndjson"), *argv]
+    return make
+
+
 @pytest.mark.parametrize("argv,message", [
     (_schema_2_checkpoint, "error: unsupported checkpoint schema: 2"),
     (_entry_after_event, "error: line 2: negative time on study"),
@@ -500,10 +514,40 @@ _BINARY = {"n_patients": 20, "p_ctrl": 0.4}
     (_matrices(lambda rows: [[1.1, -0.1, 0.0, 0.0], *rows[1:]]),
      "error: transition probabilities must be >= 0"),
     (_matrices(lambda rows: rows[:3]), "error: transition matrix must be 4x4, got (3, 4)"),
+    (_matrices(lambda rows: [[math.nan, 0.07, 0.03, 0.02], *rows[1:]]),
+     "error: transition probabilities must be >= 0"),
     (lambda tmp_path: ["power", "--variant", "binary", "--p1", "0.4", "--p2", "0.3",
                        "--power", "1.5"], "error: power and alpha must be in (0,1)"),
+    (_lab("binary", p_ctrl=0.4, ramp=0), "error: ramp must be >= 1, got 0"),
+    (_lab("survival", lambda_max=1.8), "error: lambda_max must be in (0,1), got 1.8"),
+    (_lab("continuous", c_max=3.0), "error: c_max must be in (0,1), got 3.0"),
+    (_scenario({"variant": "deaths", "n_sims": 2, "params": {"n_deaths": 20, "burn_in": -5}}),
+     "error: burn_in must be >= 0, got -5"),
+    (_golden_monitor("binary", "--lambda-max", "0.3", "--c-max", "0.9"),
+     "error: binary monitoring does not read --c-max or --lambda-max"),
+    (_golden_monitor("continuous", "--p", "1.5"), "error: p must be in (0,1), got 1.5"),
+    (_golden_monitor("binary", "--p", "0"), "error: p must be in (0,1), got 0.0"),
+    (_golden_monitor("binary", "--resume"),
+     "error: --resume and --checkpoint-every need --checkpoint"),
+    (_golden_monitor("binary", "--checkpoint-every", "5"),
+     "error: --resume and --checkpoint-every need --checkpoint"),
+    (lambda tmp_path: [*_golden_monitor("binary", "--checkpoint-every", "-1")(tmp_path),
+                       "--checkpoint", str(tmp_path / "ck.json")],
+     "error: --checkpoint-every must be >= 0, got -1"),
+    (_golden_monitor("deaths", "--progress-every", "-1"),
+     "error: --progress-every must be >= 0, got -1"),
+    (lambda tmp_path: ["trajectories", "--scenario", str(_scenario_path("binary_alt")),
+                       "--trials", "-3", "--out", str(tmp_path / "t.csv")],
+     "error: --trials must be >= 0, got -3"),
+    (lambda tmp_path: ["simulate", "--scenario", str(_scenario_path("binary_alt")),
+                       "--workers", "0"], "error: --workers must be >= 1, got 0"),
 ], ids=["checkpoint-schema-2", "entry-after-time", "alpha-1.5", "n_sims-0",
-        "negative-matrix-entry", "three-matrix-rows", "power-1.5"])
+        "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
+        "lab-ramp-0", "lab-lambda_max-1.8", "lab-c_max-3", "lab-burn_in-negative",
+        "monitor-other-variant-options", "monitor-continuous-p-1.5", "monitor-binary-p-0",
+        "resume-without-checkpoint", "checkpoint-every-without-checkpoint",
+        "negative-checkpoint-every", "negative-progress-every", "trajectories-trials-negative",
+        "simulate-workers-0"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -693,8 +737,8 @@ def test_cli_import_loads_no_simlab_or_scipy():
     import sys
 
     probe = ("import sys, trialbet.cli; "
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith("
-             "('scipy.', 'trialbet.simlab'))))")
+             "print(sorted(m for m in sys.modules if m in ('scipy', 'numpy') or m.startswith("
+             "('scipy.', 'numpy.', 'trialbet.simlab'))))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out.strip() == "[]"

@@ -165,23 +165,23 @@ class TestWager:
         assert st.wager(99.0, 31) == 0.5
 
     def test_burn_in_carries_wealth(self):
-        st = ContinuousState()  # burn-in 50
+        st = ContinuousState(record_steps=True)  # burn-in 50
         for k in range(50):
-            step = st.step(float(k), k % 2)
-            assert step is None
-        assert st.ledger.wealth == 1.0
-        assert st.step(3.0, 1) is not None  # 50 past values now exist
+            st.step(float(k), k % 2)
+        assert st.ledger.steps == [] and st.ledger.wealth == 1.0
+        st.step(3.0, 1)  # 50 past values now exist
+        assert [s.index for s in st.ledger.steps] == [51]
 
 
 def test_strong_bet_multipliers():
-    st = ContinuousState(sched=RampSchedule(1, 1))
+    st = ContinuousState(sched=RampSchedule(1, 1), record_steps=True)
     st.step(0.0, 0)
     st.step(0.5, 1)  # bets start once one past value exists
     st.trt.n, st.trt.mean, st.trt.m2 = 10, 10.0, 9.0
     st.ctrl.n, st.ctrl.mean, st.ctrl.m2 = 10, 0.0, 9.0
     lam = st.wager(4.0)
-    step = st.step(4.0, 1)
-    assert step.multiplier == pytest.approx(lam / 0.5, rel=1e-12)
+    st.step(4.0, 1)
+    assert st.ledger.steps[-1].multiplier == pytest.approx(lam / 0.5, rel=1e-12)
 
 
 def test_location_scale_equivariance():
@@ -189,14 +189,15 @@ def test_location_scale_equivariance():
     rng = np.random.default_rng(11)
     t, y = continuous_trial(rng, 240, 0.4, 0.0)
     for a, b in [(2.5, 30.0), (0.5, -75.0), (1.7, 0.0)]:
-        st0 = ContinuousState()
-        st1 = ContinuousState()
+        st0 = ContinuousState(record_steps=True)
+        st1 = ContinuousState(record_steps=True)
         for yy, tt in zip(y.tolist(), t.tolist()):
-            s0 = st0.step(yy, tt)
-            s1 = st1.step(a * yy + b, tt)
-            assert (s0 is None) == (s1 is None)
-            if s0 is not None:
-                assert abs(s0.wager - s1.wager) < 1e-9
+            st0.step(yy, tt)
+            st1.step(a * yy + b, tt)
+        rows0, rows1 = st0.ledger.steps, st1.ledger.steps
+        assert rows0 and [s.index for s in rows0] == [s.index for s in rows1]
+        for s0, s1 in zip(rows0, rows1):
+            assert abs(s0.wager - s1.wager) < 1e-9
         assert abs(st0.ledger.log_wealth - st1.ledger.log_wealth) < 1e-9
 
 
@@ -214,11 +215,12 @@ def test_streaming_matches_batch_replay():
 def test_wagers_always_interior():
     rng = np.random.default_rng(2)
     t, y = continuous_trial(rng, 300, 3.0, 0.0, sd=4.0)
-    st = ContinuousState(sched=RampSchedule(5, 5))
+    st = ContinuousState(sched=RampSchedule(5, 5), record_steps=True)
     for yy, tt in zip(y.tolist(), t.tolist()):
-        step = st.step(yy, tt)
-        if step is not None:
-            assert 0.0 < step.wager < 1.0
+        st.step(yy, tt)
+    assert st.ledger.steps
+    for step in st.ledger.steps:
+        assert 0.0 < step.wager < 1.0
 
 
 def test_enumeration_fairness_oracle():
@@ -293,15 +295,14 @@ def test_window_hint_never_changes_a_wager():
     rng = np.random.default_rng(23)
     t, y = continuous_trial(rng, 400, 0.3, 0.0)
     events = list(zip(np.round(y, 1).tolist(), t.tolist()))  # rounding makes ties
-    plain = ContinuousState(sched=RampSchedule(5, 20))
-    nudged = ContinuousState(sched=RampSchedule(5, 20))
+    plain = ContinuousState(sched=RampSchedule(5, 20), record_steps=True)
+    nudged = ContinuousState(sched=RampSchedule(5, 20), record_steps=True)
     assert "mad_start" not in encode_state(nudged)
     hints = np.random.default_rng(24)
     for k, (yy, tt) in enumerate(events):
         if k % 7 == 0:
             nudged.mad_start = 0 if k % 2 else int(hints.integers(0, nudged.i + 2))
-        s0, s1 = plain.step(yy, tt), nudged.step(yy, tt)
-        assert (s0 is None) == (s1 is None)
-        if s0 is not None:
-            assert s0.wager == s1.wager
+        plain.step(yy, tt)
+        nudged.step(yy, tt)
+    assert plain.ledger.steps and nudged.ledger.steps == plain.ledger.steps
     assert nudged.ledger.log_wealth == plain.ledger.log_wealth

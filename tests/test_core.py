@@ -59,13 +59,14 @@ class TestClampWager:
 
 class TestApplyBet:
     def test_worked_example_multipliers(self):
-        led = WealthLedger()
-        step = apply_bet(led, 0.473, arm=0, p=0.5, index=200)
-        assert step.multiplier == pytest.approx(1.054, abs=1e-9)
-        led2 = WealthLedger()
-        assert apply_bet(led2, 0.5, 1, 0.5, 1).multiplier == pytest.approx(1.0, abs=0)
-        led3 = WealthLedger()
-        assert apply_bet(led3, 0.469, 1, 0.5, 1).multiplier == pytest.approx(0.938, abs=1e-9)
+        led = WealthLedger(record_steps=True)
+        apply_bet(led, 0.473, arm=0, p=0.5, index=200)
+        apply_bet(led, 0.5, 1, 0.5, 201)
+        apply_bet(led, 0.469, 1, 0.5, 202)
+        m1, m2, m3 = (s.multiplier for s in led.steps)
+        assert m1 == pytest.approx(1.054, abs=1e-9)
+        assert m2 == pytest.approx(1.0, abs=0)
+        assert m3 == pytest.approx(0.938, abs=1e-9)
 
     def test_bad_allocation(self):
         with pytest.raises(ValueError):
@@ -159,6 +160,6 @@ def test_fixed_wager_enumeration_is_fair():
 
 
 def test_signed_bet_ledger():
-    led = WealthLedger()
-    step = apply_signed_bet(led, 0.25, -0.5, 1)
-    assert step.multiplier == pytest.approx(0.875, abs=1e-12)
+    led = WealthLedger(record_steps=True)
+    apply_signed_bet(led, 0.25, -0.5, 1)
+    assert led.steps[0].multiplier == pytest.approx(0.875, abs=1e-12)

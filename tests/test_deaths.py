@@ -82,19 +82,21 @@ class TestWager:
 
 class TestStep:
     def test_worked_example_multipliers(self):
-        st = DeathsState()
+        st = DeathsState(record_steps=True)
         st.d_trt, st.d_ctrl = 33, 47
-        step = st.step(0)
-        assert step.multiplier == pytest.approx(1.175, abs=1e-12)
+        st.step(0)
+        assert st.ledger.steps[0].multiplier == pytest.approx(1.175, abs=1e-12)
         assert st.d_ctrl == 48
-        st2 = DeathsState()
+        st2 = DeathsState(record_steps=True)
         st2.d_trt, st2.d_ctrl = 33, 47
-        assert st2.step(1).multiplier == pytest.approx(0.825, abs=1e-12)
+        st2.step(1)
+        assert st2.ledger.steps[0].multiplier == pytest.approx(0.825, abs=1e-12)
 
     def test_every_death_is_a_ledger_step(self):
-        st = DeathsState()
+        st = DeathsState(record_steps=True)
         for arm in [1, 0, 0, 1, 1]:
-            assert st.step(arm) is not None
+            st.step(arm)
+        assert [s.index for s in st.ledger.steps] == [1, 2, 3, 4, 5]
         assert st.ledger.n_steps == 5
 
 
@@ -102,11 +104,13 @@ def test_bidirectionality_label_flip():
     """Flipping every arm label leaves the wealth trajectory unchanged."""
     rng = np.random.default_rng(3)
     arms = (rng.random(400) < 0.38).astype(int)
-    a = DeathsState()
-    b = DeathsState()
+    a = DeathsState(record_steps=True)
+    b = DeathsState(record_steps=True)
     for arm in arms.tolist():
-        sa = a.step(arm)
-        sb = b.step(1 - arm)
+        a.step(arm)
+        b.step(1 - arm)
+    assert len(a.ledger.steps) == len(b.ledger.steps) == len(arms)
+    for sa, sb in zip(a.ledger.steps, b.ledger.steps):
         assert abs(math.log(sa.multiplier) - math.log(sb.multiplier)) < 1e-12
     assert abs(a.ledger.log_wealth - b.ledger.log_wealth) < 1e-9
 

@@ -51,7 +51,7 @@ class TestStateModel:
 class TestTransitionMatrix:
     def test_builtin_matrices_valid(self):
         for m in (CONTROL_DAILY, TREATMENT_DAILY):
-            arr = m.as_array()
+            arr = np.asarray(m.probs, dtype=float)
             assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-12)
 
     def test_row_sum_validation(self):
@@ -96,28 +96,30 @@ class TestPatientPath:
     def test_day28_distribution_matches_matrix_power(self):
         model = CONTROL_DAILY.model
         for matrix in (CONTROL_DAILY, TREATMENT_DAILY):
-            analytic = np.linalg.matrix_power(matrix.as_array(), 28)[model.index("ICU")]
+            analytic = np.linalg.matrix_power(np.asarray(matrix.probs, dtype=float), 28)[model.index("ICU")]
             empirical = day_horizon_distribution(np.random.default_rng(3), 40_000, matrix)
             assert np.all(np.abs(empirical - analytic) < 0.02)
 
 
 class TestMultistateStep:
     def test_burn_in_is_neutral(self):
-        st = MultistateState()
-        step = st.step("ICU", "Ward", 1)
+        st = MultistateState(record_steps=True)
+        st.step("ICU", "Ward", 1)
+        (step,) = st.ledger.steps
         assert step.wager == 0.5 and step.multiplier == 1.0
 
     def test_needs_history_in_both_arms(self):
-        st = MultistateState(sched=RampSchedule(0, 1))
+        st = MultistateState(sched=RampSchedule(0, 1), record_steps=True)
         st.step("ICU", "Ward", 1)  # only treatment history so far
-        step = st.step("ICU", "Ward", 1)
-        assert step.wager == 0.5
+        st.step("ICU", "Ward", 1)
+        assert st.ledger.steps[-1].wager == 0.5
 
     def test_formula_and_clamp(self):
-        st = MultistateState(sched=RampSchedule(0, 1))
+        st = MultistateState(sched=RampSchedule(0, 1), record_steps=True)
         st.good_trt, st.total_trt = 6, 10
         st.good_ctrl, st.total_ctrl = 5, 10
-        step = st.step("ICU", "Ward", 1)  # delta 0.1, good, arm 1
+        st.step("ICU", "Ward", 1)  # delta 0.1, good, arm 1
+        (step,) = st.ledger.steps
         assert step.wager == pytest.approx(0.55, abs=1e-12)
         assert step.multiplier == pytest.approx(1.10, abs=1e-12)
 

@@ -61,24 +61,24 @@ class TestBet:
 
 class TestStep:
     def test_event_multiplier(self):
-        st = make_state(50, 50)
+        st = make_state(50, 50, record_steps=True)
         st.records_seen, st.cum_z = 90, 4.0
         st.last_time = 0.0
-        step = st.step(SurvivalRecord(1.0, 1, 0))  # b=+0.25, U=-0.5
-        assert step.multiplier == pytest.approx(0.875, abs=1e-12)
+        st.step(SurvivalRecord(1.0, 1, 0))  # b=+0.25, U=-0.5
+        assert st.ledger.steps[0].multiplier == pytest.approx(0.875, abs=1e-12)
 
     def test_censored_record_only_shrinks_risk(self):
-        st = make_state(10, 10)
-        step = st.step(SurvivalRecord(1.0, 0, 1))
-        assert step is None
+        st = make_state(10, 10, record_steps=True)
+        st.step(SurvivalRecord(1.0, 0, 1))
+        assert st.ledger.steps == []
         assert (st.risk_trt, st.risk_ctrl) == (9, 10)
         assert st.ledger.wealth == 1.0
 
     def test_score_updates_after_betting(self):
-        st = make_state(10, 10, sched=RampSchedule(0, 1))
+        st = make_state(10, 10, sched=RampSchedule(0, 1), record_steps=True)
         st.cum_z = 0.0
-        step = st.step(SurvivalRecord(0.5, 1, 1))  # sign(0)=0 -> bet 0
-        assert step.multiplier == 1.0
+        st.step(SurvivalRecord(0.5, 1, 1))  # sign(0)=0 -> bet 0
+        assert st.ledger.steps[0].multiplier == 1.0
         assert st.cum_z == pytest.approx(0.5)
 
     def test_out_of_order_rejected(self):
@@ -107,12 +107,13 @@ class TestStep:
     def test_multipliers_bounded_by_cap(self):
         rng = np.random.default_rng(4)
         time, status, t, _ = survival_trial(rng, 200, hr=0.6)
-        st = make_state(int(t.sum()), int((1 - t).sum()))
+        st = make_state(int(t.sum()), int((1 - t).sum()), record_steps=True)
         for rec in order_records(
                 [SurvivalRecord(float(a), int(b), int(c)) for a, b, c in zip(time, status, t)]):
-            step = st.step(rec)
-            if step is not None:
-                assert 0.75 - 1e-12 <= step.multiplier <= 1.25 + 1e-12
+            st.step(rec)
+        assert st.ledger.steps
+        for step in st.ledger.steps:
+            assert 0.75 - 1e-12 <= step.multiplier <= 1.25 + 1e-12
 
 
 class TestOrderRecords:
