@@ -21,7 +21,7 @@ import numpy as np
 
 from ..deaths import death_coin
 from . import batch
-from .scenario import SIM_VARIANTS, OperatingCharacteristics, SimScenario, normalize_params
+from .scenario import SIM_VARIANTS, OperatingCharacteristics, SimScenario
 from .strategies import BettingStrategy
 
 _E_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
@@ -101,6 +101,15 @@ def trajectories(scenario: SimScenario, n: int) -> list[tuple]:
     return out
 
 
+def _power(crossing, n_sims: int) -> tuple:
+    """(trials rejected, rejection rate, its binomial SE, median first crossing
+    or None) of one cell's first crossings, NaN where a trial never crossed."""
+    hits = crossing[~np.isnan(crossing)]
+    rate = hits.size / n_sims
+    return (hits.size, rate, math.sqrt(rate * (1.0 - rate) / n_sims),
+            float(np.median(hits)) if hits.size else None)
+
+
 def _chunk_bounds(n: int, n_chunks: int) -> list[tuple[int, int]]:
     edges = np.linspace(0, n, n_chunks + 1).astype(int)
     return [(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]) if b > a]
@@ -122,20 +131,11 @@ def run_operating_characteristics(scenario: SimScenario,
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(_run_range, [scenario] * len(bounds),
                                   [a for a, _ in bounds], [b for _, b in bounds]))
-        crossing = np.concatenate([p[0] for p in parts])
-        final = np.concatenate([p[1] for p in parts])
-        length = np.concatenate([p[2] for p in parts])
+        crossing, final, length = (np.concatenate(column) for column in zip(*parts))
 
-    crossed = ~np.isnan(crossing)
-    n_rejected = int(crossed.sum())
-    rate = n_rejected / n
-    se = math.sqrt(rate * (1.0 - rate) / n)
+    n_rejected, rate, se, med_cross = _power(crossing, n)
     median_len = float(np.median(length))
-    if n_rejected:
-        med_cross = float(np.median(crossing[crossed]))
-        frac = med_cross / median_len if median_len > 0 else None
-    else:
-        med_cross, frac = None, None
+    frac = med_cross / median_len if med_cross is not None and median_len > 0 else None
     log_q = np.quantile(final, _E_QUANTILES)
     quantiles = {f"q{int(q * 100):02d}": _exp(v)
                  for q, v in zip(_E_QUANTILES, log_q)}
@@ -178,29 +178,24 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
     The binary monitor sees every patient; the deaths-only monitor sees just
     the arm labels of patients with events, in enrollment order.  Each
     baseline is sized for the frequentist two-proportion design at ``power``;
-    its trials are drawn through the binary scenario row, replication ``r``
-    of baseline ``b_idx`` from ``rep_rng(seed, b_idx * n_sims + r)``, and
-    both monitors replay them in blocks.
+    its trials are replications ``b_idx * n_sims`` onwards of the binary
+    scenario at that size, and both monitors replay them in blocks.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
     binary, deaths = SIM_VARIANTS["binary"], SIM_VARIANTS["deaths"]
     rows = []
     for b_idx, baseline in enumerate(baselines):
         p_trt = baseline - arr
         n_pat = binary.size(baseline, p_trt, power, alpha)
         coin = death_coin(baseline, p_trt)
-        params = normalize_params("binary", {"n_patients": n_pat, "p_ctrl": baseline,
-                                             "p_trt": p_trt})
-        trials = [binary.generate(rep_rng(seed, b_idx * n_sims + rep), params)
-                  for rep in range(n_sims)]
-        bin_cross = _replay(binary, trials, params, alpha)[0]
+        scenario = SimScenario("binary", {"n_patients": n_pat, "p_ctrl": baseline,
+                                          "p_trt": p_trt}, n_sims, alpha, seed)
+        trials = list(_draw(scenario, b_idx * n_sims, (b_idx + 1) * n_sims)[1])
+        bin_power = _power(_replay(binary, trials, scenario.params, alpha)[0], n_sims)[1]
         # hits and death counts do not depend on trial order, so the death
         # streams are replayed grouped by length, which fills the blocks
         streams = sorted(((t[y == 1],) for t, y in trials), key=lambda d: len(d[0]))
         death_cross, _, n_deaths = _replay(deaths, streams, deaths.defaults, alpha)
-        bin_power = int(np.count_nonzero(~np.isnan(bin_cross))) / n_sims
-        death_power = int(np.count_nonzero(~np.isnan(death_cross))) / n_sims
+        death_power = _power(death_cross, n_sims)[1]
         delta = (death_power - bin_power) * 100.0
         winner = "deaths" if delta > 1.0 else ("binary" if delta < -1.0 else "tied")
         rows.append(HeadToHeadRow(baseline, coin, n_pat, int(n_deaths.sum()) / n_sims,
@@ -239,8 +234,6 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     A cell is the scenario of its effect with the strategy's parameters, over
     replications ``e_idx * n_sims`` onwards.
     """
-    if n_sims < 1:
-        raise ValueError("n_sims must be >= 1")
     replays = [(s.label(), s.params(variant)) for s in strategies]  # validated before sizing
     sim = SIM_VARIANTS[variant]
     if sim.wage is None:
@@ -249,18 +242,14 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
     for e_idx, effect in enumerate(effects):
         trial = sim.wage.trial(effect)
         n = sim.size(*trial.values(), DESIGN_POWER, alpha) if n_patients is None else n_patients
-        params = normalize_params(variant, {"n_patients": n, **trial})
-        trials = (sim.generate(rep_rng(seed, e_idx * n_sims + rep), params)
-                  for rep in range(n_sims))
-        prepared = [sim.prepare(block, sim.defaults) for block in _blocks(trials)]
+        scenario = SimScenario(variant, {"n_patients": n, **trial}, n_sims, alpha, seed)
+        trials = _draw(scenario, e_idx * n_sims, (e_idx + 1) * n_sims)[1]
+        prepared = [sim.prepare(block, scenario.params) for block in _blocks(trials)]
         for label, replay in replays:
             crossings, finals = _bet_blocks(sim, prepared, replay, alpha)[:2]
-            hits = crossings[~np.isnan(crossings)]
-            power = hits.size / n_sims
-            cells.append(WageCell(variant, label, effect, params["n_patients"], n_sims, power,
-                                  math.sqrt(power * (1.0 - power) / n_sims),
-                                  _exp(np.median(finals)),
-                                  float(np.median(hits)) if hits.size else None))
+            _, power, se, med_cross = _power(crossings, n_sims)
+            cells.append(WageCell(variant, label, effect, n, n_sims, power, se,
+                                  _exp(np.median(finals)), med_cross))
     return cells
 
 

@@ -16,6 +16,7 @@ wager-cap defaults the rows below reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -75,8 +76,8 @@ class SimVariant:
     params: dict[str, Any]   # defaults, in report order; _REQUIRED or an alias
     generate: Callable
     bet: Callable
+    check: Callable[[dict], None]     # refuses a parameter outside its range
     prepare: Callable = lambda data, params: data
-    check: Callable[[dict], None] = lambda params: None
     size: Callable | None = None      # design calculator: size(*flag values, power, alpha)
     size_flags: tuple[str, ...] = ()  # the ``power`` options that lead its arguments
     wage: Wage | None = None
@@ -101,6 +102,7 @@ def _multistate_trial(rng, p):
     return trial.good, trial.arms
 
 
+_SIZE = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
 _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _POSITIVE = (lambda v: v > 0.0, "> 0")
@@ -118,13 +120,6 @@ def _ranges(**rules) -> Callable[[dict], None]:
     return check
 
 
-def _check_multistate(p) -> None:
-    if p["effect"] not in ("alternative", "null"):
-        raise ValueError("multistate effect must be 'alternative' or 'null'")
-    if p["matrices"] is not None and set(p["matrices"]) != {"trt", "ctrl"}:
-        raise ValueError("matrices must provide exactly 'trt' and 'ctrl' rows")
-
-
 SIM_VARIANTS: dict[str, SimVariant] = {
     "binary": SimVariant(
         {"n_patients": _REQUIRED, "p_ctrl": _REQUIRED, "p_trt": "=p_ctrl", "p_alloc": 0.5,
@@ -133,7 +128,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
             rng, p["n_patients"], p["p_trt"], p["p_ctrl"], p["p_alloc"]),
         bet=lambda d, p: batch.binary_bet(
             *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
-        check=_ranges(p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT),
+        check=_ranges(n_patients=_SIZE, p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT),
         size=sizing.size_two_proportion, size_flags=("p1", "p2"),
         # effects are absolute risk reductions from a 0.40 control rate
         wage=Wage("arr", 0.05, lambda e: {"p_ctrl": 0.40, "p_trt": 0.40 - e},
@@ -143,7 +138,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
         generate=lambda rng, p: (generators.death_stream(rng, p["n_deaths"], p["coin"]),),
         bet=lambda d, p: batch.deaths_bet(*d, p["burn_in"], p["ramp"]),
-        check=_ranges(coin=_UNIT),
+        check=_ranges(n_deaths=_SIZE, coin=_UNIT),
         size=sizing.deaths_design, size_flags=("p1", "p2")),
     "continuous": SimVariant(
         {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
@@ -153,7 +148,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         prepare=lambda d, p: batch.continuous_prepare(*d, p["burn_in"]),
         bet=lambda prep, p: batch.continuous_bet(
             prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"]),
-        check=_ranges(sd=_POSITIVE, p_alloc=_OPEN_UNIT),
+        check=_ranges(n_patients=_SIZE, sd=_POSITIVE, p_alloc=_OPEN_UNIT),
         size=sizing.size_t_test, size_flags=("d",),
         wage=Wage("d", 0.20, lambda e: {"mu_trt": e},  # sd 1: the effect is Cohen's d
                   {"adaptive": _ADAPTIVE, "sign-only": Strategy(
@@ -169,7 +164,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         prepare=lambda d, p: batch.survival_prepare(d[0] - d[3], d[1], d[2]),
         bet=lambda prep, p: batch.survival_bet(prep, p["burn_in"], p["ramp"],
                                                p["lambda_max"], p["bet_rule"]),
-        check=_ranges(hr=_POSITIVE, shape=_POSITIVE, scale=_POSITIVE,
+        check=_ranges(n_patients=_SIZE, hr=_POSITIVE, shape=_POSITIVE, scale=_POSITIVE,
                       censor_upper=_POSITIVE_IF_SET, recruit_period=_POSITIVE_IF_SET),
         size=sizing.size_logrank, size_flags=("hr",),
         wage=Wage("hr", 0.80, lambda e: {"hr": e},
@@ -180,36 +175,11 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          "horizon": 28, "start": "ICU", **_monitor("multistate")},
         generate=_multistate_trial,
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
-        check=_check_multistate),
+        check=_ranges(n_patients=_SIZE, horizon=_SIZE,
+                      effect=(lambda v: v in ("alternative", "null"), "'alternative' or 'null'"),
+                      matrices=(lambda v: v is None or set(v) == {"trt", "ctrl"},
+                                "exactly 'trt' and 'ctrl' rows when set"))),
 }
-
-
-def normalize_params(variant: str, params: Mapping[str, Any]) -> dict[str, Any]:
-    """Validate a raw parameter mapping and fill defaults.
-
-    Unknown keys are rejected rather than ignored; a silently dropped typo in
-    a monitoring configuration is worse than a hard error.
-    """
-    if variant not in SIM_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {tuple(SIM_VARIANTS)}")
-    sim = SIM_VARIANTS[variant]
-    unknown = set(params) - set(sim.params)
-    if unknown:
-        raise ValueError(f"unknown parameters for {variant}: {sorted(unknown)}")
-    out: dict[str, Any] = {}
-    for key, default in sim.params.items():
-        value = params.get(key, default)
-        if value is _REQUIRED:
-            raise ValueError(f"missing required parameter {key!r} for {variant}")
-        if _alias(default) and (value is default or value is None):
-            value = out[default[1:]]
-        out[key] = value
-    sim.check(out)
-    # the settings the lab shares with the monitor, refused as the monitor refuses them
-    RampSchedule(out["burn_in"], out["ramp"])
-    for cap in out.keys() & {"c_max", "lambda_max"}:
-        check_open_unit(cap, out[cap])
-    return out
 
 
 def multistate_matrices(effect: str,
@@ -231,7 +201,11 @@ def multistate_matrices(effect: str,
 
 @dataclass(frozen=True)
 class SimScenario:
-    """One Monte Carlo configuration: variant, generator parameters, and seed."""
+    """One Monte Carlo configuration: variant, generator parameters, and seed.
+
+    Every study cell is one, and its constructor is the one place lab
+    parameters are filled in and checked.
+    """
 
     variant: str
     params: dict[str, Any]
@@ -240,11 +214,39 @@ class SimScenario:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        """Validate the run settings and the raw parameters, and fill defaults.
+
+        Unknown keys are rejected rather than ignored; a silently dropped typo in
+        a monitoring configuration is worse than a hard error.
+        """
         if self.n_sims < 1:
             raise ValueError("n_sims must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0,1)")
-        object.__setattr__(self, "params", normalize_params(self.variant, self.params))
+        if self.variant not in SIM_VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; "
+                             f"expected one of {tuple(SIM_VARIANTS)}")
+        sim = SIM_VARIANTS[self.variant]
+        unknown = set(self.params) - set(sim.params)
+        if unknown:
+            raise ValueError(f"unknown parameters for {self.variant}: {sorted(unknown)}")
+        params: dict[str, Any] = {}
+        for key, default in sim.params.items():
+            value = self.params.get(key, default)
+            if value is _REQUIRED:
+                raise ValueError(f"missing required parameter {key!r} for {self.variant}")
+            if _alias(default) and (value is default or value is None):
+                value = params[default[1:]]
+            params[key] = value
+        sim.check(params)
+        # the settings the lab shares with the monitor, refused as the monitor refuses them
+        RampSchedule(params["burn_in"], params["ramp"])
+        for cap in params.keys() & {"c_max", "lambda_max"}:
+            check_open_unit(cap, params[cap])
+        for key, value in params.items():  # no trial is drawn from an infinite or NaN value
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        object.__setattr__(self, "params", params)
 
     def to_dict(self) -> dict[str, Any]:
         return {"schema": SCHEMA_VERSION, **asdict(self)}

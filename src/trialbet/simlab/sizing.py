@@ -97,14 +97,14 @@ class DeathsDesign:
 
 
 def deaths_design(p_ctrl: float, p_trt: float, power: float = 0.80,
-                  alpha: float = 0.05, inflation: float = DEATHS_INFLATION) -> DeathsDesign:
+                  alpha: float = 0.05) -> DeathsDesign:
     """Size a deaths-only design by inflating the frequentist N.
 
     Deaths-only monitoring discards survivor information, so enrollment is
-    inflated (default 2.5x) relative to the two-proportion design.
+    inflated ``DEATHS_INFLATION`` times over the two-proportion design.
     """
     n_freq = size_two_proportion(p_ctrl, p_trt, power, alpha)
-    n_patients = math.ceil(n_freq * inflation)
+    n_patients = math.ceil(n_freq * DEATHS_INFLATION)
     return DeathsDesign(
         n_freq=n_freq,
         n_patients=n_patients,

@@ -1,11 +1,11 @@
 """The five monitors as one table: what the live monitor knows of each variant.
 
-A row names the streaming state class, its default ramp schedule, the options
-its constructor takes from the command line, the NDJSON fields of one event
-and how they become the arguments of ``step``, and the fields its report
-adds.  The ``monitor`` command and the checkpoint reader look a variant up
-here, once per run; adding a variant is one row.  Option defaults are read
-from the state class itself, so each is stated once, in its module.
+A row names the streaming state class, the options its constructor takes
+from the command line, the NDJSON fields of one event and how they become the
+arguments of ``step``, and the fields its report adds.  The ``monitor``
+command and the checkpoint reader look a variant up here, once per run;
+adding a variant is one row.  The schedule and option defaults are read from
+the state class itself, so each is stated once, in its module.
 
 Imports no ``simlab`` code, so the monitoring path loads neither the Monte
 Carlo lab nor scipy.
@@ -31,7 +31,6 @@ class Monitor:
     """One variant's streaming monitor, as the CLI and checkpoints drive it."""
 
     state: type
-    schedule: RampSchedule           # the module's DEFAULT_SCHEDULE
     options: tuple[str, ...]         # constructor keywords set from the command line
     required: frozenset[str]         # NDJSON fields of one event, "arm" included
     optional: frozenset[str]
@@ -47,12 +46,13 @@ class Monitor:
 
     @property
     def defaults(self) -> dict[str, Any]:
-        """Burn-in, ramp, and each option that has a default in the state class."""
-        out: dict[str, Any] = {"burn_in": self.schedule.burn_in, "ramp": self.schedule.ramp}
-        for f in dataclasses.fields(self.state):
-            if f.name in self.options and f.default is not dataclasses.MISSING:
-                out[f.name] = f.default
-        return out
+        """Burn-in and ramp of the state class's schedule, and each option that
+        has a default there."""
+        defaults = {f.name: f.default for f in dataclasses.fields(self.state)
+                    if f.default is not dataclasses.MISSING}
+        sched = defaults["sched"]
+        return {"burn_in": sched.burn_in, "ramp": sched.ramp,
+                **{key: v for key, v in defaults.items() if key in self.options}}
 
     def build(self, config: dict[str, Any]):
         """A fresh state from a monitor configuration (alpha, schedule, options)."""
@@ -94,7 +94,7 @@ def _survival_args(record: dict, arm: int) -> tuple:
 
 MONITORS: dict[str, Monitor] = {
     "binary": Monitor(
-        binary.BinaryState, binary.DEFAULT_SCHEDULE, ("p",),
+        binary.BinaryState, ("p",),
         frozenset({"arm", "outcome"}), frozenset(),
         parse=lambda r, arm: (flag_field(r, "outcome"), arm),
         report=lambda s: {"delta_hat": s.delta(),
@@ -102,21 +102,20 @@ MONITORS: dict[str, Monitor] = {
                                      "n_ctrl": s.n_ctrl, "e_ctrl": s.e_ctrl}},
         events=attrgetter("i")),
     "deaths": Monitor(
-        deaths.DeathsState, deaths.DEFAULT_SCHEDULE, (),
+        deaths.DeathsState, (),
         frozenset({"arm"}), frozenset(),
         parse=lambda r, arm: (arm,),
         report=lambda s: {"p_hat": s.p_hat(), "relative_risk": s.final_rr(),
                           "counts": {"d_trt": s.d_trt, "d_ctrl": s.d_ctrl}},
         events=attrgetter("total")),
     "continuous": Monitor(
-        continuous.ContinuousState, continuous.DEFAULT_SCHEDULE, ("p", "c_max"),
+        continuous.ContinuousState, ("p", "c_max"),
         frozenset({"arm", "y"}), frozenset(),
         parse=lambda r, arm: (_finite_field(r, "y"), arm),
         report=lambda s: {"cohens_d": s.cohens_d(), "n": s.i},
         events=attrgetter("i")),
     "survival": Monitor(
-        survival.SurvivalState, survival.DEFAULT_SCHEDULE,
-        ("lambda_max", "risk_trt", "risk_ctrl"),
+        survival.SurvivalState, ("lambda_max", "risk_trt", "risk_ctrl"),
         frozenset({"time", "status", "arm"}), frozenset({"entry_time"}),
         parse=_survival_args,
         report=lambda s: {"cum_score": s.cum_z,
@@ -124,7 +123,7 @@ MONITORS: dict[str, Monitor] = {
         events=attrgetter("records_seen"),
         running=("risk_trt", "risk_ctrl")),  # the risk sets shrink from the cohort sizes
     "multistate": Monitor(
-        multistate.MultistateState, multistate.DEFAULT_SCHEDULE, (),
+        multistate.MultistateState, (),
         frozenset({"from", "to", "arm"}), frozenset({"day"}),
         parse=lambda r, arm: (_state_name(r, "from"), _state_name(r, "to"), arm),
         report=lambda s: {"delta_hat": s.delta(),

@@ -383,22 +383,6 @@ def test_wage_refuses_impossible_trials(capsys, argv, message):
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {message}"), err
 
 
-@pytest.mark.parametrize("variant,effect", [("binary", ["--arr", "0.05"]),
-                                            ("continuous", ["--d", "0.3"]),
-                                            ("survival", ["--hr", "0.7"])])
-def test_wage_with_empty_trials(capsys, tmp_path, variant, effect):
-    """Trials of zero patients never bet: no crossing and a final e-value of 1."""
-    json_path = tmp_path / "wage.json"
-    code, _, err = run_cli(capsys, "wage", "--variant", variant, *effect, "--n", "0",
-                           "--sims", "7", "--json", str(json_path))
-    assert code == EXIT_OK, err
-    cells = json.loads(json_path.read_text())["cells"]
-    assert len(cells) == 2
-    for cell in cells:
-        assert cell["n_patients"] == 0 and cell["power"] == 0.0
-        assert cell["median_final_e"] == 1.0 and cell["median_crossing"] is None
-
-
 @pytest.mark.parametrize("argv,message", [
     (["wage", "--variant", "binary", "--hr", "0.5", "--sims", "3"],
      "the binary wage study does not read --hr"),
@@ -494,6 +478,10 @@ def _lab(variant, **params):
     return _scenario({"variant": variant, "n_sims": 2, "params": {"n_patients": 20, **params}})
 
 
+def _wage(variant, *argv):
+    return lambda tmp_path: ["wage", "--variant", variant, *argv]
+
+
 def _golden_monitor(variant, *argv):
     """``monitor`` on a golden stream with extra options."""
     def make(tmp_path):
@@ -541,13 +529,35 @@ def _golden_monitor(variant, *argv):
      "error: --trials must be >= 0, got -3"),
     (lambda tmp_path: ["simulate", "--scenario", str(_scenario_path("binary_alt")),
                        "--workers", "0"], "error: --workers must be >= 1, got 0"),
+    (_wage("binary", "--n", "100", "--alpha", "1.5", "--sims", "3"),
+     "error: alpha must be in (0,1)"),
+    (_lab("binary", p_ctrl=0.4, n_patients=0), "error: n_patients must be an integer >= 1, got 0"),
+    (_lab("continuous", n_patients=2.5), "error: n_patients must be an integer >= 1, got 2.5"),
+    (_lab("survival", n_patients=True), "error: n_patients must be an integer >= 1, got True"),
+    (_scenario({"variant": "deaths", "n_sims": 2, "params": {"n_deaths": 0}}),
+     "error: n_deaths must be an integer >= 1, got 0"),
+    (_lab("multistate", horizon=0), "error: horizon must be an integer >= 1, got 0"),
+    (_wage("binary", "--arr", "0.05", "--n", "0", "--sims", "7"),
+     "error: n_patients must be an integer >= 1, got 0"),
+    (_wage("continuous", "--d", "0.3", "--n", "0", "--sims", "7"),
+     "error: n_patients must be an integer >= 1, got 0"),
+    (_wage("survival", "--hr", "0.7", "--n", "0", "--sims", "7"),
+     "error: n_patients must be an integer >= 1, got 0"),
+    (_lab("continuous", mu_trt=math.inf), "error: mu_trt must be finite, got inf"),
+    (_lab("continuous", sd=math.inf), "error: sd must be finite, got inf"),
+    (_lab("survival", hr=math.inf), "error: hr must be finite, got inf"),
+    (_wage("continuous", "--d", "nan", "--n", "50", "--sims", "3"),
+     "error: mu_trt must be finite, got nan"),
 ], ids=["checkpoint-schema-2", "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
         "lab-ramp-0", "lab-lambda_max-1.8", "lab-c_max-3", "lab-burn_in-negative",
         "monitor-other-variant-options", "monitor-continuous-p-1.5", "monitor-binary-p-0",
         "resume-without-checkpoint", "checkpoint-every-without-checkpoint",
         "negative-checkpoint-every", "negative-progress-every", "trajectories-trials-negative",
-        "simulate-workers-0"])
+        "simulate-workers-0", "wage-alpha-1.5", "lab-n_patients-0", "lab-n_patients-2.5",
+        "lab-n_patients-true", "lab-n_deaths-0", "lab-horizon-0", "wage-binary-n-0",
+        "wage-continuous-n-0", "wage-survival-n-0", "lab-mu_trt-inf", "lab-sd-inf",
+        "lab-hr-inf", "wage-d-nan"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

@@ -10,7 +10,7 @@ from trialbet.simlab.engine import (
     run_operating_characteristics,
     wage_study,
 )
-from trialbet.simlab.scenario import SimScenario
+from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 from trialbet.simlab.strategies import BettingStrategy
 
 from oracles import head_to_head_per_trial
@@ -161,6 +161,24 @@ def test_wage_study_pairs_strategies_on_common_trials():
     assert {c.strategy for c in cells} == {"adaptive", "fixed(0.05)"}
     for c in cells:
         assert c.n_sims == 30 and c.effect == 0.05
+
+
+def test_a_study_cell_is_a_scenario():
+    """A wage cell and a compare row report what ``run_operating_characteristics``
+    reports on the scenario whose replications they draw."""
+    trial = SIM_VARIANTS["continuous"].wage.trial(0.4)
+    cell = wage_study("continuous", [BettingStrategy("adaptive")], [0.4, 0.2], 150,
+                      n_sims=40, seed=6)[0]
+    oc = run_operating_characteristics(
+        SimScenario("continuous", {"n_patients": 150, **trial}, n_sims=40, seed=6))
+    assert oc.median_first_crossing is not None
+    assert (cell.power, cell.median_final_e, cell.median_crossing) == (
+        oc.rejection_rate, oc.final_e_median, oc.median_first_crossing)
+    row = head_to_head_deaths_vs_binary([0.25, 0.40], n_sims=40, seed=6)[0]
+    binary = run_operating_characteristics(SimScenario(
+        "binary", {"n_patients": row.n_patients, "p_ctrl": 0.25, "p_trt": 0.25 - 0.05},
+        n_sims=40, seed=6))
+    assert row.binary_power == binary.rejection_rate
 
 
 def test_wage_study_rejects_bad_strategy():

@@ -4,7 +4,7 @@ import pytest
 from trialbet.simlab import batch
 from trialbet.simlab.engine import rep_rng
 from trialbet.simlab.generators import survival_trial
-from trialbet.simlab.scenario import SIM_VARIANTS, normalize_params
+from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 from trialbet.simlab.strategies import BettingStrategy
 
 
@@ -91,7 +91,7 @@ def test_strategy_never_changes_what_is_prepared(variant, kind):
     """The wage study prepares a trial once for all strategies, which holds only
     if no strategy parameter reaches ``prepare``."""
     sim = SIM_VARIANTS[variant]
-    params = normalize_params(variant, _TRIAL_PARAMS[variant])
+    params = SimScenario(variant, _TRIAL_PARAMS[variant]).params
     strategy = BettingStrategy(kind, 0.3 if kind in ("fixed", "sign-only") else None)
     overridden = strategy.params(variant)
     for rep in range(3):
