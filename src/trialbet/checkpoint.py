@@ -24,14 +24,20 @@ import os
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from functools import cache
-from typing import Any, get_origin, get_type_hints
+from typing import Any, get_type_hints
 
 from .continuous import _ArmMoments
 from .core import RampSchedule
-from .multistate import StateModel
+from .multistate import DEFAULT_MODEL
 from .variants import MONITORS
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# Schema 1 also saved the multistate state model, which is now fixed: a schema-1
+# checkpoint resumes only if it holds this model, as schema 1 wrote it.
+_SCHEMA_1_MODEL = {"states": list(DEFAULT_MODEL.states),
+                   "absorbing": sorted(DEFAULT_MODEL.absorbing),
+                   "good": sorted(map(list, DEFAULT_MODEL.good))}
 
 
 class CheckpointError(ValueError):
@@ -49,19 +55,18 @@ def _layout(cls) -> tuple[tuple[str, str, Any], ...]:
     layout = []
     for f in fields(cls):
         name, hint = f.name, hints[f.name]
-        how = ("flat" if hint in (RampSchedule, StateModel)  # beside the owner's fields
+        how = ("flat" if hint is RampSchedule  # beside the owner's fields
                else "row" if hint is _ArmMoments  # a list of its field values
                else "object" if is_dataclass(hint)
                else "hex" if hint is float and name not in _AS_GIVEN
                else "hexes" if hint == list[float]
-               else "list" if (get_origin(hint) or hint) in (tuple, frozenset)
                else "given")
         layout.append((name, how, hint))
     return tuple(layout)
 
 
 def encode_state(obj) -> dict[str, Any]:
-    """The schema-1 JSON object of a monitor state or of a ledger."""
+    """The JSON object of a monitor state or of a ledger."""
     out: dict[str, Any] = {}
     for name, how, hint in _layout(type(obj)):
         value = getattr(obj, name)
@@ -75,9 +80,6 @@ def encode_state(obj) -> dict[str, Any]:
             out[name] = value.hex()
         elif how == "hexes":
             out[name] = list(map(float.hex, value))
-        elif how == "list":
-            out[name] = [list(v) if isinstance(v, tuple) else v
-                         for v in (sorted(value) if hint is frozenset else value)]
         else:
             out[name] = value
     return out
@@ -110,9 +112,6 @@ def decode_state(cls, doc: dict):
             kwargs[name] = float.fromhex(_field(doc, name, str))
         elif how == "hexes":
             kwargs[name] = list(map(float.fromhex, _field(doc, name, list)))
-        elif how == "list":
-            kwargs[name] = (get_origin(hint) or hint)(tuple(v) if isinstance(v, list) else v
-                                                      for v in _field(doc, name, list))
         else:
             kwargs[name] = _field(doc, name, (int, float) if hint is float else hint)
     return cls(**kwargs)
@@ -139,17 +138,19 @@ def dump_checkpoint(variant: str, state, config: dict[str, Any],
 
 
 def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
-    """Rebuild (state, position) from a checkpoint document.
+    """Rebuild (state, position) from a checkpoint document of schema 1 or 2.
 
     Raises CheckpointError on a malformed document, on a schema, variant or
     configuration mismatch, on a setting the state holds that differs from the
-    one a fresh run takes from the configuration (its schedule, options, or
-    multistate model), or on a position before the state's last event.
+    one a fresh run takes from the configuration (its schedule or options), on
+    a schema-1 multistate model other than the one model, or on a position
+    before the state's last event.
     """
     if not isinstance(doc, dict):
         raise CheckpointError("corrupt checkpoint: not a JSON object")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise CheckpointError(f"unsupported checkpoint schema: {doc.get('schema')!r}")
+    schema = doc.get("schema")
+    if schema not in (1, SCHEMA_VERSION):
+        raise CheckpointError(f"unsupported checkpoint schema: {schema!r}")
     if doc.get("variant") != variant:
         raise CheckpointError(
             f"checkpoint is for variant {doc.get('variant')!r}, not {variant!r}")
@@ -158,8 +159,12 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
         raise CheckpointError("checkpoint configuration does not match; refusing to resume")
     monitor = MONITORS[variant]
     try:
-        state = decode_state(monitor.state, _field(doc, "state", dict))
+        saved_state = _field(doc, "state", dict)
+        state = decode_state(monitor.state, saved_state)
         position = _field(doc, "position", int)
+        # the saved model, its sets sorted as schema 1 wrote them (their order is free)
+        model = ({key: (list if key == "states" else sorted)(_field(saved_state, key, list))
+                  for key in _SCHEMA_1_MODEL} if schema == 1 and variant == "multistate" else {})
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"corrupt checkpoint: {exc}") from exc
     events = monitor.events(state)
@@ -167,10 +172,10 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
         raise CheckpointError(f"corrupt checkpoint: position {position} is before "
                               f"its {events} events")
     # a fresh run takes each setting from the configuration, else from the checkpoint
-    saved = _settings(monitor, state)
+    saved = {**_settings(monitor, state), **model}
     fresh = monitor.build({**saved, **{key: getattr(state, key) for key in monitor.running},
                            **config})
-    for key, value in _settings(monitor, fresh).items():
+    for key, value in {**_settings(monitor, fresh), **(_SCHEMA_1_MODEL if model else {})}.items():
         if saved[key] != value:
             raise CheckpointError(f"checkpoint {key} {saved[key]!r} does not match the "
                                   f"configuration's {value!r}; refusing to resume")
@@ -178,15 +183,11 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
 
 
 def _settings(monitor, state) -> dict[str, Any]:
-    """What a state holds that no event changes: alpha, the schedule, the state
-    model if it has one, and the options the state does not update."""
-    out = {"alpha": state.ledger.alpha}
-    for name, how, _ in _layout(type(state)):
-        if how == "flat":
-            out.update(encode_state(getattr(state, name)))
-    out.update((key, getattr(state, key)) for key in monitor.options
-               if key not in monitor.running)
-    return out
+    """What a state holds that no event changes: alpha, the schedule, and the
+    options the state does not update."""
+    return {"alpha": state.ledger.alpha, **encode_state(state.sched),
+            **{key: getattr(state, key) for key in monitor.options
+               if key not in monitor.running}}
 
 
 def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any],

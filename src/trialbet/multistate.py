@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_bet
+from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 
@@ -33,32 +33,23 @@ class StateModel:
     absorbing: frozenset = frozenset({HOME, DEAD})
     good: frozenset = frozenset({(ICU, WARD), (WARD, HOME)})
 
-    def __post_init__(self) -> None:
-        unknown = {s for pair in self.good for s in pair} - set(self.states)
-        if unknown:
-            raise ValueError(f"good transitions reference unknown states: {sorted(unknown)}")
-        if any(a == b for a, b in self.good):
-            raise ValueError("good transitions must not contain self-loops")
-        if any(a in self.absorbing for a, _ in self.good):
-            raise ValueError("absorbing states have no outgoing transitions")
-
     def index(self, state: str) -> int:
         return self.states.index(state)
 
 
-DEFAULT_MODEL = StateModel()
+DEFAULT_MODEL = StateModel()  # the one state model of the multi-state endpoint
 
 
-def classify(from_state: str, to_state: str, model: StateModel = DEFAULT_MODEL) -> bool:
-    """True if the move is a good transition under the model."""
+def classify(from_state: str, to_state: str) -> bool:
+    """True if the move is a good transition under the state model."""
     for s in (from_state, to_state):
-        if s not in model.states:
+        if s not in DEFAULT_MODEL.states:
             raise ValueError(f"unknown state: {s!r}")
     if from_state == to_state:
         raise ValueError(f"not a transition: {from_state!r} -> {to_state!r}")
-    if from_state in model.absorbing:
+    if from_state in DEFAULT_MODEL.absorbing:
         raise ValueError(f"absorbing state {from_state!r} has no outgoing transitions")
-    return (from_state, to_state) in model.good
+    return (from_state, to_state) in DEFAULT_MODEL.good
 
 
 @dataclass(frozen=True)
@@ -66,11 +57,10 @@ class TransitionMatrix:
     """Daily transition probabilities over the model's states, one row per state."""
 
     probs: tuple  # tuple of row tuples, row-stochastic
-    model: StateModel = DEFAULT_MODEL
 
     def __post_init__(self) -> None:
         rows = [[float(v) for v in row] for row in self.probs]  # as numpy converts them
-        k = len(self.model.states)
+        k = len(DEFAULT_MODEL.states)
         shape = (len(rows), *{len(row) for row in rows})
         if shape != (k, k):
             raise ValueError(f"transition matrix must be {k}x{k}, got {shape}")
@@ -78,8 +68,8 @@ class TransitionMatrix:
             raise ValueError("transition probabilities must be >= 0")
         if not all(abs(math.fsum(row) - 1.0) <= 1e-12 for row in rows):
             raise ValueError("each transition-matrix row must sum to 1")
-        for s in self.model.absorbing:
-            i = self.model.index(s)
+        for s in DEFAULT_MODEL.absorbing:
+            i = DEFAULT_MODEL.index(s)
             if rows[i][i] != 1.0:
                 raise ValueError(f"absorbing state {s!r} must have an identity row")
 
@@ -105,7 +95,6 @@ TREATMENT_DAILY = TransitionMatrix((
 class MultistateState:
     """Streaming state for the transition monitor; one instance per trial."""
 
-    model: StateModel = DEFAULT_MODEL
     sched: RampSchedule = DEFAULT_SCHEDULE
     alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
     record_steps: InitVar[bool] = False
@@ -142,11 +131,11 @@ class MultistateState:
             lam = 0.5 + 0.5 * c * d if is_good else 0.5 - 0.5 * c * d
         else:
             lam = 0.5
-        return min(WAGER_MAX, max(WAGER_MIN, lam))
+        return clamp_wager(lam, WAGER_MIN, WAGER_MAX)
 
     def step(self, from_state: str, to_state: str, arm: int) -> None:
         """Consume one transition: classify, bet on the arm, then update counts."""
-        self.step_classified(classify(from_state, to_state, self.model), arm)
+        self.step_classified(classify(from_state, to_state), arm)
 
     def step_classified(self, is_good: bool, arm: int) -> None:
         """Consume a transition already classified good/bad."""

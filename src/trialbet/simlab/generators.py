@@ -73,7 +73,6 @@ class MultistateTrial:
     good: np.ndarray         # bool per transition
     arms: np.ndarray         # int8 per transition
     final_states: np.ndarray # state index per patient at the horizon
-    patient_arms: np.ndarray # int8 per patient
 
 
 def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
@@ -86,20 +85,17 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
     emitted grouped by patient in day order - the order the monitoring stream
     replays them in.
     """
-    model = matrix_trt.model
-    if matrix_ctrl.model != model:
-        raise ValueError("arm matrices must share one state model")
     arms = (rng.random(n_patients) < 0.5).astype(np.int8)
     uniforms = rng.random((horizon, n_patients))  # day by day, as separate draws would
     cum = np.asarray([matrix_ctrl.probs, matrix_trt.probs], dtype=float).cumsum(axis=2)
-    n_states = len(model.states)
+    n_states = len(DEFAULT_MODEL.states)
     # thresholds[k][arm * n_states + state] is that row's cumulative probability
     # up to state k; the count of thresholds u reaches is the categorical draw.
     # The row total (1, or 1 - ulp) is left out, so a u past it draws the last state.
     thresholds = cum.reshape(2 * n_states, n_states).T[:-1].copy()
     row = arms.astype(np.intp) * n_states
     states = np.empty((n_patients, horizon + 1), dtype=np.int8)
-    states[:, 0] = model.index(start)
+    states[:, 0] = DEFAULT_MODEL.index(start)
     for day in range(horizon):
         key = row + states[:, day]
         u = uniforms[day]
@@ -111,16 +107,11 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
     pat_idx, day_idx = np.nonzero(changed)  # row-major: grouped by patient
     frm = states[pat_idx, day_idx]
     to = states[pat_idx, day_idx + 1]
-    good_pairs = {(model.index(a), model.index(b)) for a, b in model.good}
     good = np.zeros(len(pat_idx), dtype=bool)
-    for a, b in good_pairs:
-        good |= (frm == a) & (to == b)
-    return MultistateTrial(
-        good=good,
-        arms=arms[pat_idx],
-        final_states=states[:, horizon].copy(),
-        patient_arms=arms,
-    )
+    for a, b in DEFAULT_MODEL.good:
+        good |= (frm == DEFAULT_MODEL.index(a)) & (to == DEFAULT_MODEL.index(b))
+    return MultistateTrial(good=good, arms=arms[pat_idx],
+                           final_states=states[:, horizon].copy())
 
 
 __all__ = [

@@ -22,7 +22,7 @@ from typing import Any, Callable, Mapping, NamedTuple
 
 from ..continuous import DEFAULT_C_MAX
 from ..core import RampSchedule, check_open_unit
-from ..multistate import CONTROL_DAILY, TREATMENT_DAILY, TransitionMatrix
+from ..multistate import CONTROL_DAILY, DEFAULT_MODEL, TREATMENT_DAILY, TransitionMatrix
 from ..survival import DEFAULT_BET_CAP
 from ..variants import MONITORS, SCHEMA_VERSION
 from . import batch, generators, sizing
@@ -108,6 +108,8 @@ _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _POSITIVE = (lambda v: v > 0.0, "> 0")
 _POSITIVE_IF_SET = (lambda v: v is None or v > 0.0, "> 0 when set")
 _ADAPTIVE = Strategy(lambda v: {})  # the variant's own wager: its defaults unchanged
+# a tuple, so a list value is not hashed: it is simply no member
+_STARTS = tuple(s for s in DEFAULT_MODEL.states if s not in DEFAULT_MODEL.absorbing)
 
 
 def _ranges(**rules) -> Callable[[dict], None]:
@@ -177,6 +179,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
         check=_ranges(n_patients=_SIZE, horizon=_SIZE,
                       effect=(lambda v: v in ("alternative", "null"), "'alternative' or 'null'"),
+                      start=(lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}"),
                       matrices=(lambda v: v is None or set(v) == {"trt", "ctrl"},
                                 "exactly 'trt' and 'ctrl' rows when set"))),
 }
@@ -219,8 +222,12 @@ class SimScenario:
         Unknown keys are rejected rather than ignored; a silently dropped typo in
         a monitoring configuration is worse than a hard error.
         """
-        if self.n_sims < 1:
-            raise ValueError("n_sims must be >= 1")
+        for key, least in (("n_sims", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{key} must be >= {least}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0,1)")
         if self.variant not in SIM_VARIANTS:
@@ -263,9 +270,9 @@ class SimScenario:
         return cls(
             variant=d["variant"],
             params=dict(params),
-            n_sims=int(d.get("n_sims", 2000)),
+            n_sims=d.get("n_sims", 2000),
             alpha=float(d.get("alpha", 0.05)),
-            seed=int(d.get("seed", 0)),
+            seed=d.get("seed", 0),
         )
 
 

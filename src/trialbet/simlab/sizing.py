@@ -52,8 +52,8 @@ def size_t_test(d: float, power: float, alpha: float = 0.05) -> int:
     from scipy.stats import nct
     from scipy.stats import t as t_dist
 
-    if d <= 0.0:
-        raise ValueError(f"effect size must be > 0, got {d}")
+    if not 0.0 < d < math.inf:  # NaN included
+        raise ValueError(f"effect size must be finite and > 0, got {d}")
     if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
         raise ValueError("power and alpha must be in (0,1)")
 
@@ -70,8 +70,8 @@ def size_logrank(target_hr: float, power: float, alpha: float = 0.05) -> int:
     """Total event count for a two-sided log-rank design at the target hazard ratio."""
     from scipy.stats import norm
 
-    if target_hr <= 0.0 or target_hr == 1.0:
-        raise ValueError(f"hazard ratio must be positive and != 1, got {target_hr}")
+    if not 0.0 < target_hr < math.inf or target_hr == 1.0:  # NaN included
+        raise ValueError(f"hazard ratio must be finite, positive and != 1, got {target_hr}")
     if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
         raise ValueError("power and alpha must be in (0,1)")
     z_a = norm.ppf(1.0 - alpha / 2.0)

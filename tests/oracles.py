@@ -30,6 +30,7 @@ import numpy as np
 from trialbet.cli import EventError
 from trialbet.core import RampSchedule
 from trialbet.deaths import death_coin
+from trialbet.multistate import DEFAULT_MODEL
 from trialbet.simlab import batch, generators
 from trialbet.simlab.engine import rep_rng
 from trialbet.simlab.scenario import SIM_VARIANTS
@@ -83,15 +84,14 @@ def mean_final_wealth_survival(make_state, times, k: int) -> float:
 def day_horizon_distribution(rng, n_patients: int, matrix, start: str = "ICU",
                              horizon: int = 28) -> np.ndarray:
     """Empirical state distribution at the horizon for one arm's matrix."""
-    model = matrix.model
     cum = np.asarray(matrix.probs, dtype=float).cumsum(axis=1)
-    n_states = len(model.states)
-    states = np.full(n_patients, model.index(start), dtype=np.int8)
+    n_states = len(DEFAULT_MODEL.states)
+    states = np.full(n_patients, DEFAULT_MODEL.index(start), dtype=np.int8)
     for _ in range(horizon):
         u = rng.random(n_patients)
         drawn = (u[:, None] >= cum[states]).sum(axis=1)
         states = np.minimum(drawn, n_states - 1).astype(np.int8)
-    counts = np.bincount(states, minlength=len(model.states))
+    counts = np.bincount(states, minlength=len(DEFAULT_MODEL.states))
     return counts / n_patients
 
 

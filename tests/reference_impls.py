@@ -13,6 +13,8 @@ import statistics
 
 import numpy as np
 
+from trialbet.multistate import DEFAULT_MODEL
+
 
 def _clamp(x, lo, hi):
     return max(lo, min(hi, x))
@@ -177,17 +179,17 @@ def simulate_patient_path(matrix, rng, start="ICU", horizon=28):
     where transitions is a list of (from_state, to_state, day) recording
     state changes only.
     """
-    model = matrix.model
     cum = np.cumsum(np.asarray(matrix.probs, dtype=float), axis=1)
-    state = model.index(start)
-    absorbing = {model.index(s) for s in model.absorbing}
+    state = DEFAULT_MODEL.index(start)
+    absorbing = {DEFAULT_MODEL.index(s) for s in DEFAULT_MODEL.absorbing}
     transitions = []
     for day in range(1, horizon + 1):
         if state in absorbing:
             break
         new_state = int(np.searchsorted(cum[state], rng.random(), side="right"))
-        new_state = min(new_state, len(model.states) - 1)
+        new_state = min(new_state, len(DEFAULT_MODEL.states) - 1)
         if new_state != state:
-            transitions.append((model.states[state], model.states[new_state], day))
+            transitions.append((DEFAULT_MODEL.states[state], DEFAULT_MODEL.states[new_state],
+                                day))
         state = new_state
-    return model.states[state], transitions
+    return DEFAULT_MODEL.states[state], transitions

@@ -22,6 +22,7 @@ from trialbet.core import RampSchedule, WealthLedger, apply_bet, martingale_audi
 from trialbet.deaths import DeathsState, signal_concentration_table
 from trialbet.multistate import (
     CONTROL_DAILY,
+    DEFAULT_MODEL,
     TREATMENT_DAILY,
     MultistateState,
 )
@@ -276,7 +277,6 @@ def test_c10_survival_operating_characteristics():
 def test_c11_multistate_operating_characteristics():
     null = oc("multistate", {"n_patients": 1000, "effect": "null"}, 1000, seed=41)
     alt = oc("multistate", {"n_patients": 1000}, 1000, seed=42)
-    model = CONTROL_DAILY.model
     table6 = {
         "control": np.array([0.208, 0.263, 0.188, 0.341]),
         "treatment": np.array([0.169, 0.166, 0.335, 0.330]),
@@ -293,7 +293,7 @@ def test_c11_multistate_operating_characteristics():
                       f"power {alt.rejection_rate:.4f} (target 0.893+/-3pp), "
                       f"day-28 max error {100 * day28_err:.2f}pp (<= 2pp), "
                       f"median transitions {alt.median_stream_length:.0f} (target 2017+/-10%)")
-    assert ok and model.states == ("Ward", "ICU", "Home", "Dead")
+    assert ok and DEFAULT_MODEL.states == ("Ward", "ICU", "Home", "Dead")
 
 
 def test_c12_wage_asymmetry():

@@ -62,14 +62,21 @@ def _head(tmp_path, variant, k):
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
 def test_writer_reproduces_golden_checkpoint(capsys, tmp_path, variant):
-    """Schema 1 pins the writer as well as the reader: the checkpoint written
-    after the first 60 lines equals the earlier release's, apart from its time."""
+    """The golden schema-1 checkpoints pin the writer as well as the reader: the
+    checkpoint written after the first 60 lines equals the earlier release's,
+    apart from its time, its schema number and the multistate state model,
+    which schema 2 no longer saves."""
     ck = tmp_path / "ck.json"
     assert _monitor(variant, _head(tmp_path, variant, 60), "--checkpoint", str(ck)) in (0, 10)
     written = json.loads(ck.read_text())
     golden = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
     written.pop("written_at")
     golden.pop("written_at")
+    assert (written["schema"], golden["schema"]) == (2, 1)
+    golden["schema"] = 2
+    if variant == "multistate":
+        for key in ("states", "absorbing", "good"):
+            golden["state"].pop(key)
     assert written == golden
 
 
@@ -92,7 +99,10 @@ def test_interrupted_run_resumes_to_same_report(capsys, tmp_path, variant, cut):
     ("continuous", lambda doc: {**doc, "state": {**doc["state"], "values": 5}}),
     ("binary", lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items()
                                              if k != "ledger"}}),
-], ids=["not-an-object", "scalar-values", "no-ledger"])
+    ("multistate", lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items()
+                                                 if k != "good"}}),
+    ("multistate", lambda doc: {**doc, "state": {**doc["state"], "good": [["ICU"], "Ward"]}}),
+], ids=["not-an-object", "scalar-values", "no-ledger", "schema-1-no-good", "schema-1-mixed-good"])
 def test_corrupt_checkpoint_is_one_error_line(capsys, tmp_path, variant, corrupt):
     ck = tmp_path / "ck.json"
     ck.write_text(json.dumps(corrupt(json.loads((GOLDEN / f"{variant}.ckpt.json").read_text()))))
@@ -141,9 +151,12 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     ("multistate", {"burn_in": 3}, "checkpoint burn_in 3 does not match"),
     ("multistate", {"good": [["Ward", "ICU"], ["ICU", "Dead"]]},
      "checkpoint good [['ICU', 'Dead'], ['Ward', 'ICU']] does not match"),
+    ("multistate", {"states": ["ICU", "Ward", "Home", "Dead"]},
+     "checkpoint states ['ICU', 'Ward', 'Home', 'Dead'] does not match"),
+    ("multistate", {"absorbing": ["Dead"]}, "checkpoint absorbing ['Dead'] does not match"),
 ], ids=["binary-p", "binary-position", "binary-p-and-position", "deaths-position",
         "continuous-c_max", "continuous-p", "survival-lambda_max", "multistate-burn_in",
-        "multistate-good"])
+        "multistate-good", "multistate-states", "multistate-absorbing"])
 def test_impossible_checkpoint_is_refused(capsys, tmp_path, variant, edit, message):
     """A position before the state's events, or a setting the state holds that
     differs from the configuration, is refused instead of resumed."""
@@ -159,6 +172,19 @@ def test_impossible_checkpoint_is_refused(capsys, tmp_path, variant, edit, messa
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
     assert not report.exists()
+
+
+def test_schema_1_model_sets_resume_in_any_order(capsys, tmp_path):
+    """Schema 1 saved ``absorbing`` and ``good`` as sets: their order is no part
+    of the model, so a reordered schema-1 checkpoint still resumes."""
+    doc = json.loads((GOLDEN / "multistate.ckpt.json").read_text())
+    doc["state"]["absorbing"].reverse()
+    doc["state"]["good"].reverse()
+    ck, report = tmp_path / "ck.json", tmp_path / "report.json"
+    ck.write_text(json.dumps(doc))
+    assert _monitor("multistate", GOLDEN / "multistate.ndjson", "--checkpoint", str(ck),
+                    "--resume", "--report", str(report)) == 0
+    assert report.read_text() == (GOLDEN / "multistate.report.json").read_text()
 
 
 def test_survival_risk_sets_resume_from_the_checkpoint(capsys, tmp_path):

@@ -437,12 +437,12 @@ def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_str
     _one_error_line(code, err)
 
 
-def _schema_2_checkpoint(tmp_path):
+def _schema_3_checkpoint(tmp_path):
     from test_checkpoint import GOLDEN
 
     doc = json.loads((GOLDEN / "binary.ckpt.json").read_text())
     ck = tmp_path / "ck.json"
-    ck.write_text(json.dumps({**doc, "schema": 2}))
+    ck.write_text(json.dumps({**doc, "schema": 3}))
     return ["monitor", "--variant", "binary", "--input", str(GOLDEN / "binary.ndjson"),
             "--checkpoint", str(ck), "--resume"]
 
@@ -493,7 +493,7 @@ def _golden_monitor(variant, *argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (_schema_2_checkpoint, "error: unsupported checkpoint schema: 2"),
+    (_schema_3_checkpoint, "error: unsupported checkpoint schema: 3"),
     (_entry_after_event, "error: line 2: negative time on study"),
     (_scenario({"variant": "binary", "params": _BINARY, "alpha": 1.5}),
      "error: alpha must be in (0,1)"),
@@ -548,7 +548,31 @@ def _golden_monitor(variant, *argv):
     (_lab("survival", hr=math.inf), "error: hr must be finite, got inf"),
     (_wage("continuous", "--d", "nan", "--n", "50", "--sims", "3"),
      "error: mu_trt must be finite, got nan"),
-], ids=["checkpoint-schema-2", "entry-after-time", "alpha-1.5", "n_sims-0",
+    (_lab("multistate", start="Dead"),
+     "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got 'Dead'"),
+    (_lab("multistate", start="Foo"),
+     "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got 'Foo'"),
+    (_lab("multistate", start=["ICU"]),
+     "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got ['ICU']"),
+    (lambda tmp_path: ["power", "--variant", "survival", "--hr", "inf"],
+     "error: hazard ratio must be finite, positive and != 1, got inf"),
+    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "nan"],
+     "error: effect size must be finite and > 0, got nan"),
+    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "inf"],
+     "error: effect size must be finite and > 0, got inf"),
+    (_wage("survival", "--hr", "inf", "--sims", "3"),
+     "error: hazard ratio must be finite, positive and != 1, got inf"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2.9, "seed": 1.7}),
+     "error: n_sims must be an integer, got 2.9"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": True}),
+     "error: n_sims must be an integer, got True"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": "3"}),
+     "error: n_sims must be an integer, got '3'"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "seed": 1.7}),
+     "error: seed must be an integer, got 1.7"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "seed": -1}),
+     "error: seed must be >= 0"),
+], ids=["checkpoint-schema-3", "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
         "lab-ramp-0", "lab-lambda_max-1.8", "lab-c_max-3", "lab-burn_in-negative",
         "monitor-other-variant-options", "monitor-continuous-p-1.5", "monitor-binary-p-0",
@@ -557,7 +581,9 @@ def _golden_monitor(variant, *argv):
         "simulate-workers-0", "wage-alpha-1.5", "lab-n_patients-0", "lab-n_patients-2.5",
         "lab-n_patients-true", "lab-n_deaths-0", "lab-horizon-0", "wage-binary-n-0",
         "wage-continuous-n-0", "wage-survival-n-0", "lab-mu_trt-inf", "lab-sd-inf",
-        "lab-hr-inf", "wage-d-nan"])
+        "lab-hr-inf", "wage-d-nan", "lab-start-Dead", "lab-start-Foo", "lab-start-list",
+        "power-hr-inf", "power-d-nan", "power-d-inf", "wage-hr-inf-sized", "n_sims-2.9",
+        "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

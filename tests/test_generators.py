@@ -84,14 +84,3 @@ class TestMultistateTrial:
         rate_trt = trial.good[trial.arms == 1].mean()
         rate_ctrl = trial.good[trial.arms == 0].mean()
         assert rate_trt > rate_ctrl + 0.02
-
-    def test_model_mismatch_rejected(self):
-        from trialbet.multistate import StateModel, TransitionMatrix
-
-        other = StateModel(states=("A", "B", "Home", "Dead"),
-                           good=frozenset({("A", "B")}))
-        eye = TransitionMatrix(tuple(tuple(1.0 if i == j else 0.0 for j in range(4))
-                                     for i in range(4)), model=other)
-        rng = np.random.default_rng(10)
-        with pytest.raises(ValueError, match="share one state model"):
-            multistate_trial(rng, 10, eye, CONTROL_DAILY)

@@ -4,9 +4,9 @@ import pytest
 from trialbet.core import RampSchedule
 from trialbet.multistate import (
     CONTROL_DAILY,
+    DEFAULT_MODEL,
     TREATMENT_DAILY,
     MultistateState,
-    StateModel,
     TransitionMatrix,
     classify,
 )
@@ -38,14 +38,6 @@ class TestClassify:
     def test_unknown_state(self):
         with pytest.raises(ValueError, match="unknown state"):
             classify("ICU", "Hospice")
-
-
-class TestStateModel:
-    def test_good_set_validation(self):
-        with pytest.raises(ValueError, match="self-loops"):
-            StateModel(good=frozenset({("ICU", "ICU")}))
-        with pytest.raises(ValueError, match="no outgoing"):
-            StateModel(good=frozenset({("Home", "Ward")}))
 
 
 class TestTransitionMatrix:
@@ -94,9 +86,9 @@ class TestPatientPath:
                 assert arrived[-1] == "Home" and final == "Home"
 
     def test_day28_distribution_matches_matrix_power(self):
-        model = CONTROL_DAILY.model
         for matrix in (CONTROL_DAILY, TREATMENT_DAILY):
-            analytic = np.linalg.matrix_power(np.asarray(matrix.probs, dtype=float), 28)[model.index("ICU")]
+            power = np.linalg.matrix_power(np.asarray(matrix.probs, dtype=float), 28)
+            analytic = power[DEFAULT_MODEL.index("ICU")]
             empirical = day_horizon_distribution(np.random.default_rng(3), 40_000, matrix)
             assert np.all(np.abs(empirical - analytic) < 0.02)
 
