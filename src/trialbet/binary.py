@@ -67,10 +67,9 @@ class BinaryState:
             raise ValueError(f"outcome must be 0 or 1, got {outcome}")
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
-        self.i += 1
-        if self.i >= 2:
-            lam = self.wager(outcome, self.i)
-            apply_bet(self.ledger, lam, arm, self.p, self.i)
+        i = self.i = self.i + 1
+        if i >= 2:
+            apply_bet(self.ledger, self.wager(outcome, i), arm, self.p, i)
         if arm == 1:
             self.n_trt += 1
             self.e_trt += outcome

@@ -149,7 +149,7 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     if not isinstance(doc, dict):
         raise CheckpointError("corrupt checkpoint: not a JSON object")
     schema = doc.get("schema")
-    if schema not in (1, SCHEMA_VERSION):
+    if type(schema) is not int or schema not in (1, SCHEMA_VERSION):  # True == 1: no bool
         raise CheckpointError(f"unsupported checkpoint schema: {schema!r}")
     if doc.get("variant") != variant:
         raise CheckpointError(

@@ -81,8 +81,8 @@ def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
             raise EventError(f"line {line_no}: invalid JSON ({reason})") from exc
         if not isinstance(record, dict):
             raise EventError(f"line {line_no}: record must be a JSON object")
-    keys = record.keys()
-    if not monitor.required <= keys <= monitor.allowed:
+    keys = record.keys()  # most events carry exactly the required fields
+    if keys != monitor.required and not monitor.required <= keys <= monitor.allowed:
         missing = monitor.required - keys
         if missing:
             raise EventError(f"line {line_no}: missing fields {sorted(missing)}")

@@ -157,7 +157,8 @@ class ContinuousState:
         sd_t, sd_c = self.trt.sd(), self.ctrl.sd()
         s_pooled = math.sqrt((sd_t * sd_t + sd_c * sd_c) / 2.0)
         d = (self.trt.mean - self.ctrl.mean) / s_pooled
-        return min(1.0, max(-1.0, d))
+        d = d if d > -1.0 else -1.0  # max(-1.0, d), then min(1.0, d), without the calls
+        return d if d < 1.0 else 1.0
 
     def wager(self, y: float, i: int | None = None) -> float:
         """Wager for outcome ``y`` arriving at index ``i`` (past data only)."""
@@ -177,7 +178,7 @@ class ContinuousState:
             raise ValueError(f"outcome must be finite, got {y!r}")
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
-        i = self.i + 1
+        i = len(self.values) + 1
         if i >= 2 and (i - 1) >= self.sched.burn_in:
             lam = self.wager(y, i)
             apply_bet(self.ledger, lam, arm, self.p, i)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 # Wager clamp shared by the two-sided monitors (binary, deaths, continuous).
 # Keeps every payout strictly positive so log-wealth stays finite.
@@ -44,7 +45,9 @@ class RampSchedule:
         """Betting strength in [0, 1] at 1-based observation index ``i``."""
         if i < 1:
             raise ValueError(f"observation index must be >= 1, got {i}")
-        return min(1.0, max(0.0, (i - self.burn_in) / self.ramp))
+        c = (i - self.burn_in) / self.ramp
+        c = c if c > 0.0 else 0.0  # max(0.0, c) and min(1.0, c), without the calls
+        return c if c < 1.0 else 1.0
 
 
 def _exp_wealth(log_wealth: float) -> float:
@@ -65,7 +68,8 @@ def clamp_wager(raw: float, lo: float = WAGER_MIN, hi: float = WAGER_MAX) -> flo
     """Clamp a raw wager into [lo, hi]; identity on interior values."""
     if not math.isfinite(raw):
         raise ValueError(f"invalid wager: {raw!r}")
-    return min(hi, max(lo, raw))
+    m = raw if raw > lo else lo  # max(lo, raw), then min(hi, m), without the calls
+    return m if m < hi else hi
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,7 @@ class WealthLedger:
     def threshold(self) -> float:
         return 1.0 / self.alpha
 
-    @property
+    @cached_property  # read on every bet; alpha is fixed for the ledger's life
     def log_threshold(self) -> float:
         return -math.log(self.alpha)
 

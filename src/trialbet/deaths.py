@@ -84,18 +84,19 @@ class DeathsState:
 
     def wager(self, i: int | None = None) -> float:
         """Wager for death index ``i`` from counts of deaths 1..i-1."""
+        total = self.d_trt + self.d_ctrl
         if i is None:
-            i = self.total + 1
-        if i > self.sched.burn_in and self.total > 0:
+            i = total + 1
+        if i > self.sched.burn_in and total > 0:
             c = self.sched.coefficient(i)
-            return clamp_wager(0.5 + c * (self.p_hat() - 0.5))
+            return clamp_wager(0.5 + c * (self.d_trt / total - 0.5))  # p_hat()
         return 0.5
 
     def step(self, arm: int) -> None:
         """Consume one death: bet on its arm at the fair-coin null, then count it."""
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
-        i = self.total + 1
+        i = self.d_trt + self.d_ctrl + 1
         lam = self.wager(i)
         apply_bet(self.ledger, lam, arm, 0.5, i)
         if arm == 1:

@@ -40,8 +40,18 @@ class StateModel:
 DEFAULT_MODEL = StateModel()  # the one state model of the multi-state endpoint
 
 
+# (from, to) -> good, for every move out of a non-absorbing state
+_MOVES = {(a, b): (a, b) in DEFAULT_MODEL.good
+          for a in DEFAULT_MODEL.states if a not in DEFAULT_MODEL.absorbing
+          for b in DEFAULT_MODEL.states if b != a}
+
+
 def classify(from_state: str, to_state: str) -> bool:
     """True if the move is a good transition under the state model."""
+    try:
+        return _MOVES[from_state, to_state]
+    except (KeyError, TypeError):  # no legal move, or an unhashable name: say which
+        pass
     for s in (from_state, to_state):
         if s not in DEFAULT_MODEL.states:
             raise ValueError(f"unknown state: {s!r}")
@@ -141,7 +151,7 @@ class MultistateState:
         """Consume a transition already classified good/bad."""
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
-        i = self.total + 1
+        i = self.total_trt + self.total_ctrl + 1
         lam = self.wager(is_good, i)
         apply_bet(self.ledger, lam, arm, 0.5, i)
         if arm == 1:

@@ -14,7 +14,6 @@ own trial would be, so blocking changes no result.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +126,8 @@ def run_operating_characteristics(scenario: SimScenario,
     if n_workers <= 1:
         crossing, final, length = _run_range(scenario, 0, n)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # here, so one-worker runs never load it
+
         bounds = _chunk_bounds(n, n_workers * 4)
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(_run_range, [scenario] * len(bounds),

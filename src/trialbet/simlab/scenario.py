@@ -122,6 +122,26 @@ def _ranges(**rules) -> Callable[[dict], None]:
     return check
 
 
+_multistate_ranges = _ranges(
+    n_patients=_SIZE, horizon=_SIZE,
+    effect=(lambda v: v in ("alternative", "null"), "'alternative' or 'null'"),
+    start=(lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}"),
+    matrices=(lambda v: v is None or set(v) == {"trt", "ctrl"},
+              "exactly 'trt' and 'ctrl' rows when set"))
+
+
+def _check_multistate(p) -> None:
+    """The multistate ranges, then a start state some patient can leave: with
+    an identity start row in both arms' matrices, every trial is empty."""
+    _multistate_ranges(p)
+    k = DEFAULT_MODEL.index(p["start"])
+    identity = [float(j == k) for j in range(len(DEFAULT_MODEL.states))]
+    matrices = multistate_matrices(p["effect"], p["matrices"])  # validates each row
+    if all([float(v) for v in m.probs[k]] == identity for m in matrices):
+        raise ValueError(f"start {p['start']!r} has an identity row in both arms' matrices: "
+                         "no patient can leave it")
+
+
 SIM_VARIANTS: dict[str, SimVariant] = {
     "binary": SimVariant(
         {"n_patients": _REQUIRED, "p_ctrl": _REQUIRED, "p_trt": "=p_ctrl", "p_alloc": 0.5,
@@ -177,11 +197,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          "horizon": 28, "start": "ICU", **_monitor("multistate")},
         generate=_multistate_trial,
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
-        check=_ranges(n_patients=_SIZE, horizon=_SIZE,
-                      effect=(lambda v: v in ("alternative", "null"), "'alternative' or 'null'"),
-                      start=(lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}"),
-                      matrices=(lambda v: v is None or set(v) == {"trt", "ctrl"},
-                                "exactly 'trt' and 'ctrl' rows when set"))),
+        check=_check_multistate),
 }
 
 
@@ -228,6 +244,8 @@ class SimScenario:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{key} must be >= {least}")
+        if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0,1)")
         if self.variant not in SIM_VARIANTS:
@@ -271,7 +289,7 @@ class SimScenario:
             variant=d["variant"],
             params=dict(params),
             n_sims=d.get("n_sims", 2000),
-            alpha=float(d.get("alpha", 0.05)),
+            alpha=d.get("alpha", 0.05),
             seed=d.get("seed", 0),
         )
 

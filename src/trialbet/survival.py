@@ -21,7 +21,7 @@ DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 DEFAULT_BET_CAP = 0.25
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurvivalRecord:
     """One subject's follow-up outcome on the time-on-study clock."""
 

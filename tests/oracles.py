@@ -19,16 +19,22 @@ call per trial and monitor in the deaths-vs-binary comparison.
 ``stream_trajectories`` replays a scenario's trials through the live monitor
 states, one event at a time, recording every ledger row: the reference the
 batch replay behind ``trialbet trajectories`` is compared against.
+
+``coefficient``, ``clamp_wager``, ``clamp_cohens_d`` and ``classify`` are the
+plain forms of the per-event monitor path: the ``min``/``max`` clamps, and a
+classification that tests each rule in turn.  The production forms must give
+the same ``outcome``: the same floats, bit for bit, and the same exceptions.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from trialbet.cli import EventError
-from trialbet.core import RampSchedule
+from trialbet.core import WAGER_MAX, WAGER_MIN, RampSchedule
 from trialbet.deaths import death_coin
 from trialbet.multistate import DEFAULT_MODEL
 from trialbet.simlab import batch, generators
@@ -182,3 +188,44 @@ def stream_trajectories(scenario, n_trials: int) -> list[list]:
             step(*args)
         trials.append(state.ledger.steps)
     return trials
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` gives: a float result as its bits (so -0.0 is not 0.0),
+    any other result as is, or a ValueError as its type and text."""
+    try:
+        result = f(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return result.hex() if isinstance(result, float) else result
+
+
+def coefficient(sched, i: int) -> float:
+    """``RampSchedule.coefficient`` through ``min`` and ``max``."""
+    if i < 1:
+        raise ValueError(f"observation index must be >= 1, got {i}")
+    return min(1.0, max(0.0, (i - sched.burn_in) / sched.ramp))
+
+
+def clamp_wager(raw: float, lo: float = WAGER_MIN, hi: float = WAGER_MAX) -> float:
+    """``core.clamp_wager`` through ``min`` and ``max``."""
+    if not math.isfinite(raw):
+        raise ValueError(f"invalid wager: {raw!r}")
+    return min(hi, max(lo, raw))
+
+
+def clamp_cohens_d(d: float) -> float:
+    """The clamp of ``ContinuousState.cohens_d`` through ``min`` and ``max``."""
+    return min(1.0, max(-1.0, d))
+
+
+def classify(from_state: str, to_state: str) -> bool:
+    """``multistate.classify`` testing each rule in turn."""
+    for s in (from_state, to_state):
+        if s not in DEFAULT_MODEL.states:
+            raise ValueError(f"unknown state: {s!r}")
+    if from_state == to_state:
+        raise ValueError(f"not a transition: {from_state!r} -> {to_state!r}")
+    if from_state in DEFAULT_MODEL.absorbing:
+        raise ValueError(f"absorbing state {from_state!r} has no outgoing transitions")
+    return (from_state, to_state) in DEFAULT_MODEL.good

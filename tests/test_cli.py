@@ -437,14 +437,17 @@ def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_str
     _one_error_line(code, err)
 
 
-def _schema_3_checkpoint(tmp_path):
-    from test_checkpoint import GOLDEN
+def _checkpoint_schema(schema):
+    """A resume from the golden binary checkpoint with its schema set to ``schema``."""
+    def argv(tmp_path):
+        from test_checkpoint import GOLDEN
 
-    doc = json.loads((GOLDEN / "binary.ckpt.json").read_text())
-    ck = tmp_path / "ck.json"
-    ck.write_text(json.dumps({**doc, "schema": 3}))
-    return ["monitor", "--variant", "binary", "--input", str(GOLDEN / "binary.ndjson"),
-            "--checkpoint", str(ck), "--resume"]
+        doc = json.loads((GOLDEN / "binary.ckpt.json").read_text())
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps({**doc, "schema": schema}))
+        return ["monitor", "--variant", "binary", "--input", str(GOLDEN / "binary.ndjson"),
+                "--checkpoint", str(ck), "--resume"]
+    return argv
 
 
 def _entry_after_event(tmp_path):
@@ -463,12 +466,14 @@ def _scenario(doc):
     return argv
 
 
-def _matrices(edit):
+def _matrices(edit, both=False):
+    """A multistate scenario whose ``trt`` matrix, and with ``both`` its
+    ``ctrl`` matrix, is ``edit`` of the control matrix."""
     from trialbet.multistate import CONTROL_DAILY
 
     rows = [list(row) for row in CONTROL_DAILY.probs]
     return _scenario({"variant": "multistate", "n_sims": 2, "params": {
-        "n_patients": 20, "matrices": {"trt": edit(rows), "ctrl": rows}}})
+        "n_patients": 20, "matrices": {"trt": edit(rows), "ctrl": edit(rows) if both else rows}}})
 
 
 _BINARY = {"n_patients": 20, "p_ctrl": 0.4}
@@ -493,7 +498,9 @@ def _golden_monitor(variant, *argv):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (_schema_3_checkpoint, "error: unsupported checkpoint schema: 3"),
+    (_checkpoint_schema(3), "error: unsupported checkpoint schema: 3"),
+    (_checkpoint_schema(True), "error: unsupported checkpoint schema: True"),
+    (_checkpoint_schema(1.0), "error: unsupported checkpoint schema: 1.0"),
     (_entry_after_event, "error: line 2: negative time on study"),
     (_scenario({"variant": "binary", "params": _BINARY, "alpha": 1.5}),
      "error: alpha must be in (0,1)"),
@@ -572,7 +579,14 @@ def _golden_monitor(variant, *argv):
      "error: seed must be an integer, got 1.7"),
     (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "seed": -1}),
      "error: seed must be >= 0"),
-], ids=["checkpoint-schema-3", "entry-after-time", "alpha-1.5", "n_sims-0",
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "alpha": "0.05"}),
+     "error: alpha must be a number, got '0.05'"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "alpha": True}),
+     "error: alpha must be a number, got True"),
+    (_matrices(lambda rows: [rows[0], [0.0, 1.0, 0.0, 0.0], *rows[2:]], both=True),
+     "error: start 'ICU' has an identity row in both arms' matrices: no patient can leave it"),
+], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
+        "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
         "lab-ramp-0", "lab-lambda_max-1.8", "lab-c_max-3", "lab-burn_in-negative",
         "monitor-other-variant-options", "monitor-continuous-p-1.5", "monitor-binary-p-0",
@@ -583,12 +597,22 @@ def _golden_monitor(variant, *argv):
         "wage-continuous-n-0", "wage-survival-n-0", "lab-mu_trt-inf", "lab-sd-inf",
         "lab-hr-inf", "wage-d-nan", "lab-start-Dead", "lab-start-Foo", "lab-start-list",
         "power-hr-inf", "power-d-nan", "power-d-inf", "wage-hr-inf-sized", "n_sims-2.9",
-        "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative"])
+        "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative", "alpha-string",
+        "alpha-true", "start-row-identity-in-both-arms"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
     assert out == ""
     assert message in _one_error_line(code, err)
+
+
+def test_start_row_identity_in_one_arm_runs(capsys, tmp_path):
+    """Only an identity start row in both arms empties every trial; with one
+    in one arm, the other arm's patients still move."""
+    argv = _matrices(lambda rows: [rows[0], [0.0, 1.0, 0.0, 0.0], *rows[2:]])(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_OK and err == ""
+    assert "median stream len   0\n" not in out
 
 
 def test_variant_choices_are_the_rows_with_design_facts():
@@ -785,6 +809,21 @@ def test_cli_import_loads_no_simlab_or_scipy():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120).stdout
     assert out.strip() == "[]"
+
+
+def test_one_worker_simulate_loads_no_process_pool():
+    """Only a run with more than one worker imports the process pool; a fresh
+    interpreter shows it, since other tests may have loaded it here."""
+    import subprocess
+    import sys
+
+    probe = ("import sys; from trialbet.cli import main; "
+             f"code = main(['simulate', '--scenario', {str(_scenario_path('binary_alt'))!r}, "
+             "'--sims', '5']); "
+             "print(code, 'concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "0 False"
 
 
 @pytest.mark.parametrize("variant,param", [

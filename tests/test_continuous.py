@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, strategies as hs
 
 from trialbet.checkpoint import decode_state, encode_state
-from trialbet.continuous import ContinuousState, robust_center_scale, squash
+from trialbet.continuous import ContinuousState, _ArmMoments, robust_center_scale, squash
 from trialbet.core import RampSchedule
 from trialbet.simlab import batch
 from trialbet.simlab.generators import continuous_trial
 
+import oracles
 from oracles import mean_final_wealth
 
 
@@ -131,6 +132,13 @@ class TestCohensD:
         st.step(1.0, 0)
         # both sds undefined -> 1; d = (4-1)/1 = 3 -> clamped to 1
         assert st.cohens_d() == 1.0
+
+    @given(hs.sampled_from([0.0, -0.0, 1.0, -1.0, math.nextafter(1.0, 0.0)]) | hs.floats())
+    def test_clamp_is_the_min_max_form(self, d):
+        """One observation per arm gives unit SDs, so the raw d is the treated
+        mean itself; its clamp is ``min(1.0, max(-1.0, d))`` bit for bit."""
+        st = ContinuousState(trt=_ArmMoments(1, d), ctrl=_ArmMoments(1, 0.0))
+        assert st.cohens_d().hex() == oracles.clamp_cohens_d(d).hex()
 
 
 class TestWager:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, strategies as hs
 
 from trialbet.checkpoint import decode_state, encode_state
 from trialbet.core import (
+    WAGER_MAX,
+    WAGER_MIN,
     RampSchedule,
     WealthLedger,
     apply_bet,
@@ -12,6 +15,12 @@ from trialbet.core import (
     clamp_wager,
     martingale_audit,
 )
+
+import oracles
+from oracles import outcome
+
+# bounds and values where a clamp's result could differ in sign or by one bit
+_EDGES = [0.0, -0.0, WAGER_MIN, WAGER_MAX, 0.01, 0.99, 1.0, -1.0, math.nextafter(WAGER_MIN, 0.0)]
 
 
 class TestRampSchedule:
@@ -39,6 +48,33 @@ class TestRampSchedule:
             RampSchedule(10, 0)
         with pytest.raises(ValueError):
             RampSchedule(10, 10).coefficient(0)
+
+
+@given(burn_in=hs.integers(0, 400), ramp=hs.integers(1, 400), at_end=hs.booleans(),
+       offset=hs.sampled_from([-1, 0, 1]) | hs.integers(-500, 900))
+def test_coefficient_is_the_min_max_form(burn_in, ramp, at_end, offset):
+    """The same float as ``min(1.0, max(0.0, ...))``, at and beside both ends of
+    the ramp, and the same refusal of an index below 1."""
+    sched = RampSchedule(burn_in, ramp)
+    i = burn_in + (ramp if at_end else 0) + offset
+    assert outcome(sched.coefficient, i) == outcome(oracles.coefficient, sched, i)
+
+
+_any_float = hs.sampled_from(_EDGES) | hs.floats()
+
+
+@given(raw=_any_float, lo=_any_float, hi=_any_float)
+def test_clamp_wager_is_the_min_max_form(raw, lo, hi):
+    """The same float as ``min(hi, max(lo, raw))`` for any bounds, signed zeros
+    and NaN bounds included, and the same refusal of a non-finite wager."""
+    assert outcome(clamp_wager, raw, lo, hi) == outcome(oracles.clamp_wager, raw, lo, hi)
+
+
+def test_clamp_wager_is_the_min_max_form_on_every_edge():
+    for raw, lo, hi in itertools.product(_EDGES, repeat=3):
+        assert outcome(clamp_wager, raw, lo, hi) == outcome(oracles.clamp_wager, raw, lo, hi)
+    for raw in _EDGES:
+        assert outcome(clamp_wager, raw) == outcome(oracles.clamp_wager, raw)
 
 
 class TestClampWager:
@@ -120,6 +156,22 @@ class TestWealthLedger:
         assert clone.log_wealth == led.log_wealth
         assert (clone.crossed, clone.crossed_at, clone.n_steps) == \
                (led.crossed, led.crossed_at, led.n_steps)
+
+
+@given(hs.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+def test_rebuilt_ledger_crosses_at_log_one_over_alpha(alpha):
+    """The threshold a ledger keeps is no saved field: a ledger rebuilt from a
+    checkpoint crosses at exactly ``log(1/alpha)``, as a fresh one does."""
+    threshold = -math.log(alpha)
+    for log_wealth, crosses in ((math.nextafter(threshold, -math.inf), False),
+                                (threshold, True)):
+        fresh = WealthLedger(alpha, log_wealth=log_wealth)
+        assert fresh.log_threshold == threshold
+        doc = encode_state(fresh)
+        assert set(doc) == {"alpha", "log_wealth", "n_steps", "crossed", "crossed_at"}
+        for ledger in (fresh, decode_state(WealthLedger, doc)):
+            ledger.apply(0.5, 1.0, 7)
+            assert (ledger.crossed, ledger.crossed_at) == ((True, 7) if crosses else (False, None))
 
 
 class TestMartingaleAudit:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hs
 
 from trialbet.core import RampSchedule
 from trialbet.multistate import (
@@ -13,7 +14,8 @@ from trialbet.multistate import (
 from trialbet.simlab import batch
 from trialbet.simlab.generators import multistate_trial
 
-from oracles import day_horizon_distribution, mean_final_wealth
+import oracles
+from oracles import day_horizon_distribution, mean_final_wealth, outcome
 from reference_impls import simulate_patient_path
 
 
@@ -38,6 +40,19 @@ class TestClassify:
     def test_unknown_state(self):
         with pytest.raises(ValueError, match="unknown state"):
             classify("ICU", "Hospice")
+
+    def test_every_pair_as_the_rule_by_rule_form(self):
+        """All 16 state pairs, and unknown names (unhashable ones too), give the
+        same result or the same refusal as testing each rule in turn."""
+        names = [*DEFAULT_MODEL.states, "Hospice", "", "icu", None, 3, ("ICU",), ["Ward"]]
+        for a in names:
+            for b in names:
+                assert outcome(classify, a, b) == outcome(oracles.classify, a, b)
+
+    @given(hs.sampled_from(DEFAULT_MODEL.states) | hs.text(max_size=5),
+           hs.sampled_from(DEFAULT_MODEL.states) | hs.text(max_size=5))
+    def test_any_names_as_the_rule_by_rule_form(self, a, b):
+        assert outcome(classify, a, b) == outcome(oracles.classify, a, b)
 
 
 class TestTransitionMatrix:
