@@ -10,10 +10,10 @@ monitoring and the studies from the command line.
 
 from .binary import BinaryState
 from .continuous import ContinuousState
-from .core import RampSchedule, WealthLedger, WealthStep, martingale_audit
+from .core import RampSchedule, WealthLedger, WealthStep
 from .deaths import DeathsState, death_coin, expected_deaths
-from .multistate import MultistateState, StateModel, TransitionMatrix
-from .survival import SurvivalRecord, SurvivalState, order_records
+from .multistate import MultistateState, TransitionMatrix
+from .survival import SurvivalRecord, SurvivalState
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "DeathsState",
     "MultistateState",
     "RampSchedule",
-    "StateModel",
     "SurvivalRecord",
     "SurvivalState",
     "TransitionMatrix",
@@ -31,7 +30,5 @@ __all__ = [
     "WealthStep",
     "death_coin",
     "expected_deaths",
-    "martingale_audit",
-    "order_records",
     "__version__",
 ]

@@ -46,13 +46,11 @@ class BinaryState:
         rate_ctrl = self.e_ctrl / self.n_ctrl if self.n_ctrl > 0 else 0.5
         return rate_trt - rate_ctrl
 
-    def wager(self, outcome: int, i: int | None = None) -> float:
+    def wager(self, outcome: int, i: int) -> float:
         """Wager for the observation at index ``i`` given its outcome.
 
         Uses counts accumulated from observations 1..i-1 only.
         """
-        if i is None:
-            i = self.i + 1
         c = self.sched.coefficient(i)
         d = self.delta()
         lam = 0.5 + 0.5 * c * d if outcome == 1 else 0.5 - 0.5 * c * d

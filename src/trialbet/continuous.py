@@ -160,10 +160,8 @@ class ContinuousState:
         d = d if d > -1.0 else -1.0  # max(-1.0, d), then min(1.0, d), without the calls
         return d if d < 1.0 else 1.0
 
-    def wager(self, y: float, i: int | None = None) -> float:
+    def wager(self, y: float, i: int) -> float:
         """Wager for outcome ``y`` arriving at index ``i`` (past data only)."""
-        if i is None:
-            i = self.i + 1
         if i < 2 or (i - 1) < self.sched.burn_in:
             return 0.5
         med, scale, self.mad_start = robust_center_scale(self.values, self.mad_start)

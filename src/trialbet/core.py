@@ -156,15 +156,3 @@ def apply_signed_bet(ledger: WealthLedger, bet: float, score: float, index: int)
     """
     ledger.apply(bet, 1.0 + bet * score, index)
 
-
-def martingale_audit(wager: float, p: float) -> float:
-    """Expected payout of a two-sided wager under the null; must equal 1.
-
-    ``p*(wager/p) + (1-p)*((1-wager)/(1-p))`` is algebraically 1 for any
-    wager in [0,1] and p in (0,1).  Used as a self-test, not in monitoring.
-    """
-    if not 0.0 <= wager <= 1.0:
-        raise ValueError(f"wager must be in [0,1], got {wager}")
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"allocation probability must be in (0,1), got {p}")
-    return p * (wager / p) + (1.0 - p) * ((1.0 - wager) / (1.0 - p))

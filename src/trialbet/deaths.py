@@ -33,32 +33,6 @@ def expected_deaths(n_patients: int, p_ctrl: float, p_trt: float) -> int:
     return math.ceil(n_patients / 2 * (p_ctrl + p_trt))
 
 
-@dataclass(frozen=True)
-class SignalConcentrationRow:
-    baseline: float      # control mortality
-    trt_rate: float      # treatment mortality = baseline - arr
-    coin: float          # death-coin probability under the alternative
-    tilt: float          # |coin - 0.5|
-    tilt_over_arr: float # signal concentration factor
-
-
-def signal_concentration_table(baselines, arr: float) -> list[SignalConcentrationRow]:
-    """How far a fixed absolute risk reduction tilts the death coin from 0.5.
-
-    At low baseline mortality the tilt exceeds the risk reduction itself:
-    deaths filter out uninformative survivors and concentrate the signal.
-    """
-    rows = []
-    for b in baselines:
-        trt = b - arr
-        if trt < 0:
-            raise ValueError(f"treatment mortality would be negative at baseline {b}")
-        coin = death_coin(b, trt)
-        tilt = abs(coin - 0.5)
-        rows.append(SignalConcentrationRow(b, trt, coin, tilt, tilt / arr if arr > 0 else 0.0))
-    return rows
-
-
 @dataclass
 class DeathsState:
     """Streaming state for deaths-only monitoring; one instance per trial."""
@@ -82,11 +56,9 @@ class DeathsState:
         """Running fraction of deaths from the treatment arm (0.5 before any)."""
         return self.d_trt / self.total if self.total > 0 else 0.5
 
-    def wager(self, i: int | None = None) -> float:
+    def wager(self, i: int) -> float:
         """Wager for death index ``i`` from counts of deaths 1..i-1."""
         total = self.d_trt + self.d_ctrl
-        if i is None:
-            i = total + 1
         if i > self.sched.burn_in and total > 0:
             c = self.sched.coefficient(i)
             return clamp_wager(0.5 + c * (self.d_trt / total - 0.5))  # p_hat()

@@ -132,9 +132,7 @@ class MultistateState:
         rate_ctrl = self.good_ctrl / self.total_ctrl if self.total_ctrl > 0 else 0.0
         return rate_trt - rate_ctrl
 
-    def wager(self, is_good: bool, i: int | None = None) -> float:
-        if i is None:
-            i = self.total + 1
+    def wager(self, is_good: bool, i: int) -> float:
         if i > self.sched.burn_in and self.total_trt > 0 and self.total_ctrl > 0:
             c = self.sched.coefficient(i)
             d = self.delta()

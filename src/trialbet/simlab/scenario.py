@@ -17,7 +17,7 @@ wager-cap defaults the rows below reuse.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
 from ..continuous import DEFAULT_C_MAX
@@ -102,11 +102,17 @@ def _multistate_trial(rng, p):
     return trial.good, trial.arms
 
 
+def _number(v) -> bool:
+    """A JSON number: a string, list, object or bool is none, so a range
+    rule refuses it with its own message rather than failing to compare."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 _SIZE = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
-_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
-_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
-_POSITIVE = (lambda v: v > 0.0, "> 0")
-_POSITIVE_IF_SET = (lambda v: v is None or v > 0.0, "> 0 when set")
+_UNIT = (lambda v: _number(v) and 0.0 <= v <= 1.0, "in [0, 1]")
+_OPEN_UNIT = (lambda v: _number(v) and 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = (lambda v: _number(v) and v > 0.0, "> 0")
+_POSITIVE_IF_SET = (lambda v: v is None or _number(v) and v > 0.0, "> 0 when set")
 _ADAPTIVE = Strategy(lambda v: {})  # the variant's own wager: its defaults unchanged
 # a tuple, so a list value is not hashed: it is simply no member
 _STARTS = tuple(s for s in DEFAULT_MODEL.states if s not in DEFAULT_MODEL.absorbing)
@@ -248,7 +254,7 @@ class SimScenario:
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0,1)")
-        if self.variant not in SIM_VARIANTS:
+        if not isinstance(self.variant, str) or self.variant not in SIM_VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; "
                              f"expected one of {tuple(SIM_VARIANTS)}")
         sim = SIM_VARIANTS[self.variant]
@@ -273,25 +279,21 @@ class SimScenario:
                 raise ValueError(f"{key} must be finite, got {value!r}")
         object.__setattr__(self, "params", params)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"schema": SCHEMA_VERSION, **asdict(self)}
-
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "SimScenario":
+        """A scenario from its JSON object.  A misspelled field is refused, not
+        run at its default; the defaults are the ones declared above."""
         if not isinstance(d, Mapping):
             raise ValueError("a scenario must be a JSON object")
+        unknown = d.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
         params = d.get("params", {})
         if not isinstance(params, Mapping):
             raise ValueError("scenario 'params' must be a JSON object")
         if "variant" not in d:
             raise ValueError("scenario is missing the required field 'variant'")
-        return cls(
-            variant=d["variant"],
-            params=dict(params),
-            n_sims=d.get("n_sims", 2000),
-            alpha=d.get("alpha", 0.05),
-            seed=d.get("seed", 0),
-        )
+        return cls(**{**d, "params": dict(params)})
 
 
 @dataclass(frozen=True)

@@ -38,29 +38,6 @@ class SurvivalRecord:
             raise ValueError(f"arm must be 0 or 1, got {self.arm}")
 
 
-def order_records(records, entry_times=None) -> list[SurvivalRecord]:
-    """Stable-sort records by time on study; ties keep input order.
-
-    With staggered recruitment, pass calendar event times in ``records`` and
-    the matching ``entry_times``; each subject's time on study is the
-    difference.  Rank order on that clock is all the monitor uses, so
-    staggered and simultaneous entry are analyzed identically.
-    """
-    records = list(records)
-    if entry_times is not None:
-        entry_times = list(entry_times)
-        if len(entry_times) != len(records):
-            raise ValueError("entry_times must match records one-to-one")
-        shifted = []
-        for rec, entry in zip(records, entry_times):
-            study_time = rec.time - entry
-            if study_time < 0:
-                raise ValueError(f"negative time on study: event {rec.time} before entry {entry}")
-            shifted.append(SurvivalRecord(study_time, rec.status, rec.arm))
-        records = shifted
-    return sorted(records, key=lambda r: r.time)
-
-
 @dataclass
 class SurvivalState:
     """Streaming state for the survival monitor; one instance per trial.
@@ -94,10 +71,8 @@ class SurvivalState:
         total = self.risk_trt + self.risk_ctrl
         return self.risk_trt / total if total > 0 else 0.5
 
-    def bet(self, j: int | None = None) -> float:
+    def bet(self, j: int) -> float:
         """Signed bet for record index ``j``: ramp * cap * sign of the score so far."""
-        if j is None:
-            j = self.records_seen + 1
         if j <= self.sched.burn_in:
             return 0.0
         c = self.sched.coefficient(j)
@@ -121,7 +96,7 @@ class SurvivalState:
         j = self.records_seen + 1
         if record.status == 1:
             b = self.bet(j)
-            u = score_increment(record.arm, self.risk_proportion())
+            u = record.arm - self.risk_proportion()  # log-rank score increment
             apply_signed_bet(self.ledger, b, u, j)
             self.cum_z += u
         if record.arm == 1:
@@ -131,9 +106,3 @@ class SurvivalState:
         self.records_seen = j
         self.last_time = record.time
 
-
-def score_increment(event_arm: int, p_j: float) -> float:
-    """Log-rank score increment: treated indicator minus risk-set proportion."""
-    if event_arm not in (0, 1):
-        raise ValueError(f"arm must be 0 or 1, got {event_arm}")
-    return float(event_arm) - p_j

@@ -5,7 +5,11 @@ final wealth over *all* possible arm-label sequences (weighted by their
 randomization probabilities) must give exactly 1.  These enumerators replay
 the production bet rules down every branch of the arm tree and accumulate
 that expectation directly - no shortcuts shared with the code under test
-beyond the bet rules themselves.
+beyond the bet rules themselves.  ``null_expectation`` does the same for one
+two-sided wager, from the payouts the ledger settles.
+
+``survival_records`` puts a drawn survival trial in the order the monitor
+takes it: by time on study, stable on ties.
 
 ``day_horizon_distribution`` draws one arm's cohort through its daily
 transition matrix on its own, so the multistate generator's horizon states
@@ -34,7 +38,7 @@ import math
 import numpy as np
 
 from trialbet.cli import EventError
-from trialbet.core import WAGER_MAX, WAGER_MIN, RampSchedule
+from trialbet.core import WAGER_MAX, WAGER_MIN, RampSchedule, WealthLedger, apply_bet
 from trialbet.deaths import death_coin
 from trialbet.multistate import DEFAULT_MODEL
 from trialbet.simlab import batch, generators
@@ -43,6 +47,16 @@ from trialbet.simlab.scenario import SIM_VARIANTS
 from trialbet.simlab.sizing import size_two_proportion
 from trialbet.survival import SurvivalRecord
 from trialbet.variants import MONITORS, flag_field
+
+
+def null_expectation(wager: float, p: float) -> float:
+    """Expected payout of a two-sided wager when arm 1 has probability ``p``,
+    from the multipliers ``apply_bet`` settles on each arm; 1 when fair."""
+    ledger = WealthLedger(record_steps=True)
+    apply_bet(ledger, wager, 1, p, 1)
+    apply_bet(ledger, wager, 0, p, 2)
+    m1, m0 = (step.multiplier for step in ledger.steps)
+    return p * m1 + (1.0 - p) * m0
 
 
 def mean_final_wealth(make_state, apply_arm, k: int, p: float = 0.5) -> float:
@@ -85,6 +99,13 @@ def mean_final_wealth_survival(make_state, times, k: int) -> float:
         if prob > 0.0:
             total += prob * state.ledger.wealth
     return total
+
+
+def survival_records(time, status, arm) -> list[SurvivalRecord]:
+    """A drawn trial's records in the order a monitor takes them: by time on
+    study, stable on ties.  With staggered entry, pass ``time - entry``."""
+    return sorted((SurvivalRecord(float(a), int(b), int(c)) for a, b, c in zip(time, status, arm)),
+                  key=lambda r: r.time)
 
 
 def day_horizon_distribution(rng, n_patients: int, matrix, start: str = "ICU",
@@ -145,12 +166,10 @@ def head_to_head_per_trial(baselines, arr: float, power: float, alpha: float,
 
 def _feed_survival(data, p):
     time, status, arm, entry = data
-    study_time = time - entry  # identical to time when entry is simultaneous
-    order = np.argsort(study_time, kind="stable").tolist()
     options = {"lambda_max": p["lambda_max"], "risk_trt": int(arm.sum()),
                "risk_ctrl": int((1 - arm).sum())}
-    return options, ((SurvivalRecord(float(study_time[k]), int(status[k]), int(arm[k])),)
-                     for k in order)
+    # time - entry is identical to time when entry is simultaneous
+    return options, ((rec,) for rec in survival_records(time - entry, status, arm))
 
 
 # per variant, from a drawn trial and its scenario parameters: the monitor's

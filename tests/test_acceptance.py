@@ -18,8 +18,8 @@ import pytest
 
 from trialbet.binary import BinaryState
 from trialbet.continuous import ContinuousState
-from trialbet.core import RampSchedule, WealthLedger, apply_bet, martingale_audit
-from trialbet.deaths import DeathsState, signal_concentration_table
+from trialbet.core import RampSchedule, WealthLedger, apply_bet
+from trialbet.deaths import DeathsState, death_coin
 from trialbet.multistate import (
     CONTROL_DAILY,
     DEFAULT_MODEL,
@@ -41,9 +41,15 @@ from trialbet.simlab.sizing import (
     size_two_proportion,
 )
 from trialbet.simlab.strategies import BettingStrategy
-from trialbet.survival import SurvivalRecord, SurvivalState, order_records
+from trialbet.survival import SurvivalState
 
-from oracles import day_horizon_distribution, mean_final_wealth, mean_final_wealth_survival
+from oracles import (
+    day_horizon_distribution,
+    mean_final_wealth,
+    mean_final_wealth_survival,
+    null_expectation,
+    survival_records,
+)
 
 
 def report(cid: str, ok: bool, detail: str) -> None:
@@ -59,7 +65,7 @@ def test_c01_martingale_identity_grid():
     worst = 0.0
     for lam in np.arange(0.001, 0.9995, 0.001):
         for p in np.arange(0.1, 0.95, 0.1):
-            worst = max(worst, abs(martingale_audit(float(lam), float(p)) - 1.0))
+            worst = max(worst, abs(null_expectation(float(lam), float(p)) - 1.0))
     ok = worst < 1e-12
     report("C01", ok, f"max |E[multiplier]-1| = {worst:.2e} over 999x9 grid")
     assert ok
@@ -149,8 +155,7 @@ def test_c04_sample_size_calculators():
 
 
 def test_c05_signal_concentration_table():
-    rows = signal_concentration_table([0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40], 0.05)
-    coins = [round(r.coin, 3) for r in rows]
+    coins = [round(death_coin(b, b - 0.05), 3) for b in [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40]]
     expected = [0.333, 0.400, 0.429, 0.444, 0.455, 0.462, 0.467]
     ok = coins == expected
     report("C05", ok, f"death coins {coins}")
@@ -256,11 +261,8 @@ def test_c10_survival_operating_characteristics():
         fin_sim.append(batch.survival_log_wealth(tm, st, tr)[-1])
         tm, st, tr, en = generators.survival_trial(rep_rng(104, rep), 631, 0.8,
                                                    recruit_period=12.0)
-        recs = order_records(
-            [SurvivalRecord(float(a), int(b), int(c)) for a, b, c in zip(tm, st, tr)],
-            en.tolist())
         state = SurvivalState(risk_trt=int(tr.sum()), risk_ctrl=int((1 - tr).sum()))
-        for rec in recs:
+        for rec in survival_records(tm - en, st, tr):
             state.step(rec)
         fin_stag.append(state.ledger.log_wealth)
     med_sim = math.exp(float(np.median(fin_sim)))
@@ -344,9 +346,7 @@ def test_c13_engineering_guarantees():
             return [("step", (float(v), int(a))) for v, a in zip(y, t)]
         if variant == "survival":
             tm, st, tr, _ = generators.survival_trial(rng, 140, 0.8, censor_upper=25.0)
-            recs = order_records([SurvivalRecord(float(a), int(b), int(c))
-                                  for a, b, c in zip(tm, st, tr)])
-            return [("step", (r,)) for r in recs]
+            return [("step", (r,)) for r in survival_records(tm, st, tr)]
         trial = generators.multistate_trial(rng, 60, TREATMENT_DAILY, CONTROL_DAILY)
         return [("step_classified", (bool(g), int(a)))
                 for g, a in zip(trial.good, trial.arms)]

@@ -585,6 +585,15 @@ def _golden_monitor(variant, *argv):
      "error: alpha must be a number, got True"),
     (_matrices(lambda rows: [rows[0], [0.0, 1.0, 0.0, 0.0], *rows[2:]], both=True),
      "error: start 'ICU' has an identity row in both arms' matrices: no patient can leave it"),
+    (_scenario({"variant": "binary", "params": _BINARY, "n_sim": 5, "seeed": 3}),
+     "error: unknown scenario fields: ['n_sim', 'seeed']"),
+    (_lab("binary", p_ctrl="0.3"), "error: p_ctrl must be in [0, 1], got '0.3'"),
+    (_lab("survival", censor_upper="5"), "error: censor_upper must be > 0 when set, got '5'"),
+    (_lab("binary", p_ctrl=0.4, p_alloc=[0.5]), "error: p_alloc must be in (0, 1), got [0.5]"),
+    (_scenario({"variant": ["x"], "params": _BINARY}),
+     "error: unknown variant ['x']; expected one of "
+     "('binary', 'deaths', 'continuous', 'survival', 'multistate')"),
+    (_lab("binary", p_ctrl=True), "error: p_ctrl must be in [0, 1], got True"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -598,7 +607,9 @@ def _golden_monitor(variant, *argv):
         "lab-hr-inf", "wage-d-nan", "lab-start-Dead", "lab-start-Foo", "lab-start-list",
         "power-hr-inf", "power-d-nan", "power-d-inf", "wage-hr-inf-sized", "n_sims-2.9",
         "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative", "alpha-string",
-        "alpha-true", "start-row-identity-in-both-arms"])
+        "alpha-true", "start-row-identity-in-both-arms", "misspelled-scenario-fields",
+        "p_ctrl-string", "censor_upper-string", "p_alloc-list", "variant-list-named",
+        "p_ctrl-true"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

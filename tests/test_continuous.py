@@ -187,7 +187,7 @@ def test_strong_bet_multipliers():
     st.step(0.5, 1)  # bets start once one past value exists
     st.trt.n, st.trt.mean, st.trt.m2 = 10, 10.0, 9.0
     st.ctrl.n, st.ctrl.mean, st.ctrl.m2 = 10, 0.0, 9.0
-    lam = st.wager(4.0)
+    lam = st.wager(4.0, st.i + 1)
     st.step(4.0, 1)
     assert st.ledger.steps[-1].multiplier == pytest.approx(lam / 0.5, rel=1e-12)
 

@@ -8,7 +8,6 @@ from trialbet.deaths import (
     DeathsState,
     death_coin,
     expected_deaths,
-    signal_concentration_table,
 )
 from trialbet.simlab import batch
 from trialbet.simlab.engine import rep_rng
@@ -42,23 +41,24 @@ class TestExpectedDeaths:
 
 
 class TestSignalConcentration:
+    """How far an absolute risk reduction ``arr`` tilts the death coin from 0.5:
+    at low baseline mortality the tilt exceeds the reduction itself."""
+
     def test_table_rows(self):
-        rows = signal_concentration_table(
-            [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40], arr=0.05)
-        coins = [round(r.coin, 3) for r in rows]
-        assert coins == [0.333, 0.400, 0.429, 0.444, 0.455, 0.462, 0.467]
-        assert round(rows[1].tilt * 100, 1) == 10.0
-        assert round(rows[1].tilt_over_arr, 2) == 2.00
-        assert round(rows[6].tilt * 100, 1) == 3.3
-        assert round(rows[6].tilt_over_arr, 2) == 0.67
+        coins = [death_coin(b, b - 0.05) for b in [0.10, 0.15, 0.20, 0.25, 0.30, 0.35, 0.40]]
+        assert [round(c, 3) for c in coins] == [0.333, 0.400, 0.429, 0.444, 0.455, 0.462, 0.467]
+        tilts = [abs(c - 0.5) for c in coins]
+        assert round(tilts[1] * 100, 1) == 10.0
+        assert round(tilts[1] / 0.05, 2) == 2.00
+        assert round(tilts[6] * 100, 1) == 3.3
+        assert round(tilts[6] / 0.05, 2) == 0.67
 
     def test_zero_arr(self):
-        row = signal_concentration_table([0.2], arr=0.0)[0]
-        assert row.coin == 0.5 and row.tilt == 0.0
+        assert death_coin(0.2, 0.2 - 0.0) == 0.5
 
     def test_negative_treatment_rate(self):
-        with pytest.raises(ValueError):
-            signal_concentration_table([0.04], arr=0.05)
+        with pytest.raises(ValueError, match=r"must lie in \[0,1\]"):
+            death_coin(0.04, 0.04 - 0.05)
 
 
 class TestWager:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 import re
 
@@ -62,7 +64,7 @@ class TestScenario:
 
     def test_json_round_trip(self):
         sc = small_scenario()
-        clone = SimScenario.from_dict(sc.to_dict())
+        clone = SimScenario.from_dict(json.loads(json.dumps(dataclasses.asdict(sc))))
         assert clone == sc
 
 

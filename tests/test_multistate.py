@@ -135,8 +135,8 @@ class TestMultistateStep:
         st.good_trt, st.total_trt = 10, 10
         st.good_ctrl, st.total_ctrl = 0, 10
         # delta = 1 -> raw 1.0, clamped to 0.99 for a good transition
-        assert st.wager(True) == 0.99
-        assert st.wager(False) == 0.01
+        assert st.wager(True, 21) == 0.99
+        assert st.wager(False, 21) == 0.01
 
     def test_one_bet_per_transition(self):
         st = MultistateState()

@@ -21,8 +21,9 @@ from trialbet.multistate import (
     MultistateState,
 )
 from trialbet.simlab import batch, generators
-from trialbet.survival import SurvivalRecord, SurvivalState, order_records
+from trialbet.survival import SurvivalState
 
+from oracles import survival_records
 from reference_impls import (
     compute_binary_reference,
     compute_continuous_reference,
@@ -90,9 +91,7 @@ def test_survival_three_way(seed, censored):
     logw = batch.survival_log_wealth(time, status, t)
     assert_trajectory_close(logw, ref)
     st = SurvivalState(risk_trt=int(t.sum()), risk_ctrl=int((1 - t).sum()))
-    recs = order_records([SurvivalRecord(float(a), int(b), int(c))
-                          for a, b, c in zip(time, status, t)])
-    for rec in recs:
+    for rec in survival_records(time, status, t):
         st.step(rec)
     assert abs(st.ledger.log_wealth - math.log(ref[-1])) < 1e-10
 

@@ -1,17 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
+from trialbet.cli import parse_event
 from trialbet.core import RampSchedule
 from trialbet.simlab import batch
 from trialbet.simlab.generators import survival_trial
-from trialbet.survival import (
-    SurvivalRecord,
-    SurvivalState,
-    order_records,
-    score_increment,
-)
+from trialbet.survival import SurvivalRecord, SurvivalState
+from trialbet.variants import MONITORS
 
-from oracles import mean_final_wealth_survival
+from oracles import mean_final_wealth_survival, survival_records
 
 
 def make_state(risk_trt=100, risk_ctrl=100, **kw):
@@ -25,15 +24,25 @@ class TestRiskProportion:
         assert make_state(0, 0).risk_proportion() == 0.5
 
 
+def score_after_event(risk_trt, risk_ctrl, arm):
+    """The cumulative score, from 4.0, and the payout of a bet of +0.25 after
+    one event: its increment is the treated indicator minus the treated share
+    at risk."""
+    st = make_state(risk_trt, risk_ctrl, record_steps=True)
+    st.records_seen, st.cum_z, st.last_time = 90, 4.0, 0.0
+    st.step(SurvivalRecord(1.0, 1, arm))
+    return st.cum_z, st.ledger.steps[0].multiplier
+
+
 class TestScoreIncrement:
     def test_values(self):
-        assert score_increment(1, 0.5) == 0.5
-        assert score_increment(0, 0.3) == pytest.approx(-0.3, abs=0)
-        assert score_increment(1, 1.0) == 0.0
+        assert score_after_event(50, 50, 1) == (4.0 + 0.5, 1.0 + 0.25 * 0.5)
+        assert score_after_event(30, 70, 0) == (4.0 + -0.3, 1.0 + 0.25 * -0.3)
+        assert score_after_event(10, 0, 1) == (4.0 + 0.0, 1.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            score_increment(2, 0.5)
+        with pytest.raises(ValueError, match="arm must be 0 or 1"):
+            SurvivalRecord(1.0, 1, 2)
 
 
 class TestBet:
@@ -41,9 +50,9 @@ class TestBet:
         st = make_state()
         st.records_seen = 90  # past burn-in and ramp
         st.cum_z = 3.2
-        assert st.bet() == pytest.approx(0.25, abs=0)
+        assert st.bet(91) == pytest.approx(0.25, abs=0)
         st.cum_z = -0.1
-        assert st.bet() == pytest.approx(-0.25, abs=0)
+        assert st.bet(91) == pytest.approx(-0.25, abs=0)
 
     def test_burn_in_and_zero_score(self):
         st = make_state()
@@ -51,7 +60,7 @@ class TestBet:
         assert st.bet(30) == 0.0
         st.records_seen = 90
         st.cum_z = 0.0
-        assert st.bet() == 0.0
+        assert st.bet(91) == 0.0
 
     def test_ramp_scales_magnitude(self):
         st = make_state()
@@ -108,57 +117,72 @@ class TestStep:
         rng = np.random.default_rng(4)
         time, status, t, _ = survival_trial(rng, 200, hr=0.6)
         st = make_state(int(t.sum()), int((1 - t).sum()), record_steps=True)
-        for rec in order_records(
-                [SurvivalRecord(float(a), int(b), int(c)) for a, b, c in zip(time, status, t)]):
+        for rec in survival_records(time, status, t):
             st.step(rec)
         assert st.ledger.steps
         for step in st.ledger.steps:
             assert 0.75 - 1e-12 <= step.multiplier <= 1.25 + 1e-12
 
 
+def parse(**event):
+    """The record the monitor steps for one NDJSON survival event."""
+    (record,) = parse_event(MONITORS["survival"], json.dumps(event), 1)
+    return record
+
+
 class TestOrderRecords:
+    """Records go to the monitor by time on study, ``time - entry_time`` when
+    an event carries its entry time, and stable on ties."""
+
     def test_sorted_input_is_identity(self):
         recs = [SurvivalRecord(1.0, 1, 0), SurvivalRecord(2.0, 0, 1)]
-        assert order_records(recs) == recs
+        assert survival_records([1.0, 2.0], [1, 0], [0, 1]) == recs
+        st = make_state()
+        for rec in recs:
+            st.step(rec)
+        assert (st.records_seen, st.last_time) == (2, 2.0)
 
     def test_stable_ties(self):
-        a, b = SurvivalRecord(3.0, 1, 0), SurvivalRecord(3.0, 0, 1)
-        assert order_records([a, b]) == [a, b]
-        assert order_records([b, a]) == [b, a]
+        assert survival_records([3.0, 3.0], [1, 0], [0, 1]) == [
+            SurvivalRecord(3.0, 1, 0), SurvivalRecord(3.0, 0, 1)]
+        assert survival_records([3.0, 3.0], [0, 1], [1, 0]) == [
+            SurvivalRecord(3.0, 0, 1), SurvivalRecord(3.0, 1, 0)]
+        st = make_state()
+        for rec in (SurvivalRecord(3.0, 1, 0), SurvivalRecord(3.0, 0, 1)):
+            st.step(rec)  # a tie is in order either way
+        assert st.records_seen == 2
 
     def test_staggered_entry_uses_time_on_study(self):
-        calendar = [SurvivalRecord(10.0, 1, 0), SurvivalRecord(9.0, 1, 1)]
-        entries = [8.0, 2.0]  # study times 2.0 and 7.0
-        ordered = order_records(calendar, entries)
-        assert [r.time for r in ordered] == [2.0, 7.0]
-        assert [r.arm for r in ordered] == [0, 1]
+        calendar = [parse(time=10.0, status=1, arm=0, entry_time=8.0),
+                    parse(time=9.0, status=1, arm=1, entry_time=2.0)]
+        assert calendar == [SurvivalRecord(2.0, 1, 0), SurvivalRecord(7.0, 1, 1)]
 
     def test_negative_study_time_rejected(self):
         with pytest.raises(ValueError, match="negative time on study"):
-            order_records([SurvivalRecord(1.0, 1, 0)], [2.0])
+            parse(time=1.0, status=1, arm=0, entry_time=2.0)
 
     def test_entry_count_mismatch(self):
-        with pytest.raises(ValueError):
-            order_records([SurvivalRecord(1.0, 1, 0)], [1.0, 2.0])
+        with pytest.raises(ValueError, match="'entry_time' must be a finite number"):
+            parse(time=1.0, status=1, arm=0, entry_time=[1.0, 2.0])
 
 
 def test_staggered_analysis_equals_simultaneous_on_same_trial():
-    """Adding entry times and analyzing on time-on-study reproduces the
-    simultaneous analysis exactly (common random numbers)."""
+    """Calendar-time events with their entry times, parsed as the monitor parses
+    them and analyzed on time on study, reproduce the simultaneous analysis
+    (common random numbers)."""
     rng = np.random.default_rng(8)
     time, status, t, _ = survival_trial(rng, 150, hr=0.8)
     entries = rng.uniform(0.0, 12.0, 150)
-    base = [SurvivalRecord(float(a), int(b), int(c)) for a, b, c in zip(time, status, t)]
-    calendar = [SurvivalRecord(float(a + e), int(b), int(c))
-                for (a, b, c), e in zip(zip(time, status, t), entries)]
+    calendar = [parse(time=float(a + e), status=int(b), arm=int(c), entry_time=float(e))
+                for a, b, c, e in zip(time, status, t, entries)]
 
-    def run(records, entry_times=None):
+    def run(records):
         st = make_state(int(t.sum()), int((1 - t).sum()))
-        for rec in order_records(records, entry_times):
+        for rec in sorted(records, key=lambda r: r.time):
             st.step(rec)
         return st.ledger.log_wealth
 
-    assert run(base) == pytest.approx(run(calendar, entries.tolist()), abs=1e-12)
+    assert run(survival_records(time, status, t)) == pytest.approx(run(calendar), abs=1e-12)
 
 
 def test_conditional_fairness_identity():
@@ -173,10 +197,8 @@ def test_streaming_matches_batch_replay():
         rng = np.random.default_rng(seed)
         time, status, t, _ = survival_trial(rng, 250, hr=0.8,
                                             censor_upper=20.0 if seed % 2 else None)
-        recs = order_records(
-            [SurvivalRecord(float(a), int(b), int(c)) for a, b, c in zip(time, status, t)])
         st = make_state(int(t.sum()), int((1 - t).sum()))
-        for rec in recs:
+        for rec in survival_records(time, status, t):
             st.step(rec)
         logw = batch.survival_log_wealth(time, status, t)
         assert abs(st.ledger.log_wealth - logw[-1]) < 1e-12
