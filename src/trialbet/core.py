@@ -36,10 +36,11 @@ class RampSchedule:
     ramp: int
 
     def __post_init__(self) -> None:
-        if self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.ramp < 1:
-            raise ValueError(f"ramp must be >= 1, got {self.ramp}")
+        # a bool is no count: ``true`` would otherwise run as 1
+        if isinstance(self.burn_in, bool) or self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in!r}")
+        if isinstance(self.ramp, bool) or self.ramp < 1:
+            raise ValueError(f"ramp must be >= 1, got {self.ramp!r}")
 
     def coefficient(self, i: int) -> float:
         """Betting strength in [0, 1] at 1-based observation index ``i``."""

@@ -1,9 +1,19 @@
 """Monte Carlo engine: operating characteristics, head-to-head, and wage studies.
 
 Determinism contract: replication ``r`` of a scenario with master seed ``s``
-always runs on ``SeedSequence(s, spawn_key=(r,))``, so results are identical
-for any worker count and any chunking of the replication range.  Aggregation
-uses only order-independent reductions over per-replication arrays.
+always runs on ``default_rng(SeedSequence(s, spawn_key=(r,)))``, so results
+are identical for any worker count and any chunking of the replication range.
+Aggregation uses only order-independent reductions over per-replication
+arrays.
+
+The streams of a range of replications are derived in one vectorized pass:
+numpy's ``SeedSequence`` hash (O'Neill's ``seed_seq_fe``, NumPy NEP 19) runs
+column-wise over the replications' uint32 words, and each replication's PCG64
+seeds itself from its four hashed uint64 words.  The hash constants follow the
+word position, not the data, so every column gets exactly the words
+``SeedSequence`` would give it.  ``tests/oracles.py`` keeps
+``default_rng(SeedSequence(...))`` as the reference, so a numpy upgrade that
+changes ``SeedSequence`` fails a test rather than silently moving a stream.
 
 Replications are replayed in blocks: consecutive trials of one stream length
 are stacked into (B, n) arrays of about ``_BLOCK_OBS`` observations, and the
@@ -15,8 +25,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from ..deaths import death_coin
 from . import batch
@@ -25,12 +37,118 @@ from .strategies import BettingStrategy
 
 _E_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 DESIGN_POWER = 0.80  # the power a wage study sizes each effect's trials for
-_BLOCK_OBS = 4096  # observations per replay block; larger blocks add memory more than speed
+_BLOCK_OBS = 4096  # observations per replay block, and replications per stream-derivation
+                   # slice; larger blocks add memory more than speed
+
+
+# numpy's SeedSequence hash, on uint32 words held in Python ints or uint64 arrays
+_POOL = 4                                     # pool size, in uint32 words
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875     # hashmix: the entropy into the pool
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED     # generate_state: the pool out
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(x: int) -> list[int]:
+    """``x``'s little-endian uint32 words, as ``SeedSequence`` reads an int."""
+    if x < 0:
+        raise ValueError(f"expected a non-negative integer, got {x}")
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _hash(value, const: int, mult: int):
+    """One step of the hash: (hashed value, the next hash constant)."""
+    const_next = const * mult & _MASK32
+    value = (value ^ const) * const_next & _MASK32
+    return value ^ value >> _XSHIFT, const_next
+
+
+def _mix(x, y):
+    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return value ^ value >> _XSHIFT
+
+
+def _mix_in(pool: tuple, const: int, words) -> tuple[tuple, int]:
+    """Each of ``words`` into every pool word, in order: (pool, hash constant)."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(_POOL):
+            value, const = _hash(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), const
+
+
+@lru_cache(maxsize=64)
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+    """The pool of a spawned ``SeedSequence(seed, ...)`` once it has hashed
+    its seed words, and the hash constant reached; the spawn key comes next."""
+    seed_words = _uint32_words(seed)
+    # a spawned sequence zero-pads its seed words to the pool size
+    entropy = [*seed_words, *[0] * (_POOL - len(seed_words))]
+    const, pool = _INIT_A, []
+    for word in entropy[:_POOL]:
+        value, const = _hash(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL):  # every pool word into every other
+        for dst in range(_POOL):
+            if dst != src:
+                value, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    return _mix_in(pool, const, entropy[_POOL:])
+
+
+def _spawn_state(seed: int, rep_words: list) -> np.ndarray:
+    """``SeedSequence(seed, spawn_key=(r,)).generate_state(4, np.uint64)``.
+
+    ``rep_words`` are ``r``'s uint32 words, each an int, or a uint64 array
+    with one entry per replication; the result is (4,) or (len, 4).
+    """
+    pool, _ = _mix_in(*_seed_pool(seed), rep_words)
+    const, out = _INIT_B, []
+    for i in range(2 * _POOL):  # eight uint32 words, cycling the pool
+        value, const = _hash(pool[i % _POOL], const, _MULT_B)
+        out.append(value)
+    words = np.array([lo | hi << 32 for lo, hi in zip(out[::2], out[1::2])], dtype=np.uint64)
+    return np.ascontiguousarray(words.T)  # PCG64 reads each row's four words in place
+
+
+class _SpawnState(ISeedSequence):
+    """A replication's precomputed state words: all PCG64 reads from its seed
+    sequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError(f"only the 4 uint64 words PCG64 asks for are held, "
+                             f"not {n_words} of {dtype}")
+        return self.words
+
+
+def _rng(words: np.ndarray) -> np.random.Generator:
+    return np.random.Generator(np.random.PCG64(_SpawnState(words)))
 
 
 def rep_rng(seed: int, rep: int) -> np.random.Generator:
-    """Counter-derived RNG for replication ``rep`` of master seed ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
+    """Counter-derived RNG for replication ``rep`` of master seed ``seed``: the
+    stream ``default_rng(SeedSequence(seed, spawn_key=(rep,)))`` gives."""
+    return _rng(_spawn_state(seed, _uint32_words(rep)))
+
+
+def _rep_rngs(seed: int, start: int, stop: int):
+    """``rep_rng(seed, r)`` for r in [start, stop), derived in slices of at most
+    ``_BLOCK_OBS`` replications that share every uint32 word but the lowest."""
+    while start < stop:
+        end = min(stop, start + _BLOCK_OBS, (start | _MASK32) + 1)
+        low = np.arange(start & _MASK32, (start & _MASK32) + end - start, dtype=np.uint64)
+        for words in _spawn_state(seed, [low, *_uint32_words(start)[1:]]):
+            yield _rng(words)
+        start = end
 
 
 def _exp(log_e) -> float:
@@ -75,8 +193,8 @@ def _replay(sim, trials, params: dict, alpha: float):
 def _draw(scenario: SimScenario, start: int, stop: int):
     """The scenario's row and its replications [start, stop), drawn lazily."""
     sim = SIM_VARIANTS[scenario.variant]
-    return sim, (sim.generate(rep_rng(scenario.seed, rep), scenario.params)
-                 for rep in range(start, stop))
+    return sim, (sim.generate(rng, scenario.params)
+                 for rng in _rep_rngs(scenario.seed, start, stop))
 
 
 def _run_range(scenario: SimScenario, start: int, stop: int):

@@ -176,7 +176,8 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         prepare=lambda d, p: batch.continuous_prepare(*d, p["burn_in"]),
         bet=lambda prep, p: batch.continuous_bet(
             prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"]),
-        check=_ranges(n_patients=_SIZE, sd=_POSITIVE, p_alloc=_OPEN_UNIT),
+        check=_ranges(n_patients=_SIZE, sd=_POSITIVE, p_alloc=_OPEN_UNIT,
+                      sign_only=(lambda v: isinstance(v, bool), "true or false")),
         size=sizing.size_t_test, size_flags=("d",),
         wage=Wage("d", 0.20, lambda e: {"mu_trt": e},  # sd 1: the effect is Cohen's d
                   {"adaptive": _ADAPTIVE, "sign-only": Strategy(

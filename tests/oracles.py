@@ -24,6 +24,11 @@ call per trial and monitor in the deaths-vs-binary comparison.
 states, one event at a time, recording every ledger row: the reference the
 batch replay behind ``trialbet trajectories`` is compared against.
 
+``seed_sequence_rng`` is replication ``rep``'s stream as numpy derives it,
+``default_rng(SeedSequence(seed, spawn_key=(rep,)))``: the reference for the
+engine's vectorized derivation of a replication range's streams, and for
+``rep_rng``.
+
 ``coefficient``, ``clamp_wager``, ``clamp_cohens_d`` and ``classify`` are the
 plain forms of the per-event monitor path: the ``min``/``max`` clamps, and a
 classification that tests each rule in turn.  The production forms must give
@@ -47,6 +52,11 @@ from trialbet.simlab.scenario import SIM_VARIANTS
 from trialbet.simlab.sizing import size_two_proportion
 from trialbet.survival import SurvivalRecord
 from trialbet.variants import MONITORS, flag_field
+
+
+def seed_sequence_rng(seed: int, rep: int) -> np.random.Generator:
+    """Replication ``rep`` of master seed ``seed``, straight from ``SeedSequence``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(rep,)))
 
 
 def null_expectation(wager: float, p: float) -> float:

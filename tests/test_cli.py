@@ -594,6 +594,9 @@ def _golden_monitor(variant, *argv):
      "error: unknown variant ['x']; expected one of "
      "('binary', 'deaths', 'continuous', 'survival', 'multistate')"),
     (_lab("binary", p_ctrl=True), "error: p_ctrl must be in [0, 1], got True"),
+    (_lab("binary", p_ctrl=0.4, ramp=True), "error: ramp must be >= 1, got True"),
+    (_lab("binary", p_ctrl=0.4, burn_in=True), "error: burn_in must be >= 0, got True"),
+    (_lab("continuous", sign_only="yes"), "error: sign_only must be true or false, got 'yes'"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -609,7 +612,7 @@ def _golden_monitor(variant, *argv):
         "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative", "alpha-string",
         "alpha-true", "start-row-identity-in-both-arms", "misspelled-scenario-fields",
         "p_ctrl-string", "censor_upper-string", "p_alloc-list", "variant-list-named",
-        "p_ctrl-true"])
+        "p_ctrl-true", "lab-ramp-true", "lab-burn_in-true", "lab-sign_only-yes"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

@@ -5,17 +5,21 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
 from trialbet.simlab import batch
 from trialbet.simlab.engine import (
+    _BLOCK_OBS,
+    _rep_rngs,
     head_to_head_deaths_vs_binary,
+    rep_rng,
     run_operating_characteristics,
     wage_study,
 )
 from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 from trialbet.simlab.strategies import BettingStrategy
 
-from oracles import head_to_head_per_trial
+from oracles import head_to_head_per_trial, seed_sequence_rng
 
 
 def small_scenario(**over):
@@ -57,6 +61,16 @@ class TestScenario:
         with pytest.raises(ValueError, match=re.escape(message)):
             SimScenario(variant, params)
 
+    def test_schedule_and_sign_only_values_that_ran_still_run(self):
+        """A whole float schedule and a bool ``sign_only`` still run; only the
+        values that ran as something else (a bool schedule, a non-bool
+        ``sign_only``) are refused."""
+        for variant, params in (("binary", {"p_ctrl": 0.4, "burn_in": 5.0, "ramp": 40.0}),
+                                ("continuous", {"sign_only": False}),
+                                ("continuous", {"sign_only": True})):
+            sc = SimScenario(variant, {"n_patients": 30, **params}, n_sims=2)
+            assert run_operating_characteristics(sc).n_sims == 2
+
     def test_null_defaults(self):
         sc = SimScenario("binary", {"n_patients": 10, "p_ctrl": 0.4})
         assert sc.params["p_trt"] == 0.4
@@ -92,6 +106,47 @@ class TestDeterminism:
         serial = run_operating_characteristics(scenario, n_workers=1)
         parallel = run_operating_characteristics(scenario, n_workers=3)
         assert serial.to_dict() == parallel.to_dict()
+
+
+def _draws(rng) -> tuple:
+    return rng.random(), rng.normal(), rng.uniform()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=hs.integers(0, 2**256 - 1),
+       rep=hs.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1]) | hs.integers(0, 2**64 - 1))
+@example(seed=0, rep=0)
+@example(seed=2**96 - 1, rep=2**32)  # three seed words: one of zero padding
+@example(seed=2**200 + 17, rep=2**32 + 2)  # seven seed words: three past the pool
+def test_replication_stream_is_the_seed_sequence_stream(seed, rep):
+    """A replication's generator, alone or as a one-replication range, holds
+    the state ``default_rng(SeedSequence(seed, spawn_key=(rep,)))`` holds and
+    draws the same numbers."""
+    for rng in (rep_rng(seed, rep), next(_rep_rngs(seed, rep, rep + 1))):
+        expect = seed_sequence_rng(seed, rep)
+        assert rng.bit_generator.state == expect.bit_generator.state
+        assert _draws(rng) == _draws(expect)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**130])
+@pytest.mark.parametrize("start,stop", [(2**32 - 3, 2**32 + 3),  # one uint32 word, then two
+                                        (2**64 - 2, 2**64 + 2),  # two, then three
+                                        (0, _BLOCK_OBS + 2)])    # two derivation slices
+def test_a_range_is_its_replications(seed, start, stop):
+    """A range's generators, derived a slice at a time, are each replication's
+    own, also where the replications' word count changes."""
+    rngs = list(_rep_rngs(seed, start, stop))
+    assert len(rngs) == stop - start
+    for rep, rng in zip(range(start, stop), rngs):
+        assert rng.bit_generator.state == rep_rng(seed, rep).bit_generator.state
+
+
+def test_a_negative_seed_or_replication_is_refused_as_numpy_refuses_it():
+    for seed, rep in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            seed_sequence_rng(seed, rep)
+        with pytest.raises(ValueError):
+            rep_rng(seed, rep)
 
 
 class TestOperatingCharacteristics:
