@@ -469,7 +469,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError, RecursionError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

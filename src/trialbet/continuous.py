@@ -137,6 +137,8 @@ class ContinuousState:
     def __post_init__(self, alpha: float, record_steps: bool) -> None:
         check_open_unit("p", self.p)
         check_open_unit("c_max", self.c_max)
+        if self.trt.n < 0 or self.ctrl.n < 0:  # a resume takes them from its checkpoint
+            raise ValueError(f"arm counts must be >= 0, got {self.trt.n} and {self.ctrl.n}")
         self.values = sorted(self.values)  # arrival-order checkpoints resume bit-exactly
         self.mad_start = 0  # the MAD window's search start; not a field, so never saved
         if self.ledger is None:

@@ -20,6 +20,7 @@ log-wealth of a whole replay.
 
 from __future__ import annotations
 
+import math
 from bisect import insort
 from typing import NamedTuple
 
@@ -246,7 +247,7 @@ def continuous_prepare(treatment, outcome,
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
     m, n = y.shape
-    first = max(2, burn_in + 1)  # 1-based index of the first bet; (i-1) past values
+    first = max(2, math.ceil(burn_in) + 1)  # 1-based index of the first bet: i-1 >= burn_in
     width = max(0, n - first + 1)
 
     def arm_stats(cnt, ssum, sqsum):
@@ -296,7 +297,7 @@ def continuous_bet(prep: ContinuousPrepared, p: float = 0.5,
     ``sign_only`` drops the magnitude of the running Cohen's d, keeping only
     its sign (the degraded strategy studied in the wage-asymmetry comparison).
     """
-    first = max(2, burn_in + 1)
+    first = max(2, math.ceil(burn_in) + 1)
     ramp_frac = np.clip((np.arange(first, prep.n + 1) - burn_in) / ramp, 0.0, 1.0)
     d_hat = np.sign(prep.d_hat) if sign_only else prep.d_hat
     lam = np.clip(0.5 + ramp_frac * c_max * prep.g * d_hat, WAGER_MIN, WAGER_MAX)

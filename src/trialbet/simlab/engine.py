@@ -85,20 +85,13 @@ def _mix_in(pool: tuple, const: int, words) -> tuple[tuple, int]:
 @lru_cache(maxsize=64)
 def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     """The pool of a spawned ``SeedSequence(seed, ...)`` once it has hashed
-    its seed words, and the hash constant reached; the spawn key comes next."""
-    seed_words = _uint32_words(seed)
-    # a spawned sequence zero-pads its seed words to the pool size
-    entropy = [*seed_words, *[0] * (_POOL - len(seed_words))]
-    const, pool = _INIT_A, []
-    for word in entropy[:_POOL]:
-        value, const = _hash(word, const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL):  # every pool word into every other
-        for dst in range(_POOL):
-            if dst != src:
-                value, const = _hash(pool[src], const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    return _mix_in(pool, const, entropy[_POOL:])
+    its seed words, and the hash constant reached; the spawn key comes next.
+    The pool is ``SeedSequence(seed).pool`` (zero padding hashes as absent
+    words do); the constant follows the number of hashes: one per pool word and
+    per ordered pair of them, then one per pool word for each later seed word."""
+    n_hashes = _POOL * _POOL + _POOL * max(0, len(_uint32_words(seed)) - _POOL)
+    pool = tuple(int(word) for word in np.random.SeedSequence(seed).pool)
+    return pool, _INIT_A * pow(_MULT_A, n_hashes, 1 << 32) & _MASK32
 
 
 def _spawn_state(seed: int, rep_words: list) -> np.ndarray:

@@ -5,10 +5,10 @@ replication count, alpha, and the master seed - so that identical scenarios
 reproduce identical operating characteristics bit for bit, regardless of how
 many workers execute them.
 
-``SIM_VARIANTS`` holds, per variant, the scenario parameters with their
-defaults and what the lab does with a trial: draw it and replay it through
-the batch kernel (prepare, then bet); and its design facts: the calculator
-that sizes a trial, and what the wage study compares.  The engine, the
+``SIM_VARIANTS`` holds, per variant, the scenario parameters, each with its
+default and its rule; what the lab does with a trial: draw it and replay it
+through the batch kernel (prepare, then bet); and its design facts: the
+calculator that sizes a trial, and what the wage study compares.  The engine, the
 studies, ``power`` and trajectory exports all go through it; adding a variant
 is one row here and one in ``trialbet.variants``, whose schedule and
 wager-cap defaults the rows below reuse.
@@ -21,13 +21,13 @@ from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
 from ..continuous import DEFAULT_C_MAX
-from ..core import RampSchedule, check_open_unit
 from ..multistate import CONTROL_DAILY, DEFAULT_MODEL, TREATMENT_DAILY, TransitionMatrix
 from ..survival import DEFAULT_BET_CAP
 from ..variants import MONITORS, SCHEMA_VERSION
 from . import batch, generators, sizing
 
 _REQUIRED: Any = object()  # marks a parameter without a default
+Rule = tuple[Callable[[Any], bool], str]  # (ok, what): a value passes if ok(value) is true
 
 
 def _alias(default) -> bool:
@@ -73,11 +73,12 @@ class SimVariant:
     looked up on their modules at call time.
     """
 
-    params: dict[str, Any]   # defaults, in report order; _REQUIRED or an alias
+    params: dict[str, tuple[Any, Rule]]  # name: (default, rule), in report order; the
+                                         # default may be _REQUIRED or an alias
     generate: Callable
     bet: Callable
-    check: Callable[[dict], None]     # refuses a parameter outside its range
     prepare: Callable = lambda data, params: data
+    check: Callable[[dict], None] = lambda params: None  # a rule that reads several params
     size: Callable | None = None      # design calculator: size(*flag values, power, alpha)
     size_flags: tuple[str, ...] = ()  # the ``power`` options that lead its arguments
     wage: Wage | None = None
@@ -85,14 +86,46 @@ class SimVariant:
     @property
     def defaults(self) -> dict[str, Any]:
         """Every parameter that has a default of its own, at that default."""
-        return {key: v for key, v in self.params.items()
+        return {key: v for key, (v, _) in self.params.items()
                 if v is not _REQUIRED and not _alias(v)}
 
 
-def _monitor(variant: str, *options: str) -> dict[str, Any]:
-    """The monitor's burn-in and ramp defaults, then the named options'."""
+def _number(v) -> bool:
+    """A JSON number: a string, list, object or bool is none, so a rule
+    refuses it with its own message rather than failing to compare."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _rows(v) -> bool:
+    """A list or tuple of rows, each a list or tuple of numbers."""
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and all(map(_number, row)) for row in v)
+
+
+# A trial the generator cannot draw is refused, not reported as a result.
+_SIZE = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
+_NUMBER = (_number, "a number")
+_NUMBER_IF_SET = (lambda v: v is None or _number(v), "a number when set")
+_UNIT = (lambda v: _number(v) and 0.0 <= v <= 1.0, "in [0, 1]")
+_OPEN_UNIT = (lambda v: _number(v) and 0.0 < v < 1.0, "in (0, 1)")
+_POSITIVE = (lambda v: _number(v) and v > 0.0, "> 0")
+_POSITIVE_IF_SET = (lambda v: v is None or _number(v) and v > 0.0, "> 0 when set")
+_MATRICES = (lambda v: v is None or isinstance(v, Mapping) and v.keys() == {"trt", "ctrl"}
+             and all(map(_rows, v.values())), "exactly 'trt' and 'ctrl' rows of numbers when set")
+# the settings the lab shares with the monitor, refused as the monitor refuses them
+_MONITOR_RULES = {"burn_in": (lambda v: _number(v) and v >= 0, ">= 0"),
+                  "ramp": (lambda v: _number(v) and v >= 1, ">= 1"),
+                  **dict.fromkeys(("c_max", "lambda_max"), (_OPEN_UNIT[0], "in (0,1)"))}
+_ADAPTIVE = Strategy(lambda v: {})  # the variant's own wager: its defaults unchanged
+# a tuple, so a list value is not hashed: it is simply no member
+_STARTS = tuple(s for s in DEFAULT_MODEL.states if s not in DEFAULT_MODEL.absorbing)
+
+
+def _monitor(variant: str, *options: str) -> dict[str, tuple[Any, Rule]]:
+    """The monitor's burn-in and ramp, then the named options', each with
+    its monitor default and its monitor rule."""
     defaults = MONITORS[variant].defaults
-    return {key: defaults[key] for key in ("burn_in", "ramp", *options)}
+    return {key: (defaults[key], _MONITOR_RULES[key]) for key in ("burn_in", "ramp", *options)}
 
 
 def _multistate_trial(rng, p):
@@ -102,44 +135,9 @@ def _multistate_trial(rng, p):
     return trial.good, trial.arms
 
 
-def _number(v) -> bool:
-    """A JSON number: a string, list, object or bool is none, so a range
-    rule refuses it with its own message rather than failing to compare."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-_SIZE = (lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1, "an integer >= 1")
-_UNIT = (lambda v: _number(v) and 0.0 <= v <= 1.0, "in [0, 1]")
-_OPEN_UNIT = (lambda v: _number(v) and 0.0 < v < 1.0, "in (0, 1)")
-_POSITIVE = (lambda v: _number(v) and v > 0.0, "> 0")
-_POSITIVE_IF_SET = (lambda v: v is None or _number(v) and v > 0.0, "> 0 when set")
-_ADAPTIVE = Strategy(lambda v: {})  # the variant's own wager: its defaults unchanged
-# a tuple, so a list value is not hashed: it is simply no member
-_STARTS = tuple(s for s in DEFAULT_MODEL.states if s not in DEFAULT_MODEL.absorbing)
-
-
-def _ranges(**rules) -> Callable[[dict], None]:
-    """A check that refuses any named parameter outside its range: a trial
-    the generator cannot draw is refused, not reported as a result."""
-    def check(p) -> None:
-        for key, (ok, what) in rules.items():
-            if not ok(p[key]):
-                raise ValueError(f"{key} must be {what}, got {p[key]!r}")
-    return check
-
-
-_multistate_ranges = _ranges(
-    n_patients=_SIZE, horizon=_SIZE,
-    effect=(lambda v: v in ("alternative", "null"), "'alternative' or 'null'"),
-    start=(lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}"),
-    matrices=(lambda v: v is None or set(v) == {"trt", "ctrl"},
-              "exactly 'trt' and 'ctrl' rows when set"))
-
-
 def _check_multistate(p) -> None:
-    """The multistate ranges, then a start state some patient can leave: with
-    an identity start row in both arms' matrices, every trial is empty."""
-    _multistate_ranges(p)
+    """A start state some patient can leave: with an identity start row in
+    both arms' matrices, every trial is empty."""
     k = DEFAULT_MODEL.index(p["start"])
     identity = [float(j == k) for j in range(len(DEFAULT_MODEL.states))]
     matrices = multistate_matrices(p["effect"], p["matrices"])  # validates each row
@@ -150,42 +148,43 @@ def _check_multistate(p) -> None:
 
 SIM_VARIANTS: dict[str, SimVariant] = {
     "binary": SimVariant(
-        {"n_patients": _REQUIRED, "p_ctrl": _REQUIRED, "p_trt": "=p_ctrl", "p_alloc": 0.5,
-         **_monitor("binary"), "fixed_dev": None},
+        {"n_patients": (_REQUIRED, _SIZE), "p_ctrl": (_REQUIRED, _UNIT),
+         "p_trt": ("=p_ctrl", _UNIT), "p_alloc": (0.5, _OPEN_UNIT), **_monitor("binary"),
+         "fixed_dev": (None, _NUMBER_IF_SET)},
         generate=lambda rng, p: generators.binary_trial(
             rng, p["n_patients"], p["p_trt"], p["p_ctrl"], p["p_alloc"]),
         bet=lambda d, p: batch.binary_bet(
             *d, p["p_alloc"], p["burn_in"], p["ramp"], p["fixed_dev"]),
-        check=_ranges(n_patients=_SIZE, p_ctrl=_UNIT, p_trt=_UNIT, p_alloc=_OPEN_UNIT),
         size=sizing.size_two_proportion, size_flags=("p1", "p2"),
         # effects are absolute risk reductions from a 0.40 control rate
         wage=Wage("arr", 0.05, lambda e: {"p_ctrl": 0.40, "p_trt": 0.40 - e},
                   {"adaptive": _ADAPTIVE,
                    "fixed": Strategy(lambda v: {"fixed_dev": -abs(v)}, 0.10, "fixed")})),
     "deaths": SimVariant(
-        {"n_deaths": _REQUIRED, "coin": 0.5, **_monitor("deaths")},
+        {"n_deaths": (_REQUIRED, _SIZE), "coin": (0.5, _UNIT), **_monitor("deaths")},
         generate=lambda rng, p: (generators.death_stream(rng, p["n_deaths"], p["coin"]),),
         bet=lambda d, p: batch.deaths_bet(*d, p["burn_in"], p["ramp"]),
-        check=_ranges(n_deaths=_SIZE, coin=_UNIT),
         size=sizing.deaths_design, size_flags=("p1", "p2")),
     "continuous": SimVariant(
-        {"n_patients": _REQUIRED, "mu_ctrl": 0.0, "mu_trt": "=mu_ctrl", "sd": 1.0,
-         "p_alloc": 0.5, **_monitor("continuous", "c_max"), "sign_only": False},
+        {"n_patients": (_REQUIRED, _SIZE), "mu_ctrl": (0.0, _NUMBER),
+         "mu_trt": ("=mu_ctrl", _NUMBER), "sd": (1.0, _POSITIVE), "p_alloc": (0.5, _OPEN_UNIT),
+         **_monitor("continuous", "c_max"),
+         "sign_only": (False, (lambda v: isinstance(v, bool), "true or false"))},
         generate=lambda rng, p: generators.continuous_trial(
             rng, p["n_patients"], p["mu_trt"], p["mu_ctrl"], p["sd"], p["p_alloc"]),
         prepare=lambda d, p: batch.continuous_prepare(*d, p["burn_in"]),
         bet=lambda prep, p: batch.continuous_bet(
             prep, p["p_alloc"], p["burn_in"], p["ramp"], p["c_max"], p["sign_only"]),
-        check=_ranges(n_patients=_SIZE, sd=_POSITIVE, p_alloc=_OPEN_UNIT,
-                      sign_only=(lambda v: isinstance(v, bool), "true or false")),
         size=sizing.size_t_test, size_flags=("d",),
         wage=Wage("d", 0.20, lambda e: {"mu_trt": e},  # sd 1: the effect is Cohen's d
                   {"adaptive": _ADAPTIVE, "sign-only": Strategy(
                       lambda v: {"c_max": v, "sign_only": True}, DEFAULT_C_MAX, "sign_c")})),
     "survival": SimVariant(
-        {"n_patients": _REQUIRED, "hr": 1.0, "shape": 1.2, "scale": 10.0,
-         "censor_upper": None, "recruit_period": None,
-         **_monitor("survival", "lambda_max"), "bet_rule": "fixed"},
+        {"n_patients": (_REQUIRED, _SIZE), "hr": (1.0, _POSITIVE), "shape": (1.2, _POSITIVE),
+         "scale": (10.0, _POSITIVE), "censor_upper": (None, _POSITIVE_IF_SET),
+         "recruit_period": (None, _POSITIVE_IF_SET), **_monitor("survival", "lambda_max"),
+         "bet_rule": ("fixed", (lambda v: v in ("fixed", "half_kelly"),
+                                "'fixed' or 'half_kelly'"))},
         generate=lambda rng, p: generators.survival_trial(
             rng, p["n_patients"], p["hr"], p["shape"], p["scale"], p["censor_upper"],
             p["recruit_period"]),
@@ -193,15 +192,17 @@ SIM_VARIANTS: dict[str, SimVariant] = {
         prepare=lambda d, p: batch.survival_prepare(d[0] - d[3], d[1], d[2]),
         bet=lambda prep, p: batch.survival_bet(prep, p["burn_in"], p["ramp"],
                                                p["lambda_max"], p["bet_rule"]),
-        check=_ranges(n_patients=_SIZE, hr=_POSITIVE, shape=_POSITIVE, scale=_POSITIVE,
-                      censor_upper=_POSITIVE_IF_SET, recruit_period=_POSITIVE_IF_SET),
         size=sizing.size_logrank, size_flags=("hr",),
         wage=Wage("hr", 0.80, lambda e: {"hr": e},
                   {"fixed": Strategy(lambda v: {"lambda_max": v}, DEFAULT_BET_CAP, "fixed"),
                    "half-kelly": Strategy(lambda v: {"bet_rule": "half_kelly"})})),
     "multistate": SimVariant(
-        {"n_patients": _REQUIRED, "effect": "alternative", "matrices": None,
-         "horizon": 28, "start": "ICU", **_monitor("multistate")},
+        {"n_patients": (_REQUIRED, _SIZE),
+         "effect": ("alternative", (lambda v: v in ("alternative", "null"),
+                                    "'alternative' or 'null'")),
+         "matrices": (None, _MATRICES), "horizon": (28, _SIZE),
+         "start": ("ICU", (lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}")),
+         **_monitor("multistate")},
         generate=_multistate_trial,
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
         check=_check_multistate),
@@ -251,7 +252,7 @@ class SimScenario:
                 raise ValueError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise ValueError(f"{key} must be >= {least}")
-        if not isinstance(self.alpha, (int, float)) or isinstance(self.alpha, bool):
+        if not _number(self.alpha):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must be in (0,1)")
@@ -263,21 +264,18 @@ class SimScenario:
         if unknown:
             raise ValueError(f"unknown parameters for {self.variant}: {sorted(unknown)}")
         params: dict[str, Any] = {}
-        for key, default in sim.params.items():
+        for key, (default, (ok, what)) in sim.params.items():
             value = self.params.get(key, default)
             if value is _REQUIRED:
                 raise ValueError(f"missing required parameter {key!r} for {self.variant}")
             if _alias(default) and (value is default or value is None):
                 value = params[default[1:]]
+            if not ok(value):
+                raise ValueError(f"{key} must be {what}, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):  # no trial is drawn
+                raise ValueError(f"{key} must be finite, got {value!r}")
             params[key] = value
         sim.check(params)
-        # the settings the lab shares with the monitor, refused as the monitor refuses them
-        RampSchedule(params["burn_in"], params["ramp"])
-        for cap in params.keys() & {"c_max", "lambda_max"}:
-            check_open_unit(cap, params[cap])
-        for key, value in params.items():  # no trial is drawn from an infinite or NaN value
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value!r}")
         object.__setattr__(self, "params", params)
 
     @classmethod

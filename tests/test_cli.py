@@ -1,12 +1,18 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as hs
 
+from test_monitor_stream import _run
 from trialbet.binary import BinaryState
 from trialbet.cli import EXIT_CROSSED, EXIT_ERROR, EXIT_OK, main
+from trialbet.multistate import CONTROL_DAILY
 from trialbet.simlab.generators import binary_trial
+from trialbet.simlab.scenario import SIM_VARIANTS
 
 
 def run_cli(capsys, *argv):
@@ -450,6 +456,21 @@ def _checkpoint_schema(schema):
     return argv
 
 
+def _continuous_arm_count(n):
+    """A resume from the golden continuous checkpoint with its treated count set to ``n``."""
+    def argv(tmp_path):
+        from test_checkpoint import GOLDEN, GOLDEN_ARGS
+
+        doc = json.loads((GOLDEN / "continuous.ckpt.json").read_text())
+        doc["state"]["trt"][0] = n
+        ck = tmp_path / "ck.json"
+        ck.write_text(json.dumps(doc))
+        return ["monitor", "--variant", "continuous", "--input",
+                str(GOLDEN / "continuous.ndjson"), "--checkpoint", str(ck), "--resume",
+                *GOLDEN_ARGS["continuous"]]
+    return argv
+
+
 def _entry_after_event(tmp_path):
     path = tmp_path / "events.ndjson"
     write_ndjson(path, [{"time": 2.0, "status": 1, "arm": 1},
@@ -469,8 +490,6 @@ def _scenario(doc):
 def _matrices(edit, both=False):
     """A multistate scenario whose ``trt`` matrix, and with ``both`` its
     ``ctrl`` matrix, is ``edit`` of the control matrix."""
-    from trialbet.multistate import CONTROL_DAILY
-
     rows = [list(row) for row in CONTROL_DAILY.probs]
     return _scenario({"variant": "multistate", "n_sims": 2, "params": {
         "n_patients": 20, "matrices": {"trt": edit(rows), "ctrl": edit(rows) if both else rows}}})
@@ -597,6 +616,21 @@ def _golden_monitor(variant, *argv):
     (_lab("binary", p_ctrl=0.4, ramp=True), "error: ramp must be >= 1, got True"),
     (_lab("binary", p_ctrl=0.4, burn_in=True), "error: burn_in must be >= 0, got True"),
     (_lab("continuous", sign_only="yes"), "error: sign_only must be true or false, got 'yes'"),
+    (_lab("binary", p_ctrl=0.4, burn_in="5"), "error: burn_in must be >= 0, got '5'"),
+    (_lab("continuous", c_max="0.5"), "error: c_max must be in (0,1), got '0.5'"),
+    (_lab("continuous", mu_trt="1"), "error: mu_trt must be a number, got '1'"),
+    (_lab("continuous", mu_ctrl=None), "error: mu_ctrl must be a number, got None"),
+    (_lab("continuous", mu_ctrl=True), "error: mu_ctrl must be a number, got True"),
+    (_lab("multistate", matrices=5),
+     "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set, got 5"),
+    (_matrices(lambda rows: [*rows[:3], [0, 0, 0, True]]),
+     "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set"),
+    (_lab("binary", p_ctrl=0.4, fixed_dev="x"),
+     "error: fixed_dev must be a number when set, got 'x'"),
+    (_lab("survival", bet_rule="kelly"),
+     "error: bet_rule must be 'fixed' or 'half_kelly', got 'kelly'"),
+    (_continuous_arm_count(-1),
+     "error: corrupt checkpoint: arm counts must be >= 0, got -1 and 29"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -612,7 +646,10 @@ def _golden_monitor(variant, *argv):
         "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative", "alpha-string",
         "alpha-true", "start-row-identity-in-both-arms", "misspelled-scenario-fields",
         "p_ctrl-string", "censor_upper-string", "p_alloc-list", "variant-list-named",
-        "p_ctrl-true", "lab-ramp-true", "lab-burn_in-true", "lab-sign_only-yes"])
+        "p_ctrl-true", "lab-ramp-true", "lab-burn_in-true", "lab-sign_only-yes",
+        "lab-burn_in-string", "lab-c_max-string", "lab-mu_trt-string", "lab-mu_ctrl-null",
+        "lab-mu_ctrl-true", "lab-matrices-5", "matrix-bool-entry", "lab-fixed_dev-string",
+        "lab-bet_rule-kelly", "checkpoint-arm-count-negative"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -627,6 +664,76 @@ def test_start_row_identity_in_one_arm_runs(capsys, tmp_path):
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK and err == ""
     assert "median stream len   0\n" not in out
+
+
+# A small trial of each variant: a fuzzed scenario that is accepted runs fast.
+_SMALL = {"binary": {"n_patients": 20, "p_ctrl": 0.4}, "deaths": {"n_deaths": 20},
+          "continuous": {"n_patients": 20}, "survival": {"n_patients": 20},
+          "multistate": {"n_patients": 10, "horizon": 10}}
+_FIELDS = ("variant", "params", "n_sims", "alpha", "seed")
+# Every integer drawn is at most 30, so an accepted size stays small.
+_JSON_SCALARS = hs.one_of(
+    hs.none(), hs.booleans(), hs.integers(-3, 30), hs.floats(0.0, 1.0),
+    hs.floats(),  # NaN and the infinities too
+    hs.sampled_from(["", "5", "0.5", "ICU", "Dead", "null", "fixed", "half_kelly"]))
+_JSON_VALUES = hs.recursive(
+    _JSON_SCALARS, lambda inner: hs.lists(inner, max_size=4)
+    | hs.dictionaries(hs.sampled_from(["trt", "ctrl", "x"]), inner, max_size=3), max_leaves=8)
+_NUMBER = (int, float)
+# the JSON types each field and parameter takes: a number unless listed, and a
+# bool only where bool is listed
+_TAKES = {"variant": (str,), "params": (dict,), "n_sims": (int,), "seed": (int,),
+          "n_patients": (int,), "n_deaths": (int,), "horizon": (int,), "effect": (str,),
+          "start": (str,), "bet_rule": (str,), "sign_only": (bool,),
+          "matrices": (dict, type(None)),
+          **dict.fromkeys(("p_trt", "mu_trt", "fixed_dev", "censor_upper", "recruit_period"),
+                          (*_NUMBER, type(None)))}
+
+
+def _mistyped(key, value) -> bool:
+    takes = _TAKES.get(key, _NUMBER)
+    return not isinstance(value, takes) or isinstance(value, bool) and bool not in takes
+
+
+@hs.composite
+def _one_value_changed(draw):
+    """(variant, key, value): a small scenario with one field or parameter set
+    to any JSON value; a transition matrix entry is also set alone."""
+    variant = draw(hs.sampled_from(sorted(SIM_VARIANTS)))
+    key = draw(hs.sampled_from([*_FIELDS, *SIM_VARIANTS[variant].params]))
+    value = draw(hs.one_of(_JSON_SCALARS, _JSON_VALUES))
+    if key == "matrices" and draw(hs.booleans()):
+        rows = [list(row) for row in CONTROL_DAILY.probs]
+        rows[draw(hs.integers(0, 3))][draw(hs.integers(0, 3))] = value
+        value = {"trt": rows, "ctrl": CONTROL_DAILY.probs}
+    return variant, key, value
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_one_value_changed())
+@example(case=("binary", "burn_in", "5"))
+@example(case=("continuous", "c_max", "0.5"))
+@example(case=("continuous", "mu_trt", "1"))
+@example(case=("continuous", "mu_ctrl", None))
+@example(case=("multistate", "matrices", 5))
+@example(case=("binary", "fixed_dev", "x"))
+def test_any_scenario_document_ends_cleanly(case):
+    """Exit 0 with a report, or exit 1 with one ``error:`` line; never an
+    exception.  A refused value of the wrong JSON type is named."""
+    variant, key, value = case
+    doc = {"variant": variant, "params": dict(_SMALL[variant]), "n_sims": 2}
+    (doc if key in _FIELDS else doc["params"])[key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(["simulate", "--scenario", str(path)])
+    if code == EXIT_OK:
+        assert out.startswith(f"variant             {doc['variant']}\n") and err == ""
+    else:
+        line = _one_error_line(code, err)
+        assert out == ""
+        if _mistyped(key, value):
+            assert key in line, (doc, line)
 
 
 def test_variant_choices_are_the_rows_with_design_facts():
@@ -873,8 +980,6 @@ SCENARIOS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multi
 
 
 def _scenario_path(stem):
-    from pathlib import Path
-
     return Path(__file__).parent.parent / "scenarios" / f"{stem}.json"
 
 

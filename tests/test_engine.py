@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,12 +15,19 @@ from trialbet.simlab.engine import (
     head_to_head_deaths_vs_binary,
     rep_rng,
     run_operating_characteristics,
+    trajectories,
     wage_study,
 )
 from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 from trialbet.simlab.strategies import BettingStrategy
 
-from oracles import head_to_head_per_trial, seed_sequence_rng
+from oracles import head_to_head_per_trial, seed_sequence_rng, stream_trajectories
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+# each row's required parameters, and only those
+REQUIRED_ONLY = {"binary": {"n_patients": 30, "p_ctrl": 0.4}, "deaths": {"n_deaths": 30},
+                 "continuous": {"n_patients": 30}, "survival": {"n_patients": 30},
+                 "multistate": {"n_patients": 30}}
 
 
 def small_scenario(**over):
@@ -77,9 +85,30 @@ class TestScenario:
         assert sc.params["burn_in"] == 50 and sc.params["ramp"] == 100
 
     def test_json_round_trip(self):
-        sc = small_scenario()
-        clone = SimScenario.from_dict(json.loads(json.dumps(dataclasses.asdict(sc))))
-        assert clone == sc
+        """A scenario rebuilds equal to itself from its JSON, and from its own
+        filled ``params``: ``simulate --sims`` rebuilds it through
+        ``dataclasses.replace``, and perfbench through the constructor."""
+        committed = [SimScenario.from_dict(json.loads(path.read_text()))
+                     for path in sorted(SCENARIOS.glob("*.json"))]
+        assert len(committed) == 6 and REQUIRED_ONLY.keys() == SIM_VARIANTS.keys()
+        required_only = [SimScenario(variant, params) for variant, params in REQUIRED_ONLY.items()]
+        for sc in (small_scenario(), *committed, *required_only):
+            clone = SimScenario.from_dict(json.loads(json.dumps(dataclasses.asdict(sc))))
+            assert clone == sc
+            assert dataclasses.replace(sc) == sc
+            assert SimScenario(sc.variant, dict(sc.params), sc.n_sims, sc.alpha, sc.seed) == sc
+
+
+@pytest.mark.parametrize("burn_in", [20.0, 19.5])
+def test_a_float_continuous_burn_in_bets_where_the_monitor_bets(burn_in):
+    """The continuous replay indexes its trials by the burn-in, which a
+    scenario may give as a float: its bets are the monitor's, placed once
+    i - 1 >= burn_in past outcomes exist."""
+    sc = SimScenario("continuous", {"n_patients": 60, "burn_in": burn_in, "ramp": 10}, n_sims=3)
+    for (index, wager, _, _), steps in zip(trajectories(sc, 3), stream_trajectories(sc, 3),
+                                           strict=True):
+        assert index.tolist() == [step.index for step in steps]
+        assert np.allclose(wager, [step.wager for step in steps], rtol=1e-12, atol=0.0)
 
 
 class TestDeterminism:
