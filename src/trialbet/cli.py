@@ -313,11 +313,12 @@ def cmd_wage(args) -> int:
     return EXIT_OK
 
 
-def _write_svg(path: str, trials: list[tuple], threshold: float) -> None:
+def _write_svg(path: str, trials: list[tuple], alpha: float) -> None:
     """Minimal log-scale trajectory plot; one polyline per trial.
 
-    Plotted from log-wealth, so trials whose e-value leaves the float range
-    (``wealth`` saturates to ``inf``) still get finite coordinates.
+    Plotted from log-wealth, and the threshold 1/alpha from ``-log10(alpha)``,
+    so trials whose e-value leaves the float range (``wealth`` saturates to
+    ``inf``) and a subnormal alpha still get finite coordinates.
     """
     width, height, margin = 840, 520, 50
     floor = -12.0  # log10 of the smallest wealth drawn
@@ -325,15 +326,16 @@ def _write_svg(path: str, trials: list[tuple], threshold: float) -> None:
               for index, _, _, logw in trials if index.size]
     max_x = max((pt[0] for pts in series for pt in pts), default=1)
     vals = [pt[1] for pts in series for pt in pts]
-    ly_lo = min(min(vals, default=0.0), -math.log10(threshold))
-    ly_hi = max(max(vals, default=0.0), math.log10(threshold * 2))
+    log_threshold = -math.log10(alpha)
+    ly_lo = min(min(vals, default=0.0), -log_threshold)
+    ly_hi = max(max(vals, default=0.0), log_threshold + math.log10(2))
 
     def sx(x): return margin + (width - 2 * margin) * x / max_x
     def sy(ly): return height - margin - (height - 2 * margin) * (ly - ly_lo) / (ly_hi - ly_lo)
 
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              f'<rect width="{width}" height="{height}" fill="white"/>']
-    ty = sy(math.log10(threshold))
+    ty = sy(log_threshold)
     parts.append(f'<line x1="{margin}" y1="{ty:.1f}" x2="{width - margin}" y2="{ty:.1f}" '
                  f'stroke="red" stroke-dasharray="6,4"/>')
     oy = sy(0.0)
@@ -348,7 +350,7 @@ def _write_svg(path: str, trials: list[tuple], threshold: float) -> None:
         parts.append(f'<polyline points="{path_d}" fill="none" stroke="steelblue" '
                      f'stroke-opacity="0.45" stroke-width="1"/>')
     parts.append(f'<text x="{margin}" y="{height - 12}" font-size="11">'
-                 f'observation index (threshold {threshold:g})</text>')
+                 f'observation index (threshold 1/{alpha:g})</text>')
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(parts))
@@ -366,7 +368,7 @@ def cmd_trajectories(args) -> int:
             for i, lam, mult, log_e in zip(*(column.tolist() for column in columns))]
     _write_csv(args.out, ["trial", "index", "lambda", "multiplier", "wealth"], rows)
     if args.svg:
-        _write_svg(args.svg, trials, 1.0 / scenario.alpha)
+        _write_svg(args.svg, trials, scenario.alpha)
     print(f"wrote {len(rows)} steps from {args.trials} trials to {args.out}")
     return EXIT_OK
 

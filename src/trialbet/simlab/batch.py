@@ -140,6 +140,18 @@ class SurvivalPrepared(NamedTuple):
     z_prev: np.ndarray   # cumulative score over earlier records
 
 
+def _time_order(t: np.ndarray) -> np.ndarray:
+    """``np.argsort(t, axis=-1, kind="stable")``, by numpy's faster default sort
+    where that gives the same permutation: when every row's sorted times
+    strictly increase.  A tie (``==``, so also -0.0 and 0.0) or a NaN falls
+    back to the stable sort, which keeps tied records in stream order."""
+    order = np.argsort(t, axis=-1)
+    in_order = np.take_along_axis(t, order, axis=-1)
+    if np.all(in_order[..., 1:] > in_order[..., :-1]):
+        return order
+    return np.argsort(t, axis=-1, kind="stable")
+
+
 def survival_prepare(time, status, treatment, presorted: bool = False) -> SurvivalPrepared:
     """Sort the records by time and derive the risk sets and log-rank scores.
 
@@ -151,7 +163,7 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
     s = np.asarray(status, dtype=np.int64)
     a = np.asarray(treatment, dtype=np.int64)
     if not presorted:
-        order = np.argsort(t, axis=-1, kind="stable")
+        order = _time_order(t)
         s, a = (np.take_along_axis(x, order, axis=-1) for x in (s, a))
     elif np.any(np.diff(t, axis=-1) < 0):
         raise ValueError("stream not sorted by time on study")
@@ -240,9 +252,10 @@ def continuous_prepare(treatment, outcome,
     outcomes sorted with ``bisect.insort`` and takes every prefix's median and
     MAD from the streaming monitor's kernel, ``robust_center_scale``, with
     the MAD window's search start carried from one prefix to the next (and
-    reset for each row); the arm moments then take a few numpy passes over
-    that row.  An arm whose raw sum of squares overflows has SD +inf and d 0,
-    as in the monitor once its Welford sum overflows.
+    reset for each row); the squash and the arm moments then take a few
+    numpy passes over the whole block.  An arm whose raw sum of squares
+    overflows has SD +inf and d 0, as in the monitor once its Welford sum
+    overflows.
     """
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
@@ -250,41 +263,40 @@ def continuous_prepare(treatment, outcome,
     first = max(2, math.ceil(burn_in) + 1)  # 1-based index of the first bet: i-1 >= burn_in
     width = max(0, n - first + 1)
 
-    def arm_stats(cnt, ssum, sqsum):
+    past = slice(first - 2, n - 1)  # cumulative index i - 2: the last past value
+
+    def arm_stats(in_arm):
+        """Each prefix's count, mean and SD of one arm's outcomes."""
+        cnt = np.cumsum(in_arm, axis=-1)[:, past]
+        arm_y = in_arm * y
+        ssum = np.cumsum(arm_y, axis=-1)[:, past]
+        sqsum = np.cumsum(arm_y * y, axis=-1)[:, past]
         mean = ssum / np.maximum(cnt, 1)
         var = (sqsum - cnt * mean * mean) / np.maximum(cnt - 1, 1)
         sd = np.where(np.isfinite(sqsum), np.sqrt(np.maximum(var, 0.0)), np.inf)
-        sd = np.where((cnt < 2) | (sd == 0.0), 1.0, sd)
-        return mean, sd
+        return cnt, mean, np.where((cnt < 2) | (sd == 0.0), 1.0, sd)
 
-    g = np.empty((m, width))
-    d_hat = np.empty((m, width))
-    past = slice(first - 2, n - 1)  # cumulative index i - 2: the last past value
+    center = np.empty((m, width))
+    scale = np.empty((m, width))
     for row in range(m):
-        tr, yr = t[row], y[row]
-        hist = sorted(yr[: first - 2].tolist())
+        hist = sorted(y[row, : first - 2].tolist())
         a = 0  # the MAD window's search start, carried from prefix to prefix
-        center, scale = [], []
-        for v in yr[past].tolist():
+        med_row, mad_row = [], []
+        for v in y[row, past].tolist():
             insort(hist, v)
             med, mad, a = robust_center_scale(hist, a)
-            center.append(med)
-            scale.append(mad)
-        r = (yr[first - 1:] - np.array(center)) / np.array(scale)
-        g[row] = r / (1.0 + np.abs(r))
+            med_row.append(med)
+            mad_row.append(mad)
+        center[row], scale[row] = med_row, mad_row
+    r = (y[:, first - 1:] - center) / scale
+    g = r / (1.0 + np.abs(r))
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            n1 = np.cumsum(tr)[past]
-            s1 = np.cumsum(tr * yr)[past]
-            q1 = np.cumsum(tr * yr * yr)[past]
-            n0 = np.cumsum(1 - tr)[past]
-            s0 = np.cumsum((1 - tr) * yr)[past]
-            q0 = np.cumsum((1 - tr) * yr * yr)[past]
-            m1, sd1 = arm_stats(n1, s1, q1)
-            m0, sd0 = arm_stats(n0, s0, q0)
-            s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
-            d_row = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
-        d_hat[row] = np.where((n1 == 0) | (n0 == 0) | np.isinf(s_pooled), 0.0, d_row)
+    with np.errstate(over="ignore", invalid="ignore"):
+        n1, m1, sd1 = arm_stats(t)
+        n0, m0, sd0 = arm_stats(1 - t)
+        s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
+        d_hat = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
+    d_hat = np.where((n1 == 0) | (n0 == 0) | np.isinf(s_pooled), 0.0, d_hat)
     return ContinuousPrepared(n, t[:, first - 1:] == 1, g, d_hat)
 
 

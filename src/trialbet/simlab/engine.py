@@ -15,10 +15,13 @@ word position, not the data, so every column gets exactly the words
 ``default_rng(SeedSequence(...))`` as the reference, so a numpy upgrade that
 changes ``SeedSequence`` fails a test rather than silently moving a stream.
 
-Replications are replayed in blocks: consecutive trials of one stream length
-are stacked into (B, n) arrays of about ``_BLOCK_OBS`` observations, and the
-batch kernel runs once per block.  Every row of a block is computed as its
-own trial would be, so blocking changes no result.
+Replications are drawn and replayed in blocks of ``max(1, _BLOCK_OBS // n)``
+consecutive replications, n the trial size: the generator fills a block's
+(B, n) arrays in one call, each row from its own replication's stream, and
+the batch kernel runs once per block.  Where stream lengths vary (multistate
+transitions, the death streams of a head-to-head study), trials are regrouped
+into blocks of one length.  Every row of a block is computed as its own trial
+would be, so blocking changes no result.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -37,8 +41,8 @@ from .strategies import BettingStrategy
 
 _E_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 DESIGN_POWER = 0.80  # the power a wage study sizes each effect's trials for
-_BLOCK_OBS = 4096  # observations per replay block, and replications per stream-derivation
-                   # slice; larger blocks add memory more than speed
+_BLOCK_OBS = 4096  # observations per drawn and replayed block, and replications per
+                   # stream-derivation slice; larger blocks add memory more than speed
 
 
 # numpy's SeedSequence hash, on uint32 words held in Python ints or uint64 arrays
@@ -156,7 +160,8 @@ def _stack(trials: list) -> tuple:
 
 def _blocks(trials):
     """Stack consecutive trials of one stream length into (B, n) blocks of at
-    most ``max(1, _BLOCK_OBS // n)`` rows, in trial order."""
+    most ``max(1, _BLOCK_OBS // n)`` rows, in trial order: for trials whose
+    lengths vary."""
     block: list = []
     for trial in trials:
         n = len(trial[0])
@@ -177,33 +182,35 @@ def _bet_blocks(sim, prepared, params: dict, alpha: float):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _replay(sim, trials, params: dict, alpha: float):
-    """(first crossing, final log-e, stream length) per trial, replayed in blocks."""
-    return _bet_blocks(sim, (sim.prepare(block, params) for block in _blocks(trials)), params,
-                       alpha)
+def _replay(sim, blocks, params: dict, alpha: float):
+    """(first crossing, final log-e, stream length) per trial of (B, n) blocks."""
+    return _bet_blocks(sim, (sim.prepare(block, params) for block in blocks), params, alpha)
 
 
 def _draw(scenario: SimScenario, start: int, stop: int):
-    """The scenario's row and its replications [start, stop), drawn lazily."""
-    sim = SIM_VARIANTS[scenario.variant]
-    return sim, (sim.generate(rng, scenario.params)
-                 for rng in _rep_rngs(scenario.seed, start, stop))
+    """The scenario's row and its replications [start, stop) as replay blocks,
+    drawn lazily, one generator call per slice of ``_rep_rngs``."""
+    sim, p = SIM_VARIANTS[scenario.variant], scenario.params
+    rngs = _rep_rngs(scenario.seed, start, stop)
+    rows = max(1, _BLOCK_OBS // p[sim.trial_size])
+    drawn = (sim.generate(block, p) for block in iter(lambda: list(islice(rngs, rows)), []))
+    return sim, (_blocks(chain.from_iterable(drawn)) if sim.ragged else drawn)
 
 
 def _run_range(scenario: SimScenario, start: int, stop: int):
     """Replications [start, stop); returns (crossing, final_log_e, stream_len) arrays."""
-    sim, trials = _draw(scenario, start, stop)
-    return _replay(sim, trials, scenario.params, scenario.alpha)
+    sim, blocks = _draw(scenario, start, stop)
+    return _replay(sim, blocks, scenario.params, scenario.alpha)
 
 
 def trajectories(scenario: SimScenario, n: int) -> list[tuple]:
     """Replications 0..n-1 replayed as ``run_operating_characteristics`` replays
     them; per trial, its (1-based index, wager, multiplier, log-wealth) arrays
     at the bets placed."""
-    sim, trials = _draw(scenario, 0, n)
+    sim, blocks = _draw(scenario, 0, n)
     p = scenario.params
     out = []
-    for block in _blocks(trials):
+    for block in blocks:
         bets = sim.bet(sim.prepare(block, p), p)
         for wager, mult, logw in zip(*bets, batch.log_wealth(bets)):
             placed = np.flatnonzero(~np.isnan(wager))
@@ -301,12 +308,13 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
         coin = death_coin(baseline, p_trt)
         scenario = SimScenario("binary", {"n_patients": n_pat, "p_ctrl": baseline,
                                           "p_trt": p_trt}, n_sims, alpha, seed)
-        trials = list(_draw(scenario, b_idx * n_sims, (b_idx + 1) * n_sims)[1])
-        bin_power = _power(_replay(binary, trials, scenario.params, alpha)[0], n_sims)[1]
+        blocks = list(_draw(scenario, b_idx * n_sims, (b_idx + 1) * n_sims)[1])
+        bin_power = _power(_replay(binary, blocks, scenario.params, alpha)[0], n_sims)[1]
         # hits and death counts do not depend on trial order, so the death
         # streams are replayed grouped by length, which fills the blocks
-        streams = sorted(((t[y == 1],) for t, y in trials), key=lambda d: len(d[0]))
-        death_cross, _, n_deaths = _replay(deaths, streams, deaths.defaults, alpha)
+        streams = sorted(((t[y == 1],) for block in blocks for t, y in zip(*block)),
+                         key=lambda d: len(d[0]))
+        death_cross, _, n_deaths = _replay(deaths, _blocks(streams), deaths.defaults, alpha)
         death_power = _power(death_cross, n_sims)[1]
         delta = (death_power - bin_power) * 100.0
         winner = "deaths" if delta > 1.0 else ("binary" if delta < -1.0 else "tied")
@@ -355,8 +363,8 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
         trial = sim.wage.trial(effect)
         n = sim.size(*trial.values(), DESIGN_POWER, alpha) if n_patients is None else n_patients
         scenario = SimScenario(variant, {"n_patients": n, **trial}, n_sims, alpha, seed)
-        trials = _draw(scenario, e_idx * n_sims, (e_idx + 1) * n_sims)[1]
-        prepared = [sim.prepare(block, scenario.params) for block in _blocks(trials)]
+        blocks = _draw(scenario, e_idx * n_sims, (e_idx + 1) * n_sims)[1]
+        prepared = [sim.prepare(block, scenario.params) for block in blocks]
         for label, replay in replays:
             crossings, finals = _bet_blocks(sim, prepared, replay, alpha)[:2]
             _, power, se, med_cross = _power(crossings, n_sims)

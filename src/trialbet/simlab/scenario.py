@@ -62,14 +62,17 @@ class Wage(NamedTuple):
 class SimVariant:
     """How the lab draws and replays one variant's trials.
 
-    ``generate(rng, params)`` draws one trial: a tuple of equal-length
-    arrays, one entry per observation.  A replay is
-    ``bet(prepare(data, params), params)`` on a block of such trials stacked
-    row-wise into (B, n) arrays; it gives the (B, n) wager and multiplier
-    of each observation from the batch kernel (NaN and 1.0 where no bet is
-    placed).  ``prepare`` holds the work no wager rule reads, so the wage
-    study prepares a block once and bets it once per strategy; it is the
-    identity where strategies share nothing.  Generators and kernels are
+    ``generate(rngs, params)`` draws a block of trials in one call, one per
+    stream: a tuple of (B, n) arrays, one row per trial and one entry per
+    observation; a lone ``Generator`` gives one trial's 1-D arrays.  Where
+    stream lengths vary (``ragged``), it gives a list of B trials, each a
+    tuple of equal-length arrays, and the engine regroups them.  The first
+    parameter declared is the trial size n.  A replay is
+    ``bet(prepare(data, params), params)`` on a (B, n) block; it gives the
+    (B, n) wager and multiplier of each observation from the batch kernel
+    (NaN and 1.0 where no bet is placed).  ``prepare`` holds the work no
+    wager rule reads, so the wage study prepares a block once and bets it
+    once per strategy; it is the identity where strategies share nothing.  Generators and kernels are
     looked up on their modules at call time.
     """
 
@@ -82,12 +85,18 @@ class SimVariant:
     size: Callable | None = None      # design calculator: size(*flag values, power, alpha)
     size_flags: tuple[str, ...] = ()  # the ``power`` options that lead its arguments
     wage: Wage | None = None
+    ragged: bool = False  # trials of one scenario differ in stream length
 
     @property
     def defaults(self) -> dict[str, Any]:
         """Every parameter that has a default of its own, at that default."""
         return {key: v for key, (v, _) in self.params.items()
                 if v is not _REQUIRED and not _alias(v)}
+
+    @property
+    def trial_size(self) -> str:
+        """The parameter that sets how many observations a trial draws."""
+        return next(iter(self.params))
 
 
 def _number(v) -> bool:
@@ -128,11 +137,14 @@ def _monitor(variant: str, *options: str) -> dict[str, tuple[Any, Rule]]:
     return {key: (defaults[key], _MONITOR_RULES[key]) for key in ("burn_in", "ramp", *options)}
 
 
-def _multistate_trial(rng, p):
+def _multistate_trials(rng, p):
+    """Each trial's (good, arms) transitions: a list of them for a sequence of streams."""
     m_trt, m_ctrl = multistate_matrices(p["effect"], p["matrices"])
-    trial = generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
+    drawn = generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
                                         p["start"], p["horizon"])
-    return trial.good, trial.arms
+    if isinstance(drawn, list):
+        return [(trial.good, trial.arms) for trial in drawn]
+    return drawn.good, drawn.arms
 
 
 def _check_multistate(p) -> None:
@@ -203,9 +215,9 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          "matrices": (None, _MATRICES), "horizon": (28, _SIZE),
          "start": ("ICU", (lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}")),
          **_monitor("multistate")},
-        generate=_multistate_trial,
+        generate=_multistate_trials,
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
-        check=_check_multistate),
+        check=_check_multistate, ragged=True),
 }
 
 

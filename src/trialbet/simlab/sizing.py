@@ -18,6 +18,15 @@ from ..deaths import death_coin, expected_deaths
 DEATHS_INFLATION = 2.5  # deaths-only design inflation over the frequentist N
 
 
+def _check_design(power: float, alpha: float) -> None:
+    """Power and alpha a two-sided design can be sized at: at alpha <= 2**-53,
+    ``1 - alpha/2`` rounds to 1 and the critical value is infinite."""
+    if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
+        raise ValueError("power and alpha must be in (0,1)")
+    if 1.0 - alpha / 2.0 == 1.0:
+        raise ValueError(f"alpha must be > 2**-53 to size a trial, got {alpha!r}")
+
+
 def size_two_proportion(p1: float, p2: float, power: float, alpha: float = 0.05) -> int:
     """Total N (both arms) for a two-sided two-proportion z-test.
 
@@ -31,8 +40,7 @@ def size_two_proportion(p1: float, p2: float, power: float, alpha: float = 0.05)
             raise ValueError(f"{name} must be in (0,1), got {p}")
     if p1 == p2:
         raise ValueError("rates must differ")
-    if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
-        raise ValueError("power and alpha must be in (0,1)")
+    _check_design(power, alpha)
     z_a = norm.ppf(1.0 - alpha / 2.0)
     z_b = norm.ppf(power)
     d = abs(p1 - p2)
@@ -54,8 +62,7 @@ def size_t_test(d: float, power: float, alpha: float = 0.05) -> int:
 
     if not 0.0 < d < math.inf:  # NaN included
         raise ValueError(f"effect size must be finite and > 0, got {d}")
-    if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
-        raise ValueError("power and alpha must be in (0,1)")
+    _check_design(power, alpha)
 
     def achieved(n: float) -> float:
         nu = 2.0 * (n - 1.0)
@@ -72,8 +79,7 @@ def size_logrank(target_hr: float, power: float, alpha: float = 0.05) -> int:
 
     if not 0.0 < target_hr < math.inf or target_hr == 1.0:  # NaN included
         raise ValueError(f"hazard ratio must be finite, positive and != 1, got {target_hr}")
-    if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
-        raise ValueError("power and alpha must be in (0,1)")
+    _check_design(power, alpha)
     z_a = norm.ppf(1.0 - alpha / 2.0)
     z_b = norm.ppf(power)
     return math.ceil(4.0 * ((z_a + z_b) / math.log(target_hr)) ** 2)

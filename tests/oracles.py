@@ -15,6 +15,12 @@ takes it: by time on study, stable on ties.
 transition matrix on its own, so the multistate generator's horizon states
 can be checked against it and against the matrix power.
 
+``binary_draw``, ``death_draw``, ``continuous_draw``, ``survival_draw`` and
+``multistate_draw`` draw one trial from one stream with numpy's own
+``random``, ``normal`` and ``uniform`` calls, in the order a replication's
+stream has always been read (multistate: one patient at a time): the
+references the block generators' rows are compared against.
+
 ``parse_event`` and ``head_to_head_per_trial`` are the plain forms of two
 optimised paths, kept as the references those paths are compared against:
 ``json.loads`` plus two set differences per NDJSON record, and one kernel
@@ -130,6 +136,61 @@ def day_horizon_distribution(rng, n_patients: int, matrix, start: str = "ICU",
         states = np.minimum(drawn, n_states - 1).astype(np.int8)
     counts = np.bincount(states, minlength=len(DEFAULT_MODEL.states))
     return counts / n_patients
+
+
+def binary_draw(rng, n: int, rate_trt: float, rate_ctrl: float, p_alloc: float = 0.5):
+    treatment = (rng.random(n) < p_alloc).astype(np.int8)
+    return treatment, (rng.random(n) < np.where(treatment == 1, rate_trt, rate_ctrl)).astype(np.int8)
+
+
+def death_draw(rng, n: int, coin: float):
+    return ((rng.random(n) < coin).astype(np.int8),)
+
+
+def continuous_draw(rng, n: int, mu_trt: float, mu_ctrl: float, sd: float = 1.0,
+                    p_alloc: float = 0.5):
+    treatment = (rng.random(n) < p_alloc).astype(np.int8)
+    return treatment, rng.normal(np.where(treatment == 1, mu_trt, mu_ctrl), sd)
+
+
+def survival_draw(rng, n: int, hr: float = 1.0, shape: float = 1.2, scale: float = 10.0,
+                  censor_upper: float | None = None, recruit_period: float | None = None):
+    treatment = (rng.random(n) < 0.5).astype(np.int8)
+    scale_arm = np.where(treatment == 1, scale / hr ** (1.0 / shape), scale)
+    time = scale_arm * (-np.log(rng.random(n))) ** (1.0 / shape)
+    status = np.ones(n, dtype=np.int8)
+    if censor_upper is not None:
+        c = rng.uniform(0.0, censor_upper, n)
+        status = (time <= c).astype(np.int8)
+        time = np.minimum(time, c)
+    entry = np.zeros(n)
+    if recruit_period is not None:
+        entry = rng.uniform(0.0, recruit_period, n)
+        time = entry + time
+    return time, status, treatment, entry
+
+
+def multistate_draw(rng, n: int, matrix_trt, matrix_ctrl, start: str = "ICU",
+                    horizon: int = 28):
+    """(good, arms, final_states): each patient walked through the days on its
+    own, the next state the first whose cumulative probability exceeds u (the
+    last state past the row total)."""
+    arms = (rng.random(n) < 0.5).astype(np.int8)
+    u = rng.random((horizon, n))
+    cum = [np.cumsum(np.asarray(m.probs, dtype=float), axis=1) for m in (matrix_ctrl, matrix_trt)]
+    good, arm_of, final = [], [], []
+    for patient, arm in enumerate(arms.tolist()):
+        state = DEFAULT_MODEL.index(start)
+        for day in range(horizon):
+            drawn = int(np.searchsorted(cum[arm][state][:-1], u[day, patient], side="right"))
+            if drawn != state:
+                good.append((DEFAULT_MODEL.states[state], DEFAULT_MODEL.states[drawn])
+                            in DEFAULT_MODEL.good)
+                arm_of.append(arm)
+            state = drawn
+        final.append(state)
+    return (np.array(good, dtype=bool), np.array(arm_of, dtype=np.int8),
+            np.array(final, dtype=np.int8))
 
 
 def parse_event(monitor, line: str, line_no: int) -> tuple:

@@ -14,8 +14,8 @@ import pytest
 
 from trialbet.multistate import CONTROL_DAILY, TREATMENT_DAILY
 from trialbet.simlab import batch, generators
-from trialbet.simlab.engine import _run_range
-from trialbet.simlab.scenario import SimScenario
+from trialbet.simlab.engine import _BLOCK_OBS, _run_range, rep_rng
+from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 
 ROOT = Path(__file__).parent.parent
 LENGTHS = [0, 1, 2, 3, 40, 260]
@@ -100,6 +100,22 @@ def test_survival_prepare_block(n, make, presorted):
             assert np.array_equal(single, ref), (field, k)
 
 
+def test_time_order_is_the_stable_order():
+    """Survival records are sorted by numpy's default sort only where its
+    permutation is the stable one; ties, signed zeros and NaNs fall back."""
+    rng = np.random.default_rng(5)
+    distinct = rng.exponential(10.0, (6, 300))
+    rounded = np.round(distinct)  # many ties in every row
+    one_tied_row = distinct.copy()
+    one_tied_row[4] = rounded[4]
+    zeros = distinct.copy()
+    zeros[:, [7, 2]] = [0.0, -0.0]  # equal times of different sign bits
+    nans = distinct.copy()
+    nans[2, [3, 9, 11]] = np.nan
+    for t in (distinct, rounded, one_tied_row, zeros, nans, rounded[0], distinct[:, :1]):
+        assert np.array_equal(batch._time_order(t), np.argsort(t, axis=-1, kind="stable"))
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 @pytest.mark.parametrize("options", [{}, SHORT, {"lambda_max": 0.6, **SHORT},
                                      {"bet_rule": "half_kelly"},
@@ -156,3 +172,27 @@ def test_run_range_is_independent_of_block_boundaries(stem):
     for parts in (singles, splits):
         for column, joined in zip(whole, zip(*parts)):
             assert np.array_equal(column, np.concatenate(joined), equal_nan=True)
+
+
+@pytest.mark.parametrize("variant", sorted(SIM_VARIANTS))
+def test_an_uneven_split_gives_the_whole_range(variant):
+    """At a trial size of 64 a block holds 64 replications, so 133 are two
+    full blocks and a short one.  Ranges cut through them give the whole
+    range's arrays, and each replication is what its own stream, drawn and
+    replayed alone, gives."""
+    sim = SIM_VARIANTS[variant]
+    rows, n_sims = 64, 133
+    effect = {"binary": {"p_ctrl": 0.4, "p_trt": 0.3}, "continuous": {"mu_trt": 0.3},
+              "survival": {"hr": 0.7}}.get(variant, {})
+    sc = SimScenario(variant, {sim.trial_size: _BLOCK_OBS // rows, **effect}, n_sims, seed=11)
+    whole = _run_range(sc, 0, n_sims)
+    parts = [_run_range(sc, a, b) for a, b in ((0, 30), (30, 100), (100, n_sims))]
+    for column, joined in zip(whole, zip(*parts)):
+        assert np.array_equal(column, np.concatenate(joined), equal_nan=True)
+    p = sc.params
+    for rep in range(n_sims):
+        trial = sim.generate(rep_rng(sc.seed, rep), p)
+        logw = batch.log_wealth(sim.bet(sim.prepare(tuple(x[None] for x in trial), p), p))
+        crossing, final = batch.row_outcomes(logw, sc.alpha)
+        assert np.array_equal(crossing, whole[0][rep:rep + 1], equal_nan=True)
+        assert (final[0], logw.shape[-1]) == (whole[1][rep], whole[2][rep])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -631,6 +632,15 @@ def _golden_monitor(variant, *argv):
      "error: bet_rule must be 'fixed' or 'half_kelly', got 'kelly'"),
     (_continuous_arm_count(-1),
      "error: corrupt checkpoint: arm counts must be >= 0, got -1 and 29"),
+    (lambda tmp_path: ["power", "--variant", "survival", "--hr", "0.5", "--alpha", "1e-308"],
+     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
+    (lambda tmp_path: ["power", "--variant", "binary", "--p1", "0.3", "--p2", "0.2",
+                       "--alpha", "1e-308"],
+     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
+    (_wage("survival", "--hr", "0.5", "--alpha", "1e-308", "--sims", "2"),
+     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
+    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.3", "--alpha", "1e-308"],
+     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -649,7 +659,9 @@ def _golden_monitor(variant, *argv):
         "p_ctrl-true", "lab-ramp-true", "lab-burn_in-true", "lab-sign_only-yes",
         "lab-burn_in-string", "lab-c_max-string", "lab-mu_trt-string", "lab-mu_ctrl-null",
         "lab-mu_ctrl-true", "lab-matrices-5", "matrix-bool-entry", "lab-fixed_dev-string",
-        "lab-bet_rule-kelly", "checkpoint-arm-count-negative"])
+        "lab-bet_rule-kelly", "checkpoint-arm-count-negative", "power-survival-alpha-1e-308",
+        "power-binary-alpha-1e-308", "wage-survival-alpha-1e-308-sized",
+        "power-continuous-alpha-1e-308"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -825,6 +837,21 @@ class TestTrajectories:
         svg = out_svg.read_text()
         assert "polyline" in svg and "nan" not in svg and "inf" not in svg
         assert svg.count("<text") <= 25
+
+    def test_subnormal_alpha_svg(self, capsys, tmp_path):
+        # 1/alpha overflows to inf; the plot works from -log10(alpha) = 312.7
+        sc = tmp_path / "subnormal.json"
+        sc.write_text(json.dumps({"variant": "binary", "alpha": 2.2e-313,
+                                  "params": {"n_patients": 40, "p_ctrl": 0.4}, "seed": 3}))
+        out_svg = tmp_path / "traj.svg"
+        code, _, err = run_cli(capsys, "trajectories", "--scenario", str(sc), "--trials", "2",
+                               "--out", str(tmp_path / "traj.csv"), "--svg", str(out_svg))
+        assert code == EXIT_OK and err == ""
+        svg = out_svg.read_text()
+        assert "polyline" in svg and "nan" not in svg and "inf" not in svg
+        assert svg.count("<text") <= 25
+        threshold_y = float(re.search(r'y1="([^"]+)"[^>]*stroke="red"', svg).group(1))
+        assert 50 <= threshold_y <= 520 - 50  # the threshold line lies inside the plot
 
     def test_zero_trials_writes_header_only(self, capsys, tmp_path):
         sc = self.scenario_file(tmp_path)

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from trialbet.simlab.generators import (
+    MultistateTrial,
     binary_trial,
     continuous_trial,
     death_stream,
     multistate_trial,
     survival_trial,
 )
+from trialbet.simlab.scenario import multistate_matrices
 from trialbet.multistate import CONTROL_DAILY, TREATMENT_DAILY
+
+import oracles
 
 
 def test_binary_trial_rates():
@@ -84,3 +88,68 @@ class TestMultistateTrial:
         rate_trt = trial.good[trial.arms == 1].mean()
         rate_ctrl = trial.good[trial.arms == 0].mean()
         assert rate_trt > rate_ctrl + 0.02
+
+
+# Each generator with non-default options, and its one-stream reference.
+CALLS = {
+    "binary": (binary_trial, oracles.binary_draw, (37, 0.3, 0.45, 0.6), {}),
+    "deaths": (death_stream, oracles.death_draw, (50, 0.4), {}),
+    "continuous": (continuous_trial, oracles.continuous_draw, (40, 0.3, -0.2, 2.5, 0.4), {}),
+    "continuous-integer-means": (continuous_trial, oracles.continuous_draw, (40, 3, 1, 2), {}),
+    "survival": (survival_trial, oracles.survival_draw, (45, 0.7, 1.3, 8.0), {}),
+    "survival-censored-staggered": (survival_trial, oracles.survival_draw, (45, 0.7, 1.3, 8.0),
+                                    {"censor_upper": 12.0, "recruit_period": 5.0}),
+    "survival-staggered": (survival_trial, oracles.survival_draw, (45, 1.4, 1.0),
+                           {"recruit_period": 3}),
+    "multistate": (multistate_trial, oracles.multistate_draw, (60, *multistate_matrices("null", {
+        "trt": [[0.8, 0.1, 0.05, 0.05], [0.1, 0.8, 0.05, 0.05], [0, 0, 1, 0], [0, 0, 0, 1]],
+        "ctrl": [[0.85, 0.05, 0.05, 0.05], [0.2, 0.7, 0.05, 0.05], [0, 0, 1, 0], [0, 0, 0, 1]]})),
+                   {"start": "Ward", "horizon": 9}),
+}
+
+
+def _streams(rows: int) -> list:
+    return [np.random.default_rng(np.random.SeedSequence(77, spawn_key=(r,)))
+            for r in range(rows)]
+
+
+def _columns(drawn) -> tuple:
+    """A drawn trial, or a block, as a tuple of its arrays."""
+    if isinstance(drawn, MultistateTrial):
+        return drawn.good, drawn.arms, drawn.final_states
+    return drawn if isinstance(drawn, tuple) else (drawn,)
+
+
+def _assert_same(drawn: tuple, expect: tuple) -> None:
+    assert len(drawn) == len(expect)
+    for got, want in zip(drawn, expect):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("generate,reference,args,kwargs", CALLS.values(), ids=CALLS.keys())
+def test_one_stream_draws_as_numpy_draws_it(generate, reference, args, kwargs):
+    """A lone-stream call is the trial numpy's own calls draw from that stream,
+    in the order it has always been read, and leaves the stream where they do."""
+    (rng,), (expect_rng,) = _streams(1), _streams(1)
+    _assert_same(_columns(generate(rng, *args, **kwargs)),
+                 reference(expect_rng, *args, **kwargs))
+    assert rng.bit_generator.state == expect_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("generate,reference,args,kwargs", CALLS.values(), ids=CALLS.keys())
+def test_a_block_is_its_rows_drawn_alone(generate, reference, args, kwargs, rows):
+    """Row r of a block call is bit for bit, dtype included, the call with
+    stream r alone, and every stream is left where that call leaves it."""
+    block_rngs, lone_rngs = _streams(rows), _streams(rows)
+    block = generate(block_rngs, *args, **kwargs)
+    if isinstance(block, list):  # multistate: one trial per stream
+        block = [_columns(trial) for trial in block]
+    else:
+        assert all(column.shape[0] == rows for column in _columns(block))
+        block = list(zip(*_columns(block)))
+    assert len(block) == rows
+    for row, rng, lone_rng in zip(block, block_rngs, lone_rngs):
+        _assert_same(row, _columns(generate(lone_rng, *args, **kwargs)))
+        assert rng.bit_generator.state == lone_rng.bit_generator.state
