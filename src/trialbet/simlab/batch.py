@@ -15,7 +15,9 @@ switches: ``fixed_dev`` for the binary monitor, ``bet_rule`` for survival,
 is split into ``<variant>_prepare``, which no wager rule reads (continuous:
 the prefix median/MAD and running Cohen's d; survival: the sort, risk sets
 and scores), and a cheap ``<variant>_bet``.  ``<variant>_log_wealth`` is the
-log-wealth of a whole replay.
+log-wealth of a whole replay.  Each shared rule is one helper: ``_payout``
+settles every two-sided bet, ``_rate_gap`` is the binary and multistate
+wager, ``_ramp`` the coefficient ramp, and ``_before`` every prefix sum.
 """
 
 from __future__ import annotations
@@ -39,15 +41,33 @@ _MULTISTATE = multistate.DEFAULT_SCHEDULE
 
 
 def _ramp(idx: np.ndarray, burn_in: int, ramp: int) -> np.ndarray:
-    return np.clip((idx - burn_in) / ramp, 0.0, 1.0)
+    return np.clip((idx - float(burn_in)) / ramp, 0.0, 1.0)  # float(): a burn-in past int64 too
 
 
-def _shift(cum: np.ndarray) -> np.ndarray:
-    """Prefix values: cum over entries strictly before each position."""
+def _before(x: np.ndarray) -> np.ndarray:
+    """Sum of the entries strictly before each position, along the last axis."""
+    cum = np.cumsum(x, axis=-1)
     out = np.empty_like(cum)
     out[..., :1] = 0
     out[..., 1:] = cum[..., :-1]
     return out
+
+
+def _payout(arm, lam, p: float = 0.5) -> np.ndarray:
+    """Multiplier of wager ``lam`` on arm 1 (``core.apply_bet``): fair when P(arm 1) = p."""
+    return np.where(arm == 1, lam / p, (1.0 - lam) / (1.0 - p))
+
+
+def _rate_gap(arm, outcome, burn_in, ramp):
+    """(wager 0.5 +- 0.5 c (rate1 - rate0) on ``outcome``, earlier arm-1 and
+    arm-0 counts): the rates are over earlier observations, 0.5 in an empty arm."""
+    idx = np.arange(1, arm.shape[-1] + 1)
+    n1 = _before(arm)
+    n0 = idx - 1 - n1
+    rate1 = np.where(n1 > 0, _before(arm * outcome) / np.maximum(n1, 1), 0.5)
+    rate0 = np.where(n0 > 0, _before((1 - arm) * outcome) / np.maximum(n0, 1), 0.5)
+    half = 0.5 * _ramp(idx, burn_in, ramp) * (rate1 - rate0)
+    return np.where(outcome == 1, 0.5 + half, 0.5 - half), n1, n0
 
 
 def row_outcomes(log_wealth: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -87,22 +107,12 @@ def binary_bet(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_i
     # 0/1 labels as floats: every count below is exact, and the rates need no cast
     t = np.asarray(treatment, dtype=float)
     y = np.asarray(outcome, dtype=float)
-    idx = np.arange(1, t.shape[-1] + 1)
     if fixed_dev is None:
-        n1_prev = _shift(np.cumsum(t, axis=-1))
-        e1_prev = _shift(np.cumsum(t * y, axis=-1))
-        n0_prev = idx - 1 - n1_prev
-        e0_prev = _shift(np.cumsum((1 - t) * y, axis=-1))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            rate1 = np.where(n1_prev > 0, e1_prev / np.maximum(n1_prev, 1), 0.5)
-            rate0 = np.where(n0_prev > 0, e0_prev / np.maximum(n0_prev, 1), 0.5)
-        delta = rate1 - rate0
-        c = _ramp(idx, burn_in, ramp)
-        lam = np.where(y == 1, 0.5 + 0.5 * c * delta, 0.5 - 0.5 * c * delta)
+        lam = _rate_gap(t, y, burn_in, ramp)[0]
     else:
         lam = np.where(y == 1, 0.5 + fixed_dev, 0.5 - fixed_dev)
     lam = np.clip(lam, WAGER_MIN, WAGER_MAX)
-    mult = np.where(t == 1, lam / p, (1.0 - lam) / (1.0 - p))
+    mult = _payout(t, lam, p)
     if fixed_dev is None:  # the first patient never bets
         lam[..., :1] = np.nan
         mult[..., :1] = 1.0
@@ -117,14 +127,13 @@ def deaths_bet(arms, burn_in: int = _DEATHS.burn_in, ramp: int = _DEATHS.ramp):
     """Deaths-only replay over an ordered stream of death arm labels."""
     a = np.asarray(arms, dtype=np.int64)
     idx = np.arange(1, a.shape[-1] + 1)
-    d1_prev = _shift(np.cumsum(a, axis=-1))
     tot_prev = idx - 1
-    p_obs = np.where(tot_prev > 0, d1_prev / np.maximum(tot_prev, 1), 0.5)
+    p_obs = np.where(tot_prev > 0, _before(a) / np.maximum(tot_prev, 1), 0.5)
     c = _ramp(idx, burn_in, ramp)
     lam = np.where((idx > burn_in) & (tot_prev > 0),
                    np.clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
                    0.5)
-    return lam, np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
+    return lam, _payout(a, lam)
 
 
 def deaths_log_wealth(*args, **kwargs) -> np.ndarray:
@@ -167,10 +176,10 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
         s, a = (np.take_along_axis(x, order, axis=-1) for x in (s, a))
     elif np.any(np.diff(t, axis=-1) < 0):
         raise ValueError("stream not sorted by time on study")
-    risk1 = a.sum(axis=-1, keepdims=True) - _shift(np.cumsum(a, axis=-1))
+    risk1 = a.sum(axis=-1, keepdims=True) - _before(a)
     p_j = risk1 / np.arange(a.shape[-1], 0, -1)  # 0/1 arms: this record and all later are at risk
     u = np.where(s == 1, a - p_j, 0.0)
-    return SurvivalPrepared(s == 1, p_j, u, _shift(np.cumsum(u, axis=-1)))
+    return SurvivalPrepared(s == 1, p_j, u, _before(u))
 
 
 def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
@@ -190,7 +199,7 @@ def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
         b = np.where(idx > burn_in, c * lambda_max * np.sign(prep.z_prev), 0.0)
     elif bet_rule == "half_kelly":
         info = np.where(prep.event, prep.p_j * (1.0 - prep.p_j), 0.0)
-        v_prev = _shift(np.cumsum(info, axis=-1))
+        v_prev = _before(info)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_hr_hat = np.where(v_prev > 0, prep.z_prev / np.maximum(v_prev, 1e-300), 0.0)
         b = np.where(idx > burn_in, c * np.clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
@@ -213,20 +222,10 @@ def multistate_bet(good, arms, burn_in: int = _MULTISTATE.burn_in,
     """Transition-stream replay; both arms need history before bets start."""
     g = np.asarray(good, dtype=np.int64)
     a = np.asarray(arms, dtype=np.int64)
-    idx = np.arange(1, a.shape[-1] + 1)
-    tot1_prev = _shift(np.cumsum(a, axis=-1))
-    good1_prev = _shift(np.cumsum(a * g, axis=-1))
-    tot0_prev = idx - 1 - tot1_prev
-    good0_prev = _shift(np.cumsum((1 - a) * g, axis=-1))
-    bettable = (idx > burn_in) & (tot1_prev > 0) & (tot0_prev > 0)
-    rate1 = good1_prev / np.maximum(tot1_prev, 1)
-    rate0 = good0_prev / np.maximum(tot0_prev, 1)
-    delta = rate1 - rate0
-    c = _ramp(idx, burn_in, ramp)
-    lam = np.where(g == 1, 0.5 + 0.5 * c * delta, 0.5 - 0.5 * c * delta)
-    lam = np.where(bettable, lam, 0.5)
-    lam = np.clip(lam, MS_WAGER_MIN, MS_WAGER_MAX)
-    return lam, np.where(a == 1, lam / 0.5, (1.0 - lam) / 0.5)
+    lam, n1, n0 = _rate_gap(a, g, burn_in, ramp)
+    bettable = (np.arange(1, a.shape[-1] + 1) > burn_in) & (n1 > 0) & (n0 > 0)
+    lam = np.clip(np.where(bettable, lam, 0.5), MS_WAGER_MIN, MS_WAGER_MAX)
+    return lam, _payout(a, lam)
 
 
 def multistate_log_wealth(*args, **kwargs) -> np.ndarray:
@@ -260,8 +259,9 @@ def continuous_prepare(treatment, outcome,
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
     m, n = y.shape
-    first = max(2, math.ceil(burn_in) + 1)  # 1-based index of the first bet: i-1 >= burn_in
-    width = max(0, n - first + 1)
+    # 1-based index of the first bet (i-1 >= burn_in); n + 1 when none is placed
+    first = min(max(2, math.ceil(burn_in) + 1), n + 1)
+    width = n - first + 1
 
     past = slice(first - 2, n - 1)  # cumulative index i - 2: the last past value
 
@@ -309,14 +309,14 @@ def continuous_bet(prep: ContinuousPrepared, p: float = 0.5,
     ``sign_only`` drops the magnitude of the running Cohen's d, keeping only
     its sign (the degraded strategy studied in the wage-asymmetry comparison).
     """
-    first = max(2, math.ceil(burn_in) + 1)
-    ramp_frac = np.clip((np.arange(first, prep.n + 1) - burn_in) / ramp, 0.0, 1.0)
+    first = prep.n + 1 - prep.g.shape[-1]  # as continuous_prepare placed it
+    ramp_frac = _ramp(np.arange(first, prep.n + 1), burn_in, ramp)
     d_hat = np.sign(prep.d_hat) if sign_only else prep.d_hat
     lam = np.clip(0.5 + ramp_frac * c_max * prep.g * d_hat, WAGER_MIN, WAGER_MAX)
     wager = np.full((prep.g.shape[0], prep.n), np.nan)
     mult = np.ones_like(wager)
     wager[:, first - 1:] = lam
-    mult[:, first - 1:] = np.where(prep.treated, lam / p, (1.0 - lam) / (1.0 - p))
+    mult[:, first - 1:] = _payout(prep.treated, lam, p)
     return wager, mult
 
 

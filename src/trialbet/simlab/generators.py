@@ -66,7 +66,8 @@ def continuous_trial(rng, n: int, mu_trt: float, mu_ctrl: float, sd: float = 1.0
         g.random(out=u_row)
         g.standard_normal(out=z_row)
     treatment = (u < p_alloc).astype(np.int8)
-    return out(treatment), out(np.where(treatment == 1, mu_trt, mu_ctrl) + sd * z)
+    # float means: two ints would make an int64 array, which a larger int overflows
+    return out(treatment), out(np.where(treatment == 1, float(mu_trt), float(mu_ctrl)) + sd * z)
 
 
 def survival_trial(rng, n: int, hr: float = 1.0, shape: float = 1.2, scale: float = 10.0,

@@ -16,7 +16,7 @@ wager-cap defaults the rows below reuse.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -284,7 +284,8 @@ class SimScenario:
                 value = params[default[1:]]
             if not ok(value):
                 raise ValueError(f"{key} must be {what}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):  # no trial is drawn
+            # no trial is drawn (NaN, an infinity or an int past the float range)
+            if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{key} must be finite, got {value!r}")
             params[key] = value
         sim.check(params)

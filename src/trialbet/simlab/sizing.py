@@ -54,7 +54,9 @@ def size_t_test(d: float, power: float, alpha: float = 0.05) -> int:
     """Total N (both arms) for a two-sided two-sample t-test at effect size ``d``.
 
     Solves the exact noncentral-t power equation for the continuous per-arm
-    n, then rounds up.
+    n between 2 (the smallest two-sample t-test) and 1e7, then rounds up.  An
+    effect that 2 per arm already detects is sized at 4; one that needs more
+    than 1e7 per arm is refused.
     """
     from scipy.optimize import brentq
     from scipy.stats import nct
@@ -69,7 +71,12 @@ def size_t_test(d: float, power: float, alpha: float = 0.05) -> int:
         t_crit = t_dist.ppf(1.0 - alpha / 2.0, nu)
         return nct.sf(t_crit, nu, math.sqrt(n / 2.0) * d)
 
-    n = brentq(lambda n: achieved(n) - power, 1.0001, 1e7, xtol=1e-9, rtol=1e-12)
+    if not achieved(2.0) < power:  # NaN as well: nct.sf fails past d ~ 1e10, where power is 1
+        return 4
+    if achieved(1e7) < power:
+        raise ValueError(f"effect size d={d!r} needs more than 1e7 patients per arm "
+                         f"at power {power!r} and alpha {alpha!r}")
+    n = brentq(lambda n: achieved(n) - power, 2.0, 1e7, xtol=1e-9, rtol=1e-12)
     return 2 * math.ceil(n)
 
 

@@ -313,6 +313,11 @@ class TestPower:
                                  "--d", "0.40", "--power", "0.80")
         assert (code, out, err) == (EXIT_OK, "200\n", "")
 
+    def test_continuous_large_effect(self, capsys):
+        """The solver's bracket starts at 2 per arm, where the noncentral t is sound."""
+        code, out, err = run_cli(capsys, "power", "--variant", "continuous", "--d", "2")
+        assert (code, out, err) == (EXIT_OK, "12\n", "")
+
     def test_survival(self, capsys):
         code, out, err = run_cli(capsys, "power", "--variant", "survival",
                                  "--hr", "0.80", "--power", "0.80")
@@ -641,6 +646,17 @@ def _golden_monitor(variant, *argv):
      "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
     (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.3", "--alpha", "1e-308"],
      "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
+    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.0001"],
+     "error: effect size d=0.0001 needs more than 1e7 patients per arm at power 0.8 "
+     "and alpha 0.05"),
+    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.001", "--power", "0.9",
+                       "--alpha", "0.01"],
+     "error: effect size d=0.001 needs more than 1e7 patients per arm at power 0.9 "
+     "and alpha 0.01"),
+    (_wage("continuous", "--d", "0.0001", "--sims", "2"),
+     "error: effect size d=0.0001 needs more than 1e7 patients per arm"),
+    (_lab("survival", censor_upper=10**400), f"error: censor_upper must be finite, got {10**400}"),
+    (_lab("continuous", mu_trt=-10**309), f"error: mu_trt must be finite, got {-10**309}"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -661,7 +677,9 @@ def _golden_monitor(variant, *argv):
         "lab-mu_ctrl-true", "lab-matrices-5", "matrix-bool-entry", "lab-fixed_dev-string",
         "lab-bet_rule-kelly", "checkpoint-arm-count-negative", "power-survival-alpha-1e-308",
         "power-binary-alpha-1e-308", "wage-survival-alpha-1e-308-sized",
-        "power-continuous-alpha-1e-308"])
+        "power-continuous-alpha-1e-308", "power-continuous-d-1e-4", "power-continuous-d-1e-3",
+        "wage-continuous-d-1e-4-sized", "lab-censor_upper-400-digits",
+        "lab-mu_trt-past-float"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -729,6 +747,10 @@ def _one_value_changed(draw):
 @example(case=("continuous", "mu_ctrl", None))
 @example(case=("multistate", "matrices", 5))
 @example(case=("binary", "fixed_dev", "x"))
+@example(case=("continuous", "mu_ctrl", 10**30))  # two int means past int64
+@example(case=("survival", "censor_upper", 10**400))  # an int past the float range
+@example(case=("binary", "burn_in", 2**63))  # an int burn-in past int64
+@example(case=("continuous", "burn_in", 10**30))
 def test_any_scenario_document_ends_cleanly(case):
     """Exit 0 with a report, or exit 1 with one ``error:`` line; never an
     exception.  A refused value of the wrong JSON type is named."""

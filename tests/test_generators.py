@@ -90,6 +90,19 @@ class TestMultistateTrial:
         assert rate_trt > rate_ctrl + 0.02
 
 
+@pytest.mark.parametrize("ints,floats", [
+    ((3, 1), (3.0, 1.0)),
+    ((10**30, 3), (1e30, 3.0)),  # past int64: numpy would make no int64 array of them
+    ((2**63 + 1, -(2**70)), (float(2**63 + 1), -float(2**70))),
+])
+def test_int_means_draw_as_their_floats(ints, floats):
+    """Means given as ints draw the trial their floats draw, one stream or a block."""
+    for rows in (1, 3):
+        drawn = continuous_trial(_streams(rows), 40, *ints)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in
+                   zip(drawn, continuous_trial(_streams(rows), 40, *floats)))
+
+
 # Each generator with non-default options, and its one-stream reference.
 CALLS = {
     "binary": (binary_trial, oracles.binary_draw, (37, 0.3, 0.45, 0.6), {}),

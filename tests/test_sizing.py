@@ -44,6 +44,17 @@ class TestTTest:
     def test_design_table(self, d, power, n):
         assert size_t_test(d, power) == n
 
+    @pytest.mark.parametrize("d,n", [(1.52, 16), (2.0, 12), (5.0, 6), (20.0, 4), (1e300, 4)])
+    def test_large_effect(self, d, n):
+        """Sized from 2 per arm up: below it the noncentral t is unsound, and
+        an effect that 2 per arm detects (past d ~ 1e10 nct.sf is NaN) is 4."""
+        assert size_t_test(d, 0.8) == n
+
+    @pytest.mark.parametrize("d", [0.001, 0.0001, 1e-300])
+    def test_effect_past_1e7_per_arm_is_refused(self, d):
+        with pytest.raises(ValueError, match=rf"effect size d={d!r} needs more than 1e7 "):
+            size_t_test(d, 0.8)
+
     def test_nonpositive_effect(self):
         with pytest.raises(ValueError):
             size_t_test(0.0, 0.8)
