@@ -69,7 +69,10 @@ class TransitionMatrix:
     probs: tuple  # tuple of row tuples, row-stochastic
 
     def __post_init__(self) -> None:
-        rows = [[float(v) for v in row] for row in self.probs]  # as numpy converts them
+        try:  # as numpy converts them
+            rows = [[float(v) for v in row] for row in self.probs]
+        except OverflowError:  # an int past the float range
+            raise ValueError("a transition-matrix entry is past the float range") from None
         k = len(DEFAULT_MODEL.states)
         shape = (len(rows), *{len(row) for row in rows})
         if shape != (k, k):

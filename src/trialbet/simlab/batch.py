@@ -2,12 +2,16 @@
 
 Each ``<variant>_bet`` replays a complete event stream and returns the
 (wager, multiplier) arrays of the streaming monitor's bets, one entry per
-observation; where the monitor bets nothing the wager is NaN and the
-multiplier exactly 1.0, so ``log_wealth`` adds exactly 0 there.  The bets
-are the state classes' (tests pin this), computed with cumulative sums
-instead of a Python loop.  Every kernel works along the last axis: a (B, n)
-block of B same-length trials gives B rows in one call, each row bit for bit
-what the row's own 1-D call gives, so the engine replays studies in blocks.
+observation: NaN and exactly 1.0 where the monitor bets nothing, so
+``log_wealth`` adds exactly 0 there.  The bets are the state classes' (tests
+pin this), computed with cumulative sums instead of a Python loop.  Every
+kernel works along the last axis: each row of a (B, n) block of B trials is
+bit for bit the row's own 1-D call, so the engine replays studies in blocks.
+All but survival's are predictable: the wager at observation i reads earlier
+observations and the outcome i is conditioned on, never its arm, so a trial
+followed by any suffix keeps its wagers and multipliers bit for bit, and the
+engine zero-pads trials of varying length.  Survival is exempt and never
+padded: its risk sets count the records still to come.
 
 Strategy variants used by the wage-asymmetry study live here as keyword
 switches: ``fixed_dev`` for the binary monitor, ``bet_rule`` for survival,

@@ -18,10 +18,10 @@ changes ``SeedSequence`` fails a test rather than silently moving a stream.
 Replications are drawn and replayed in blocks of ``max(1, _BLOCK_OBS // n)``
 consecutive replications, n the trial size: the generator fills a block's
 (B, n) arrays in one call, each row from its own replication's stream, and
-the batch kernel runs once per block.  Where stream lengths vary (multistate
-transitions, the death streams of a head-to-head study), trials are regrouped
-into blocks of one length.  Every row of a block is computed as its own trial
-would be, so blocking changes no result.
+the batch kernel runs once per block.  Trials of varying length (multistate
+transitions, a head-to-head study's death streams) are zero-padded to the
+block's longest, with no bet past a row's real length; as no bet reads a later
+observation (see ``batch``), every row is computed as its own trial would be.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
+from itertools import islice
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -154,47 +154,49 @@ def _exp(log_e) -> float:
         return float(np.exp(log_e))
 
 
-def _stack(trials: list) -> tuple:
-    return tuple(np.stack(arrays) for arrays in zip(*trials))
+def _block(drawn) -> tuple:
+    """A drawn block and each row's real length; a list of trials whose
+    lengths vary is zero-padded into one (B, longest) block."""
+    if not isinstance(drawn, list):
+        return drawn, np.full(len(drawn[0]), drawn[0].shape[-1])
+    lengths = np.array([len(trial[0]) for trial in drawn])
+    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    block = tuple(np.zeros(real.shape, dtype=x.dtype) for x in drawn[0])
+    for padded, column in zip(block, zip(*drawn)):
+        padded[real] = np.concatenate(column)  # row by row, as the mask runs
+    return block, lengths
 
 
-def _blocks(trials):
-    """Stack consecutive trials of one stream length into (B, n) blocks of at
-    most ``max(1, _BLOCK_OBS // n)`` rows, in trial order: for trials whose
-    lengths vary."""
-    block: list = []
-    for trial in trials:
-        n = len(trial[0])
-        if block and (n != len(block[0][0]) or len(block) >= max(1, _BLOCK_OBS // max(n, 1))):
-            yield _stack(block)
-            block = []
-        block.append(trial)
-    if block:
-        yield _stack(block)
+def _bets(sim, prep, lengths, params: dict) -> tuple:
+    """(wager, multiplier, log-wealth) of a prepared block; past a row's real
+    length no bet is placed (a NaN wager, a multiplier of exactly 1.0)."""
+    wager, mult = sim.bet(prep, params)
+    if lengths.min() < wager.shape[-1]:  # a padded block
+        pad = np.arange(wager.shape[-1]) >= lengths[:, None]
+        wager, mult = np.where(pad, np.nan, wager), np.where(pad, 1.0, mult)
+    return wager, mult, batch.log_wealth((wager, mult))
 
 
 def _bet_blocks(sim, prepared, params: dict, alpha: float):
-    """(first crossing, final log-e, stream length) per trial of prepared blocks."""
+    """(first crossing, final log-e, stream length) per trial of (prepared block, lengths)."""
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # no blocks: no trials
-    for prep in prepared:
-        logw = batch.log_wealth(sim.bet(prep, params))
-        parts.append((*batch.row_outcomes(logw, alpha), np.full(len(logw), logw.shape[-1])))
+    for prep, lengths in prepared:
+        parts.append((*batch.row_outcomes(_bets(sim, prep, lengths, params)[2], alpha), lengths))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def _replay(sim, blocks, params: dict, alpha: float):
-    """(first crossing, final log-e, stream length) per trial of (B, n) blocks."""
-    return _bet_blocks(sim, (sim.prepare(block, params) for block in blocks), params, alpha)
+    """``_bet_blocks`` of drawn (block, real lengths) pairs."""
+    return _bet_blocks(sim, ((sim.prepare(b, params), n) for b, n in blocks), params, alpha)
 
 
 def _draw(scenario: SimScenario, start: int, stop: int):
-    """The scenario's row and its replications [start, stop) as replay blocks,
-    drawn lazily, one generator call per slice of ``_rep_rngs``."""
+    """The scenario's row and its replications [start, stop) as (block, real
+    lengths) pairs, drawn lazily, one generator call per block."""
     sim, p = SIM_VARIANTS[scenario.variant], scenario.params
     rngs = _rep_rngs(scenario.seed, start, stop)
     rows = max(1, _BLOCK_OBS // p[sim.trial_size])
-    drawn = (sim.generate(block, p) for block in iter(lambda: list(islice(rngs, rows)), []))
-    return sim, (_blocks(chain.from_iterable(drawn)) if sim.ragged else drawn)
+    return sim, (_block(sim.generate(b, p)) for b in iter(lambda: list(islice(rngs, rows)), []))
 
 
 def _run_range(scenario: SimScenario, start: int, stop: int):
@@ -210,9 +212,8 @@ def trajectories(scenario: SimScenario, n: int) -> list[tuple]:
     sim, blocks = _draw(scenario, 0, n)
     p = scenario.params
     out = []
-    for block in blocks:
-        bets = sim.bet(sim.prepare(block, p), p)
-        for wager, mult, logw in zip(*bets, batch.log_wealth(bets)):
+    for block, lengths in blocks:
+        for wager, mult, logw in zip(*_bets(sim, sim.prepare(block, p), lengths, p)):
             placed = np.flatnonzero(~np.isnan(wager))
             out.append((placed + 1, wager[placed], mult[placed], logw[placed]))
     return out
@@ -310,11 +311,10 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
                                           "p_trt": p_trt}, n_sims, alpha, seed)
         blocks = list(_draw(scenario, b_idx * n_sims, (b_idx + 1) * n_sims)[1])
         bin_power = _power(_replay(binary, blocks, scenario.params, alpha)[0], n_sims)[1]
-        # hits and death counts do not depend on trial order, so the death
-        # streams are replayed grouped by length, which fills the blocks
-        streams = sorted(((t[y == 1],) for block in blocks for t, y in zip(*block)),
-                         key=lambda d: len(d[0]))
-        death_cross, _, n_deaths = _replay(deaths, _blocks(streams), deaths.defaults, alpha)
+        streams = [(t[y == 1],) for block, _ in blocks for t, y in zip(*block)]
+        size = max(1, _BLOCK_OBS // max(1, *(len(s) for s, in streams)))
+        death_blocks = (_block(streams[i:i + size]) for i in range(0, n_sims, size))
+        death_cross, _, n_deaths = _replay(deaths, death_blocks, deaths.defaults, alpha)
         death_power = _power(death_cross, n_sims)[1]
         delta = (death_power - bin_power) * 100.0
         winner = "deaths" if delta > 1.0 else ("binary" if delta < -1.0 else "tied")
@@ -364,7 +364,7 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
         n = sim.size(*trial.values(), DESIGN_POWER, alpha) if n_patients is None else n_patients
         scenario = SimScenario(variant, {"n_patients": n, **trial}, n_sims, alpha, seed)
         blocks = _draw(scenario, e_idx * n_sims, (e_idx + 1) * n_sims)[1]
-        prepared = [sim.prepare(block, scenario.params) for block in blocks]
+        prepared = [(sim.prepare(block, scenario.params), lengths) for block, lengths in blocks]
         for label, replay in replays:
             crossings, finals = _bet_blocks(sim, prepared, replay, alpha)[:2]
             _, power, se, med_cross = _power(crossings, n_sims)
@@ -376,6 +376,6 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
 def _wage_evaluate(variant: str, strategy: BettingStrategy, trials, alpha: float):
     """Replay every trial under one strategy, as the wage study does; returns
     (first crossing or NaN, final log-e) arrays in trial order."""
-    sim = SIM_VARIANTS[variant]
-    prepared = [sim.prepare(block, sim.defaults) for block in _blocks(trials)]
-    return _bet_blocks(sim, prepared, strategy.params(variant), alpha)[:2]
+    block = tuple(np.stack(column) for column in zip(*trials))
+    return _replay(SIM_VARIANTS[variant], [_block(block)] if block else [],
+                   strategy.params(variant), alpha)[:2]

@@ -5,11 +5,11 @@ sequence of B of them, and draws a whole block in one call: one trial per
 stream, each stream drawn in a fixed order, so a replication is fully
 determined by its RNG stream.  With one ``Generator`` a generator returns the
 trial's 1-D arrays; with B it returns (B, n) arrays whose row r is bit for bit
-what ``rngs[r]`` alone gives (multistate: B trials, whose lengths vary).  Each
-stream fills its own row of the block's uniforms, and the arithmetic runs
-once over the block.  Arms are i.i.d. Bernoulli(p) rather than
-block-randomized, matching the simulation design the operating
-characteristics are calibrated against.
+what ``rngs[r]`` alone gives (multistate: a list of B trials of varying
+length, which the engine zero-pads into one block).  Each stream fills its own
+row of the block's uniforms, and the arithmetic runs once over the block.
+Arms are i.i.d. Bernoulli(p) rather than block-randomized, matching the
+simulation design the operating characteristics are calibrated against.
 """
 
 from __future__ import annotations

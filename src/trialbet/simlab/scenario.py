@@ -65,15 +65,15 @@ class SimVariant:
     ``generate(rngs, params)`` draws a block of trials in one call, one per
     stream: a tuple of (B, n) arrays, one row per trial and one entry per
     observation; a lone ``Generator`` gives one trial's 1-D arrays.  Where
-    stream lengths vary (``ragged``), it gives a list of B trials, each a
-    tuple of equal-length arrays, and the engine regroups them.  The first
-    parameter declared is the trial size n.  A replay is
+    stream lengths vary, it gives a list of B trials, each a tuple of
+    equal-length arrays, and the engine zero-pads them into one block.  The
+    first parameter declared is the trial size n.  A replay is
     ``bet(prepare(data, params), params)`` on a (B, n) block; it gives the
     (B, n) wager and multiplier of each observation from the batch kernel
     (NaN and 1.0 where no bet is placed).  ``prepare`` holds the work no
     wager rule reads, so the wage study prepares a block once and bets it
-    once per strategy; it is the identity where strategies share nothing.  Generators and kernels are
-    looked up on their modules at call time.
+    once per strategy; it is the identity where strategies share nothing.
+    Generators and kernels are looked up on their modules at call time.
     """
 
     params: dict[str, tuple[Any, Rule]]  # name: (default, rule), in report order; the
@@ -85,7 +85,6 @@ class SimVariant:
     size: Callable | None = None      # design calculator: size(*flag values, power, alpha)
     size_flags: tuple[str, ...] = ()  # the ``power`` options that lead its arguments
     wage: Wage | None = None
-    ragged: bool = False  # trials of one scenario differ in stream length
 
     @property
     def defaults(self) -> dict[str, Any]:
@@ -217,7 +216,7 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          **_monitor("multistate")},
         generate=_multistate_trials,
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
-        check=_check_multistate, ragged=True),
+        check=_check_multistate),
 }
 
 

@@ -1,9 +1,11 @@
 """Block replay: a stacked block of trials gives each row's own 1-D result.
 
-The engine replays consecutive same-length replications as one (B, n) block,
-so every kernel must treat a row exactly as it treats that trial alone, bit
-for bit, and the engine's results must not depend on where a replication
-range starts or stops relative to the blocks.
+The engine replays consecutive replications as one (B, n) block, so every
+kernel must treat a row exactly as it treats that trial alone, bit for bit,
+and the engine's results must not depend on where a replication range starts
+or stops relative to the blocks.  Trials whose lengths vary (multistate
+transitions, death streams) are zero-padded to the block's longest row, and
+each padded row must still give its own trial's replay.
 """
 
 import json
@@ -14,7 +16,7 @@ import pytest
 
 from trialbet.multistate import CONTROL_DAILY, TREATMENT_DAILY
 from trialbet.simlab import batch, generators
-from trialbet.simlab.engine import _BLOCK_OBS, _run_range, rep_rng
+from trialbet.simlab.engine import _BLOCK_OBS, _block, _replay, _run_range, rep_rng
 from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 
 ROOT = Path(__file__).parent.parent
@@ -61,6 +63,10 @@ def _multistate(rng, n):
     return trial.good[:n], trial.arms[:n]
 
 
+def _deaths(rng, n):
+    return (generators.death_stream(rng, n, 0.4),)
+
+
 @pytest.mark.parametrize("n", LENGTHS)
 @pytest.mark.parametrize("options", [{}, SHORT, {"fixed_dev": 0.08}, {"fixed_dev": -0.1}])
 def test_binary_block(n, options):
@@ -70,7 +76,7 @@ def test_binary_block(n, options):
 @pytest.mark.parametrize("n", LENGTHS)
 @pytest.mark.parametrize("options", [{}, SHORT])
 def test_deaths_block(n, options):
-    rows = _rows(lambda rng, k: (generators.death_stream(rng, k, 0.4),), n)
+    rows = _rows(_deaths, n)
     _assert_rowwise(batch.deaths_log_wealth, rows, **options)
 
 
@@ -80,6 +86,29 @@ def test_multistate_block(n, options):
     rows = _rows(_multistate, n)
     assert all(row[0].size == n for row in rows)
     _assert_rowwise(batch.multistate_log_wealth, rows, **options)
+
+
+@pytest.mark.parametrize("lengths", [[0, 1, 2], [2, 0, 1, 0], [0, 0, 0], [0],
+                                     [260, 0, 1, 40, 2, 3, 260]])
+@pytest.mark.parametrize("variant,make", [("multistate", _multistate), ("deaths", _deaths)])
+@pytest.mark.parametrize("options", [{}, SHORT])
+@pytest.mark.parametrize("alpha", [0.05, 0.5])
+def test_a_padded_row_is_its_own_trial(lengths, variant, make, options, alpha):
+    """Trials of lengths 0, 1, 2 and mixed, padded into one block: each row's
+    first crossing, final log-e and stream length are its own 1-D replay's."""
+    sim = SIM_VARIANTS[variant]
+    p = {**sim.defaults, **options}
+    rng = np.random.default_rng(sum(lengths))
+    trials = [make(rng, n) for n in lengths]
+    block, real_lengths = _block(trials)
+    assert block[0].shape == (len(lengths), max(lengths)) and real_lengths.tolist() == lengths
+    crossing, final, length = _replay(sim, [(block, real_lengths)], p, alpha)
+    for k, trial in enumerate(trials):
+        logw = batch.log_wealth(sim.bet(sim.prepare(trial, p), p))
+        alone = batch.row_outcomes(logw[None], alpha)
+        assert crossing[k:k + 1].tobytes() == alone[0].tobytes(), k
+        assert final[k:k + 1].tobytes() == alone[1].tobytes(), k
+        assert length[k] == logw.size == lengths[k]
 
 
 @pytest.mark.parametrize("n", LENGTHS)

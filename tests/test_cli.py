@@ -657,6 +657,8 @@ def _golden_monitor(variant, *argv):
      "error: effect size d=0.0001 needs more than 1e7 patients per arm"),
     (_lab("survival", censor_upper=10**400), f"error: censor_upper must be finite, got {10**400}"),
     (_lab("continuous", mu_trt=-10**309), f"error: mu_trt must be finite, got {-10**309}"),
+    (_matrices(lambda rows: [[10**400, *rows[0][1:]], *rows[1:]]),
+     "error: a transition-matrix entry is past the float range"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -679,7 +681,7 @@ def _golden_monitor(variant, *argv):
         "power-binary-alpha-1e-308", "wage-survival-alpha-1e-308-sized",
         "power-continuous-alpha-1e-308", "power-continuous-d-1e-4", "power-continuous-d-1e-3",
         "wage-continuous-d-1e-4-sized", "lab-censor_upper-400-digits",
-        "lab-mu_trt-past-float"])
+        "lab-mu_trt-past-float", "matrix-entry-400-digits"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -751,6 +753,9 @@ def _one_value_changed(draw):
 @example(case=("survival", "censor_upper", 10**400))  # an int past the float range
 @example(case=("binary", "burn_in", 2**63))  # an int burn-in past int64
 @example(case=("continuous", "burn_in", 10**30))
+@example(case=("multistate", "matrices",  # a matrix entry past the float range
+               {"trt": [[10**400, *CONTROL_DAILY.probs[0][1:]], *CONTROL_DAILY.probs[1:]],
+                "ctrl": CONTROL_DAILY.probs}))
 def test_any_scenario_document_ends_cleanly(case):
     """Exit 0 with a report, or exit 1 with one ``error:`` line; never an
     exception.  A refused value of the wrong JSON type is named."""
