@@ -27,7 +27,7 @@ from functools import cache
 from typing import Any, get_type_hints
 
 from .continuous import _ArmMoments
-from .core import RampSchedule
+from .core import RampSchedule, finite
 from .multistate import DEFAULT_MODEL
 from .variants import MONITORS
 
@@ -86,13 +86,25 @@ def encode_state(obj) -> dict[str, Any]:
 
 
 def _field(doc: dict, name: str, json_type):
-    """``doc[name]``, which must be a ``json_type`` (a bool counts as no number)."""
+    """``doc[name]``, which must be a ``json_type`` (a bool counts as no number)
+    and, if an int, within the float range."""
     if name not in doc:
         raise ValueError(f"no field {name!r}")
     value = doc[name]
     if not isinstance(value, json_type) or (isinstance(value, bool) and json_type is not bool):
         raise TypeError(f"field {name!r} has the wrong type: {value!r}")
+    if isinstance(value, int) and not finite(value):
+        raise ValueError(f"field {name!r} is past the float range: {value!r}")
     return value
+
+
+def _from_hex(name: str, texts: list) -> list[float]:
+    """The floats that hex strings written by ``float.hex`` spell; one past the
+    float range is refused."""
+    try:
+        return list(map(float.fromhex, texts))
+    except OverflowError:
+        raise ValueError(f"field {name!r} holds a hex float past the float range") from None
 
 
 def decode_state(cls, doc: dict):
@@ -109,9 +121,9 @@ def decode_state(cls, doc: dict):
         elif how == "object":
             kwargs[name] = decode_state(hint, _field(doc, name, dict))
         elif how == "hex":
-            kwargs[name] = float.fromhex(_field(doc, name, str))
+            (kwargs[name],) = _from_hex(name, [_field(doc, name, str)])
         elif how == "hexes":
-            kwargs[name] = list(map(float.fromhex, _field(doc, name, list)))
+            kwargs[name] = _from_hex(name, _field(doc, name, list))
         else:
             kwargs[name] = _field(doc, name, (int, float) if hint is float else hint)
     return cls(**kwargs)

@@ -18,6 +18,7 @@ settled bet has one outlet, the ledger: settling returns nothing.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass
 from functools import cached_property
 
@@ -25,6 +26,15 @@ from functools import cached_property
 # Keeps every payout strictly positive so log-wealth stays finite.
 WAGER_MIN = 0.001
 WAGER_MAX = 0.999
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def finite(v) -> bool:
+    """Whether the number ``v`` is a finite float or an int within the float
+    range.  Unlike ``math.isfinite``, an int past that range gives False rather
+    than raising OverflowError."""
+    return abs(v) <= _FLOAT_MAX
 
 
 @dataclass(frozen=True)
@@ -36,11 +46,13 @@ class RampSchedule:
     ramp: int
 
     def __post_init__(self) -> None:
-        # a bool is no count: ``true`` would otherwise run as 1
-        if isinstance(self.burn_in, bool) or self.burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {self.burn_in!r}")
-        if isinstance(self.ramp, bool) or self.ramp < 1:
-            raise ValueError(f"ramp must be >= 1, got {self.ramp!r}")
+        for key, least in (("burn_in", 0), ("ramp", 1)):
+            value = getattr(self, key)
+            # a bool is no count: ``true`` would otherwise run as 1
+            if isinstance(value, bool) or not value >= least:
+                raise ValueError(f"{key} must be >= {least}, got {value!r}")
+            if not finite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
 
     def coefficient(self, i: int) -> float:
         """Betting strength in [0, 1] at 1-based observation index ``i``."""

@@ -5,16 +5,18 @@ sequence of B of them, and draws a whole block in one call: one trial per
 stream, each stream drawn in a fixed order, so a replication is fully
 determined by its RNG stream.  With one ``Generator`` a generator returns the
 trial's 1-D arrays; with B it returns (B, n) arrays whose row r is bit for bit
-what ``rngs[r]`` alone gives (multistate: a list of B trials of varying
-length, which the engine zero-pads into one block).  Each stream fills its own
-row of the block's uniforms, and the arithmetic runs once over the block.
+what ``rngs[r]`` alone gives.  Multistate trials vary in length: one is a
+``MultistateTrial``, the (good, arms) arrays the batch kernel reads, and B of
+them are a list, which the engine zero-pads into one block.  Each stream fills
+its own row of the block's uniforms, and the arithmetic runs once over the
+block.
 Arms are i.i.d. Bernoulli(p) rather than block-randomized, matching the
 simulation design the operating characteristics are calibrated against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -103,13 +105,11 @@ def survival_trial(rng, n: int, hr: float = 1.0, shape: float = 1.2, scale: floa
     return out(time), out(status), out(treatment), out(entry)
 
 
-@dataclass(frozen=True)
-class MultistateTrial:
+class MultistateTrial(NamedTuple):
     """One simulated trajectory trial, transitions flattened in patient order."""
 
-    good: np.ndarray         # bool per transition
-    arms: np.ndarray         # int8 per transition
-    final_states: np.ndarray # state index per patient at the horizon
+    good: np.ndarray  # bool per transition
+    arms: np.ndarray  # int8 per transition
 
 
 def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
@@ -149,9 +149,7 @@ def multistate_trial(rng, n_patients: int, matrix_trt: TransitionMatrix,
     for a, b in DEFAULT_MODEL.good:
         good |= (frm == DEFAULT_MODEL.index(a)) & (to == DEFAULT_MODEL.index(b))
     cuts = np.searchsorted(patient, np.arange(1, len(rngs)) * n_patients)  # trial boundaries
-    final = states[horizon].reshape(len(rngs), n_patients).copy()
-    return out([MultistateTrial(g, a, f) for g, a, f in zip(
-        np.split(good, cuts), np.split(arms[patient], cuts), final)])
+    return out(list(map(MultistateTrial, np.split(good, cuts), np.split(arms[patient], cuts))))
 
 
 __all__ = [

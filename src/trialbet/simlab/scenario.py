@@ -16,11 +16,11 @@ wager-cap defaults the rows below reuse.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Mapping, NamedTuple
 
 from ..continuous import DEFAULT_C_MAX
+from ..core import finite
 from ..multistate import CONTROL_DAILY, DEFAULT_MODEL, TREATMENT_DAILY, TransitionMatrix
 from ..survival import DEFAULT_BET_CAP
 from ..variants import MONITORS, SCHEMA_VERSION
@@ -66,7 +66,8 @@ class SimVariant:
     stream: a tuple of (B, n) arrays, one row per trial and one entry per
     observation; a lone ``Generator`` gives one trial's 1-D arrays.  Where
     stream lengths vary, it gives a list of B trials, each a tuple of
-    equal-length arrays, and the engine zero-pads them into one block.  The
+    equal-length arrays (multistate: a ``generators.MultistateTrial``), and
+    the engine zero-pads them into one block.  The
     first parameter declared is the trial size n.  A replay is
     ``bet(prepare(data, params), params)`` on a (B, n) block; it gives the
     (B, n) wager and multiplier of each observation from the batch kernel
@@ -134,16 +135,6 @@ def _monitor(variant: str, *options: str) -> dict[str, tuple[Any, Rule]]:
     its monitor default and its monitor rule."""
     defaults = MONITORS[variant].defaults
     return {key: (defaults[key], _MONITOR_RULES[key]) for key in ("burn_in", "ramp", *options)}
-
-
-def _multistate_trials(rng, p):
-    """Each trial's (good, arms) transitions: a list of them for a sequence of streams."""
-    m_trt, m_ctrl = multistate_matrices(p["effect"], p["matrices"])
-    drawn = generators.multistate_trial(rng, p["n_patients"], m_trt, m_ctrl,
-                                        p["start"], p["horizon"])
-    if isinstance(drawn, list):
-        return [(trial.good, trial.arms) for trial in drawn]
-    return drawn.good, drawn.arms
 
 
 def _check_multistate(p) -> None:
@@ -214,7 +205,9 @@ SIM_VARIANTS: dict[str, SimVariant] = {
          "matrices": (None, _MATRICES), "horizon": (28, _SIZE),
          "start": ("ICU", (lambda v: v in _STARTS, f"one of the non-absorbing states {_STARTS}")),
          **_monitor("multistate")},
-        generate=_multistate_trials,
+        generate=lambda rng, p: generators.multistate_trial(
+            rng, p["n_patients"], *multistate_matrices(p["effect"], p["matrices"]), p["start"],
+            p["horizon"]),
         bet=lambda d, p: batch.multistate_bet(*d, p["burn_in"], p["ramp"]),
         check=_check_multistate),
 }
@@ -284,7 +277,7 @@ class SimScenario:
             if not ok(value):
                 raise ValueError(f"{key} must be {what}, got {value!r}")
             # no trial is drawn (NaN, an infinity or an int past the float range)
-            if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+            if isinstance(value, (int, float)) and not finite(value):
                 raise ValueError(f"{key} must be finite, got {value!r}")
             params[key] = value
         sim.check(params)

@@ -14,14 +14,13 @@ Carlo lab nor scipy.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Any, Callable
 
 from . import binary, continuous, deaths, multistate, survival
-from .core import RampSchedule
+from .core import RampSchedule, finite
 
 SCHEMA_VERSION = 1  # of the JSON reports and CSV exports
 
@@ -70,7 +69,7 @@ def flag_field(record: dict, key: str) -> int:
 
 def _finite_field(record: dict, key: str) -> float:
     v = record[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if type(v) not in (float, int) or not finite(v):  # a bool is no number
         raise ValueError(f"field {key!r} must be a finite number, got {v!r}")
     return float(v)
 

@@ -12,8 +12,8 @@ two-sided wager, from the payouts the ledger settles.
 takes it: by time on study, stable on ties.
 
 ``day_horizon_distribution`` draws one arm's cohort through its daily
-transition matrix on its own, so the multistate generator's horizon states
-can be checked against it and against the matrix power.
+transition matrix on its own: the horizon state distribution that is checked
+against the matrix power and against the source's day-28 table (C11).
 
 ``binary_draw``, ``death_draw``, ``continuous_draw``, ``survival_draw`` and
 ``multistate_draw`` draw one trial from one stream with numpy's own
@@ -172,13 +172,13 @@ def survival_draw(rng, n: int, hr: float = 1.0, shape: float = 1.2, scale: float
 
 def multistate_draw(rng, n: int, matrix_trt, matrix_ctrl, start: str = "ICU",
                     horizon: int = 28):
-    """(good, arms, final_states): each patient walked through the days on its
-    own, the next state the first whose cumulative probability exceeds u (the
-    last state past the row total)."""
+    """(good, arms): each patient walked through the days on its own, the
+    next state the first whose cumulative probability exceeds u (the last
+    state past the row total)."""
     arms = (rng.random(n) < 0.5).astype(np.int8)
     u = rng.random((horizon, n))
     cum = [np.cumsum(np.asarray(m.probs, dtype=float), axis=1) for m in (matrix_ctrl, matrix_trt)]
-    good, arm_of, final = [], [], []
+    good, arm_of = [], []
     for patient, arm in enumerate(arms.tolist()):
         state = DEFAULT_MODEL.index(start)
         for day in range(horizon):
@@ -188,9 +188,7 @@ def multistate_draw(rng, n: int, matrix_trt, matrix_ctrl, start: str = "ICU",
                             in DEFAULT_MODEL.good)
                 arm_of.append(arm)
             state = drawn
-        final.append(state)
-    return (np.array(good, dtype=bool), np.array(arm_of, dtype=np.int8),
-            np.array(final, dtype=np.int8))
+    return np.array(good, dtype=bool), np.array(arm_of, dtype=np.int8)
 
 
 def parse_event(monitor, line: str, line_no: int) -> tuple:

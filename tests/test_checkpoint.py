@@ -1,9 +1,16 @@
+import contextlib
 import dataclasses
+import functools
+import io
 import json
+import math
+import operator
 import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as hs
 
 from trialbet import checkpoint as ckpt
 from trialbet.cli import main
@@ -21,6 +28,15 @@ GOLDEN_ARGS = {
     "survival": ["--risk-trt", "60", "--risk-ctrl", "60", "--lambda-max", "0.3"],
     "multistate": [],
 }
+
+
+def run_main(argv):
+    """(exit code, stdout, stderr) of ``main``, without pytest's capture
+    fixtures, which hypothesis tests cannot use."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
@@ -221,3 +237,63 @@ def test_periodic_checkpoint_survives_a_failed_run(capsys, tmp_path, variant):
                     "--report", str(report)) in (0, 10)
     assert "resumed from checkpoint at line 35" in capsys.readouterr().err
     assert report.read_text() == (GOLDEN / f"{variant}.report.json").read_text()
+
+
+def _paths(node, path=()):
+    """The path (keys and indexes) of every entry of a JSON document."""
+    entries = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in entries:
+        yield (*path, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*path, key))
+
+
+def _entry(doc, path):
+    return functools.reduce(operator.getitem, path, doc)
+
+
+_HUGE_INTS = hs.sampled_from([10**19, 10**300, 10**309, 10**400]).flatmap(
+    lambda v: hs.sampled_from([v, -v]))
+# each corruption that replaces an entry: what replaces it, and the entries it is drawn for
+_REPLACEMENTS = {
+    "type swap": (hs.sampled_from(["x", "", 0.5, 3, True, None, [], {}]), lambda v: True),
+    "huge int": (_HUGE_INTS, lambda v: type(v) in (int, float)),
+    "hex past range": (hs.sampled_from(["0x1p+1024", "-0x1.8p+1100"]),
+                       lambda v: isinstance(v, str) and "0x" in v),  # a running float
+    "nan": (hs.just(math.nan), lambda v: True),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+@settings(max_examples=30, deadline=None)
+@given(data=hs.data())
+def test_any_corrupt_field_ends_cleanly(variant, data):
+    """One entry of a golden checkpoint swapped for another type, an int far
+    past int64 or the float range, a hex float past that range or NaN, or
+    deleted, or a key added beside it: the resume ends in exit 0 or 10, or
+    in exit 1 with one ``error:`` line, the last; never in a traceback."""
+    doc = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
+    how = data.draw(hs.sampled_from([*_REPLACEMENTS, "delete", "extra"]), label="corruption")
+    value, fits = _REPLACEMENTS.get(how, (None, lambda v: True))
+    *parents, last = data.draw(hs.sampled_from(
+        [path for path in _paths(doc) if fits(_entry(doc, path))]), label="path")
+    node = _entry(doc, parents)
+    if how == "delete":
+        del node[last]
+    elif how == "extra" and isinstance(node, dict):
+        node["extra"] = 0
+    elif how == "extra":
+        node.append(0)
+    else:
+        node[last] = data.draw(value, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = Path(tmp) / "ck.json"
+        ck.write_text(json.dumps(doc))
+        code, out, err = run_main(["monitor", "--variant", variant, "--checkpoint", str(ck),
+                                   "--resume", "--input", str(GOLDEN / f"{variant}.ndjson"),
+                                   *GOLDEN_ARGS[variant]])
+    errors = [row for row in err.splitlines() if row.startswith("error:")]
+    if code == 1:
+        assert errors == err.splitlines()[-1:] and out == "", err
+    else:
+        assert code in (0, 10) and errors == [] and json.loads(out)["crossed"] == (code == 10)

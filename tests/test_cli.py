@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
-from test_monitor_stream import _run
+from test_checkpoint import GOLDEN, GOLDEN_ARGS, run_main
 from trialbet.binary import BinaryState
 from trialbet.cli import EXIT_CROSSED, EXIT_ERROR, EXIT_OK, main
 from trialbet.multistate import CONTROL_DAILY
@@ -449,40 +449,30 @@ def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_str
     _one_error_line(code, err)
 
 
-def _checkpoint_schema(schema):
-    """A resume from the golden binary checkpoint with its schema set to ``schema``."""
+def _edited_checkpoint(variant, path, value):
+    """A resume from the golden ``variant`` checkpoint with the entry at
+    ``path`` (keys and indexes into its document) set to ``value``."""
     def argv(tmp_path):
-        from test_checkpoint import GOLDEN
-
-        doc = json.loads((GOLDEN / "binary.ckpt.json").read_text())
-        ck = tmp_path / "ck.json"
-        ck.write_text(json.dumps({**doc, "schema": schema}))
-        return ["monitor", "--variant", "binary", "--input", str(GOLDEN / "binary.ndjson"),
-                "--checkpoint", str(ck), "--resume"]
-    return argv
-
-
-def _continuous_arm_count(n):
-    """A resume from the golden continuous checkpoint with its treated count set to ``n``."""
-    def argv(tmp_path):
-        from test_checkpoint import GOLDEN, GOLDEN_ARGS
-
-        doc = json.loads((GOLDEN / "continuous.ckpt.json").read_text())
-        doc["state"]["trt"][0] = n
+        doc = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
         ck = tmp_path / "ck.json"
         ck.write_text(json.dumps(doc))
-        return ["monitor", "--variant", "continuous", "--input",
-                str(GOLDEN / "continuous.ndjson"), "--checkpoint", str(ck), "--resume",
-                *GOLDEN_ARGS["continuous"]]
+        return ["monitor", "--variant", variant, "--input", str(GOLDEN / f"{variant}.ndjson"),
+                "--checkpoint", str(ck), "--resume", *GOLDEN_ARGS[variant]]
     return argv
 
 
-def _entry_after_event(tmp_path):
-    path = tmp_path / "events.ndjson"
-    write_ndjson(path, [{"time": 2.0, "status": 1, "arm": 1},
-                        {"time": 3.0, "status": 1, "arm": 0, "entry_time": 4.5}])
-    return ["monitor", "--variant", "survival", "--risk-trt", "5", "--risk-ctrl", "5",
-            "--input", str(path)]
+def _events(variant, records, *options):
+    """``monitor`` on a stream of ``records``."""
+    def argv(tmp_path):
+        path = tmp_path / "events.ndjson"
+        write_ndjson(path, records)
+        return ["monitor", "--variant", variant, "--input", str(path), *options]
+    return argv
 
 
 def _scenario(doc):
@@ -515,18 +505,18 @@ def _wage(variant, *argv):
 def _golden_monitor(variant, *argv):
     """``monitor`` on a golden stream with extra options."""
     def make(tmp_path):
-        from test_checkpoint import GOLDEN
-
         return ["monitor", "--variant", variant,
                 "--input", str(GOLDEN / f"{variant}.ndjson"), *argv]
     return make
 
 
 @pytest.mark.parametrize("argv,message", [
-    (_checkpoint_schema(3), "error: unsupported checkpoint schema: 3"),
-    (_checkpoint_schema(True), "error: unsupported checkpoint schema: True"),
-    (_checkpoint_schema(1.0), "error: unsupported checkpoint schema: 1.0"),
-    (_entry_after_event, "error: line 2: negative time on study"),
+    (_edited_checkpoint("binary", ["schema"], 3), "error: unsupported checkpoint schema: 3"),
+    (_edited_checkpoint("binary", ["schema"], True), "error: unsupported checkpoint schema: True"),
+    (_edited_checkpoint("binary", ["schema"], 1.0), "error: unsupported checkpoint schema: 1.0"),
+    (_events("survival", [{"time": 2.0, "status": 1, "arm": 1},
+                          {"time": 3.0, "status": 1, "arm": 0, "entry_time": 4.5}],
+             "--risk-trt", "5", "--risk-ctrl", "5"), "error: line 2: negative time on study"),
     (_scenario({"variant": "binary", "params": _BINARY, "alpha": 1.5}),
      "error: alpha must be in (0,1)"),
     (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 0}),
@@ -635,7 +625,7 @@ def _golden_monitor(variant, *argv):
      "error: fixed_dev must be a number when set, got 'x'"),
     (_lab("survival", bet_rule="kelly"),
      "error: bet_rule must be 'fixed' or 'half_kelly', got 'kelly'"),
-    (_continuous_arm_count(-1),
+    (_edited_checkpoint("continuous", ["state", "trt", 0], -1),
      "error: corrupt checkpoint: arm counts must be >= 0, got -1 and 29"),
     (lambda tmp_path: ["power", "--variant", "survival", "--hr", "0.5", "--alpha", "1e-308"],
      "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
@@ -659,6 +649,32 @@ def _golden_monitor(variant, *argv):
     (_lab("continuous", mu_trt=-10**309), f"error: mu_trt must be finite, got {-10**309}"),
     (_matrices(lambda rows: [[10**400, *rows[0][1:]], *rows[1:]]),
      "error: a transition-matrix entry is past the float range"),
+    (_events("continuous", [{"arm": 1, "y": 10**400}]),
+     f"error: line 1: field 'y' must be a finite number, got {10**400}"),
+    (_events("survival", [{"time": -10**400, "status": 1, "arm": 0}], "--risk-trt", "5",
+             "--risk-ctrl", "5"),
+     f"error: line 1: field 'time' must be a finite number, got {-10**400}"),
+    (_events("survival", [{"time": 3.0, "status": 1, "arm": 0, "entry_time": 10**400}],
+             "--risk-trt", "5", "--risk-ctrl", "5"),
+     f"error: line 1: field 'entry_time' must be a finite number, got {10**400}"),
+    (_golden_monitor("binary", "--burn-in", str(10**400)),
+     f"error: burn_in must be finite, got {10**400}"),
+    (_golden_monitor("deaths", "--ramp", str(10**400)),
+     f"error: ramp must be finite, got {10**400}"),
+    (_edited_checkpoint("binary", ["state", "ledger", "log_wealth"], "0x1p+1024"),
+     "error: corrupt checkpoint: field 'log_wealth' holds a hex float past the float range"),
+    (_edited_checkpoint("survival", ["state", "cum_z"], "-0x1p+1024"),
+     "error: corrupt checkpoint: field 'cum_z' holds a hex float past the float range"),
+    (_edited_checkpoint("continuous", ["state", "values", 3], "0x1.8p+1025"),
+     "error: corrupt checkpoint: field 'values' holds a hex float past the float range"),
+    (_edited_checkpoint("continuous", ["state", "ctrl", 2], "0x1p+1024"),
+     "error: corrupt checkpoint: field 'm2' holds a hex float past the float range"),
+    (_edited_checkpoint("binary", ["state", "e_trt"], 10**400),
+     f"error: corrupt checkpoint: field 'e_trt' is past the float range: {10**400}"),
+    (_edited_checkpoint("multistate", ["state", "good_trt"], 10**400),
+     f"error: corrupt checkpoint: field 'good_trt' is past the float range: {10**400}"),
+    (_edited_checkpoint("continuous", ["state", "trt", 0], 10**400),
+     f"error: corrupt checkpoint: field 'n' is past the float range: {10**400}"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -681,7 +697,12 @@ def _golden_monitor(variant, *argv):
         "power-binary-alpha-1e-308", "wage-survival-alpha-1e-308-sized",
         "power-continuous-alpha-1e-308", "power-continuous-d-1e-4", "power-continuous-d-1e-3",
         "wage-continuous-d-1e-4-sized", "lab-censor_upper-400-digits",
-        "lab-mu_trt-past-float", "matrix-entry-400-digits"])
+        "lab-mu_trt-past-float", "matrix-entry-400-digits", "event-y-400-digits",
+        "event-time-400-digits", "event-entry_time-400-digits", "monitor-burn-in-400-digits",
+        "monitor-ramp-400-digits", "checkpoint-log_wealth-hex-past-float",
+        "checkpoint-cum_z-hex-past-float", "checkpoint-values-hex-past-float",
+        "checkpoint-moment-hex-past-float", "checkpoint-e_trt-400-digits",
+        "checkpoint-good_trt-400-digits", "checkpoint-arm-count-400-digits"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))
@@ -765,7 +786,7 @@ def test_any_scenario_document_ends_cleanly(case):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sc.json"
         path.write_text(json.dumps(doc))
-        code, out, err = _run(["simulate", "--scenario", str(path)])
+        code, out, err = run_main(["simulate", "--scenario", str(path)])
     if code == EXIT_OK:
         assert out.startswith(f"variant             {doc['variant']}\n") and err == ""
     else:

@@ -8,9 +8,8 @@ most one ``error:`` line, and a run cut at any line and resumed from its
 checkpoint must report exactly what the uninterrupted run reports.
 """
 
-import contextlib
-import io
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -18,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import oracles
-from test_checkpoint import GOLDEN, GOLDEN_ARGS
-from trialbet.cli import main, parse_event
+from test_checkpoint import GOLDEN, GOLDEN_ARGS, run_main
+from trialbet.cli import parse_event
 from trialbet.variants import MONITORS
 
 FIELDS = sorted(set().union(*(m.allowed for m in MONITORS.values())) | {"Arm", "extra"})
@@ -32,9 +31,13 @@ _SCALARS = hs.one_of(
 _VALUES = hs.one_of(_SCALARS, hs.lists(_SCALARS, max_size=2),
                     hs.dictionaries(hs.sampled_from(FIELDS), _SCALARS, max_size=1))
 _FLAG = hs.sampled_from([0, 1, 1, 0, True, False, 1.0, 2, "1", None])
-_TIME = hs.one_of(hs.floats(-1.0, 50.0), hs.integers(-1, 50), hs.floats(), hs.just("3"))
+# ints past the float range, which a JSON number may be
+_PAST_FLOAT = hs.one_of(hs.integers(int(sys.float_info.max) + 1, 10**400),
+                        hs.integers(-10**400, -int(sys.float_info.max) - 1))
+_TIME = hs.one_of(hs.floats(-1.0, 50.0), hs.integers(-1, 50), hs.floats(), hs.just("3"),
+                  _PAST_FLOAT)
 _VALUE_OF = {"arm": _FLAG, "outcome": _FLAG, "status": _FLAG, "time": _TIME,
-             "entry_time": _TIME, "y": hs.one_of(hs.floats(-5, 5), hs.floats()),
+             "entry_time": _TIME, "y": hs.one_of(hs.floats(-5, 5), hs.floats(), _PAST_FLOAT),
              "from": _SCALARS, "to": _SCALARS, "day": hs.integers(0, 30)}
 # JSON whitespace is " \t\n\r" only; the others are str.strip whitespace or not whitespace
 _LEAD = ["", "", " ", "\t", "\r", "\n", "\ufeff", "\x0c", "\u00a0", "x"]
@@ -75,13 +78,6 @@ def test_parse_event_matches_json_loads_reference(variant, data):
             == _outcome(oracles.parse_event, monitor, line, 7))
 
 
-def _run(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
 # small survival cohorts, so arbitrary streams also exhaust a risk set
 _FUZZ_ARGS = {**GOLDEN_ARGS, "survival": ["--risk-trt", "4", "--risk-ctrl", "4"]}
 
@@ -97,10 +93,10 @@ def test_monitor_ends_arbitrary_streams_cleanly(variant, data):
     with tempfile.TemporaryDirectory() as tmp:
         stream = Path(tmp) / "events.ndjson"
         stream.write_bytes(b"\n".join(raw))
-        code, out, err = _run(["monitor", "--variant", variant, "--input", str(stream),
-                               "--checkpoint", str(Path(tmp) / "ck.json"),
-                               "--checkpoint-every", "3", "--progress-every", "2",
-                               *_FUZZ_ARGS[variant]])
+        code, out, err = run_main(["monitor", "--variant", variant, "--input", str(stream),
+                                   "--checkpoint", str(Path(tmp) / "ck.json"),
+                                   "--checkpoint-every", "3", "--progress-every", "2",
+                                   *_FUZZ_ARGS[variant]])
     errors = [row for row in err.splitlines() if row.startswith("error:")]
     assert code in (0, 1, 10)
     if code == 1:
@@ -120,9 +116,9 @@ def test_resume_from_any_line_gives_the_uninterrupted_report(variant, data):
         head, ck, report = (Path(tmp) / name for name in ("head.ndjson", "ck.json", "r.json"))
         head.write_text("".join(lines[:cut]))
         common = ["monitor", "--variant", variant, "--checkpoint", str(ck), *GOLDEN_ARGS[variant]]
-        assert _run([*common, "--input", str(head)])[0] in (0, 10)
-        code, out, err = _run([*common, "--input", str(GOLDEN / f"{variant}.ndjson"),
-                               "--resume", "--report", str(report)])
+        assert run_main([*common, "--input", str(head)])[0] in (0, 10)
+        code, out, err = run_main([*common, "--input", str(GOLDEN / f"{variant}.ndjson"),
+                                   "--resume", "--report", str(report)])
         assert f"resumed from checkpoint at line {cut}\n" in err
         assert report.read_text() == out == golden
     assert code == (10 if json.loads(golden)["crossed"] else 0)
