@@ -25,7 +25,7 @@ import math
 from bisect import insort
 from dataclasses import InitVar, dataclass, field
 
-from .core import RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager
+from .core import RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager, finite
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 DEFAULT_C_MAX = 0.6
@@ -174,7 +174,7 @@ class ContinuousState:
 
     def step(self, y: float, arm: int) -> None:
         """Consume one (outcome, arm) pair: bet if past burn-in, then record it."""
-        if not math.isfinite(y):
+        if not finite(y):
             raise ValueError(f"outcome must be finite, got {y!r}")
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")

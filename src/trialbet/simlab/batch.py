@@ -44,16 +44,23 @@ _CONTINUOUS, _SURVIVAL = continuous.DEFAULT_SCHEDULE, survival.DEFAULT_SCHEDULE
 _MULTISTATE = multistate.DEFAULT_SCHEDULE
 
 
+def _clip(x, lo: float, hi: float) -> np.ndarray:
+    """``np.clip(x, lo, hi)`` bit for bit, at a fraction of its call overhead.
+    ``np.maximum`` returns its second argument when both compare equal, so ``x``
+    goes second: -0.0 clipped at 0.0 stays -0.0, as ``np.clip`` keeps it."""
+    return np.minimum(hi, np.maximum(lo, x))
+
+
 def _ramp(idx: np.ndarray, burn_in: int, ramp: int) -> np.ndarray:
-    return np.clip((idx - float(burn_in)) / ramp, 0.0, 1.0)  # float(): a burn-in past int64 too
+    return _clip((idx - float(burn_in)) / ramp, 0.0, 1.0)  # float(): a burn-in past int64 too
 
 
 def _before(x: np.ndarray) -> np.ndarray:
-    """Sum of the entries strictly before each position, along the last axis."""
-    cum = np.cumsum(x, axis=-1)
-    out = np.empty_like(cum)
+    """Sum of the entries strictly before each position, along the last axis,
+    accumulated as ``np.cumsum`` does: bools and ints in int64."""
+    out = np.empty(x.shape, dtype=np.int64 if x.dtype.kind in "bi" else x.dtype)
     out[..., :1] = 0
-    out[..., 1:] = cum[..., :-1]
+    np.add.accumulate(x[..., :-1], axis=-1, dtype=out.dtype, out=out[..., 1:])
     return out
 
 
@@ -115,7 +122,7 @@ def binary_bet(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_i
         lam = _rate_gap(t, y, burn_in, ramp)[0]
     else:
         lam = np.where(y == 1, 0.5 + fixed_dev, 0.5 - fixed_dev)
-    lam = np.clip(lam, WAGER_MIN, WAGER_MAX)
+    lam = _clip(lam, WAGER_MIN, WAGER_MAX)
     mult = _payout(t, lam, p)
     if fixed_dev is None:  # the first patient never bets
         lam[..., :1] = np.nan
@@ -135,7 +142,7 @@ def deaths_bet(arms, burn_in: int = _DEATHS.burn_in, ramp: int = _DEATHS.ramp):
     p_obs = np.where(tot_prev > 0, _before(a) / np.maximum(tot_prev, 1), 0.5)
     c = _ramp(idx, burn_in, ramp)
     lam = np.where((idx > burn_in) & (tot_prev > 0),
-                   np.clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
+                   _clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
                    0.5)
     return lam, _payout(a, lam)
 
@@ -206,7 +213,7 @@ def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
         v_prev = _before(info)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_hr_hat = np.where(v_prev > 0, prep.z_prev / np.maximum(v_prev, 1e-300), 0.0)
-        b = np.where(idx > burn_in, c * np.clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
+        b = np.where(idx > burn_in, c * _clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
     else:
         raise ValueError(f"unknown bet_rule: {bet_rule!r}")
     return np.where(prep.event, b, np.nan), np.where(prep.event, 1.0 + b * prep.u, 1.0)
@@ -228,7 +235,7 @@ def multistate_bet(good, arms, burn_in: int = _MULTISTATE.burn_in,
     a = np.asarray(arms, dtype=np.int64)
     lam, n1, n0 = _rate_gap(a, g, burn_in, ramp)
     bettable = (np.arange(1, a.shape[-1] + 1) > burn_in) & (n1 > 0) & (n0 > 0)
-    lam = np.clip(np.where(bettable, lam, 0.5), MS_WAGER_MIN, MS_WAGER_MAX)
+    lam = _clip(np.where(bettable, lam, 0.5), MS_WAGER_MIN, MS_WAGER_MAX)
     return lam, _payout(a, lam)
 
 
@@ -299,7 +306,7 @@ def continuous_prepare(treatment, outcome,
         n1, m1, sd1 = arm_stats(t)
         n0, m0, sd0 = arm_stats(1 - t)
         s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)
-        d_hat = np.clip((m1 - m0) / s_pooled, -1.0, 1.0)
+        d_hat = _clip((m1 - m0) / s_pooled, -1.0, 1.0)
     d_hat = np.where((n1 == 0) | (n0 == 0) | np.isinf(s_pooled), 0.0, d_hat)
     return ContinuousPrepared(n, t[:, first - 1:] == 1, g, d_hat)
 
@@ -316,7 +323,7 @@ def continuous_bet(prep: ContinuousPrepared, p: float = 0.5,
     first = prep.n + 1 - prep.g.shape[-1]  # as continuous_prepare placed it
     ramp_frac = _ramp(np.arange(first, prep.n + 1), burn_in, ramp)
     d_hat = np.sign(prep.d_hat) if sign_only else prep.d_hat
-    lam = np.clip(0.5 + ramp_frac * c_max * prep.g * d_hat, WAGER_MIN, WAGER_MAX)
+    lam = _clip(0.5 + ramp_frac * c_max * prep.g * d_hat, WAGER_MIN, WAGER_MAX)
     wager = np.full((prep.g.shape[0], prep.n), np.nan)
     mult = np.ones_like(wager)
     wager[:, first - 1:] = lam

@@ -15,13 +15,14 @@ word position, not the data, so every column gets exactly the words
 ``default_rng(SeedSequence(...))`` as the reference, so a numpy upgrade that
 changes ``SeedSequence`` fails a test rather than silently moving a stream.
 
-Replications are drawn and replayed in blocks of ``max(1, _BLOCK_OBS // n)``
-consecutive replications, n the trial size: the generator fills a block's
-(B, n) arrays in one call, each row from its own replication's stream, and
-the batch kernel runs once per block.  Trials of varying length (multistate
-transitions, a head-to-head study's death streams) are zero-padded to the
-block's longest, with no bet past a row's real length; as no bet reads a later
-observation (see ``batch``), every row is computed as its own trial would be.
+Replications are drawn in blocks of ``max(1, 8192 // n)`` consecutive
+replications, n the trial size: the generator fills a block's (B, n) arrays in
+one call, each row from its own replication's stream, and the batch kernel
+runs once per block.  Trials of varying length (multistate transitions, a
+head-to-head study's death streams) are split into consecutive groups of at
+most 8,192 padded observations, each zero-padded to its longest, with no bet
+past a row's real length; as no bet reads a later observation (see ``batch``),
+every row is computed as its own trial would be.
 """
 
 from __future__ import annotations
@@ -41,8 +42,12 @@ from .strategies import BettingStrategy
 
 _E_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.90)
 DESIGN_POWER = 0.80  # the power a wage study sizes each effect's trials for
-_BLOCK_OBS = 4096  # observations per drawn and replayed block, and replications per
-                   # stream-derivation slice; larger blocks add memory more than speed
+# Observations per drawn and replayed block, and replications per stream-derivation
+# slice.  Each block pays a fixed numpy dispatch cost, and a larger one holds more
+# memory.  The six committed scenarios at perfbench's oc-study sizes, summed best-of-8
+# on a shared 2-vCPU host (Python 3.11, numpy 2.4), took 0.64-0.69 s at 4,096,
+# 0.57-0.58 s at 8,192, 0.54-0.68 s at 16,384 and 0.69 s at 32,768.
+_BLOCK_OBS = 8192
 
 
 # numpy's SeedSequence hash, on uint32 words held in Python ints or uint64 arrays
@@ -154,17 +159,32 @@ def _exp(log_e) -> float:
         return float(np.exp(log_e))
 
 
-def _block(drawn) -> tuple:
-    """A drawn block and each row's real length; a list of trials whose
-    lengths vary is zero-padded into one (B, longest) block."""
-    if not isinstance(drawn, list):
-        return drawn, np.full(len(drawn[0]), drawn[0].shape[-1])
-    lengths = np.array([len(trial[0]) for trial in drawn])
-    real = np.arange(lengths.max(initial=0)) < lengths[:, None]
-    block = tuple(np.zeros(real.shape, dtype=x.dtype) for x in drawn[0])
-    for padded, column in zip(block, zip(*drawn)):
+def _padded(trials: list) -> tuple:
+    """Trials whose lengths vary, zero-padded into one (B, longest) block,
+    and each row's real length."""
+    lengths = np.array([len(trial[0]) for trial in trials])
+    real = np.arange(lengths.max()) < lengths[:, None]
+    block = tuple(np.zeros(real.shape, dtype=x.dtype) for x in trials[0])
+    for padded, column in zip(block, zip(*trials)):
         padded[real] = np.concatenate(column)  # row by row, as the mask runs
     return block, lengths
+
+
+def _block(drawn):
+    """(block, real lengths) pairs of a drawn block.  A list of trials whose
+    lengths vary is split into consecutive groups whose padded size (rows x
+    longest) stays within ``_BLOCK_OBS``; a longer trial is a group of its own."""
+    if not isinstance(drawn, list):
+        yield drawn, np.full(len(drawn[0]), drawn[0].shape[-1])
+        return
+    start = longest = 0
+    for i, trial in enumerate(drawn):
+        longest = max(longest, len(trial[0]))
+        if i > start and (i + 1 - start) * longest > _BLOCK_OBS:
+            yield _padded(drawn[start:i])
+            start, longest = i, len(trial[0])
+    if drawn:
+        yield _padded(drawn[start:])
 
 
 def _bets(sim, prep, lengths, params: dict) -> tuple:
@@ -196,7 +216,8 @@ def _draw(scenario: SimScenario, start: int, stop: int):
     sim, p = SIM_VARIANTS[scenario.variant], scenario.params
     rngs = _rep_rngs(scenario.seed, start, stop)
     rows = max(1, _BLOCK_OBS // p[sim.trial_size])
-    return sim, (_block(sim.generate(b, p)) for b in iter(lambda: list(islice(rngs, rows)), []))
+    return sim, (pair for b in iter(lambda: list(islice(rngs, rows)), [])
+                 for pair in _block(sim.generate(b, p)))
 
 
 def _run_range(scenario: SimScenario, start: int, stop: int):
@@ -312,9 +333,7 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
         blocks = list(_draw(scenario, b_idx * n_sims, (b_idx + 1) * n_sims)[1])
         bin_power = _power(_replay(binary, blocks, scenario.params, alpha)[0], n_sims)[1]
         streams = [(t[y == 1],) for block, _ in blocks for t, y in zip(*block)]
-        size = max(1, _BLOCK_OBS // max(1, *(len(s) for s, in streams)))
-        death_blocks = (_block(streams[i:i + size]) for i in range(0, n_sims, size))
-        death_cross, _, n_deaths = _replay(deaths, death_blocks, deaths.defaults, alpha)
+        death_cross, _, n_deaths = _replay(deaths, _block(streams), deaths.defaults, alpha)
         death_power = _power(death_cross, n_sims)[1]
         delta = (death_power - bin_power) * 100.0
         winner = "deaths" if delta > 1.0 else ("binary" if delta < -1.0 else "tied")
@@ -377,5 +396,5 @@ def _wage_evaluate(variant: str, strategy: BettingStrategy, trials, alpha: float
     """Replay every trial under one strategy, as the wage study does; returns
     (first crossing or NaN, final log-e) arrays in trial order."""
     block = tuple(np.stack(column) for column in zip(*trials))
-    return _replay(SIM_VARIANTS[variant], [_block(block)] if block else [],
+    return _replay(SIM_VARIANTS[variant], _block(block) if block else [],
                    strategy.params(variant), alpha)[:2]

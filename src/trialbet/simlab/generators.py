@@ -7,7 +7,7 @@ determined by its RNG stream.  With one ``Generator`` a generator returns the
 trial's 1-D arrays; with B it returns (B, n) arrays whose row r is bit for bit
 what ``rngs[r]`` alone gives.  Multistate trials vary in length: one is a
 ``MultistateTrial``, the (good, arms) arrays the batch kernel reads, and B of
-them are a list, which the engine zero-pads into one block.  Each stream fills
+them are a list, which the engine zero-pads into blocks.  Each stream fills
 its own row of the block's uniforms, and the arithmetic runs once over the
 block.
 Arms are i.i.d. Bernoulli(p) rather than block-randomized, matching the

@@ -67,7 +67,7 @@ class SimVariant:
     observation; a lone ``Generator`` gives one trial's 1-D arrays.  Where
     stream lengths vary, it gives a list of B trials, each a tuple of
     equal-length arrays (multistate: a ``generators.MultistateTrial``), and
-    the engine zero-pads them into one block.  The
+    the engine zero-pads them into blocks.  The
     first parameter declared is the trial size n.  A replay is
     ``bet(prepare(data, params), params)`` on a (B, n) block; it gives the
     (B, n) wager and multiplier of each observation from the batch kernel

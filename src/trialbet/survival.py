@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_signed_bet, check_open_unit
+from .core import RampSchedule, WealthLedger, apply_signed_bet, check_open_unit, finite
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 DEFAULT_BET_CAP = 0.25
@@ -30,7 +30,7 @@ class SurvivalRecord:
     arm: int
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.time) and self.time >= 0.0):
+        if not (finite(self.time) and self.time >= 0.0):
             raise ValueError(f"time on study must be finite and >= 0, got {self.time!r}")
         if self.status not in (0, 1):
             raise ValueError(f"status must be 0 or 1, got {self.status}")

@@ -14,15 +14,37 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from trialbet.core import WAGER_MAX, WAGER_MIN
 from trialbet.multistate import CONTROL_DAILY, TREATMENT_DAILY
-from trialbet.simlab import batch, generators
-from trialbet.simlab.engine import _BLOCK_OBS, _block, _replay, _run_range, rep_rng
+from trialbet.multistate import WAGER_MAX as MS_WAGER_MAX
+from trialbet.multistate import WAGER_MIN as MS_WAGER_MIN
+from trialbet.simlab import batch, engine, generators
+from trialbet.simlab.engine import (
+    _BLOCK_OBS,
+    _block,
+    _replay,
+    _run_range,
+    head_to_head_deaths_vs_binary,
+    rep_rng,
+    wage_study,
+)
 from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
+from trialbet.simlab.strategies import BettingStrategy
 
 ROOT = Path(__file__).parent.parent
 LENGTHS = [0, 1, 2, 3, 40, 260]
 ROWS = 5
 SHORT = {"burn_in": 1, "ramp": 3}  # bets from the second observation on
+
+
+STEMS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multistate_alt",
+         "survival_alt"]
+BLOCK_SIZES = [64, 4096, _BLOCK_OBS]
+
+
+def _committed(stem, n_sims):
+    doc = json.loads((ROOT / "scenarios" / f"{stem}.json").read_text())
+    return SimScenario.from_dict({**doc, "n_sims": n_sims})
 
 
 def _rows(make, n):
@@ -100,7 +122,7 @@ def test_a_padded_row_is_its_own_trial(lengths, variant, make, options, alpha):
     p = {**sim.defaults, **options}
     rng = np.random.default_rng(sum(lengths))
     trials = [make(rng, n) for n in lengths]
-    block, real_lengths = _block(trials)
+    (block, real_lengths), = _block(trials)  # one block: at most 7 x 260 observations
     assert block[0].shape == (len(lengths), max(lengths)) and real_lengths.tolist() == lengths
     crossing, final, length = _replay(sim, [(block, real_lengths)], p, alpha)
     for k, trial in enumerate(trials):
@@ -186,14 +208,12 @@ def test_row_outcomes_match_first_crossing(n):
         assert final[k] == (row[-1] if n else 0.0)
 
 
-@pytest.mark.parametrize("stem", ["binary_alt", "binary_null", "continuous_alt",
-                                  "deaths_alt", "multistate_alt", "survival_alt"])
+@pytest.mark.parametrize("stem", STEMS)
 def test_run_range_is_independent_of_block_boundaries(stem):
     """A whole range, single replications and odd splits that cut through
     blocks all give the same per-replication results."""
-    doc = json.loads((ROOT / "scenarios" / f"{stem}.json").read_text())
-    n = 9 if doc["variant"] == "multistate" else 45
-    sc = SimScenario.from_dict({**doc, "n_sims": n})
+    n = 9 if stem.startswith("multistate") else 45
+    sc = _committed(stem, n)
     whole = _run_range(sc, 0, n)
     singles = [_run_range(sc, r, r + 1) for r in range(n)]
     edges = sorted({0, 1, 4, 7, n // 2, n - 3, n})
@@ -205,8 +225,8 @@ def test_run_range_is_independent_of_block_boundaries(stem):
 
 @pytest.mark.parametrize("variant", sorted(SIM_VARIANTS))
 def test_an_uneven_split_gives_the_whole_range(variant):
-    """At a trial size of 64 a block holds 64 replications, so 133 are two
-    full blocks and a short one.  Ranges cut through them give the whole
+    """At a trial size of ``_BLOCK_OBS // 64`` a block holds 64 replications,
+    so 133 are two full blocks and a short one.  Ranges cut through them give the whole
     range's arrays, and each replication is what its own stream, drawn and
     replayed alone, gives."""
     sim = SIM_VARIANTS[variant]
@@ -225,3 +245,111 @@ def test_an_uneven_split_gives_the_whole_range(variant):
         crossing, final = batch.row_outcomes(logw, sc.alpha)
         assert np.array_equal(crossing, whole[0][rep:rep + 1], equal_nan=True)
         assert (final[0], logw.shape[-1]) == (whole[1][rep], whole[2][rep])
+
+
+def _bits(arrays) -> list[tuple]:
+    """Each array's dtype, shape and bytes: equal only if equal bit for bit."""
+    return [(x.dtype.str, x.shape, x.tobytes()) for x in arrays]
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_run_range_does_not_depend_on_the_block_size(stem, monkeypatch):
+    """Blocks of 64 observations (one replication each at these trial
+    sizes), of 4,096 and of the engine's own size give the same arrays."""
+    sc = _committed(stem, 9 if stem.startswith("multistate") else 40)
+    results = []
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(engine, "_BLOCK_OBS", size)
+        results.append(_bits(_run_range(sc, 0, sc.n_sims)))
+    assert results[0] == results[1] == results[2]
+
+
+def test_studies_do_not_depend_on_the_block_size(monkeypatch):
+    """The wage study and the head-to-head study report the same cells and
+    rows at every block size."""
+    results = []
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(engine, "_BLOCK_OBS", size)
+        results.append((
+            wage_study("binary", [BettingStrategy("adaptive"), BettingStrategy("fixed", 0.05)],
+                       [0.05, 0.10], 300, n_sims=30, seed=9),
+            wage_study("continuous", [BettingStrategy("adaptive"),
+                                      BettingStrategy("sign-only", 0.6)], [0.3], 80,
+                       n_sims=20, seed=9),
+            wage_study("survival", [BettingStrategy("fixed", 0.25),
+                                    BettingStrategy("half-kelly")], [0.7], 150,
+                       n_sims=20, seed=9),
+            head_to_head_deaths_vs_binary([0.15, 0.40], n_sims=30, seed=3)))
+    assert repr(results[0]) == repr(results[1]) == repr(results[2])  # floats to the last bit
+
+
+# Every patient moves daily between Ward and ICU: 28 transitions per patient.
+_SHUTTLE = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]  # Ward, ICU, Home, Dead
+
+
+@pytest.mark.parametrize("size,n_patients", [(_BLOCK_OBS, 100), (_BLOCK_OBS, 1000), (64, 3)])
+def test_multistate_replay_blocks_respect_the_cap(size, n_patients, monkeypatch):
+    """Multistate trials are drawn n_patients at a time but replayed in blocks
+    of at most ``_BLOCK_OBS`` padded transitions; a longer trial is replayed
+    alone.  Every replication is still what its own stream gives alone."""
+    monkeypatch.setattr(engine, "_BLOCK_OBS", size)
+    shapes = []
+
+    def recorded(drawn):
+        for block, lengths in _block(drawn):
+            shapes.append(block[0].shape)
+            yield block, lengths
+
+    monkeypatch.setattr(engine, "_block", recorded)
+    sim = SIM_VARIANTS["multistate"]
+    sc = SimScenario("multistate", {"n_patients": n_patients,
+                                    "matrices": {"trt": _SHUTTLE, "ctrl": _SHUTTLE}},
+                     n_sims=5, seed=17)
+    whole = _run_range(sc, 0, sc.n_sims)
+    trial_len = 28 * n_patients
+    assert whole[2].tolist() == [trial_len] * sc.n_sims
+    assert sum(rows for rows, _ in shapes) == sc.n_sims
+    assert all(rows * longest <= size or rows == 1 for rows, longest in shapes)
+    assert max(rows for rows, _ in shapes) == max(1, size // trial_len)
+    p = sc.params
+    for rep in range(sc.n_sims):
+        trial = sim.generate(rep_rng(sc.seed, rep), p)
+        logw = batch.log_wealth(sim.bet(sim.prepare(tuple(x[None] for x in trial), p), p))
+        crossing, final = batch.row_outcomes(logw, sc.alpha)
+        assert _bits([crossing, final]) == _bits([whole[0][rep:rep + 1], whole[1][rep:rep + 1]])
+
+
+def _shifted_cumsum(x):
+    cum = np.cumsum(x, axis=-1)
+    return np.concatenate([np.zeros_like(cum[..., :1]), cum[..., :-1]], axis=-1)
+
+
+@pytest.mark.parametrize("x", [
+    np.ones((3, 300), dtype=np.int8),                           # past int8's 127
+    np.ones(300, dtype=bool),                                   # a sum, not a logical or
+    np.random.default_rng(1).integers(0, 2, (4, 200)).astype(bool),
+    np.random.default_rng(2).integers(-128, 128, (2, 500)).astype(np.int8),
+    np.random.default_rng(3).integers(0, 2, (3, 50)),
+    np.random.default_rng(4).normal(size=(3, 70)),
+    np.ones((2, 1)), np.ones((2, 0), dtype=np.int8), np.ones(0, dtype=bool)])
+def test_before_sums_as_cumsum_does(x):
+    """``_before`` is ``np.cumsum`` shifted one place, in its dtype: bools and
+    small ints summed in int64."""
+    assert _bits([batch._before(x)]) == _bits([_shifted_cumsum(x)])
+    assert _bits([batch._before(x[..., ::2])]) == _bits([_shifted_cumsum(x[..., ::2])])
+
+
+def test_clip_is_np_clip():
+    """``_clip`` is ``np.clip`` bit for bit, at every bound the kernels use:
+    signed zeros, NaN, infinities, subnormals and the bounds' neighbours."""
+    bounds = [(0.0, 1.0), (WAGER_MIN, WAGER_MAX), (MS_WAGER_MIN, MS_WAGER_MAX),
+              (-0.5, 0.5), (-1.0, 1.0)]
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
+               2.2250738585072014e-308, 0.5, -0.5, 1e308, -1e308]
+    edges = [v for pair in bounds for b in pair for v in
+             (b, -b, np.nextafter(b, np.inf), np.nextafter(b, -np.inf))]
+    grid = np.array(special + edges)
+    rng = np.random.default_rng(0)
+    for x in (grid, rng.permutation(np.tile(grid, 7)).reshape(7, -1), grid[::3], grid[:1]):
+        for lo, hi in bounds:
+            assert _bits([batch._clip(x, lo, hi)]) == _bits([np.clip(x, lo, hi)]), (lo, hi)

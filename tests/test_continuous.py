@@ -220,6 +220,17 @@ def test_streaming_matches_batch_replay():
         assert abs(st.ledger.log_wealth - logw[-1]) < 1e-10
 
 
+@pytest.mark.parametrize("y", [10**400, -10**400, float("inf"), float("nan")],
+                         ids=["10**400", "-10**400", "inf", "nan"])
+def test_an_outcome_past_the_float_range_is_refused(y):
+    """An int too large for a float is refused as a non-finite outcome is,
+    before the state changes."""
+    st = ContinuousState()
+    with pytest.raises(ValueError, match="^outcome must be finite"):
+        st.step(y, 1)
+    assert st.values == [] and st.ledger.n_steps == 0
+
+
 def test_wagers_always_interior():
     rng = np.random.default_rng(2)
     t, y = continuous_trial(rng, 300, 3.0, 0.0, sd=4.0)

@@ -213,6 +213,14 @@ def test_enumeration_fairness_oracle():
     assert mean_final_wealth_survival(fresh, times, 10) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("time", [10**400, -10**400, float("inf"), float("nan")],
+                         ids=["10**400", "-10**400", "inf", "nan"])
+def test_a_time_past_the_float_range_is_refused(time):
+    """An int too large for a float is refused as a non-finite time is."""
+    with pytest.raises(ValueError, match="^time on study must be finite and >= 0"):
+        SurvivalRecord(time, 1, 1)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         SurvivalRecord(-1.0, 1, 0)
