@@ -76,9 +76,10 @@ def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
     if type(record) is not dict or line[end:].strip(" \t\n\r"):
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            reason = getattr(exc, "msg", "nested too deeply")
-            raise EventError(f"line {line_no}: invalid JSON ({reason})") from exc
+        except RecursionError as exc:
+            raise EventError(f"line {line_no}: invalid JSON (nested too deeply)") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+            raise EventError(f"line {line_no}: invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(record, dict):
             raise EventError(f"line {line_no}: record must be a JSON object")
     keys = record.keys()  # most events carry exactly the required fields

@@ -10,13 +10,15 @@ is carried forward unchanged through that window.
 
 The past outcomes are kept as a sorted multiset, so the median is an index
 lookup and the MAD a search for the window of outcomes nearest the median
-(:func:`robust_center_scale`).  The search gallops from where the previous
-prefix's window started, and an even count reads its second middle distance
-off that window's neighbours, so one event costs O(1) comparisons in the
-typical case (O(log n) at worst) plus the O(n) memmove of ``bisect.insort``.
-The streaming monitor and the batch replay in ``simlab.batch`` share this
-kernel, each carrying the start from prefix to prefix, and both return the
-same floats as ``np.median`` over the unsorted history whatever the start.
+(:func:`center_scales`).  The search gallops from where the previous
+prefix's window started, its first two probes settling the commonest moves,
+and an even count reads its second middle distance off that window's
+neighbours, so one event costs O(1) comparisons in the typical case
+(O(log n) at worst) plus the O(n) memmove of ``bisect.insort``.  The batch
+replay in ``simlab.batch`` walks each trial's prefixes in one kernel call,
+and the streaming monitor makes one call per wager, carrying the start
+between calls; both return the same floats as ``np.median`` over the
+unsorted history whatever the start.
 """
 
 from __future__ import annotations
@@ -25,30 +27,35 @@ import math
 from bisect import insort
 from dataclasses import InitVar, dataclass, field
 
-from .core import RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager, finite
+from .core import (RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager,
+                   finite_float, shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 DEFAULT_C_MAX = 0.6
 
 
-def robust_center_scale(s, start: int = 0) -> tuple[float, float, int]:
-    """Median and raw MAD (no consistency constant) of past outcomes, and the
-    index the MAD search stopped at, to pass back as ``start`` next time.
+def center_scales(s, arrivals=(), start: int = 0) -> tuple[list[float], list[float], int]:
+    """Median and raw MAD (no consistency constant) of the past outcomes
+    ``s``, then of ``s`` after each of ``arrivals`` is insorted into it in
+    turn, and the index the last MAD search stopped at, to pass back as
+    ``start``.
 
-    ``s`` must be sorted ascending.  The median is the middle element (the
-    mean of the middle pair for an even count).  The MAD is the median of
-    ``|x - med|``, read off the window ``s[a:a+j]`` of the ``j = len(s) -
-    len(s) // 2`` outcomes nearest the median without building a distance.
-    Distances fall then rise along ``s``, so the predicate
-    ``s[a+j-1] - med >= med - s[a]`` (the right end bounds the window) is
-    monotone in ``a``, and its first true ``a`` is the same from any search
-    start.  The search gallops from the non-negative hint ``start`` (steps
-    1, 2, 4, ... outward, then bisection): O(1) when the window moved a
-    step or two since the hint, O(log n) at worst (shuffled ties can move it
-    by about n/4 at once).  At that ``a`` the right end bounds the window,
-    one step earlier the left end did, and the j-th distance is the smaller
-    of the two.  An even count averages in the (j+1)-th distance: the
-    nearer of that window's two outside neighbours.  ``med - x`` and
+    ``s`` must be a non-empty ascending list of floats.  The median is the
+    middle element (the mean of the middle pair for an even count).  The MAD
+    is the median of ``|x - med|``, read off the window ``s[a:a+j]`` of the
+    ``j = len(s) - len(s) // 2`` outcomes nearest the median without
+    building a distance.  Distances fall then rise along ``s``, so the
+    predicate ``s[a+j-1] - med >= med - s[a]`` (the right end bounds the
+    window) is monotone in ``a``, and its first true ``a`` is the same from
+    any search start.  Each search starts where the last one stopped (the
+    first at the non-negative hint ``start``) and gallops (steps 1, 2, 4,
+    ... outward, then bisection); its first two probes, at the start and at
+    one neighbour, settle the commonest moves outright: the window stayed,
+    or moved one step right.  O(log n) at worst: shuffled ties can move the
+    window by about n/4 at once.  At that ``a`` the right end bounds the
+    window, one step earlier the left end did, and the j-th distance is the
+    smaller of the two.  An even count averages in the (j+1)-th distance:
+    the nearer of that window's two outside neighbours.  ``med - x`` and
     ``x - med`` are exact negatives in IEEE arithmetic, so each distance
     equals ``abs(x - med)``, and both results equal ``np.median`` of the
     unsorted history bit for bit, whatever ``start`` was.
@@ -59,34 +66,50 @@ def robust_center_scale(s, start: int = 0) -> tuple[float, float, int]:
     h = len(s)
     if h == 0:
         raise ValueError("insufficient history: need at least one past outcome")
-    mid = h // 2
-    w = h - mid - 1  # the window's last index minus its first
-    med = float(s[mid]) if h % 2 else (s[mid - 1] + s[mid]) / 2
-    # Gallop from start (steps 1, 2, 4, ... while in bounds), then bisect.  The
-    # first true a is in [lo, hi]; mid + 1 means none is, which happens only
-    # when the middle pair's sum overflows.
-    lo, hi = 0, mid + 1
-    a, step = (start if start < mid else mid), 1
-    while lo < hi:
+    meds, mads = [], []
+    inf = math.inf
+    a, k, todo = start, 0, len(arrivals)
+    while True:
+        mid = h // 2
+        w = h - mid - 1  # the window's last index minus its first
+        med = s[mid] if h % 2 else (s[mid - 1] + s[mid]) / 2
+        # The first true a is in [lo, hi]; mid + 1 means none is, which happens
+        # only when the middle pair's sum overflows.  Probe the start, then its
+        # left neighbour if the predicate held there, else its right one.
+        a = a if a < mid else mid
         if s[a + w] - med >= med - s[a]:
-            hi, a = a, a - step
+            if a and s[a + w - 1] - med >= med - s[a - 1]:
+                lo, hi, a = 0, a - 1, a - 3
+            else:
+                lo = hi = a  # the window stayed
+        elif a < mid and not s[a + w + 1] - med >= med - s[a + 1]:
+            lo, hi, a = a + 2, mid + 1, a + 3
         else:
-            lo, a = a + 1, a + step
-        step += step
-        if not lo <= a < hi:
-            a = (lo + hi) // 2
-    if lo <= mid and (lo == 0 or s[lo + w] - med <= med - s[lo - 1]):
-        a, mad = lo, s[lo + w] - med
-    else:
-        a, mad = lo - 1, med - s[lo - 1]
-    if not h % 2:
-        if a == 0 or (a < mid and s[a + mid] - med <= med - s[a - 1]):
-            mad = (mad + (s[a + mid] - med)) / 2
+            lo = hi = a + 1  # it moved one step right (or past mid: none is true)
+        step = 4  # the gallop's steps 1 and 2 were the probes
+        while lo < hi:
+            if not lo <= a < hi:
+                a = (lo + hi) // 2
+            if s[a + w] - med >= med - s[a]:
+                hi, a = a, a - step
+            else:
+                lo, a = a + 1, a + step
+            step += step
+        if lo <= mid and (lo == 0 or s[lo + w] - med <= med - s[lo - 1]):
+            b, mad = lo, s[lo + w] - med
         else:
-            mad = (mad + (med - s[a - 1])) / 2
-    if not math.isfinite(mad) or mad <= 0.0:
-        mad = 1.0
-    return med, mad, lo
+            b, mad = lo - 1, med - s[lo - 1]
+        if not h % 2:
+            if b == 0 or (b < mid and s[b + mid] - med <= med - s[b - 1]):
+                mad = (mad + (s[b + mid] - med)) / 2
+            else:
+                mad = (mad + (med - s[b - 1])) / 2
+        meds.append(med)
+        mads.append(mad if 0.0 < mad < inf else 1.0)
+        if k == todo:
+            return meds, mads, lo
+        insort(s, arrivals[k])
+        a, k, h = lo, k + 1, h + 1
 
 
 def squash(r: float) -> float:
@@ -166,7 +189,7 @@ class ContinuousState:
         """Wager for outcome ``y`` arriving at index ``i`` (past data only)."""
         if i < 2 or (i - 1) < self.sched.burn_in:
             return 0.5
-        med, scale, self.mad_start = robust_center_scale(self.values, self.mad_start)
+        (med,), (scale,), self.mad_start = center_scales(self.values, (), self.mad_start)
         g = squash((y - med) / scale)
         ramp_frac = self.sched.coefficient(i)
         lam = 0.5 + ramp_frac * self.c_max * g * self.cohens_d()
@@ -174,13 +197,14 @@ class ContinuousState:
 
     def step(self, y: float, arm: int) -> None:
         """Consume one (outcome, arm) pair: bet if past burn-in, then record it."""
-        if not finite(y):
-            raise ValueError(f"outcome must be finite, got {y!r}")
+        x = finite_float(y)
+        if x is None:
+            raise ValueError(f"outcome must be finite, got {shown(y)}")
         if arm not in (0, 1):
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = len(self.values) + 1
         if i >= 2 and (i - 1) >= self.sched.burn_in:
-            lam = self.wager(y, i)
+            lam = self.wager(x, i)
             apply_bet(self.ledger, lam, arm, self.p, i)
-        insort(self.values, y)
-        (self.trt if arm == 1 else self.ctrl).add(y)
+        insort(self.values, x)
+        (self.trt if arm == 1 else self.ctrl).add(x)

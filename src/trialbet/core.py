@@ -27,14 +27,32 @@ from functools import cached_property
 WAGER_MIN = 0.001
 WAGER_MAX = 0.999
 
-_FLOAT_MAX = sys.float_info.max
+FLOAT_MAX = sys.float_info.max
 
 
 def finite(v) -> bool:
     """Whether the number ``v`` is a finite float or an int within the float
     range.  Unlike ``math.isfinite``, an int past that range gives False rather
     than raising OverflowError."""
-    return abs(v) <= _FLOAT_MAX
+    return abs(v) <= FLOAT_MAX
+
+
+def finite_float(v) -> float | None:
+    """The number ``v`` as a float when it is finite (see :func:`finite`), so a
+    state stores only what a checkpoint encodes; None when it is not, and for
+    a bool (a bool is no number)."""
+    if type(v) is float:  # the case of every event, first
+        return v if abs(v) <= FLOAT_MAX else None
+    return float(v) if type(v) is not bool and abs(v) <= FLOAT_MAX else None
+
+
+def shown(v) -> str:
+    """``repr(v)``, except that an int too long for Python to write in decimal
+    is described by its bit length."""
+    try:
+        return repr(v)
+    except ValueError:
+        return f"an int of {v.bit_length()} bits"
 
 
 @dataclass(frozen=True)

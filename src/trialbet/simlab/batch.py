@@ -27,13 +27,12 @@ wager, ``_ramp`` the coefficient ramp, and ``_before`` every prefix sum.
 from __future__ import annotations
 
 import math
-from bisect import insort
 from typing import NamedTuple
 
 import numpy as np
 
 from .. import binary, continuous, deaths, multistate, survival
-from ..continuous import robust_center_scale
+from ..continuous import center_scales
 from ..core import WAGER_MAX, WAGER_MIN
 from ..multistate import WAGER_MAX as MS_WAGER_MAX
 from ..multistate import WAGER_MIN as MS_WAGER_MIN
@@ -258,14 +257,15 @@ def continuous_prepare(treatment, outcome,
     """Residuals and effect estimates of a batch of same-length trials.
 
     ``treatment`` and ``outcome`` are (n_trials, n) matrices (a single trial
-    may be passed 1-D); rows are independent trials.  Each row keeps its past
-    outcomes sorted with ``bisect.insort`` and takes every prefix's median and
-    MAD from the streaming monitor's kernel, ``robust_center_scale``, with
-    the MAD window's search start carried from one prefix to the next (and
-    reset for each row); the squash and the arm moments then take a few
-    numpy passes over the whole block.  An arm whose raw sum of squares
-    overflows has SD +inf and d 0, as in the monitor once its Welford sum
-    overflows.
+    may be passed 1-D); rows are independent trials.  Each row that bets takes
+    every prefix's median and MAD from one call of the streaming monitor's
+    kernel, ``continuous.center_scales``: the sorted outcomes before its
+    first bet, then each later bet's past outcome insorted in turn, with the
+    MAD window's search start carried from prefix to prefix inside the call
+    (two probes settle most moves); a row with no bet makes no call.  The
+    squash and the arm moments then take a few numpy passes over the whole
+    block.  An arm whose raw sum of squares overflows has SD +inf and d 0, as
+    in the monitor once its Welford sum overflows.
     """
     t = np.atleast_2d(np.asarray(treatment, dtype=np.int64))
     y = np.atleast_2d(np.asarray(outcome, dtype=float))
@@ -289,16 +289,9 @@ def continuous_prepare(treatment, outcome,
 
     center = np.empty((m, width))
     scale = np.empty((m, width))
-    for row in range(m):
-        hist = sorted(y[row, : first - 2].tolist())
-        a = 0  # the MAD window's search start, carried from prefix to prefix
-        med_row, mad_row = [], []
-        for v in y[row, past].tolist():
-            insort(hist, v)
-            med, mad, a = robust_center_scale(hist, a)
-            med_row.append(med)
-            mad_row.append(mad)
-        center[row], scale[row] = med_row, mad_row
+    for row in range(m if width else 0):  # one kernel call per row that bets
+        ys = y[row].tolist()
+        center[row], scale[row], _ = center_scales(sorted(ys[:first - 1]), ys[first - 1:n - 1])
     r = (y[:, first - 1:] - center) / scale
     g = r / (1.0 + np.abs(r))
 

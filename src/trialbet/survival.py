@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_signed_bet, check_open_unit, finite
+from .core import (FLOAT_MAX, RampSchedule, WealthLedger, apply_signed_bet, check_open_unit,
+                   finite_float, shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 DEFAULT_BET_CAP = 0.25
@@ -30,8 +31,13 @@ class SurvivalRecord:
     arm: int
 
     def __post_init__(self) -> None:
-        if not (finite(self.time) and self.time >= 0.0):
-            raise ValueError(f"time on study must be finite and >= 0, got {self.time!r}")
+        time = self.time
+        if type(time) is not float:  # an int is stored as its float, which a checkpoint encodes
+            time = finite_float(time)
+            if time is not None:
+                object.__setattr__(self, "time", time)
+        if time is None or not 0.0 <= time <= FLOAT_MAX:
+            raise ValueError(f"time on study must be finite and >= 0, got {shown(self.time)}")
         if self.status not in (0, 1):
             raise ValueError(f"status must be 0 or 1, got {self.status}")
         if self.arm not in (0, 1):

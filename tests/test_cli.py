@@ -475,6 +475,19 @@ def _events(variant, records, *options):
     return argv
 
 
+def _event_lines(variant, lines, *options):
+    """``monitor`` on a stream of raw ``lines``, for numbers ``json.dumps`` cannot write."""
+    def argv(tmp_path):
+        path = tmp_path / "events.ndjson"
+        path.write_text("".join(line + "\n" for line in lines))
+        return ["monitor", "--variant", variant, "--input", str(path), *options]
+    return argv
+
+
+DIGITS_5001 = "1" + "0" * 5000  # past Python's 4,300-digit limit on int conversion
+DIGIT_LIMIT = "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"
+
+
 def _scenario(doc):
     def argv(tmp_path):
         path = tmp_path / "sc.json"
@@ -675,6 +688,14 @@ def _golden_monitor(variant, *argv):
      f"error: corrupt checkpoint: field 'good_trt' is past the float range: {10**400}"),
     (_edited_checkpoint("continuous", ["state", "trt", 0], 10**400),
      f"error: corrupt checkpoint: field 'n' is past the float range: {10**400}"),
+    (_event_lines("binary", ['{"arm": 1, "outcome": 0}'] * 3
+                  + ['{"arm": 0, "outcome": ' + DIGITS_5001 + '}']),
+     f"error: line 4: {DIGIT_LIMIT}"),
+    (_event_lines("continuous", ['{"arm": 1, "y": 0.5}', '{"arm": 0, "y": -' + DIGITS_5001 + '}']),
+     f"error: line 2: {DIGIT_LIMIT}"),
+    (_event_lines("survival", ['{"time": 3.0, "status": 1, "arm": 0, "entry_time": '
+                               + DIGITS_5001 + '}'], "--risk-trt", "5", "--risk-ctrl", "5"),
+     f"error: line 1: {DIGIT_LIMIT}"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -702,7 +723,8 @@ def _golden_monitor(variant, *argv):
         "monitor-ramp-400-digits", "checkpoint-log_wealth-hex-past-float",
         "checkpoint-cum_z-hex-past-float", "checkpoint-values-hex-past-float",
         "checkpoint-moment-hex-past-float", "checkpoint-e_trt-400-digits",
-        "checkpoint-good_trt-400-digits", "checkpoint-arm-count-400-digits"])
+        "checkpoint-good_trt-400-digits", "checkpoint-arm-count-400-digits",
+        "event-outcome-5001-digits-line-4", "event-y-5001-digits", "event-entry_time-5001-digits"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

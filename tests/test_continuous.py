@@ -1,13 +1,12 @@
 
 import math
-from bisect import insort
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as hs
 
 from trialbet.checkpoint import decode_state, encode_state
-from trialbet.continuous import ContinuousState, _ArmMoments, robust_center_scale, squash
+from trialbet.continuous import ContinuousState, _ArmMoments, center_scales, squash
 from trialbet.core import RampSchedule
 from trialbet.simlab import batch
 from trialbet.simlab.generators import continuous_trial
@@ -17,22 +16,31 @@ from oracles import mean_final_wealth
 
 
 class TestRobustCenterScale:
+    """The median/MAD kernel on one prefix, and on a few arrivals."""
+
     def test_hand_computed(self):
         # |deviations| from median 3 are {2,1,0,1,97}; their median is 1
-        assert robust_center_scale([1, 2, 3, 4, 100])[:2] == (3.0, 1.0)
+        assert center_scales([1.0, 2.0, 3.0, 4.0, 100.0])[:2] == ([3.0], [1.0])
 
     def test_degenerate_scale_falls_back(self):
-        assert robust_center_scale([5, 5, 5])[:2] == (5.0, 1.0)
-        assert robust_center_scale([0])[:2] == (0.0, 1.0)
+        assert center_scales([5.0, 5.0, 5.0])[:2] == ([5.0], [1.0])
+        assert center_scales([0.0])[:2] == ([0.0], [1.0])
 
     def test_empty_history(self):
         with pytest.raises(ValueError, match="insufficient history"):
-            robust_center_scale([])
+            center_scales([])
 
     def test_even_history_averages_middle_pair(self):
-        med, mad, _ = robust_center_scale([1.0, 2.0, 4.0, 8.0])
+        (med,), (mad,), _ = center_scales([1.0, 2.0, 4.0, 8.0])
         assert med == 3.0
         assert mad == 1.5  # |deviations| sorted {1,1,2,5}; middle pair averages to 1.5
+
+    def test_arrivals_are_insorted_in_turn(self):
+        s = [2.0, 8.0]
+        meds, mads, _ = center_scales(s, [4.0, 1.0])
+        # [2, 8] -> [2, 4, 8] -> [1, 2, 4, 8]
+        assert (meds, mads) == ([5.0, 4.0, 3.0], [3.0, 2.0, 1.5])
+        assert s == [1.0, 2.0, 4.0, 8.0]
 
 
 def numpy_center_scale(xs):
@@ -48,18 +56,21 @@ def numpy_center_scale(xs):
 _tied = hs.sampled_from([-2.0, -0.5, 0.0, 0.0, 1.0, 1.5, 3.0])
 _any_magnitude = hs.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
 _tiny = hs.floats(min_value=-1e-9, max_value=1e-9, allow_nan=False)
+_signed_zero_or_subnormal = hs.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
 # the middle pair's sum or a distance overflows to inf
 _near_overflow = hs.sampled_from([-1.7e308, -1e308, 1e308, 1.7e308])
 
 
 @given(hs.lists(hs.one_of(_tied, _any_magnitude, _tiny), min_size=1, max_size=60))
 def test_sorted_kernel_matches_numpy_median_and_mad(xs):
-    assert robust_center_scale(sorted(xs))[:2] == numpy_center_scale(xs)
+    med, mad = numpy_center_scale(xs)
+    assert center_scales(sorted(xs))[:2] == ([med], [mad])
 
 
 @given(hs.lists(hs.integers(-3, 3).map(float), min_size=1, max_size=41))
 def test_sorted_kernel_matches_numpy_on_heavy_ties(xs):
-    assert robust_center_scale(sorted(xs))[:2] == numpy_center_scale(xs)
+    med, mad = numpy_center_scale(xs)
+    assert center_scales(sorted(xs))[:2] == ([med], [mad])
 
 
 @given(hs.lists(hs.one_of(_tied, _any_magnitude, _tiny, _near_overflow), min_size=1, max_size=60),
@@ -68,20 +79,33 @@ def test_kernel_result_does_not_depend_on_the_start(xs, data):
     start = data.draw(hs.integers(0, len(xs) + 1), label="start")
     with np.errstate(over="ignore", invalid="ignore"):
         expected = numpy_center_scale(xs)
-    med, mad, found = robust_center_scale(sorted(xs), start)
+    (med,), (mad,), found = center_scales(sorted(xs), (), start)
     assert (med, mad) == expected
-    assert robust_center_scale(sorted(xs), found) == (med, mad, found)
+    assert center_scales(sorted(xs), (), found) == ([med], [mad], found)
+
+
+@given(hs.lists(hs.one_of(_tied, _any_magnitude, _tiny, _signed_zero_or_subnormal,
+                          _near_overflow), min_size=1, max_size=60),
+       hs.data())
+def test_a_row_call_matches_numpy_at_every_prefix(xs, data):
+    """One call over a trial gives every prefix's median and MAD, from any
+    first prefix and any initial start, as the batch replay makes it."""
+    first = data.draw(hs.integers(1, len(xs)), label="first prefix")
+    start = data.draw(hs.integers(0, len(xs) + 1), label="start")
+    meds, mads, _ = center_scales(sorted(xs[:first]), xs[first:], start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = [numpy_center_scale(xs[:k]) for k in range(first, len(xs) + 1)]
+    assert list(zip(meds, mads)) == expected
 
 
 @given(hs.permutations([-1.0] * 40 + [1.0] * 40))
 def test_carried_start_matches_a_fresh_search_at_every_prefix(xs):
     """Shuffled ties move the MAD window by up to a quarter of the history at
     once; a start carried over the whole stream still finds it."""
-    hist, start = [], 0
-    for x in xs:
-        insort(hist, x)
-        med, mad, start = robust_center_scale(hist, start)
-        assert (med, mad, start) == robust_center_scale(hist)
+    meds, mads, _ = center_scales(xs[:1], xs[1:])
+    for k in range(1, len(xs) + 1):
+        *_, start = center_scales(xs[:1], xs[1:k])
+        assert ([meds[k - 1]], [mads[k - 1]], start) == center_scales(sorted(xs[:k]))
 
 
 class TestSquash:
@@ -220,15 +244,40 @@ def test_streaming_matches_batch_replay():
         assert abs(st.ledger.log_wealth - logw[-1]) < 1e-10
 
 
-@pytest.mark.parametrize("y", [10**400, -10**400, float("inf"), float("nan")],
-                         ids=["10**400", "-10**400", "inf", "nan"])
+@pytest.mark.parametrize("y", [10**400, -10**400, float("inf"), float("nan"), True],
+                         ids=["10**400", "-10**400", "inf", "nan", "true"])
 def test_an_outcome_past_the_float_range_is_refused(y):
     """An int too large for a float is refused as a non-finite outcome is,
-    before the state changes."""
+    and so is a bool, before the state changes."""
     st = ContinuousState()
     with pytest.raises(ValueError, match="^outcome must be finite"):
         st.step(y, 1)
     assert st.values == [] and st.ledger.n_steps == 0
+
+
+def test_an_int_too_long_for_decimal_is_refused_by_its_size():
+    with pytest.raises(ValueError, match="^outcome must be finite, got an int of 16610 bits$"):
+        ContinuousState().step(10**5000, 1)
+
+
+def test_int_outcomes_are_their_floats():
+    """An int outcome is stored as its float: the state bets as on the float
+    stream, bit for bit, and its checkpoint encodes and decodes."""
+    rng = np.random.default_rng(25)
+    t, y = continuous_trial(rng, 120, 0.5, 0.0)
+    events = list(zip(np.round(y * 3).astype(int).tolist(), t.tolist()))
+    by_int = ContinuousState(sched=RampSchedule(5, 20), record_steps=True)
+    by_float = ContinuousState(sched=RampSchedule(5, 20), record_steps=True)
+    for yy, tt in events:
+        by_int.step(yy, tt)
+        by_float.step(float(yy), tt)
+    assert by_int.ledger.steps and by_int.ledger.steps == by_float.ledger.steps
+    assert by_int.ledger.log_wealth == by_float.ledger.log_wealth
+    assert all(type(v) is float for v in by_int.values)
+    saved = encode_state(by_int)
+    assert saved == encode_state(by_float)
+    clone = decode_state(ContinuousState, saved)
+    assert clone.values == by_float.values and clone.ledger.log_wealth == by_float.ledger.log_wealth
 
 
 def test_wagers_always_interior():

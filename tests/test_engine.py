@@ -160,7 +160,8 @@ def test_replication_stream_is_the_seed_sequence_stream(seed, rep):
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3, 2**130])
 @pytest.mark.parametrize("start,stop", [(2**32 - 3, 2**32 + 3),  # one uint32 word, then two
                                         (2**64 - 2, 2**64 + 2),  # two, then three
-                                        (0, _BLOCK_OBS + 2)])    # two derivation slices
+                                        # two derivation slices; an id free of the block size
+                                        pytest.param(0, _BLOCK_OBS + 2, id="0-BLOCK_OBS+2")])
 def test_a_range_is_its_replications(seed, start, stop):
     """A range's generators, derived a slice at a time, are each replication's
     own, also where the replications' word count changes."""

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from trialbet.checkpoint import decode_state, encode_state
 from trialbet.cli import parse_event
 from trialbet.core import RampSchedule
 from trialbet.simlab import batch
@@ -213,12 +214,39 @@ def test_enumeration_fairness_oracle():
     assert mean_final_wealth_survival(fresh, times, 10) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("time", [10**400, -10**400, float("inf"), float("nan")],
-                         ids=["10**400", "-10**400", "inf", "nan"])
+@pytest.mark.parametrize("time", [10**400, -10**400, float("inf"), float("nan"), True],
+                         ids=["10**400", "-10**400", "inf", "nan", "true"])
 def test_a_time_past_the_float_range_is_refused(time):
-    """An int too large for a float is refused as a non-finite time is."""
+    """An int too large for a float is refused as a non-finite time is, and
+    so is a bool."""
     with pytest.raises(ValueError, match="^time on study must be finite and >= 0"):
         SurvivalRecord(time, 1, 1)
+
+
+def test_a_time_too_long_for_decimal_is_refused_by_its_size():
+    with pytest.raises(ValueError, match="^time on study must be finite and >= 0, "
+                                         "got an int of 16610 bits$"):
+        SurvivalRecord(10**5000, 1, 1)
+
+
+def test_int_times_are_their_floats():
+    """An int time is stored as its float: the state bets as on float times,
+    bit for bit, and its checkpoint encodes and decodes."""
+    records = [(k // 2, k % 3 != 0, k % 2) for k in range(60)]
+    by_int = make_state(40, 40, sched=RampSchedule(3, 10), record_steps=True)
+    by_float = make_state(40, 40, sched=RampSchedule(3, 10), record_steps=True)
+    for time, status, arm in records:
+        by_int.step(SurvivalRecord(time, int(status), arm))
+        by_float.step(SurvivalRecord(float(time), int(status), arm))
+    assert SurvivalRecord(2, 1, 1) == SurvivalRecord(2.0, 1, 1)
+    assert type(SurvivalRecord(2, 1, 1).time) is float and type(by_int.last_time) is float
+    assert by_int.ledger.steps and by_int.ledger.steps == by_float.ledger.steps
+    assert by_int.ledger.log_wealth == by_float.ledger.log_wealth
+    saved = encode_state(by_int)
+    assert saved == encode_state(by_float)
+    clone = decode_state(SurvivalState, saved)
+    assert clone.last_time == by_float.last_time
+    assert clone.ledger.log_wealth == by_float.ledger.log_wealth
 
 
 def test_record_validation():
