@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager
+from .core import RampSchedule, WealthLedger, check_open_unit, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 
@@ -67,7 +67,7 @@ class BinaryState:
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = self.i = self.i + 1
         if i >= 2:
-            apply_bet(self.ledger, self.wager(outcome, i), arm, self.p, i)
+            self.ledger.bet(self.wager(outcome, i), arm, self.p, i)
         if arm == 1:
             self.n_trt += 1
             self.e_trt += outcome

@@ -210,12 +210,11 @@ def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any]
     disk, and only then renamed over ``path``: a crash mid-write leaves the
     previous checkpoint, the only resume point, intact.
     """
-    doc = dump_checkpoint(variant, state, config, position)
+    text = json.dumps(dump_checkpoint(variant, state, config, position)) + "\n"
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(text)  # one write of what json.dump writes in chunks
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -225,6 +224,19 @@ def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any]
         raise
 
 
-def read_checkpoint_file(path: str, variant: str, config: dict[str, Any]):
+def read_json(path: str, what: str):
+    """The JSON document in the file at ``path``.  A file that is no JSON,
+    nests too deeply or holds an int past Python's digit limit raises one
+    ValueError that begins with ``what``."""
     with open(path, encoding="utf-8") as fh:
-        return load_checkpoint(json.load(fh), variant, config)
+        text = fh.read()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what}: invalid JSON (nested too deeply)") from None
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
+        raise ValueError(f"{what}: invalid JSON ({exc})") from None
+
+
+def read_checkpoint_file(path: str, variant: str, config: dict[str, Any]):
+    return load_checkpoint(read_json(path, "corrupt checkpoint"), variant, config)

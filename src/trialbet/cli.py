@@ -21,11 +21,13 @@ import dataclasses
 import json
 import math
 import sys
+from collections import deque
 from datetime import datetime, timezone
+from itertools import islice
 
 from . import checkpoint as ckpt
 from .core import _exp_wealth
-from .variants import MONITORS, SCHEMA_VERSION, Monitor, flag_field
+from .variants import MONITORS, SCHEMA_VERSION, Monitor
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -73,7 +75,7 @@ def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
         record, end = _DECODER.scan_once(line, 0)
     except (StopIteration, ValueError, RecursionError):
         record = None
-    if type(record) is not dict or line[end:].strip(" \t\n\r"):
+    if type(record) is not dict or line[end:] != "\n" and line[end:].strip(" \t\n\r"):
         try:
             record = json.loads(line)
         except RecursionError as exc:
@@ -88,8 +90,11 @@ def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
         if missing:
             raise EventError(f"line {line_no}: missing fields {sorted(missing)}")
         raise EventError(f"line {line_no}: unknown fields {sorted(keys - monitor.allowed)}")
+    arm = record["arm"]
+    if arm not in (0, 1):
+        raise EventError(f"line {line_no}: field 'arm' must be 0 or 1, got {arm!r}")
     try:
-        return monitor.parse(record, flag_field(record, "arm"))
+        return monitor.parse(record, 1 if arm else 0)  # an int, as int(arm) is
     except ValueError as exc:
         raise EventError(f"line {line_no}: {exc}") from exc
 
@@ -138,44 +143,52 @@ def cmd_monitor(args) -> int:
     position = 0  # line number of the last processed event
     if args.resume:
         state, position = ckpt.read_checkpoint_file(args.checkpoint, variant, cfg)
-        print(f"resumed from checkpoint at line {position}", file=sys.stderr)
     else:
         state = monitor.build(cfg)
 
     ledger = state.ledger
     already_crossed = ledger.crossed
     step = state.step
+    n_events = monitor.events(state)  # each event consumed adds one
     progress_every = args.progress_every
     checkpoint_every = args.checkpoint_every
+    written = None  # position of the last periodic checkpoint
     stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
-        for line_no, line in enumerate(stream, start=1):
-            if line_no <= position or not line.strip():
-                continue  # a resume replays the full stream; skip processed lines
+        lines = enumerate(stream, start=1)
+        if args.resume:  # the input replays the stream from its start; skip the processed lines
+            skipped = deque(islice(lines, position), maxlen=1)
+            ends_at = skipped[0][0] if skipped else 0
+            if ends_at < position:
+                raise EventError(f"input ends at line {ends_at}, before the checkpoint's "
+                                 f"line {position}")
+            print(f"resumed from checkpoint at line {position}", file=sys.stderr)
+        for line_no, line in lines:
+            if line.isspace():  # what ``not line.strip()`` skips, without a copy
+                continue
             step_args = parse_event(monitor, line, line_no)
             try:
                 step(*step_args)
             except ValueError as exc:
                 raise EventError(f"line {line_no}: {exc}") from exc
             position = line_no
+            n_events += 1
             if ledger.crossed and not already_crossed:
                 already_crossed = True
                 stamp = datetime.now(timezone.utc).isoformat()
                 print(f"CROSSED at event {ledger.crossed_at}: "
                       f"e-value {ledger.wealth:.3f} >= {ledger.threshold:g} "
                       f"[{stamp}]", file=sys.stderr)
-            if not (progress_every or checkpoint_every):
-                continue
-            n_events = monitor.events(state)
             if progress_every and n_events % progress_every == 0:
                 print(f"event {n_events}: e-value {ledger.wealth:.4g}", file=sys.stderr)
             if checkpoint_every and n_events % checkpoint_every == 0:
                 ckpt.write_checkpoint_file(args.checkpoint, variant, state, cfg, position)
+                written = position
     finally:
         if stream is not sys.stdin:
             stream.close()
 
-    if args.checkpoint:
+    if args.checkpoint and written != position:  # else the last write saved this state
         ckpt.write_checkpoint_file(args.checkpoint, variant, state, cfg, position)
     report = _monitor_summary(monitor, variant, state)
     _write_json(report)
@@ -191,8 +204,7 @@ def cmd_monitor(args) -> int:
 def _load_scenario(args):
     from .simlab.scenario import SimScenario
 
-    with open(args.scenario, encoding="utf-8") as fh:
-        scenario = SimScenario.from_dict(json.load(fh))
+    scenario = SimScenario.from_dict(ckpt.read_json(args.scenario, f"scenario {args.scenario}"))
     overrides = {"n_sims": getattr(args, "sims", None), "seed": args.seed}
     return dataclasses.replace(scenario, **{k: v for k, v in overrides.items() if v is not None})
 

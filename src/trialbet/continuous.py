@@ -26,8 +26,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import InitVar, dataclass, field
+from operator import countOf
 
-from .core import (RampSchedule, WealthLedger, apply_bet, check_open_unit, clamp_wager,
+from .core import (FLOAT_MAX, RampSchedule, WealthLedger, check_open_unit, clamp_wager,
                    finite_float, shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
@@ -112,6 +113,23 @@ def center_scales(s, arrivals=(), start: int = 0) -> tuple[list[float], list[flo
         a, k, h = lo, k + 1, h + 1
 
 
+def _finite_outcomes(values) -> list[float]:
+    """``values`` sorted, each as a float; a NaN, an infinity or a bool raises
+    ValueError.  A list of floats costs a sort, a type count and a sum, with
+    no call per value from Python: with no NaN the sum is a number, the list
+    sorts, and its ends bound every value."""
+    out = sorted(values)
+    if countOf(map(type, out), float) == len(out):
+        total = sum(out)
+        if total == total and (not out or -FLOAT_MAX <= out[0] and out[-1] <= FLOAT_MAX):
+            return out
+    floats = [finite_float(v) for v in out]  # an int is stored as its float
+    for v, x in zip(out, floats):
+        if x is None:
+            raise ValueError(f"past outcomes must be finite numbers, got {shown(v)}")
+    return floats
+
+
 def squash(r: float) -> float:
     """Map a standardized residual into (-1, 1); odd and strictly monotone."""
     if not math.isfinite(r):
@@ -162,7 +180,7 @@ class ContinuousState:
         check_open_unit("c_max", self.c_max)
         if self.trt.n < 0 or self.ctrl.n < 0:  # a resume takes them from its checkpoint
             raise ValueError(f"arm counts must be >= 0, got {self.trt.n} and {self.ctrl.n}")
-        self.values = sorted(self.values)  # arrival-order checkpoints resume bit-exactly
+        self.values = _finite_outcomes(self.values)  # arrival-order checkpoints resume bit-exactly
         self.mad_start = 0  # the MAD window's search start; not a field, so never saved
         if self.ledger is None:
             self.ledger = WealthLedger(alpha, record_steps)
@@ -204,7 +222,6 @@ class ContinuousState:
             raise ValueError(f"arm must be 0 or 1, got {arm}")
         i = len(self.values) + 1
         if i >= 2 and (i - 1) >= self.sched.burn_in:
-            lam = self.wager(x, i)
-            apply_bet(self.ledger, lam, arm, self.p, i)
+            self.ledger.bet(self.wager(x, i), arm, self.p, i)
         insort(self.values, x)
         (self.trt if arm == 1 else self.ctrl).add(x)

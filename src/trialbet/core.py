@@ -12,7 +12,9 @@ Wealth is tracked in log space: long null streams multiply thousands of
 factors slightly below 1 and would underflow a plain product.  Exported
 e-values exponentiate (saturating to ``inf`` past the float range, where the
 log stays exact); the threshold test compares against ``log(1/alpha)``.  A
-settled bet has one outlet, the ledger: settling returns nothing.
+bet is settled by the ledger alone (:meth:`WealthLedger.bet` for a two-sided
+wager, :meth:`WealthLedger.apply` for any payout), and settling returns
+nothing.
 """
 
 from __future__ import annotations
@@ -97,7 +99,7 @@ def check_open_unit(name: str, value: float) -> None:
 
 def clamp_wager(raw: float, lo: float = WAGER_MIN, hi: float = WAGER_MAX) -> float:
     """Clamp a raw wager into [lo, hi]; identity on interior values."""
-    if not math.isfinite(raw):
+    if not -FLOAT_MAX <= raw <= FLOAT_MAX:  # NaN fails too
         raise ValueError(f"invalid wager: {raw!r}")
     m = raw if raw > lo else lo  # max(lo, raw), then min(hi, m), without the calls
     return m if m < hi else hi
@@ -126,8 +128,9 @@ class WealthLedger:
     the first step whose wealth reaches ``1/alpha`` and never unlatches, even
     if wealth later falls (anytime-valid semantics).
 
-    Every field is saved state.  ``record_steps`` is a constructor input: with
-    it, ``steps`` lists each settled bet's ``WealthStep``; else it is None.
+    Every field is saved state, and ``log_wealth`` is finite: no run reaches
+    an infinite or NaN one.  ``record_steps`` is a constructor input: with it,
+    ``steps`` lists each settled bet's ``WealthStep``; else it is None.
     """
 
     alpha: float = 0.05
@@ -139,6 +142,8 @@ class WealthLedger:
 
     def __post_init__(self, record_steps: bool) -> None:
         check_open_unit("alpha", self.alpha)
+        if not finite(self.log_wealth):
+            raise ValueError(f"log_wealth must be finite, got {self.log_wealth!r}")
         self.steps: list[WealthStep] | None = [] if record_steps else None
 
     @property
@@ -155,35 +160,28 @@ class WealthLedger:
 
     def apply(self, wager: float, multiplier: float, index: int) -> None:
         """Multiply wealth by a realized payout and update the crossed latch."""
-        if not (multiplier > 0.0 and math.isfinite(multiplier)):
+        if not 0.0 < multiplier <= FLOAT_MAX:  # NaN fails too
             raise ValueError(f"multiplier must be positive and finite, got {multiplier}")
-        self.log_wealth += math.log(multiplier)
+        log_wealth = self.log_wealth = self.log_wealth + math.log(multiplier)
         self.n_steps += 1
-        if not self.crossed and self.log_wealth >= self.log_threshold:
+        if log_wealth >= self.log_threshold and not self.crossed:
             self.crossed = True
             self.crossed_at = index
         if self.steps is not None:
-            self.steps.append(WealthStep(index, wager, multiplier, self.log_wealth, self.crossed))
+            self.steps.append(WealthStep(index, wager, multiplier, log_wealth, self.crossed))
 
+    def bet(self, wager: float, arm: int, p: float, index: int) -> None:
+        """Settle a two-sided wager against the revealed arm.
 
-def apply_bet(ledger: WealthLedger, wager: float, arm: int, p: float, index: int) -> None:
-    """Settle a two-sided wager against the revealed arm.
-
-    ``wager`` is the fraction staked on arm 1 (allocation probability ``p``);
-    the payout is ``wager/p`` if arm 1 was revealed, else ``(1-wager)/(1-p)``.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"allocation probability must be in (0,1), got {p}")
-    if arm not in (0, 1):
-        raise ValueError(f"arm must be 0 or 1, got {arm}")
-    multiplier = wager / p if arm == 1 else (1.0 - wager) / (1.0 - p)
-    ledger.apply(wager, multiplier, index)
-
-
-def apply_signed_bet(ledger: WealthLedger, bet: float, score: float, index: int) -> None:
-    """Settle a signed bet on a zero-mean score: payout ``1 + bet * score``.
-
-    Requires ``|bet * score| < 1`` so the payout stays positive.
-    """
-    ledger.apply(bet, 1.0 + bet * score, index)
-
+        ``wager`` is the fraction staked on arm 1 (allocation probability
+        ``p``); the payout is ``wager/p`` if arm 1 was revealed, else
+        ``(1-wager)/(1-p)``.
+        """
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"allocation probability must be in (0,1), got {p}")
+        if arm == 1:
+            self.apply(wager, wager / p, index)
+        elif arm == 0:
+            self.apply(wager, (1.0 - wager) / (1.0 - p), index)
+        else:
+            raise ValueError(f"arm must be 0 or 1, got {arm}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
+from .core import RampSchedule, WealthLedger, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 
@@ -65,12 +65,12 @@ class DeathsState:
         return 0.5
 
     def step(self, arm: int) -> None:
-        """Consume one death: bet on its arm at the fair-coin null, then count it."""
-        if arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {arm}")
+        """Consume one death: bet on its arm at the fair-coin null, then count it.
+
+        The ledger refuses an arm other than 0 or 1 before anything changes.
+        """
         i = self.d_trt + self.d_ctrl + 1
-        lam = self.wager(i)
-        apply_bet(self.ledger, lam, arm, 0.5, i)
+        self.ledger.bet(self.wager(i), arm, 0.5, i)
         if arm == 1:
             self.d_trt += 1
         else:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 
-from .core import RampSchedule, WealthLedger, apply_bet, clamp_wager
+from .core import RampSchedule, WealthLedger, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 
@@ -149,12 +149,12 @@ class MultistateState:
         self.step_classified(classify(from_state, to_state), arm)
 
     def step_classified(self, is_good: bool, arm: int) -> None:
-        """Consume a transition already classified good/bad."""
-        if arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {arm}")
+        """Consume a transition already classified good/bad.
+
+        The ledger refuses an arm other than 0 or 1 before anything changes.
+        """
         i = self.total_trt + self.total_ctrl + 1
-        lam = self.wager(is_good, i)
-        apply_bet(self.ledger, lam, arm, 0.5, i)
+        self.ledger.bet(self.wager(is_good, i), arm, 0.5, i)
         if arm == 1:
             self.total_trt += 1
             self.good_trt += is_good

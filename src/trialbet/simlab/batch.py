@@ -64,7 +64,7 @@ def _before(x: np.ndarray) -> np.ndarray:
 
 
 def _payout(arm, lam, p: float = 0.5) -> np.ndarray:
-    """Multiplier of wager ``lam`` on arm 1 (``core.apply_bet``): fair when P(arm 1) = p."""
+    """Multiplier of wager ``lam`` on arm 1 (``WealthLedger.bet``): fair when P(arm 1) = p."""
     return np.where(arm == 1, lam / p, (1.0 - lam) / (1.0 - p))
 
 

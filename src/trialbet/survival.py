@@ -14,34 +14,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import InitVar, dataclass
+from typing import NamedTuple
 
-from .core import (FLOAT_MAX, RampSchedule, WealthLedger, apply_signed_bet, check_open_unit,
+from .core import (FLOAT_MAX, RampSchedule, WealthLedger, check_open_unit, finite,
                    finite_float, shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 DEFAULT_BET_CAP = 0.25
 
 
-@dataclass(frozen=True, slots=True)
-class SurvivalRecord:
-    """One subject's follow-up outcome on the time-on-study clock."""
-
+class _Fields(NamedTuple):
     time: float
     status: int  # 1 = event, 0 = censored
     arm: int
 
-    def __post_init__(self) -> None:
-        time = self.time
-        if type(time) is not float:  # an int is stored as its float, which a checkpoint encodes
-            time = finite_float(time)
-            if time is not None:
-                object.__setattr__(self, "time", time)
-        if time is None or not 0.0 <= time <= FLOAT_MAX:
-            raise ValueError(f"time on study must be finite and >= 0, got {shown(self.time)}")
-        if self.status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {self.status}")
-        if self.arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {self.arm}")
+
+class SurvivalRecord(_Fields):
+    """One subject's follow-up outcome on the time-on-study clock.
+
+    The constructor checks each field and stores an int time as its float,
+    which a checkpoint encodes.  ``SurvivalRecord._make((time, status, arm))``
+    builds a record from fields already checked, without checking them again.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, time: float, status: int, arm: int):
+        x = time if type(time) is float else finite_float(time)
+        if x is None or not 0.0 <= x <= FLOAT_MAX:
+            raise ValueError(f"time on study must be finite and >= 0, "
+                             f"got {shown(time if x is None else x)}")
+        if status not in (0, 1):
+            raise ValueError(f"status must be 0 or 1, got {status}")
+        if arm not in (0, 1):
+            raise ValueError(f"arm must be 0 or 1, got {arm}")
+        return tuple.__new__(cls, (x, status, arm))
 
 
 @dataclass
@@ -52,6 +59,10 @@ class SurvivalState:
     up front, and shrink by one for every record processed.  A record for
     an arm whose risk set is already empty is refused: the cohort size was
     wrong, so no later risk proportion, and no payout, would be fair.
+
+    No run holds a non-finite score (each increment lies in (-1, 1)) or a
+    last time that is NaN or ``inf`` (it is -inf before the first record),
+    so a state given one is refused.
     """
 
     risk_trt: int
@@ -69,6 +80,10 @@ class SurvivalState:
         if self.risk_trt < 0 or self.risk_ctrl < 0:
             raise ValueError("risk-set sizes must be >= 0")
         check_open_unit("lambda_max", self.lambda_max)
+        if not finite(self.cum_z):
+            raise ValueError(f"cum_z must be finite, got {self.cum_z!r}")
+        if not self.last_time <= FLOAT_MAX:
+            raise ValueError(f"last_time must be finite or -inf, got {self.last_time!r}")
         if self.ledger is None:
             self.ledger = WealthLedger(alpha, record_steps)
 
@@ -88,27 +103,32 @@ class SurvivalState:
     def step(self, record: SurvivalRecord) -> None:
         """Consume the next time-ordered record.
 
-        Events settle the signed bet and then add their score increment to
-        the cumulative log-rank score; censorings only shrink the risk set.
+        Events settle the signed bet ``b`` at payout ``1 + b * u`` and then
+        add their score increment ``u`` to the cumulative log-rank score
+        (``|b| < 1`` and ``|u| < 1`` keep the payout positive); censorings
+        only shrink the risk set.
         """
-        if record.time < self.last_time:
-            raise ValueError(
-                f"stream not sorted: time {record.time} after {self.last_time}"
-            )
-        if (self.risk_trt if record.arm == 1 else self.risk_ctrl) == 0:
-            arm = "treated" if record.arm == 1 else "control"
-            raise ValueError(f"{arm} risk set is exhausted: more {arm} records than "
-                             f"the {arm} cohort size")
+        time, status, arm = record
+        if status not in (0, 1):
+            raise ValueError(f"status must be 0 or 1, got {status}")
+        if arm not in (0, 1):
+            raise ValueError(f"arm must be 0 or 1, got {arm}")
+        if time < self.last_time:
+            raise ValueError(f"stream not sorted: time {time} after {self.last_time}")
+        if (self.risk_trt if arm == 1 else self.risk_ctrl) == 0:
+            name = "treated" if arm == 1 else "control"
+            raise ValueError(f"{name} risk set is exhausted: more {name} records than "
+                             f"the {name} cohort size")
         j = self.records_seen + 1
-        if record.status == 1:
+        if status == 1:
             b = self.bet(j)
-            u = record.arm - self.risk_proportion()  # log-rank score increment
-            apply_signed_bet(self.ledger, b, u, j)
+            u = arm - self.risk_proportion()  # log-rank score increment
+            self.ledger.apply(b, 1.0 + b * u, j)
             self.cum_z += u
-        if record.arm == 1:
+        if arm == 1:
             self.risk_trt -= 1
         else:
             self.risk_ctrl -= 1
         self.records_seen = j
-        self.last_time = record.time
+        self.last_time = time
 

@@ -20,7 +20,7 @@ from operator import attrgetter
 from typing import Any, Callable
 
 from . import binary, continuous, deaths, multistate, survival
-from .core import RampSchedule, finite
+from .core import FLOAT_MAX, RampSchedule, finite
 
 SCHEMA_VERSION = 1  # of the JSON reports and CSV exports
 
@@ -64,12 +64,14 @@ def flag_field(record: dict, key: str) -> int:
     v = record[key]
     if v not in (0, 1):
         raise ValueError(f"field {key!r} must be 0 or 1, got {v!r}")
-    return int(v)
+    return 1 if v else 0  # an int, as int(v) is
 
 
 def _finite_field(record: dict, key: str) -> float:
     v = record[key]
-    if type(v) not in (float, int) or not finite(v):  # a bool is no number
+    if type(v) is float and abs(v) <= FLOAT_MAX:  # the case of almost every event, first
+        return v
+    if type(v) is not int or not finite(v):  # a bool is no number
         raise ValueError(f"field {key!r} must be a finite number, got {v!r}")
     return float(v)
 
@@ -81,6 +83,8 @@ def _state_name(record: dict, key: str) -> str:
 
 
 def _survival_args(record: dict, arm: int) -> tuple:
+    """Each field checked once, as ``SurvivalRecord`` checks it, then a record
+    built without checking again."""
     time = _finite_field(record, "time")
     status = flag_field(record, "status")
     if "entry_time" in record:
@@ -88,7 +92,9 @@ def _survival_args(record: dict, arm: int) -> tuple:
         if time - entry < 0:
             raise ValueError("negative time on study")
         time -= entry
-    return (survival.SurvivalRecord(time, status, arm),)
+    if not 0.0 <= time <= FLOAT_MAX:  # negative, or a difference past the float range
+        raise ValueError(f"time on study must be finite and >= 0, got {time!r}")
+    return (survival.SurvivalRecord._make((time, status, arm)),)
 
 
 MONITORS: dict[str, Monitor] = {

@@ -49,7 +49,7 @@ import math
 import numpy as np
 
 from trialbet.cli import EventError
-from trialbet.core import WAGER_MAX, WAGER_MIN, RampSchedule, WealthLedger, apply_bet
+from trialbet.core import WAGER_MAX, WAGER_MIN, RampSchedule, WealthLedger
 from trialbet.deaths import death_coin
 from trialbet.multistate import DEFAULT_MODEL
 from trialbet.simlab import batch, generators
@@ -67,10 +67,10 @@ def seed_sequence_rng(seed: int, rep: int) -> np.random.Generator:
 
 def null_expectation(wager: float, p: float) -> float:
     """Expected payout of a two-sided wager when arm 1 has probability ``p``,
-    from the multipliers ``apply_bet`` settles on each arm; 1 when fair."""
+    from the multipliers ``WealthLedger.bet`` settles on each arm; 1 when fair."""
     ledger = WealthLedger(record_steps=True)
-    apply_bet(ledger, wager, 1, p, 1)
-    apply_bet(ledger, wager, 0, p, 2)
+    ledger.bet(wager, 1, p, 1)
+    ledger.bet(wager, 0, p, 2)
     m1, m0 = (step.multiplier for step in ledger.steps)
     return p * m1 + (1.0 - p) * m0
 

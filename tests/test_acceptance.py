@@ -18,7 +18,7 @@ import pytest
 
 from trialbet.binary import BinaryState
 from trialbet.continuous import ContinuousState
-from trialbet.core import RampSchedule, WealthLedger, apply_bet
+from trialbet.core import RampSchedule, WealthLedger
 from trialbet.deaths import DeathsState, death_coin
 from trialbet.multistate import (
     CONTROL_DAILY,
@@ -109,9 +109,9 @@ def test_c02_brute_force_fairness_all_variants():
 def test_c03_worked_examples():
     # Binary monitor, three-patient walkthrough from the stated wagers
     led = WealthLedger(record_steps=True)
-    apply_bet(led, 0.473, 0, 0.5, 200)
-    apply_bet(led, 0.530, 1, 0.5, 201)
-    apply_bet(led, 0.469, 1, 0.5, 202)
+    led.bet(0.473, 0, 0.5, 200)
+    led.bet(0.530, 1, 0.5, 201)
+    led.bet(0.469, 1, 0.5, 202)
     m1, m2, m3 = (step.multiplier for step in led.steps)
     ok = (abs(m1 - 1.054) < 1e-9 and abs(m2 - 1.060) < 1e-9
           and abs(m3 - 0.938) < 1e-9 and round(m1 * m2 * m3, 3) == 1.048)

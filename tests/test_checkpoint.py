@@ -140,12 +140,19 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
 
     state.step(1, 1)
 
-    def dump_half(doc, fh):
-        text = json.dumps(doc)
-        fh.write(text[: len(text) // 2])
-        raise OSError("no space left on device")
+    def open_full_disk(*args, **kwargs):
+        """A file whose write stores half its text, then fails."""
+        fh = open(*args, **kwargs)
+        write = fh.write
 
-    monkeypatch.setattr(ckpt.json, "dump", dump_half)
+        def write_half(text):
+            write(text[: len(text) // 2])
+            raise OSError("no space left on device")
+
+        fh.write = write_half
+        return fh
+
+    monkeypatch.setattr(ckpt, "open", open_full_disk, raising=False)
     with pytest.raises(OSError, match="no space"):
         ckpt.write_checkpoint_file(str(path), "binary", state, cfg, 31)
     monkeypatch.undo()
@@ -154,6 +161,31 @@ def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     resumed, position = ckpt.read_checkpoint_file(str(path), "binary", cfg)
     assert position == 30 and resumed.i == 30
     assert [p.name for p in tmp_path.iterdir()] == ["ck.json"]
+
+
+@pytest.mark.parametrize("events,positions", [(3000, [1000, 2000, 3000]),
+                                              (2500, [1000, 2000, 2500])])
+def test_no_final_rewrite_of_the_last_periodic_checkpoint(tmp_path, monkeypatch, events,
+                                                          positions):
+    """``--checkpoint-every 1000`` writes after each thousandth event, and at the
+    end only when events came after the last periodic write: a run that ends
+    on a periodic write saved its final state there.  Either checkpoint
+    resumes to the uninterrupted report."""
+    stream, ck = tmp_path / "deaths.ndjson", tmp_path / "ck.json"
+    stream.write_text('{"arm": 1}\n{"arm": 0}\n\n' * (events // 2))
+    written = []
+    write = ckpt.write_checkpoint_file
+
+    def counted(path, variant, state, config, position):
+        written.append(position)
+        write(path, variant, state, config, position)
+
+    monkeypatch.setattr(ckpt, "write_checkpoint_file", counted)
+    argv = ["monitor", "--variant", "deaths", "--input", str(stream), "--checkpoint", str(ck)]
+    code, out, _ = run_main([*argv, "--checkpoint-every", "1000"])
+    lines = [3 * (n // 2) - 1 for n in positions]  # each event pair is three lines
+    assert code in (0, 10) and written == lines
+    assert run_main([*argv, "--resume"])[:2] == (code, out)
 
 
 @pytest.mark.parametrize("variant,edit,message", [
@@ -188,6 +220,34 @@ def test_impossible_checkpoint_is_refused(capsys, tmp_path, variant, edit, messa
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
     assert not report.exists()
+
+
+def test_a_non_finite_float_decodes_only_where_a_run_can_hold_it():
+    """``float.fromhex`` reads "nan", "inf" and "-inf".  A state refuses them
+    where no run holds them: log-wealth, past outcomes, the survival score,
+    and a survival last time of NaN or ``inf``.  A fresh survival
+    state's ``last_time`` of -inf, and the arm moments that outcomes near
+    the float range overflow (infinite, then NaN), still decode."""
+    ledger = ckpt.encode_state(WealthLedger())
+    for spelling in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="^log_wealth must be finite"):
+            ckpt.decode_state(WealthLedger, {**ledger, "log_wealth": spelling})
+    continuous = MONITORS["continuous"].state
+    state = continuous()
+    for y, moments in ((-1.7e308, None), (1.7e308, ["inf", "-inf"]), (0.0, ["nan", "nan"])):
+        state.step(y, 1)
+        saved = ckpt.encode_state(state)
+        assert moments is None or saved["trt"][1:] == moments  # mean and m2
+        assert ckpt.encode_state(ckpt.decode_state(continuous, saved)) == saved
+    with pytest.raises(ValueError, match="^past outcomes must be finite numbers, got inf"):
+        ckpt.decode_state(continuous, {**saved, "values": ["0x0p+0", "inf"]})
+    survival = ckpt.encode_state(MONITORS["survival"].state(risk_trt=3, risk_ctrl=4))
+    assert survival["last_time"] == "-inf"
+    assert ckpt.decode_state(MONITORS["survival"].state, survival).last_time == -math.inf
+    for key, spelling in (("cum_z", "nan"), ("cum_z", "-inf"), ("last_time", "nan"),
+                          ("last_time", "inf")):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ckpt.decode_state(MONITORS["survival"].state, {**survival, key: spelling})
 
 
 def test_schema_1_model_sets_resume_in_any_order(capsys, tmp_path):
@@ -260,6 +320,9 @@ _REPLACEMENTS = {
     "huge int": (_HUGE_INTS, lambda v: type(v) in (int, float)),
     "hex past range": (hs.sampled_from(["0x1p+1024", "-0x1.8p+1100"]),
                        lambda v: isinstance(v, str) and "0x" in v),  # a running float
+    # what float.hex writes for the non-finite floats, which float.fromhex reads
+    "hex non-finite": (hs.sampled_from(["nan", "inf", "-inf"]),
+                       lambda v: isinstance(v, str) and "0x" in v),
     "nan": (hs.just(math.nan), lambda v: True),
 }
 
@@ -269,9 +332,10 @@ _REPLACEMENTS = {
 @given(data=hs.data())
 def test_any_corrupt_field_ends_cleanly(variant, data):
     """One entry of a golden checkpoint swapped for another type, an int far
-    past int64 or the float range, a hex float past that range or NaN, or
-    deleted, or a key added beside it: the resume ends in exit 0 or 10, or
-    in exit 1 with one ``error:`` line, the last; never in a traceback."""
+    past int64 or the float range, a hex float past that range, the hex
+    spelling of NaN or an infinity, or NaN, or deleted, or a key added beside
+    it: the resume ends in exit 0 or 10 with a finite log e-value, or in exit
+    1 with one ``error:`` line, the last; never in a traceback."""
     doc = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
     how = data.draw(hs.sampled_from([*_REPLACEMENTS, "delete", "extra"]), label="corruption")
     value, fits = _REPLACEMENTS.get(how, (None, lambda v: True))
@@ -296,4 +360,6 @@ def test_any_corrupt_field_ends_cleanly(variant, data):
     if code == 1:
         assert errors == err.splitlines()[-1:] and out == "", err
     else:
-        assert code in (0, 10) and errors == [] and json.loads(out)["crossed"] == (code == 10)
+        report = json.loads(out)
+        assert code in (0, 10) and errors == [] and report["crossed"] == (code == 10)
+        assert type(report["log_e_value"]) is float and math.isfinite(report["log_e_value"])

@@ -466,6 +466,38 @@ def _edited_checkpoint(variant, path, value):
     return argv
 
 
+def _checkpoint_text(variant, edit):
+    """A resume from the golden ``variant`` checkpoint whose text is ``edit``
+    of the golden text, for a file that is not JSON."""
+    def argv(tmp_path):
+        ck = tmp_path / "ck.json"
+        ck.write_text(edit((GOLDEN / f"{variant}.ckpt.json").read_text()))
+        return ["monitor", "--variant", variant, "--input", str(GOLDEN / f"{variant}.ndjson"),
+                "--checkpoint", str(ck), "--resume", *GOLDEN_ARGS[variant]]
+    return argv
+
+
+def _short_input_resume(variant, k):
+    """A resume from the golden ``variant`` checkpoint, at line 60, over only
+    the first ``k`` lines of its stream."""
+    def argv(tmp_path):
+        lines = (GOLDEN / f"{variant}.ndjson").read_text().splitlines(keepends=True)
+        head, ck = tmp_path / "head.ndjson", tmp_path / "ck.json"
+        head.write_text("".join(lines[:k]))
+        ck.write_text((GOLDEN / f"{variant}.ckpt.json").read_text())
+        return ["monitor", "--variant", variant, "--input", str(head),
+                "--checkpoint", str(ck), "--resume", *GOLDEN_ARGS[variant]]
+    return argv
+
+
+def _scenario_text(text):
+    def argv(tmp_path):
+        path = tmp_path / "sc.json"
+        path.write_text(text)
+        return ["simulate", "--scenario", str(path)]
+    return argv
+
+
 def _events(variant, records, *options):
     """``monitor`` on a stream of ``records``."""
     def argv(tmp_path):
@@ -696,6 +728,35 @@ def _golden_monitor(variant, *argv):
     (_event_lines("survival", ['{"time": 3.0, "status": 1, "arm": 0, "entry_time": '
                                + DIGITS_5001 + '}'], "--risk-trt", "5", "--risk-ctrl", "5"),
      f"error: line 1: {DIGIT_LIMIT}"),
+    (_short_input_resume("binary", 30),
+     "error: input ends at line 30, before the checkpoint's line 60"),
+    (_short_input_resume("survival", 0),
+     "error: input ends at line 0, before the checkpoint's line 60"),
+    (_short_input_resume("deaths", 59),
+     "error: input ends at line 59, before the checkpoint's line 60"),
+    (_edited_checkpoint("continuous", ["state", "ledger", "log_wealth"], "inf"),
+     "error: corrupt checkpoint: log_wealth must be finite, got inf"),
+    (_edited_checkpoint("continuous", ["state", "ledger", "log_wealth"], "nan"),
+     "error: corrupt checkpoint: log_wealth must be finite, got nan"),
+    (_edited_checkpoint("binary", ["state", "ledger", "log_wealth"], "-inf"),
+     "error: corrupt checkpoint: log_wealth must be finite, got -inf"),
+    (_edited_checkpoint("continuous", ["state", "values", 3], "nan"),
+     "error: corrupt checkpoint: past outcomes must be finite numbers, got nan"),
+    (_edited_checkpoint("continuous", ["state", "values", 0], "-inf"),
+     "error: corrupt checkpoint: past outcomes must be finite numbers, got -inf"),
+    (_edited_checkpoint("survival", ["state", "cum_z"], "nan"),
+     "error: corrupt checkpoint: cum_z must be finite, got nan"),
+    (_edited_checkpoint("survival", ["state", "last_time"], "nan"),
+     "error: corrupt checkpoint: last_time must be finite or -inf, got nan"),
+    (_checkpoint_text("binary", lambda text: text[: len(text) // 2]),
+     "error: corrupt checkpoint: invalid JSON (Expecting value: line 1 column 208 (char 207))"),
+    (_checkpoint_text("deaths", lambda text: text.replace('"position": 60',
+                                                          '"position": ' + DIGITS_5001)),
+     "error: corrupt checkpoint: " + DIGIT_LIMIT),
+    (_scenario_text('{"variant": "binary", "n_sims": ' + DIGITS_5001 + "}"),
+     "sc.json: " + DIGIT_LIMIT),
+    (_scenario_text('{"variant": "binary", "n_sims": 5'),
+     "sc.json: invalid JSON (Expecting ',' delimiter: line 1 column 34 (char 33))"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -724,7 +785,13 @@ def _golden_monitor(variant, *argv):
         "checkpoint-cum_z-hex-past-float", "checkpoint-values-hex-past-float",
         "checkpoint-moment-hex-past-float", "checkpoint-e_trt-400-digits",
         "checkpoint-good_trt-400-digits", "checkpoint-arm-count-400-digits",
-        "event-outcome-5001-digits-line-4", "event-y-5001-digits", "event-entry_time-5001-digits"])
+        "event-outcome-5001-digits-line-4", "event-y-5001-digits", "event-entry_time-5001-digits",
+        "resume-input-30-of-60-lines", "resume-input-empty", "resume-input-59-of-60-lines",
+        "checkpoint-log_wealth-inf", "checkpoint-log_wealth-nan", "checkpoint-log_wealth-minus-inf",
+        "checkpoint-values-nan", "checkpoint-values-minus-inf", "checkpoint-cum_z-nan",
+        "checkpoint-last_time-nan", "checkpoint-truncated",
+        "checkpoint-position-5001-digits", "scenario-n_sims-5001-digits",
+        "scenario-truncated"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

@@ -280,6 +280,18 @@ def test_int_outcomes_are_their_floats():
     assert clone.values == by_float.values and clone.ledger.log_wealth == by_float.ledger.log_wealth
 
 
+def test_past_outcomes_are_stored_as_finite_floats():
+    """A hand-built history of ints is stored as floats, sorted, so its
+    checkpoint encodes; a NaN, an infinity or a bool is refused."""
+    state = ContinuousState(values=[3, 1, 2.5, -0.0])
+    assert state.values == [-0.0, 1.0, 2.5, 3.0]
+    assert all(type(v) is float for v in state.values)
+    assert encode_state(state)["values"] == [v.hex() for v in state.values]
+    for bad in (math.nan, math.inf, -math.inf, True, 10**400):
+        with pytest.raises(ValueError, match="^past outcomes must be finite numbers, got "):
+            ContinuousState(values=[1.0, bad, 2.0])
+
+
 def test_wagers_always_interior():
     rng = np.random.default_rng(2)
     t, y = continuous_trial(rng, 300, 3.0, 0.0, sd=4.0)

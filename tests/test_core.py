@@ -10,8 +10,6 @@ from trialbet.core import (
     WAGER_MIN,
     RampSchedule,
     WealthLedger,
-    apply_bet,
-    apply_signed_bet,
     clamp_wager,
 )
 
@@ -95,9 +93,9 @@ class TestClampWager:
 class TestApplyBet:
     def test_worked_example_multipliers(self):
         led = WealthLedger(record_steps=True)
-        apply_bet(led, 0.473, arm=0, p=0.5, index=200)
-        apply_bet(led, 0.5, 1, 0.5, 201)
-        apply_bet(led, 0.469, 1, 0.5, 202)
+        led.bet(0.473, arm=0, p=0.5, index=200)
+        led.bet(0.5, 1, 0.5, 201)
+        led.bet(0.469, 1, 0.5, 202)
         m1, m2, m3 = (s.multiplier for s in led.steps)
         assert m1 == pytest.approx(1.054, abs=1e-9)
         assert m2 == pytest.approx(1.0, abs=0)
@@ -105,11 +103,11 @@ class TestApplyBet:
 
     def test_bad_allocation(self):
         with pytest.raises(ValueError):
-            apply_bet(WealthLedger(), 0.5, 1, 0.0, 1)
+            WealthLedger().bet(0.5, 1, 0.0, 1)
         with pytest.raises(ValueError):
-            apply_bet(WealthLedger(), 0.5, 1, 1.0, 1)
+            WealthLedger().bet(0.5, 1, 1.0, 1)
         with pytest.raises(ValueError):
-            apply_bet(WealthLedger(), 0.5, 2, 0.5, 1)
+            WealthLedger().bet(0.5, 2, 0.5, 1)
 
 
 class TestWealthLedger:
@@ -146,6 +144,12 @@ class TestWealthLedger:
     def test_rejects_nonpositive_multiplier(self):
         with pytest.raises(ValueError):
             WealthLedger().apply(0.5, 0.0, 1)
+
+    @pytest.mark.parametrize("log_wealth", [math.nan, math.inf, -math.inf, 10**400])
+    def test_refuses_a_log_wealth_no_run_reaches(self, log_wealth):
+        """Every payout is positive and finite, so log-wealth is always finite."""
+        with pytest.raises(ValueError, match="^log_wealth must be finite, got "):
+            WealthLedger(log_wealth=log_wealth)
 
     def test_state_dict_round_trip_bit_exact(self):
         led = WealthLedger(alpha=0.01)
@@ -213,5 +217,5 @@ def test_fixed_wager_enumeration_is_fair():
 
 def test_signed_bet_ledger():
     led = WealthLedger(record_steps=True)
-    apply_signed_bet(led, 0.25, -0.5, 1)
+    led.apply(0.25, 1.0 + 0.25 * -0.5, 1)  # a signed bet of 0.25 on a score of -0.5
     assert led.steps[0].multiplier == pytest.approx(0.875, abs=1e-12)

@@ -8,7 +8,9 @@ most one ``error:`` line, and a run cut at any line and resumed from its
 checkpoint must report exactly what the uninterrupted run reports.
 """
 
+import itertools
 import json
+import operator
 import sys
 import tempfile
 from pathlib import Path
@@ -122,3 +124,14 @@ def test_resume_from_any_line_gives_the_uninterrupted_report(variant, data):
         assert f"resumed from checkpoint at line {cut}\n" in err
         assert report.read_text() == out == golden
     assert code == (10 if json.loads(golden)["crossed"] else 0)
+
+
+def test_blank_lines_are_the_lines_strip_empties():
+    """The monitor skips a line when ``line.isspace()``, which copies nothing.
+    A line read from a file is never empty, and for every code point, alone
+    or before a newline, that is exactly when ``not line.strip()``: the skip
+    passes over the same lines, "\\x1c"-"\\x1f" and "\\xa0" among them."""
+    chars = list(map(chr, range(sys.maxunicode + 1)))
+    for lines in (chars, list(map(operator.add, chars, itertools.repeat("\n")))):
+        assert list(map(str.isspace, lines)) == list(map(operator.not_, map(str.strip, lines)))
+    assert all(c.isspace() and not c.strip() for c in "\x1c\x1d\x1e\x1f\xa0\x85 　")
