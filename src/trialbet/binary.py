@@ -70,7 +70,7 @@ class BinaryState:
             self.ledger.bet(self.wager(outcome, i), arm, self.p, i)
         if arm == 1:
             self.n_trt += 1
-            self.e_trt += outcome
+            self.e_trt += 1 if outcome else 0  # an int, as a checkpoint saves it
         else:
             self.n_ctrl += 1
-            self.e_ctrl += outcome
+            self.e_ctrl += 1 if outcome else 0

@@ -183,23 +183,17 @@ def load_checkpoint(doc: dict[str, Any], variant: str, config: dict[str, Any]):
     if position < events:
         raise CheckpointError(f"corrupt checkpoint: position {position} is before "
                               f"its {events} events")
-    # a fresh run takes each setting from the configuration, else from the checkpoint
-    saved = {**_settings(monitor, state), **model}
-    fresh = monitor.build({**saved, **{key: getattr(state, key) for key in monitor.running},
-                           **config})
-    for key, value in {**_settings(monitor, fresh), **(_SCHEMA_1_MODEL if model else {})}.items():
-        if saved[key] != value:
-            raise CheckpointError(f"checkpoint {key} {saved[key]!r} does not match the "
-                                  f"configuration's {value!r}; refusing to resume")
+    # each setting no event changes (alpha, the schedule, the options the state does
+    # not update) against the configuration's; one it lacks is the checkpoint's own
+    saved = {"alpha": state.ledger.alpha, **encode_state(state.sched),
+             **{key: getattr(state, key) for key in monitor.options
+                if key not in monitor.running}, **model}
+    for key, value in saved.items():
+        want = _SCHEMA_1_MODEL[key] if key in model else config.get(key, value)
+        if value != want:
+            raise CheckpointError(f"checkpoint {key} {value!r} does not match the "
+                                  f"configuration's {want!r}; refusing to resume")
     return state, position
-
-
-def _settings(monitor, state) -> dict[str, Any]:
-    """What a state holds that no event changes: alpha, the schedule, and the
-    options the state does not update."""
-    return {"alpha": state.ledger.alpha, **encode_state(state.sched),
-            **{key: getattr(state, key) for key in monitor.options
-               if key not in monitor.running}}
 
 
 def write_checkpoint_file(path: str, variant: str, state, config: dict[str, Any],

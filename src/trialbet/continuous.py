@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import InitVar, dataclass, field
-from operator import countOf
 
-from .core import (FLOAT_MAX, RampSchedule, WealthLedger, check_open_unit, clamp_wager,
-                   finite_float, shown)
+from .core import (RampSchedule, WealthLedger, check_open_unit, clamp_wager, finite_float,
+                   shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 DEFAULT_C_MAX = 0.6
@@ -115,14 +114,8 @@ def center_scales(s, arrivals=(), start: int = 0) -> tuple[list[float], list[flo
 
 def _finite_outcomes(values) -> list[float]:
     """``values`` sorted, each as a float; a NaN, an infinity or a bool raises
-    ValueError.  A list of floats costs a sort, a type count and a sum, with
-    no call per value from Python: with no NaN the sum is a number, the list
-    sorts, and its ends bound every value."""
+    ValueError."""
     out = sorted(values)
-    if countOf(map(type, out), float) == len(out):
-        total = sum(out)
-        if total == total and (not out or -FLOAT_MAX <= out[0] and out[-1] <= FLOAT_MAX):
-            return out
     floats = [finite_float(v) for v in out]  # an int is stored as its float
     for v, x in zip(out, floats):
         if x is None:

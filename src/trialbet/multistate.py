@@ -157,7 +157,7 @@ class MultistateState:
         self.ledger.bet(self.wager(is_good, i), arm, 0.5, i)
         if arm == 1:
             self.total_trt += 1
-            self.good_trt += is_good
+            self.good_trt += 1 if is_good else 0  # an int, as a checkpoint saves it
         else:
             self.total_ctrl += 1
-            self.good_ctrl += is_good
+            self.good_ctrl += 1 if is_good else 0

@@ -292,10 +292,9 @@ def continuous_prepare(treatment, outcome,
     for row in range(m if width else 0):  # one kernel call per row that bets
         ys = y[row].tolist()
         center[row], scale[row], _ = center_scales(sorted(ys[:first - 1]), ys[first - 1:n - 1])
-    r = (y[:, first - 1:] - center) / scale
-    g = r / (1.0 + np.abs(r))
-
     with np.errstate(over="ignore", invalid="ignore"):
+        r = (y[:, first - 1:] - center) / scale
+        g = r / (1.0 + np.abs(r))  # NaN past the float range; the engine refuses it
         n1, m1, sd1 = arm_stats(t)
         n0, m0, sd0 = arm_stats(1 - t)
         s_pooled = np.sqrt((sd1 * sd1 + sd0 * sd0) / 2.0)

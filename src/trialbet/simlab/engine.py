@@ -187,27 +187,45 @@ def _block(drawn):
         yield _padded(drawn[start:])
 
 
-def _bets(sim, prep, lengths, params: dict) -> tuple:
+def _bets(sim, prep, lengths, params: dict, origin: tuple) -> tuple:
     """(wager, multiplier, log-wealth) of a prepared block; past a row's real
-    length no bet is placed (a NaN wager, a multiplier of exactly 1.0)."""
+    length no bet is placed (a NaN wager, a multiplier of exactly 1.0).
+
+    A row that ends at a NaN log-e (data past the float range, which the
+    monitor refuses too) is refused, named by ``origin``: a label and the
+    replication of the block's first row."""
     wager, mult = sim.bet(prep, params)
     if lengths.min() < wager.shape[-1]:  # a padded block
         pad = np.arange(wager.shape[-1]) >= lengths[:, None]
         wager, mult = np.where(pad, np.nan, wager), np.where(pad, 1.0, mult)
-    return wager, mult, batch.log_wealth((wager, mult))
+    logw = batch.log_wealth((wager, mult))
+    bad = np.flatnonzero(np.isnan(logw[:, -1:]))  # a NaN carries to the row's end
+    if bad.size:
+        raise ValueError(f"{origin[0]}: replication {origin[1] + bad[0]} ends at a NaN "
+                         f"log e-value; its data overflow the float range")
+    return wager, mult, logw
 
 
-def _bet_blocks(sim, prepared, params: dict, alpha: float):
-    """(first crossing, final log-e, stream length) per trial of (prepared block, lengths)."""
+def _bet_blocks(sim, prepared, params: dict, alpha: float, origin: tuple):
+    """(first crossing, final log-e, stream length) per trial of (prepared block,
+    lengths); ``origin`` is as ``_bets`` takes it for the first block."""
     parts = [(np.empty(0), np.empty(0), np.empty(0, dtype=np.int64))]  # no blocks: no trials
     for prep, lengths in prepared:
-        parts.append((*batch.row_outcomes(_bets(sim, prep, lengths, params)[2], alpha), lengths))
+        outcomes = batch.row_outcomes(_bets(sim, prep, lengths, params, origin)[2], alpha)
+        parts.append((*outcomes, lengths))
+        origin = (origin[0], origin[1] + len(lengths))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
-def _replay(sim, blocks, params: dict, alpha: float):
+def _replay(sim, blocks, params: dict, alpha: float, origin: tuple = ("replayed trials", 0)):
     """``_bet_blocks`` of drawn (block, real lengths) pairs."""
-    return _bet_blocks(sim, ((sim.prepare(b, params), n) for b, n in blocks), params, alpha)
+    return _bet_blocks(sim, ((sim.prepare(b, params), n) for b, n in blocks), params, alpha,
+                       origin)
+
+
+def _origin(scenario: SimScenario, start: int) -> tuple:
+    """The label and first replication that name a scenario's replay in a refusal."""
+    return f"{scenario.variant} seed {scenario.seed}", start
 
 
 def _draw(scenario: SimScenario, start: int, stop: int):
@@ -223,7 +241,7 @@ def _draw(scenario: SimScenario, start: int, stop: int):
 def _run_range(scenario: SimScenario, start: int, stop: int):
     """Replications [start, stop); returns (crossing, final_log_e, stream_len) arrays."""
     sim, blocks = _draw(scenario, start, stop)
-    return _replay(sim, blocks, scenario.params, scenario.alpha)
+    return _replay(sim, blocks, scenario.params, scenario.alpha, _origin(scenario, start))
 
 
 def trajectories(scenario: SimScenario, n: int) -> list[tuple]:
@@ -234,7 +252,8 @@ def trajectories(scenario: SimScenario, n: int) -> list[tuple]:
     p = scenario.params
     out = []
     for block, lengths in blocks:
-        for wager, mult, logw in zip(*_bets(sim, sim.prepare(block, p), lengths, p)):
+        for wager, mult, logw in zip(*_bets(sim, sim.prepare(block, p), lengths, p,
+                                            _origin(scenario, len(out)))):
             placed = np.flatnonzero(~np.isnan(wager))
             out.append((placed + 1, wager[placed], mult[placed], logw[placed]))
     return out
@@ -331,9 +350,11 @@ def head_to_head_deaths_vs_binary(baselines, arr: float = 0.05, power: float = 0
         scenario = SimScenario("binary", {"n_patients": n_pat, "p_ctrl": baseline,
                                           "p_trt": p_trt}, n_sims, alpha, seed)
         blocks = list(_draw(scenario, b_idx * n_sims, (b_idx + 1) * n_sims)[1])
-        bin_power = _power(_replay(binary, blocks, scenario.params, alpha)[0], n_sims)[1]
+        origin = _origin(scenario, b_idx * n_sims)
+        bin_power = _power(_replay(binary, blocks, scenario.params, alpha, origin)[0], n_sims)[1]
         streams = [(t[y == 1],) for block, _ in blocks for t, y in zip(*block)]
-        death_cross, _, n_deaths = _replay(deaths, _block(streams), deaths.defaults, alpha)
+        death_cross, _, n_deaths = _replay(deaths, _block(streams), deaths.defaults, alpha,
+                                           origin)
         death_power = _power(death_cross, n_sims)[1]
         delta = (death_power - bin_power) * 100.0
         winner = "deaths" if delta > 1.0 else ("binary" if delta < -1.0 else "tied")
@@ -385,7 +406,8 @@ def wage_study(variant: str, strategies, effects, n_patients: int | None = None,
         blocks = _draw(scenario, e_idx * n_sims, (e_idx + 1) * n_sims)[1]
         prepared = [(sim.prepare(block, scenario.params), lengths) for block, lengths in blocks]
         for label, replay in replays:
-            crossings, finals = _bet_blocks(sim, prepared, replay, alpha)[:2]
+            crossings, finals = _bet_blocks(sim, prepared, replay, alpha,
+                                            _origin(scenario, e_idx * n_sims))[:2]
             _, power, se, med_cross = _power(crossings, n_sims)
             cells.append(WageCell(variant, label, effect, n, n_sims, power, se,
                                   _exp(np.median(finals)), med_cross))

@@ -23,32 +23,13 @@ DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 DEFAULT_BET_CAP = 0.25
 
 
-class _Fields(NamedTuple):
+class SurvivalRecord(NamedTuple):
+    """One subject's follow-up outcome on the time-on-study clock, unchecked:
+    ``SurvivalState.step`` checks each field as it consumes the record."""
+
     time: float
     status: int  # 1 = event, 0 = censored
     arm: int
-
-
-class SurvivalRecord(_Fields):
-    """One subject's follow-up outcome on the time-on-study clock.
-
-    The constructor checks each field and stores an int time as its float,
-    which a checkpoint encodes.  ``SurvivalRecord._make((time, status, arm))``
-    builds a record from fields already checked, without checking them again.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, time: float, status: int, arm: int):
-        x = time if type(time) is float else finite_float(time)
-        if x is None or not 0.0 <= x <= FLOAT_MAX:
-            raise ValueError(f"time on study must be finite and >= 0, "
-                             f"got {shown(time if x is None else x)}")
-        if status not in (0, 1):
-            raise ValueError(f"status must be 0 or 1, got {status}")
-        if arm not in (0, 1):
-            raise ValueError(f"arm must be 0 or 1, got {arm}")
-        return tuple.__new__(cls, (x, status, arm))
 
 
 @dataclass
@@ -106,9 +87,15 @@ class SurvivalState:
         Events settle the signed bet ``b`` at payout ``1 + b * u`` and then
         add their score increment ``u`` to the cumulative log-rank score
         (``|b| < 1`` and ``|u| < 1`` keep the payout positive); censorings
-        only shrink the risk set.
+        only shrink the risk set.  Every check of a record is here.
         """
         time, status, arm = record
+        if type(time) is not float or not 0.0 <= time <= FLOAT_MAX:
+            x = finite_float(time)  # None for a bool, NaN, an infinity or a huge int
+            if x is None or x < 0.0:
+                raise ValueError(f"time on study must be finite and >= 0, "
+                                 f"got {shown(time if x is None else x)}")
+            time = x  # an int as its float, which a checkpoint encodes
         if status not in (0, 1):
             raise ValueError(f"status must be 0 or 1, got {status}")
         if arm not in (0, 1):

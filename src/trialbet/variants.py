@@ -83,8 +83,8 @@ def _state_name(record: dict, key: str) -> str:
 
 
 def _survival_args(record: dict, arm: int) -> tuple:
-    """Each field checked once, as ``SurvivalRecord`` checks it, then a record
-    built without checking again."""
+    """The checks that name a JSON field; ``SurvivalState.step`` checks the
+    record itself (time on study, status, arm, order and risk set)."""
     time = _finite_field(record, "time")
     status = flag_field(record, "status")
     if "entry_time" in record:
@@ -92,9 +92,7 @@ def _survival_args(record: dict, arm: int) -> tuple:
         if time - entry < 0:
             raise ValueError("negative time on study")
         time -= entry
-    if not 0.0 <= time <= FLOAT_MAX:  # negative, or a difference past the float range
-        raise ValueError(f"time on study must be finite and >= 0, got {time!r}")
-    return (survival.SurvivalRecord._make((time, status, arm)),)
+    return (survival.SurvivalRecord(time, status, arm),)
 
 
 MONITORS: dict[str, Monitor] = {

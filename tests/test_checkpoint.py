@@ -9,12 +9,14 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
 from trialbet import checkpoint as ckpt
 from trialbet.cli import main
-from trialbet.core import WealthLedger
+from trialbet.core import RampSchedule, WealthLedger
+from trialbet.survival import SurvivalRecord
 from trialbet.variants import MONITORS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -363,3 +365,54 @@ def test_any_corrupt_field_ends_cleanly(variant, data):
         report = json.loads(out)
         assert code in (0, 10) and errors == [] and report["crossed"] == (code == 10)
         assert type(report["log_e_value"]) is float and math.isfinite(report["log_e_value"])
+
+
+# 0 and 1 as a caller may spell them: int, bool, float and numpy scalars
+_FLAGS = hs.sampled_from([0, 1, False, True, 0.0, 1.0, np.int8(0), np.int8(1), np.int64(1),
+                          np.bool_(False), np.bool_(True), np.float64(0.0), np.float64(1.0)])
+_NUMBERS = hs.sampled_from([int, float, np.float64])
+
+
+def _survival_event(state, draw):
+    """The next record in time order, its time an int, a float or an
+    ``np.float64``, as a ``SurvivalRecord`` or a plain tuple."""
+    time = draw(_NUMBERS)(max(state.last_time, 0.0) + draw(hs.integers(0, 2)))
+    record = draw(hs.sampled_from([SurvivalRecord, lambda *fields: fields]))
+    state.step(record(time, draw(_FLAGS), draw(_FLAGS)))
+
+
+# each variant's fresh state (bets start at its third event) and one drawn event fed to it
+_STREAMS = {
+    "binary": ({}, lambda s, draw: s.step(draw(_FLAGS), draw(_FLAGS))),
+    "deaths": ({}, lambda s, draw: s.step(draw(_FLAGS))),
+    "continuous": ({}, lambda s, draw: s.step(draw(_NUMBERS)(draw(hs.integers(-3, 3))),
+                                              draw(_FLAGS))),
+    "survival": ({"risk_trt": 20, "risk_ctrl": 20}, _survival_event),
+    "multistate": ({}, lambda s, draw: s.step_classified(draw(_FLAGS), draw(_FLAGS))),
+}
+_BAD_TIMES = hs.one_of(hs.sampled_from([math.nan, math.inf, True, False, 10**400, -10**400,
+                                        -1, np.float64("nan"), np.float64(-2.5)]),
+                       hs.floats(max_value=-5e-324))  # every negative float, -inf too
+
+
+@pytest.mark.parametrize("variant", sorted(_STREAMS))
+@settings(max_examples=15, deadline=None)
+@given(data=hs.data())
+def test_any_spelling_of_a_stream_round_trips(variant, data):
+    """A short stream whose flags, outcomes and survival times are drawn as
+    ints, bools, floats and numpy scalars leaves a state that a checkpoint
+    writes and reads back equal; a survival time no record may hold is
+    refused by ``step``, with nothing changed."""
+    options, feed = _STREAMS[variant]
+    cls = MONITORS[variant].state
+    state = cls(sched=RampSchedule(2, 3), **options)
+    for _ in range(data.draw(hs.integers(0, 12), label="events")):
+        feed(state, data.draw)
+    saved = json.loads(json.dumps(ckpt.encode_state(state)))
+    clone = ckpt.decode_state(cls, saved)
+    assert clone == state and ckpt.encode_state(clone) == saved
+    if variant == "survival":
+        time = data.draw(_BAD_TIMES, label="time")
+        with pytest.raises(ValueError, match="^time on study must be finite and >= 0, got "):
+            state.step((time, 1, 1))
+        assert ckpt.encode_state(state) == saved

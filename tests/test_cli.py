@@ -539,6 +539,12 @@ def _matrices(edit, both=False):
 _BINARY = {"n_patients": 20, "p_ctrl": 0.4}
 
 
+# outcomes near the float maximum put residuals past the float range: the lab and the
+# monitor both refuse them
+_OVERFLOWING = {"variant": "continuous", "n_sims": 5, "seed": 1,
+                "params": {"n_patients": 60, "mu_ctrl": 1e308, "burn_in": 5, "ramp": 5}}
+
+
 def _lab(variant, **params):
     return _scenario({"variant": variant, "n_sims": 2, "params": {"n_patients": 20, **params}})
 
@@ -757,6 +763,13 @@ def _golden_monitor(variant, *argv):
      "sc.json: " + DIGIT_LIMIT),
     (_scenario_text('{"variant": "binary", "n_sims": 5'),
      "sc.json: invalid JSON (Expecting ',' delimiter: line 1 column 34 (char 33))"),
+    (_scenario(_OVERFLOWING),
+     "error: continuous seed 1: replication 0 ends at a NaN log e-value; "
+     "its data overflow the float range"),
+    (lambda tmp_path: ["trajectories", *_scenario(_OVERFLOWING)(tmp_path)[1:], "--out", str(tmp_path / "t.csv")],
+     "error: continuous seed 1: replication 0 ends at a NaN log e-value"),
+    (_wage("continuous", "--d", "1e308", "--n", "60", "--sims", "2"),
+     "error: continuous seed 0: replication 0 ends at a NaN log e-value"),
 ], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
         "entry-after-time", "alpha-1.5", "n_sims-0",
         "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
@@ -791,7 +804,8 @@ def _golden_monitor(variant, *argv):
         "checkpoint-values-nan", "checkpoint-values-minus-inf", "checkpoint-cum_z-nan",
         "checkpoint-last_time-nan", "checkpoint-truncated",
         "checkpoint-position-5001-digits", "scenario-n_sims-5001-digits",
-        "scenario-truncated"])
+        "scenario-truncated", "simulate-nan-e-value", "trajectories-nan-e-value",
+        "wage-continuous-d-1e308-nan-e-value"])
 def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
     """Inputs no run can use end in exit 1 and one ``error:`` line."""
     code, out, err = run_cli(capsys, *argv(tmp_path))

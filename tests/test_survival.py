@@ -43,7 +43,7 @@ class TestScoreIncrement:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="arm must be 0 or 1"):
-            SurvivalRecord(1.0, 1, 2)
+            make_state().step(SurvivalRecord(1.0, 1, 2))
 
 
 class TestBet:
@@ -220,13 +220,13 @@ def test_a_time_past_the_float_range_is_refused(time):
     """An int too large for a float is refused as a non-finite time is, and
     so is a bool."""
     with pytest.raises(ValueError, match="^time on study must be finite and >= 0"):
-        SurvivalRecord(time, 1, 1)
+        make_state().step(SurvivalRecord(time, 1, 1))
 
 
 def test_a_time_too_long_for_decimal_is_refused_by_its_size():
     with pytest.raises(ValueError, match="^time on study must be finite and >= 0, "
                                          "got an int of 16610 bits$"):
-        SurvivalRecord(10**5000, 1, 1)
+        make_state().step(SurvivalRecord(10**5000, 1, 1))
 
 
 def test_int_times_are_their_floats():
@@ -239,7 +239,7 @@ def test_int_times_are_their_floats():
         by_int.step(SurvivalRecord(time, int(status), arm))
         by_float.step(SurvivalRecord(float(time), int(status), arm))
     assert SurvivalRecord(2, 1, 1) == SurvivalRecord(2.0, 1, 1)
-    assert type(SurvivalRecord(2, 1, 1).time) is float and type(by_int.last_time) is float
+    assert type(by_int.last_time) is float
     assert by_int.ledger.steps and by_int.ledger.steps == by_float.ledger.steps
     assert by_int.ledger.log_wealth == by_float.ledger.log_wealth
     saved = encode_state(by_int)
@@ -251,8 +251,8 @@ def test_int_times_are_their_floats():
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        SurvivalRecord(-1.0, 1, 0)
+        make_state().step(SurvivalRecord(-1.0, 1, 0))
     with pytest.raises(ValueError):
-        SurvivalRecord(1.0, 2, 0)
+        make_state().step(SurvivalRecord(1.0, 2, 0))
     with pytest.raises(ValueError):
-        SurvivalRecord(1.0, 1, 3)
+        make_state().step(SurvivalRecord(1.0, 1, 3))
