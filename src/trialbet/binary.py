@@ -9,32 +9,28 @@ no bet (there is no history to learn from).
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
-from .core import RampSchedule, WealthLedger, check_open_unit, clamp_wager
+from .core import MonitorState, RampSchedule, check_open_unit, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 
 
 @dataclass
-class BinaryState:
+class BinaryState(MonitorState):
     """Streaming state for the binary monitor; one instance per trial stream."""
 
     sched: RampSchedule = DEFAULT_SCHEDULE
     p: float = 0.5
-    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
-    record_steps: InitVar[bool] = False
     n_trt: int = 0
     n_ctrl: int = 0
     e_trt: int = 0
     e_ctrl: int = 0
     i: int = 0  # observations consumed so far
-    ledger: WealthLedger = None  # type: ignore[assignment]
 
     def __post_init__(self, alpha: float, record_steps: bool) -> None:
         check_open_unit("p", self.p)
-        if self.ledger is None:
-            self.ledger = WealthLedger(alpha, record_steps)
+        super().__post_init__(alpha, record_steps)
 
     def delta(self) -> float:
         """Running event-rate difference, treatment minus control.

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
-from .core import (RampSchedule, WealthLedger, check_open_unit, clamp_wager, finite_float,
+from .core import (MonitorState, RampSchedule, check_open_unit, clamp_wager, finite_float,
                    shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
@@ -155,18 +155,15 @@ class _ArmMoments:
 
 
 @dataclass
-class ContinuousState:
+class ContinuousState(MonitorState):
     """Streaming state for the continuous monitor; one instance per trial."""
 
     sched: RampSchedule = DEFAULT_SCHEDULE
     c_max: float = DEFAULT_C_MAX
     p: float = 0.5
-    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
-    record_steps: InitVar[bool] = False
     values: list[float] = field(default_factory=list)  # past outcomes, sorted
     trt: _ArmMoments = field(default_factory=_ArmMoments)
     ctrl: _ArmMoments = field(default_factory=_ArmMoments)
-    ledger: WealthLedger = None  # type: ignore[assignment]
 
     def __post_init__(self, alpha: float, record_steps: bool) -> None:
         check_open_unit("p", self.p)
@@ -175,8 +172,7 @@ class ContinuousState:
             raise ValueError(f"arm counts must be >= 0, got {self.trt.n} and {self.ctrl.n}")
         self.values = _finite_outcomes(self.values)  # arrival-order checkpoints resume bit-exactly
         self.mad_start = 0  # the MAD window's search start; not a field, so never saved
-        if self.ledger is None:
-            self.ledger = WealthLedger(alpha, record_steps)
+        super().__post_init__(alpha, record_steps)
 
     @property
     def i(self) -> int:

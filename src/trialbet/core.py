@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import InitVar, dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from functools import cached_property
 
 # Wager clamp shared by the two-sided monitors (binary, deaths, continuous).
@@ -42,10 +42,13 @@ def finite(v) -> bool:
 def finite_float(v) -> float | None:
     """The number ``v`` as a float when it is finite (see :func:`finite`), so a
     state stores only what a checkpoint encodes; None when it is not, and for
-    a bool (a bool is no number)."""
+    a bool, Python's or numpy's (a bool is no number)."""
     if type(v) is float:  # the case of every event, first
         return v if abs(v) <= FLOAT_MAX else None
-    return float(v) if type(v) is not bool and abs(v) <= FLOAT_MAX else None
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy is loaded
+    if type(v) is bool or np is not None and isinstance(v, np.bool_):
+        return None
+    return float(v) if abs(v) <= FLOAT_MAX else None
 
 
 def shown(v) -> str:
@@ -185,3 +188,18 @@ class WealthLedger:
             self.apply(wager, (1.0 - wager) / (1.0 - p), index)
         else:
             raise ValueError(f"arm must be 0 or 1, got {arm}")
+
+
+@dataclass
+class MonitorState:
+    """Base of every monitor state: the ledger that settles its bets, built from the
+    keyword-only ``alpha`` and ``record_steps`` (not saved) unless a resume passes one."""
+
+    _: KW_ONLY  # so a state's own fields, required ones too, may follow
+    alpha: InitVar[float] = 0.05
+    record_steps: InitVar[bool] = False
+    ledger: WealthLedger = None  # type: ignore[assignment]
+
+    def __post_init__(self, alpha: float, record_steps: bool) -> None:
+        if self.ledger is None:
+            self.ledger = WealthLedger(alpha, record_steps)

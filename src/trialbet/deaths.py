@@ -10,9 +10,9 @@ never observed: the only input is the ordered stream of arms on deaths.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
-from .core import RampSchedule, WealthLedger, clamp_wager
+from .core import MonitorState, RampSchedule, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 
@@ -34,19 +34,12 @@ def expected_deaths(n_patients: int, p_ctrl: float, p_trt: float) -> int:
 
 
 @dataclass
-class DeathsState:
+class DeathsState(MonitorState):
     """Streaming state for deaths-only monitoring; one instance per trial."""
 
     sched: RampSchedule = DEFAULT_SCHEDULE
-    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
-    record_steps: InitVar[bool] = False
     d_trt: int = 0
     d_ctrl: int = 0
-    ledger: WealthLedger = None  # type: ignore[assignment]
-
-    def __post_init__(self, alpha: float, record_steps: bool) -> None:
-        if self.ledger is None:
-            self.ledger = WealthLedger(alpha, record_steps)
 
     @property
     def total(self) -> int:

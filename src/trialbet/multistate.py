@@ -11,9 +11,9 @@ assumption: only that arms are randomized and the wager uses past data.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
-from .core import RampSchedule, WealthLedger, clamp_wager
+from .core import MonitorState, RampSchedule, clamp_wager
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
 
@@ -105,21 +105,14 @@ TREATMENT_DAILY = TransitionMatrix((
 
 
 @dataclass
-class MultistateState:
+class MultistateState(MonitorState):
     """Streaming state for the transition monitor; one instance per trial."""
 
     sched: RampSchedule = DEFAULT_SCHEDULE
-    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
-    record_steps: InitVar[bool] = False
     good_trt: int = 0
     total_trt: int = 0
     good_ctrl: int = 0
     total_ctrl: int = 0
-    ledger: WealthLedger = None  # type: ignore[assignment]
-
-    def __post_init__(self, alpha: float, record_steps: bool) -> None:
-        if self.ledger is None:
-            self.ledger = WealthLedger(alpha, record_steps)
 
     @property
     def total(self) -> int:

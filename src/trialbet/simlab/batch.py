@@ -65,7 +65,8 @@ def _before(x: np.ndarray) -> np.ndarray:
 
 def _payout(arm, lam, p: float = 0.5) -> np.ndarray:
     """Multiplier of wager ``lam`` on arm 1 (``WealthLedger.bet``): fair when P(arm 1) = p."""
-    return np.where(arm == 1, lam / p, (1.0 - lam) / (1.0 - p))
+    with np.errstate(over="ignore"):  # a p near 0 or 1 overflows the arm it makes unlikely
+        return np.where(arm == 1, lam / p, (1.0 - lam) / (1.0 - p))
 
 
 def _rate_gap(arm, outcome, burn_in, ramp):
@@ -176,7 +177,9 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
 
     Risk sets start from the full cohort, so the whole trial's records are
     required up front.  Each row of a block is its own trial, sorted and
-    counted on its own.
+    counted on its own.  A record whose time on study is not finite, which
+    the monitor refuses, has a NaN score, so its replay ends at a NaN
+    log-wealth.
     """
     t = np.asarray(time, dtype=float)
     s = np.asarray(status, dtype=np.int64)
@@ -189,6 +192,9 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
     risk1 = a.sum(axis=-1, keepdims=True) - _before(a)
     p_j = risk1 / np.arange(a.shape[-1], 0, -1)  # 0/1 arms: this record and all later are at risk
     u = np.where(s == 1, a - p_j, 0.0)
+    if not np.isfinite(t).all():
+        u = np.where(np.isfinite(t if presorted else np.take_along_axis(t, order, axis=-1)),
+                     u, np.nan)
     return SurvivalPrepared(s == 1, p_j, u, _before(u))
 
 
@@ -215,7 +221,8 @@ def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
         b = np.where(idx > burn_in, c * _clip(0.5 * log_hr_hat, -0.5, 0.5), 0.0)
     else:
         raise ValueError(f"unknown bet_rule: {bet_rule!r}")
-    return np.where(prep.event, b, np.nan), np.where(prep.event, 1.0 + b * prep.u, 1.0)
+    # a censoring's score is 0, so its payout is exactly 1, or NaN with a NaN score
+    return np.where(prep.event, b, np.nan), 1.0 + np.where(prep.event, b, 0.0) * prep.u
 
 
 def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_in,

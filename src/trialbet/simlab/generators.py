@@ -68,8 +68,11 @@ def continuous_trial(rng, n: int, mu_trt: float, mu_ctrl: float, sd: float = 1.0
         g.random(out=u_row)
         g.standard_normal(out=z_row)
     treatment = (u < p_alloc).astype(np.int8)
-    # float means: two ints would make an int64 array, which a larger int overflows
-    return out(treatment), out(np.where(treatment == 1, float(mu_trt), float(mu_ctrl)) + sd * z)
+    # float means: two ints would make an int64 array, which a larger int overflows;
+    # an outcome past the float range is inf, whose replay the engine refuses
+    with np.errstate(over="ignore"):
+        y = np.where(treatment == 1, float(mu_trt), float(mu_ctrl)) + sd * z
+    return out(treatment), out(y)
 
 
 def survival_trial(rng, n: int, hr: float = 1.0, shape: float = 1.2, scale: float = 10.0,
@@ -89,19 +92,21 @@ def survival_trial(rng, n: int, hr: float = 1.0, shape: float = 1.2, scale: floa
     # arms, event times, then censoring and entry times where they are drawn
     u = _uniforms(rngs, 2 + (censor_upper is not None) + (recruit_period is not None), n)
     treatment = (u[:, 0] < 0.5).astype(np.int8)
-    scale_trt = scale / (hr ** (1.0 / shape))
-    time = np.where(treatment == 1, scale_trt, scale) * (-np.log(u[:, 1])) ** (1.0 / shape)
-    if censor_upper is not None:
-        c = u[:, 2] * censor_upper
-        status = (time <= c).astype(np.int8)
-        time = np.minimum(time, c)
-    else:
-        status = np.ones(time.shape, dtype=np.int8)
-    if recruit_period is not None:
-        entry = u[:, -1] * recruit_period
-        time = entry + time
-    else:
-        entry = np.zeros(time.shape)
+    # a time past the float range is inf (or NaN, as 0 * inf), whose replay the engine refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale_trt = scale / np.float64(hr) ** (1.0 / shape)  # 0 or inf past the float range
+        time = np.where(treatment == 1, scale_trt, scale) * (-np.log(u[:, 1])) ** (1.0 / shape)
+        if censor_upper is not None:
+            c = u[:, 2] * censor_upper
+            status = (time <= c).astype(np.int8)
+            time = np.minimum(time, c)
+        else:
+            status = np.ones(time.shape, dtype=np.int8)
+        if recruit_period is not None:
+            entry = u[:, -1] * recruit_period
+            time = entry + time
+        else:
+            entry = np.zeros(time.shape)
     return out(time), out(status), out(treatment), out(entry)
 
 

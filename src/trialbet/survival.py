@@ -13,10 +13,10 @@ Censored records shrink the risk set without touching wealth.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import (FLOAT_MAX, RampSchedule, WealthLedger, check_open_unit, finite,
+from .core import (FLOAT_MAX, MonitorState, RampSchedule, check_open_unit, finite,
                    finite_float, shown)
 
 DEFAULT_SCHEDULE = RampSchedule(burn_in=30, ramp=50)
@@ -33,7 +33,7 @@ class SurvivalRecord(NamedTuple):
 
 
 @dataclass
-class SurvivalState:
+class SurvivalState(MonitorState):
     """Streaming state for the survival monitor; one instance per trial.
 
     Risk sets start at the full per-arm cohort sizes, which must be known
@@ -50,12 +50,9 @@ class SurvivalState:
     risk_ctrl: int
     sched: RampSchedule = DEFAULT_SCHEDULE
     lambda_max: float = DEFAULT_BET_CAP
-    alpha: InitVar[float] = 0.05  # constructor inputs of a fresh ledger; not saved
-    record_steps: InitVar[bool] = False
     cum_z: float = 0.0
     records_seen: int = 0
     last_time: float = -math.inf
-    ledger: WealthLedger = None  # type: ignore[assignment]
 
     def __post_init__(self, alpha: float, record_steps: bool) -> None:
         if self.risk_trt < 0 or self.risk_ctrl < 0:
@@ -65,8 +62,7 @@ class SurvivalState:
             raise ValueError(f"cum_z must be finite, got {self.cum_z!r}")
         if not self.last_time <= FLOAT_MAX:
             raise ValueError(f"last_time must be finite or -inf, got {self.last_time!r}")
-        if self.ledger is None:
-            self.ledger = WealthLedger(alpha, record_steps)
+        super().__post_init__(alpha, record_steps)
 
     def risk_proportion(self) -> float:
         """Treated fraction of the current risk set (0.5 when it is empty)."""

@@ -391,7 +391,8 @@ _STREAMS = {
     "multistate": ({}, lambda s, draw: s.step_classified(draw(_FLAGS), draw(_FLAGS))),
 }
 _BAD_TIMES = hs.one_of(hs.sampled_from([math.nan, math.inf, True, False, 10**400, -10**400,
-                                        -1, np.float64("nan"), np.float64(-2.5)]),
+                                        -1, np.float64("nan"), np.float64(-2.5),
+                                        np.bool_(True), np.bool_(False)]),
                        hs.floats(max_value=-5e-324))  # every negative float, -inf too
 
 

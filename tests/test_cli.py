@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -880,18 +881,35 @@ def _one_value_changed(draw):
 @example(case=("multistate", "matrices",  # a matrix entry past the float range
                {"trt": [[10**400, *CONTROL_DAILY.probs[0][1:]], *CONTROL_DAILY.probs[1:]],
                 "ctrl": CONTROL_DAILY.probs}))
+# a payout past the float range on the arm not drawn, an outcome past it, and
+# times on study past it (from the shape, the scale, and the scale and entry)
+@example(case=("binary", "params", {"n_patients": 60, "p_ctrl": 0.3, "p_alloc": 1e-320}))
+@example(case=("continuous", "params", {"n_patients": 60, "sd": 1e308, "burn_in": 5,
+                                        "ramp": 5}))
+@example(case=("survival", "params", {"n_patients": 60, "shape": 0.001}))
+@example(case=("survival", "params", {"n_patients": 60, "scale": 1e308}))
+@example(case=("survival", "params", {"n_patients": 60, "recruit_period": 1e308,
+                                      "scale": 1e308}))
+# a treatment-arm scale past the float range, above it and below it
+@example(case=("survival", "params", {"n_patients": 60, "shape": 0.001, "hr": 3}))
+@example(case=("survival", "params", {"n_patients": 60, "shape": 0.001, "hr": 0.3}))
 def test_any_scenario_document_ends_cleanly(case):
-    """Exit 0 with a report, or exit 1 with one ``error:`` line; never an
-    exception.  A refused value of the wrong JSON type is named."""
+    """Exit 0 with a report free of NaN, or exit 1 with one ``error:`` line;
+    never an exception, and no warning on any exit.  A refused value of the
+    wrong JSON type is named."""
     variant, key, value = case
     doc = {"variant": variant, "params": dict(_SMALL[variant]), "n_sims": 2}
     (doc if key in _FIELDS else doc["params"])[key] = value
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sc.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_main(["simulate", "--scenario", str(path)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # numpy's warnings, which pytest would capture
+            code, out, err = run_main(["simulate", "--scenario", str(path)])
+    assert not [str(w.message) for w in caught], doc
     if code == EXIT_OK:
         assert out.startswith(f"variant             {doc['variant']}\n") and err == ""
+        assert "nan" not in out, (doc, out)
     else:
         line = _one_error_line(code, err)
         assert out == ""

@@ -244,11 +244,12 @@ def test_streaming_matches_batch_replay():
         assert abs(st.ledger.log_wealth - logw[-1]) < 1e-10
 
 
-@pytest.mark.parametrize("y", [10**400, -10**400, float("inf"), float("nan"), True],
-                         ids=["10**400", "-10**400", "inf", "nan", "true"])
+@pytest.mark.parametrize("y", [10**400, -10**400, float("inf"), float("nan"), True,
+                               np.bool_(True)],
+                         ids=["10**400", "-10**400", "inf", "nan", "true", "np.True_"])
 def test_an_outcome_past_the_float_range_is_refused(y):
     """An int too large for a float is refused as a non-finite outcome is,
-    and so is a bool, before the state changes."""
+    and so is a bool, Python's or numpy's, before the state changes."""
     st = ContinuousState()
     with pytest.raises(ValueError, match="^outcome must be finite"):
         st.step(y, 1)

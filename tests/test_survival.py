@@ -214,11 +214,12 @@ def test_enumeration_fairness_oracle():
     assert mean_final_wealth_survival(fresh, times, 10) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("time", [10**400, -10**400, float("inf"), float("nan"), True],
-                         ids=["10**400", "-10**400", "inf", "nan", "true"])
+@pytest.mark.parametrize("time", [10**400, -10**400, float("inf"), float("nan"), True,
+                                  np.bool_(True)],
+                         ids=["10**400", "-10**400", "inf", "nan", "true", "np.True_"])
 def test_a_time_past_the_float_range_is_refused(time):
     """An int too large for a float is refused as a non-finite time is, and
-    so is a bool."""
+    so is a bool, Python's or numpy's."""
     with pytest.raises(ValueError, match="^time on study must be finite and >= 0"):
         make_state().step(SurvivalRecord(time, 1, 1))
 
