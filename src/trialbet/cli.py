@@ -60,6 +60,9 @@ def _write_json(doc, path: str | None = None) -> None:
 
 
 _DECODER = json.JSONDecoder()  # json.loads' own settings; its C scanner decodes each event
+# Distinct event lines a monitor run keeps parsed, a memory bound.  A run that
+# has stored this many stops looking lines up: its lines mostly do not recur.
+_MEMO_LINES = 1024
 
 
 def parse_event(monitor: Monitor, line: str, line_no: int) -> tuple:
@@ -163,10 +166,17 @@ def cmd_monitor(args) -> int:
                 raise EventError(f"input ends at line {ends_at}, before the checkpoint's "
                                  f"line {position}")
             print(f"resumed from checkpoint at line {position}", file=sys.stderr)
+        # exact: a parse reads only (monitor, line) and returns immutable values
+        parsed, room = {}, _MEMO_LINES  # line -> its step arguments; lines it may still take
         for line_no, line in lines:
-            if line.isspace():  # what ``not line.strip()`` skips, without a copy
-                continue
-            step_args = parse_event(monitor, line, line_no)
+            step_args = parsed.get(line) if room else None
+            if step_args is None:
+                if line.isspace():  # what ``not line.strip()`` skips, without a copy
+                    continue
+                step_args = parse_event(monitor, line, line_no)
+                if room:
+                    parsed[line] = step_args
+                    room -= 1
             try:
                 step(*step_args)
             except ValueError as exc:

@@ -735,6 +735,12 @@ def _golden_monitor(variant, *argv):
     (_event_lines("survival", ['{"time": 3.0, "status": 1, "arm": 0, "entry_time": '
                                + DIGITS_5001 + '}'], "--risk-trt", "5", "--risk-ctrl", "5"),
      f"error: line 1: {DIGIT_LIMIT}"),
+    # refused by step on a line parsed before: the error names its own line
+    (_event_lines("binary", ['{"arm": 1, "outcome": 0}'] * 3, "--p", "1e-320"),
+     "error: line 2: multiplier must be positive and finite, got inf"),
+    (_event_lines("survival", ['{"time": 1.0, "status": 1, "arm": 1}'] * 3,
+                  "--risk-trt", "2", "--risk-ctrl", "2"),
+     "error: line 3: treated risk set is exhausted"),
     (_short_input_resume("binary", 30),
      "error: input ends at line 30, before the checkpoint's line 60"),
     (_short_input_resume("survival", 0),
@@ -800,6 +806,7 @@ def _golden_monitor(variant, *argv):
         "checkpoint-moment-hex-past-float", "checkpoint-e_trt-400-digits",
         "checkpoint-good_trt-400-digits", "checkpoint-arm-count-400-digits",
         "event-outcome-5001-digits-line-4", "event-y-5001-digits", "event-entry_time-5001-digits",
+        "recurring-line-payout-inf", "recurring-line-risk-set-exhausted",
         "resume-input-30-of-60-lines", "resume-input-empty", "resume-input-59-of-60-lines",
         "checkpoint-log_wealth-inf", "checkpoint-log_wealth-nan", "checkpoint-log_wealth-minus-inf",
         "checkpoint-values-nan", "checkpoint-values-minus-inf", "checkpoint-cum_z-nan",
@@ -894,22 +901,25 @@ def _one_value_changed(draw):
 @example(case=("survival", "params", {"n_patients": 60, "shape": 0.001, "hr": 3}))
 @example(case=("survival", "params", {"n_patients": 60, "shape": 0.001, "hr": 0.3}))
 def test_any_scenario_document_ends_cleanly(case):
-    """Exit 0 with a report free of NaN, or exit 1 with one ``error:`` line;
-    never an exception, and no warning on any exit.  A refused value of the
-    wrong JSON type is named."""
+    """Exit 0 with a report and a ``--json`` document free of NaN, or exit 1
+    with one ``error:`` line; never an exception, and no warning on any exit.
+    A refused value of the wrong JSON type is named."""
     variant, key, value = case
     doc = {"variant": variant, "params": dict(_SMALL[variant]), "n_sims": 2}
     (doc if key in _FIELDS else doc["params"])[key] = value
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "sc.json"
+        path, report = Path(tmp) / "sc.json", Path(tmp) / "oc.json"
         path.write_text(json.dumps(doc))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # numpy's warnings, which pytest would capture
-            code, out, err = run_main(["simulate", "--scenario", str(path)])
+            code, out, err = run_main(["simulate", "--scenario", str(path),
+                                       "--json", str(report)])
+        written = report.read_text() if code == EXIT_OK else None
     assert not [str(w.message) for w in caught], doc
     if code == EXIT_OK:
         assert out.startswith(f"variant             {doc['variant']}\n") and err == ""
         assert "nan" not in out, (doc, out)
+        assert '"nan"' not in written, (doc, written)  # strict JSON spells a NaN "nan"
     else:
         line = _one_error_line(code, err)
         assert out == ""

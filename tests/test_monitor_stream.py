@@ -6,8 +6,15 @@ two must accept the same records and report the same errors, word for word.
 The ``monitor`` command must end every stream in exit 0, 1 or 10 with at
 most one ``error:`` line, and a run cut at any line and resumed from its
 checkpoint must report exactly what the uninterrupted run reports.
+
+The command parses each distinct line once and steps the stored arguments
+when the line recurs, until it has stored ``cli._MEMO_LINES`` lines.  A
+stream of recurring lines must end exactly as a line-by-line replay through
+the reference parser does: the same exit, report, error line and checkpoint.
 """
 
+import contextlib
+import io
 import itertools
 import json
 import operator
@@ -20,7 +27,10 @@ from hypothesis import given, settings, strategies as hs
 
 import oracles
 from test_checkpoint import GOLDEN, GOLDEN_ARGS, run_main
+from trialbet import cli
+from trialbet.checkpoint import encode_state
 from trialbet.cli import parse_event
+from trialbet.multistate import DEFAULT_MODEL
 from trialbet.variants import MONITORS
 
 FIELDS = sorted(set().union(*(m.allowed for m in MONITORS.values())) | {"Arm", "extra"})
@@ -76,8 +86,10 @@ def _outcome(fn, *args):
 def test_parse_event_matches_json_loads_reference(variant, data):
     monitor = MONITORS[variant]
     line = data.draw(hs.one_of(near_valid_lines(monitor), _JSONISH, hs.text(max_size=40)))
-    assert (_outcome(parse_event, monitor, line, 7)
-            == _outcome(oracles.parse_event, monitor, line, 7))
+    outcome = _outcome(parse_event, monitor, line, 7)
+    assert outcome == _outcome(oracles.parse_event, monitor, line, 7)
+    if outcome[0] == "returned":  # immutable, so the monitor may step it again
+        hash(outcome[1])
 
 
 # small survival cohorts, so arbitrary streams also exhaust a risk set
@@ -135,3 +147,103 @@ def test_blank_lines_are_the_lines_strip_empties():
     for lines in (chars, list(map(operator.add, chars, itertools.repeat("\n")))):
         assert list(map(str.isspace, lines)) == list(map(operator.not_, map(str.strip, lines)))
     assert all(c.isspace() and not c.strip() for c in "\x1c\x1d\x1e\x1f\xa0\x85 　")
+
+
+# a value each required field takes, or is refused by ``step`` alone: an
+# unsorted survival time, a move out of an absorbing state, an exhausted risk set
+_VALID_OF = {"arm": hs.sampled_from([0, 1]), "outcome": hs.sampled_from([0, 1]),
+             "status": hs.sampled_from([0, 1]), "time": hs.sampled_from([0.5, 1.0, 2.0]),
+             "y": hs.floats(-5, 5), "from": hs.sampled_from(DEFAULT_MODEL.states),
+             "to": hs.sampled_from(DEFAULT_MODEL.states)}
+
+
+def valid_lines(monitor):
+    """A record of exactly the monitor's required fields."""
+    return hs.fixed_dictionaries({key: _VALID_OF[key] for key in sorted(monitor.required)}
+                                 ).map(json.dumps)
+
+
+def _replay(variant, path, argv, every):
+    """(exit code, report, error line, last checkpointed state) of a fresh
+    state stepped line by line through the reference parser, as the command
+    steps it, with no memo."""
+    monitor = MONITORS[variant]
+    state = monitor.build(cli._monitor_config(cli.build_parser().parse_args(argv), monitor))
+    saved, events = None, 0
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                step_args = oracles.parse_event(monitor, line, line_no)
+                try:
+                    state.step(*step_args)
+                except ValueError as exc:
+                    raise cli.EventError(f"line {line_no}: {exc}") from exc
+            except ValueError as exc:
+                return cli.EXIT_ERROR, "", f"error: {exc}", saved
+            events += 1
+            if events % every == 0:
+                saved = encode_state(state)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        cli._write_json(cli._monitor_summary(monitor, variant, state))
+    code = cli.EXIT_CROSSED if state.ledger.crossed else cli.EXIT_OK
+    return code, report.getvalue(), None, encode_state(state)
+
+
+@pytest.mark.parametrize("variant", sorted(MONITORS))
+@settings(max_examples=100, deadline=None)
+@given(data=hs.data())
+def test_recurring_lines_end_as_a_line_by_line_replay(variant, data):
+    """A stream drawn from a few lines, each recurring, ends as the replay
+    does: exit, report, the one error line with its line number, and the
+    state in the last checkpoint."""
+    monitor = MONITORS[variant]
+    records = hs.sampled_from(data.draw(hs.lists(
+        hs.one_of(valid_lines(monitor), near_valid_lines(monitor)), min_size=1, max_size=3)))
+    # the same records again inside whitespace, a BOM or extra data
+    framed = hs.tuples(hs.sampled_from(_LEAD), records, hs.sampled_from(_TAIL)).map("".join)
+    pool = data.draw(hs.lists(hs.one_of(records, framed, hs.sampled_from(["", " ", "\t\r"])),
+                              min_size=1, max_size=6), label="pool")
+    picks = data.draw(hs.lists(hs.integers(0, len(pool) - 1), max_size=40), label="picks")
+    every = data.draw(hs.integers(1, 4), label="every")
+    with tempfile.TemporaryDirectory() as tmp:
+        stream, ck = Path(tmp) / "events.ndjson", Path(tmp) / "ck.json"
+        stream.write_text("".join(pool[k] + "\n" for k in picks), encoding="utf-8")
+        argv = ["monitor", "--variant", variant, "--input", str(stream), "--checkpoint", str(ck),
+                "--checkpoint-every", str(every), *_FUZZ_ARGS[variant]]
+        code, out, err = run_main(argv)
+        saved = json.loads(ck.read_text())["state"] if ck.exists() else None
+        want_code, want_out, want_error, want_saved = _replay(variant, stream, argv, every)
+    errors = [row for row in err.splitlines() if row.startswith("error:")]
+    assert (code, out) == (want_code, want_out)
+    assert errors == ([want_error] if want_error else [])
+    assert saved == (None if want_saved is None else json.loads(json.dumps(want_saved)))
+
+
+def test_each_distinct_line_is_parsed_once_up_to_the_cap(monkeypatch, tmp_path):
+    """Four distinct binary lines in 3,000 parse four times.  A run that has
+    stored ``_MEMO_LINES`` lines stops looking lines up: 1,023 distinct lines
+    read twice parse 1,023 times, and 1,024 read twice parse 2,048 times."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return parse_event(*args)
+
+    monkeypatch.setattr(cli, "parse_event", counted)
+    binary = [json.dumps({"arm": k % 2, "outcome": k // 2}) for k in range(4)]
+    multistate = [json.dumps({"from": "ICU", "to": "Ward", "arm": k % 2, "day": k})
+                  for k in range(cli._MEMO_LINES)]
+    for variant, lines, parses in (("binary", binary * 750, 4),
+                                   ("multistate", multistate[:-1] * 2, 1023),
+                                   ("multistate", multistate * 2, 2048)):
+        path = tmp_path / f"{variant}.ndjson"
+        path.write_text("".join(line + "\n" for line in lines))
+        calls.clear()
+        code, out, err = run_main(["monitor", "--variant", variant, "--input", str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_CROSSED), err
+        assert json.loads(out)["events"] == len(lines)
+        assert len(calls) == parses
+    assert cli._MEMO_LINES == 1024
