@@ -22,6 +22,23 @@ and scores), and a cheap ``<variant>_bet``.  ``<variant>_log_wealth`` is the
 log-wealth of a whole replay.  Each shared rule is one helper: ``_payout``
 settles every two-sided bet, ``_rate_gap`` is the binary and multistate
 wager, ``_ramp`` the coefficient ramp, and ``_before`` every prefix sum.
+
+The count kernels (binary, deaths, multistate) read their 0/1 labels as
+floats, so every count is exact, and work in the arrays they already hold:
+``_rate_gap`` and ``deaths_bet`` divide inside their prefix-sum arrays and
+then set the positions with an empty arm to 0.5, an outcome's sign is one
+multiply before ``+= 0.5`` (``0.5 - h`` is ``0.5 + (-h)`` in IEEE
+arithmetic), ``_clip`` clamps in place and ``log_wealth`` sums its logs in
+place.  Every array is the one the plain ``np.where`` forms give, bit for
+bit (``tests/oracles.py`` keeps those forms).
+
+A survival block is put in time order by one ``np.sort`` of int64 keys, each
+a time's bits with its two low mantissa bits replaced by (status, arm), and
+status and arm are read back from the sorted keys.  That is each row's
+stable order when every time is finite and >= +0.0 (nonnegative floats
+order as their bits), every status and arm is 0 or 1, and no two times of a
+row tie once those two bits are dropped (``key >> 2`` strictly increases
+along each sorted row).  Any other block falls back to a stable argsort.
 """
 
 from __future__ import annotations
@@ -43,11 +60,12 @@ _CONTINUOUS, _SURVIVAL = continuous.DEFAULT_SCHEDULE, survival.DEFAULT_SCHEDULE
 _MULTISTATE = multistate.DEFAULT_SCHEDULE
 
 
-def _clip(x, lo: float, hi: float) -> np.ndarray:
-    """``np.clip(x, lo, hi)`` bit for bit, at a fraction of its call overhead.
-    ``np.maximum`` returns its second argument when both compare equal, so ``x``
-    goes second: -0.0 clipped at 0.0 stays -0.0, as ``np.clip`` keeps it."""
-    return np.minimum(hi, np.maximum(lo, x))
+def _clip(x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Float array ``x`` clamped in place to ``np.clip(x, lo, hi)``, bit for bit,
+    at a fraction of its call overhead.  ``np.maximum`` returns its second
+    argument when both compare equal, so ``x`` goes second: -0.0 clipped at
+    0.0 stays -0.0, as ``np.clip`` keeps it."""
+    return np.minimum(hi, np.maximum(lo, x, out=x), out=x)
 
 
 def _ramp(idx: np.ndarray, burn_in: int, ramp: int) -> np.ndarray:
@@ -70,15 +88,27 @@ def _payout(arm, lam, p: float = 0.5) -> np.ndarray:
 
 
 def _rate_gap(arm, outcome, burn_in, ramp):
-    """(wager 0.5 +- 0.5 c (rate1 - rate0) on ``outcome``, earlier arm-1 and
-    arm-0 counts): the rates are over earlier observations, 0.5 in an empty arm."""
+    """(wager 0.5 +- 0.5 c (rate1 - rate0) on ``outcome``, the positions with no
+    earlier arm-1 observation, those with no earlier arm-0 one): the rates are
+    over earlier observations, 0.5 in an empty arm.  ``arm`` and ``outcome``
+    are 0/1 floats, so every count is exact and each rate is divided in place."""
     idx = np.arange(1, arm.shape[-1] + 1)
     n1 = _before(arm)
-    n0 = idx - 1 - n1
-    rate1 = np.where(n1 > 0, _before(arm * outcome) / np.maximum(n1, 1), 0.5)
-    rate0 = np.where(n0 > 0, _before((1 - arm) * outcome) / np.maximum(n0, 1), 0.5)
-    half = 0.5 * _ramp(idx, burn_in, ramp) * (rate1 - rate0)
-    return np.where(outcome == 1, 0.5 + half, 0.5 - half), n1, n0
+    n0 = (idx - 1.0) - n1
+    rate1 = _before(arm * outcome)
+    rate0 = _before(outcome)
+    rate0 -= rate1  # earlier arm-0 events
+    with np.errstate(invalid="ignore"):  # 0/0 in an empty arm, overwritten below
+        rate1 /= n1
+        rate0 /= n0
+    empty1, empty0 = n1 == 0, n0 == 0
+    np.copyto(rate1, 0.5, where=empty1)
+    np.copyto(rate0, 0.5, where=empty0)
+    rate1 -= rate0
+    rate1 *= 0.5 * _ramp(idx, burn_in, ramp)
+    rate1 *= 2.0 * outcome - 1.0  # 0.5 - h is 0.5 + (-h), bit for bit
+    rate1 += 0.5
+    return rate1, empty1, empty0
 
 
 def row_outcomes(log_wealth: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -103,7 +133,8 @@ def first_crossing(log_wealth: np.ndarray, alpha: float) -> int | None:
 
 def log_wealth(bets) -> np.ndarray:
     """Log-wealth after each observation of a ``(wager, multiplier)`` replay."""
-    return np.cumsum(np.log(bets[1]), axis=-1)
+    out = np.log(bets[1])
+    return np.cumsum(out, axis=-1, out=out)
 
 
 def binary_bet(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_in,
@@ -122,7 +153,7 @@ def binary_bet(treatment, outcome, p: float = 0.5, burn_in: int = _BINARY.burn_i
         lam = _rate_gap(t, y, burn_in, ramp)[0]
     else:
         lam = np.where(y == 1, 0.5 + fixed_dev, 0.5 - fixed_dev)
-    lam = _clip(lam, WAGER_MIN, WAGER_MAX)
+    _clip(lam, WAGER_MIN, WAGER_MAX)
     mult = _payout(t, lam, p)
     if fixed_dev is None:  # the first patient never bets
         lam[..., :1] = np.nan
@@ -136,14 +167,15 @@ def binary_log_wealth(*args, **kwargs) -> np.ndarray:
 
 def deaths_bet(arms, burn_in: int = _DEATHS.burn_in, ramp: int = _DEATHS.ramp):
     """Deaths-only replay over an ordered stream of death arm labels."""
-    a = np.asarray(arms, dtype=np.int64)
+    a = np.asarray(arms, dtype=float)  # 0/1 labels: every count is exact
     idx = np.arange(1, a.shape[-1] + 1)
-    tot_prev = idx - 1
-    p_obs = np.where(tot_prev > 0, _before(a) / np.maximum(tot_prev, 1), 0.5)
-    c = _ramp(idx, burn_in, ramp)
-    lam = np.where((idx > burn_in) & (tot_prev > 0),
-                   _clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
-                   0.5)
+    lam = _before(a)
+    lam[..., 1:] /= idx[:-1]  # the treated share of earlier deaths
+    lam -= 0.5
+    lam *= _ramp(idx, burn_in, ramp)
+    lam += 0.5
+    _clip(lam, WAGER_MIN, WAGER_MAX)  # 0.5 wherever the ramp is still 0
+    lam[..., :1] = 0.5  # the first death never bets
     return lam, _payout(a, lam)
 
 
@@ -160,42 +192,57 @@ class SurvivalPrepared(NamedTuple):
     z_prev: np.ndarray   # cumulative score over earlier records
 
 
-def _time_order(t: np.ndarray) -> np.ndarray:
-    """``np.argsort(t, axis=-1, kind="stable")``, by numpy's faster default sort
-    where that gives the same permutation: when every row's sorted times
-    strictly increase.  A tie (``==``, so also -0.0 and 0.0) or a NaN falls
-    back to the stable sort, which keeps tied records in stream order."""
-    order = np.argsort(t, axis=-1)
-    in_order = np.take_along_axis(t, order, axis=-1)
-    if np.all(in_order[..., 1:] > in_order[..., :-1]):
-        return order
-    return np.argsort(t, axis=-1, kind="stable")
+_INF_BITS = np.float64(np.inf).view(np.int64)
+
+
+def _packed_order(t: np.ndarray, s: np.ndarray, a: np.ndarray):
+    """(status, arm) of each row's records in stable time order, read back from
+    one ``np.sort`` of int64 keys: a time's bits with the two low mantissa
+    bits replaced by (status, arm).  None where that sort need not give the
+    stable order, so the caller sorts stably instead: a label outside {0, 1},
+    a time that is not finite and >= +0.0 (-0.0 has the sign bit), or two
+    times of a row that tie once those two bits are dropped."""
+    if s.view(np.uint64).max(initial=0) > 1 or a.view(np.uint64).max(initial=0) > 1:
+        return None
+    key = t.view(np.int64) & -4  # nonnegative floats order as their bits
+    key |= s << 1
+    key |= a
+    key.sort(axis=-1)
+    time_bits = key >> 2
+    if not ((key[..., :1] >= 0).all() and (key[..., -1:] < _INF_BITS).all()
+            and (time_bits[..., 1:] > time_bits[..., :-1]).all()):
+        return None
+    return (key & 2).astype(bool), key & 1
 
 
 def survival_prepare(time, status, treatment, presorted: bool = False) -> SurvivalPrepared:
     """Sort the records by time and derive the risk sets and log-rank scores.
 
     Risk sets start from the full cohort, so the whole trial's records are
-    required up front.  Each row of a block is its own trial, sorted and
-    counted on its own.  A record whose time on study is not finite, which
-    the monitor refuses, has a NaN score, so its replay ends at a NaN
-    log-wealth.
+    required up front.  Each row of a block is its own trial, sorted (stable
+    on tied times) and counted on its own.  A record whose time on study is
+    not finite, which the monitor refuses, has a NaN score, so its replay
+    ends at a NaN log-wealth.
     """
     t = np.asarray(time, dtype=float)
     s = np.asarray(status, dtype=np.int64)
     a = np.asarray(treatment, dtype=np.int64)
-    if not presorted:
-        order = _time_order(t)
-        s, a = (np.take_along_axis(x, order, axis=-1) for x in (s, a))
-    elif np.any(np.diff(t, axis=-1) < 0):
-        raise ValueError("stream not sorted by time on study")
+    packed = None if presorted else _packed_order(t, s, a)
+    if packed is not None:
+        event, a = packed  # and every time is finite
+    else:
+        if not presorted:
+            order = np.argsort(t, axis=-1, kind="stable")
+            t, s, a = (np.take_along_axis(x, order, axis=-1) for x in (t, s, a))
+        elif np.any(np.diff(t, axis=-1) < 0):
+            raise ValueError("stream not sorted by time on study")
+        event = s == 1
     risk1 = a.sum(axis=-1, keepdims=True) - _before(a)
     p_j = risk1 / np.arange(a.shape[-1], 0, -1)  # 0/1 arms: this record and all later are at risk
-    u = np.where(s == 1, a - p_j, 0.0)
-    if not np.isfinite(t).all():
-        u = np.where(np.isfinite(t if presorted else np.take_along_axis(t, order, axis=-1)),
-                     u, np.nan)
-    return SurvivalPrepared(s == 1, p_j, u, _before(u))
+    u = np.where(event, a - p_j, 0.0)
+    if packed is None and not np.isfinite(t).all():
+        u = np.where(np.isfinite(t), u, np.nan)
+    return SurvivalPrepared(event, p_j, u, _before(u))
 
 
 def survival_bet(prep: SurvivalPrepared, burn_in: int = _SURVIVAL.burn_in,
@@ -237,11 +284,11 @@ def survival_log_wealth(time, status, treatment, burn_in: int = _SURVIVAL.burn_i
 def multistate_bet(good, arms, burn_in: int = _MULTISTATE.burn_in,
                    ramp: int = _MULTISTATE.ramp):
     """Transition-stream replay; both arms need history before bets start."""
-    g = np.asarray(good, dtype=np.int64)
-    a = np.asarray(arms, dtype=np.int64)
-    lam, n1, n0 = _rate_gap(a, g, burn_in, ramp)
-    bettable = (np.arange(1, a.shape[-1] + 1) > burn_in) & (n1 > 0) & (n0 > 0)
-    lam = _clip(np.where(bettable, lam, 0.5), MS_WAGER_MIN, MS_WAGER_MAX)
+    g = np.asarray(good, dtype=float)  # 0/1 labels, as binary_bet reads them
+    a = np.asarray(arms, dtype=float)
+    lam, empty1, empty0 = _rate_gap(a, g, burn_in, ramp)  # 0.5 wherever the ramp is still 0
+    np.copyto(lam, 0.5, where=np.logical_or(empty1, empty0, out=empty1))
+    _clip(lam, MS_WAGER_MIN, MS_WAGER_MAX)
     return lam, _payout(a, lam)
 
 

@@ -84,7 +84,8 @@ def _state_name(record: dict, key: str) -> str:
 
 def _survival_args(record: dict, arm: int) -> tuple:
     """The checks that name a JSON field; ``SurvivalState.step`` checks the
-    record itself (time on study, status, arm, order and risk set)."""
+    record itself (time on study, status, arm, order and risk set), which it
+    takes as the plain (time, status, arm) tuple."""
     time = _finite_field(record, "time")
     status = flag_field(record, "status")
     if "entry_time" in record:
@@ -92,7 +93,7 @@ def _survival_args(record: dict, arm: int) -> tuple:
         if time - entry < 0:
             raise ValueError("negative time on study")
         time -= entry
-    return (survival.SurvivalRecord(time, status, arm),)
+    return ((time, status, arm),)
 
 
 MONITORS: dict[str, Monitor] = {

@@ -35,6 +35,12 @@ batch replay behind ``trialbet trajectories`` is compared against.
 engine's vectorized derivation of a replication range's streams, and for
 ``rep_rng``.
 
+``rate_gap``, ``binary_bet``, ``deaths_bet``, ``multistate_bet`` and
+``survival_prepare`` are the plain forms of the count kernels and the survival
+order: one ``np.where`` per rule, a new array per step, int64 labels, and a
+stable argsort of every survival block.  The batch kernels, which work in
+place and sort packed keys, must return the same arrays, byte for byte.
+
 ``coefficient``, ``clamp_wager``, ``clamp_cohens_d`` and ``classify`` are the
 plain forms of the per-event monitor path: the ``min``/``max`` clamps, and a
 classification that tests each rule in turn.  The production forms must give
@@ -52,6 +58,8 @@ from trialbet.cli import EventError
 from trialbet.core import WAGER_MAX, WAGER_MIN, RampSchedule, WealthLedger
 from trialbet.deaths import death_coin
 from trialbet.multistate import DEFAULT_MODEL
+from trialbet.multistate import WAGER_MAX as MS_WAGER_MAX
+from trialbet.multistate import WAGER_MIN as MS_WAGER_MIN
 from trialbet.simlab import batch, generators
 from trialbet.simlab.engine import rep_rng
 from trialbet.simlab.scenario import SIM_VARIANTS
@@ -276,6 +284,76 @@ def stream_trajectories(scenario, n_trials: int) -> list[list]:
             step(*args)
         trials.append(state.ledger.steps)
     return trials
+
+
+def _ramp(idx, burn_in, ramp):
+    return np.clip((idx - float(burn_in)) / ramp, 0.0, 1.0)
+
+
+def rate_gap(arm, outcome, burn_in, ramp):
+    """(wager 0.5 +- 0.5 c (rate1 - rate0) on ``outcome``, earlier arm-1 and
+    arm-0 counts): the rates are over earlier observations, 0.5 in an empty arm."""
+    idx = np.arange(1, arm.shape[-1] + 1)
+    n1 = batch._before(arm)
+    n0 = idx - 1 - n1
+    rate1 = np.where(n1 > 0, batch._before(arm * outcome) / np.maximum(n1, 1), 0.5)
+    rate0 = np.where(n0 > 0, batch._before((1 - arm) * outcome) / np.maximum(n0, 1), 0.5)
+    half = 0.5 * _ramp(idx, burn_in, ramp) * (rate1 - rate0)
+    return np.where(outcome == 1, 0.5 + half, 0.5 - half), n1, n0
+
+
+def binary_bet(treatment, outcome, p, burn_in, ramp, fixed_dev=None):
+    """The binary replay: ``batch.binary_bet``."""
+    t = np.asarray(treatment, dtype=float)
+    y = np.asarray(outcome, dtype=float)
+    if fixed_dev is None:
+        lam = rate_gap(t, y, burn_in, ramp)[0]
+    else:
+        lam = np.where(y == 1, 0.5 + fixed_dev, 0.5 - fixed_dev)
+    lam = np.clip(lam, WAGER_MIN, WAGER_MAX)
+    mult = batch._payout(t, lam, p)
+    if fixed_dev is None:
+        lam[..., :1] = np.nan
+        mult[..., :1] = 1.0
+    return lam, mult
+
+
+def deaths_bet(arms, burn_in, ramp):
+    """The deaths-only replay: ``batch.deaths_bet``."""
+    a = np.asarray(arms, dtype=np.int64)
+    idx = np.arange(1, a.shape[-1] + 1)
+    tot_prev = idx - 1
+    p_obs = np.where(tot_prev > 0, batch._before(a) / np.maximum(tot_prev, 1), 0.5)
+    c = _ramp(idx, burn_in, ramp)
+    lam = np.where((idx > burn_in) & (tot_prev > 0),
+                   np.clip(0.5 + c * (p_obs - 0.5), WAGER_MIN, WAGER_MAX),
+                   0.5)
+    return lam, batch._payout(a, lam)
+
+
+def multistate_bet(good, arms, burn_in, ramp):
+    """The transition-stream replay: ``batch.multistate_bet``."""
+    g = np.asarray(good, dtype=np.int64)
+    a = np.asarray(arms, dtype=np.int64)
+    lam, n1, n0 = rate_gap(a, g, burn_in, ramp)
+    bettable = (np.arange(1, a.shape[-1] + 1) > burn_in) & (n1 > 0) & (n0 > 0)
+    lam = np.clip(np.where(bettable, lam, 0.5), MS_WAGER_MIN, MS_WAGER_MAX)
+    return lam, batch._payout(a, lam)
+
+
+def survival_prepare(time, status, treatment) -> batch.SurvivalPrepared:
+    """Each row's records in stable time order, with their risk sets and scores:
+    ``batch.survival_prepare``."""
+    t = np.asarray(time, dtype=float)
+    s = np.asarray(status, dtype=np.int64)
+    a = np.asarray(treatment, dtype=np.int64)
+    order = np.argsort(t, axis=-1, kind="stable")
+    t, s, a = (np.take_along_axis(x, order, axis=-1) for x in (t, s, a))
+    risk1 = a.sum(axis=-1, keepdims=True) - batch._before(a)
+    p_j = risk1 / np.arange(a.shape[-1], 0, -1)
+    u = np.where(s == 1, a - p_j, 0.0)
+    u = np.where(np.isfinite(t), u, np.nan)
+    return batch.SurvivalPrepared(s == 1, p_j, u, batch._before(u))
 
 
 def outcome(f, *args):

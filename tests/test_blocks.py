@@ -152,8 +152,8 @@ def test_survival_prepare_block(n, make, presorted):
 
 
 def test_time_order_is_the_stable_order():
-    """Survival records are sorted by numpy's default sort only where its
-    permutation is the stable one; ties, signed zeros and NaNs fall back."""
+    """Survival records are sorted by packed keys only where that gives the
+    stable order; ties, signed zeros and NaNs fall back to a stable sort."""
     rng = np.random.default_rng(5)
     distinct = rng.exponential(10.0, (6, 300))
     rounded = np.round(distinct)  # many ties in every row
@@ -164,7 +164,12 @@ def test_time_order_is_the_stable_order():
     nans = distinct.copy()
     nans[2, [3, 9, 11]] = np.nan
     for t in (distinct, rounded, one_tied_row, zeros, nans, rounded[0], distinct[:, :1]):
-        assert np.array_equal(batch._time_order(t), np.argsort(t, axis=-1, kind="stable"))
+        status, arm = rng.integers(0, 2, (2, *t.shape))
+        order = np.argsort(t, axis=-1, kind="stable")
+        in_order = (np.take_along_axis(x, order, axis=-1) for x in (t, status, arm))
+        reference = batch.survival_prepare(*in_order, presorted=True)
+        for got, want in zip(batch.survival_prepare(t, status, arm), reference):
+            assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", LENGTHS)
@@ -340,8 +345,9 @@ def test_before_sums_as_cumsum_does(x):
 
 
 def test_clip_is_np_clip():
-    """``_clip`` is ``np.clip`` bit for bit, at every bound the kernels use:
-    signed zeros, NaN, infinities, subnormals and the bounds' neighbours."""
+    """``_clip`` clamps in place to ``np.clip`` bit for bit, at every bound the
+    kernels use: signed zeros, NaN, infinities, subnormals and the bounds'
+    neighbours."""
     bounds = [(0.0, 1.0), (WAGER_MIN, WAGER_MAX), (MS_WAGER_MIN, MS_WAGER_MAX),
               (-0.5, 0.5), (-1.0, 1.0)]
     special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310,
@@ -352,4 +358,6 @@ def test_clip_is_np_clip():
     rng = np.random.default_rng(0)
     for x in (grid, rng.permutation(np.tile(grid, 7)).reshape(7, -1), grid[::3], grid[:1]):
         for lo, hi in bounds:
-            assert _bits([batch._clip(x, lo, hi)]) == _bits([np.clip(x, lo, hi)]), (lo, hi)
+            for clipped in (x.copy(), np.repeat(x, 2, axis=-1)[..., ::2]):  # and strided
+                assert batch._clip(clipped, lo, hi) is clipped
+                assert _bits([clipped]) == _bits([np.clip(x, lo, hi)]), (lo, hi)
