@@ -234,8 +234,11 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
         if not presorted:
             order = np.argsort(t, axis=-1, kind="stable")
             t, s, a = (np.take_along_axis(x, order, axis=-1) for x in (t, s, a))
-        elif np.any(np.diff(t, axis=-1) < 0):
-            raise ValueError("stream not sorted by time on study")
+        else:  # the stable sort puts NaNs last: refuse a descent or a NaN before a number
+            nan = np.isnan(t) if np.isnan(np.max(t, initial=-np.inf)) else None
+            if np.any(np.diff(t, axis=-1) < 0) or (
+                    nan is not None and (nan[..., :-1] > nan[..., 1:]).any()):
+                raise ValueError("stream not sorted by time on study")
         event = s == 1
     risk1 = a.sum(axis=-1, keepdims=True) - _before(a)
     p_j = risk1 / np.arange(a.shape[-1], 0, -1)  # 0/1 arms: this record and all later are at risk

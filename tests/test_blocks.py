@@ -9,11 +9,11 @@ each padded row must still give its own trial's replay.
 """
 
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cli_cases import SCENARIO_DIR, SCENARIOS
 from trialbet.core import WAGER_MAX, WAGER_MIN
 from trialbet.multistate import CONTROL_DAILY, TREATMENT_DAILY
 from trialbet.multistate import WAGER_MAX as MS_WAGER_MAX
@@ -31,19 +31,14 @@ from trialbet.simlab.engine import (
 from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 from trialbet.simlab.strategies import BettingStrategy
 
-ROOT = Path(__file__).parent.parent
 LENGTHS = [0, 1, 2, 3, 40, 260]
 ROWS = 5
 SHORT = {"burn_in": 1, "ramp": 3}  # bets from the second observation on
-
-
-STEMS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multistate_alt",
-         "survival_alt"]
 BLOCK_SIZES = [64, 4096, _BLOCK_OBS]
 
 
 def _committed(stem, n_sims):
-    doc = json.loads((ROOT / "scenarios" / f"{stem}.json").read_text())
+    doc = json.loads((SCENARIO_DIR / f"{stem}.json").read_text())
     return SimScenario.from_dict({**doc, "n_sims": n_sims})
 
 
@@ -172,6 +167,14 @@ def test_time_order_is_the_stable_order():
             assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("t", [[3.0, 1.0], [3.0, np.nan, 1.0], [np.nan, 1.0],
+                               [[1.0, np.nan], [np.nan, 2.0]]])
+def test_presorted_refuses_what_the_stable_sort_would_reorder(t):
+    """A descent, or a NaN before a number (the stable sort puts NaNs last)."""
+    t = np.asarray(t)
+    with pytest.raises(ValueError, match="^stream not sorted by time on study$"):
+        batch.survival_prepare(t, np.ones(t.shape, int), np.zeros(t.shape, int), presorted=True)
+
 @pytest.mark.parametrize("n", LENGTHS)
 @pytest.mark.parametrize("options", [{}, SHORT, {"lambda_max": 0.6, **SHORT},
                                      {"bet_rule": "half_kelly"},
@@ -213,7 +216,7 @@ def test_row_outcomes_match_first_crossing(n):
         assert final[k] == (row[-1] if n else 0.0)
 
 
-@pytest.mark.parametrize("stem", STEMS)
+@pytest.mark.parametrize("stem", SCENARIOS)
 def test_run_range_is_independent_of_block_boundaries(stem):
     """A whole range, single replications and odd splits that cut through
     blocks all give the same per-replication results."""
@@ -257,7 +260,7 @@ def _bits(arrays) -> list[tuple]:
     return [(x.dtype.str, x.shape, x.tobytes()) for x in arrays]
 
 
-@pytest.mark.parametrize("stem", STEMS)
+@pytest.mark.parametrize("stem", SCENARIOS)
 def test_run_range_does_not_depend_on_the_block_size(stem, monkeypatch):
     """Blocks of 64 observations (one replication each at these trial
     sizes), of 4,096 and of the engine's own size give the same arrays."""

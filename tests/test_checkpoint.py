@@ -1,7 +1,5 @@
-import contextlib
 import dataclasses
 import functools
-import io
 import json
 import math
 import operator
@@ -13,33 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hs
 
+from cli_cases import GOLDEN, GOLDEN_ARGS, golden_head, monitor_argv, run_main
 from trialbet import checkpoint as ckpt
 from trialbet.cli import main
 from trialbet.core import RampSchedule, WealthLedger
 from trialbet.survival import SurvivalRecord
 from trialbet.variants import MONITORS
-
-GOLDEN = Path(__file__).parent / "data" / "golden"
-
-# The options each committed checkpoint was written under; its config_sha256
-# pins the configuration dict the monitor command builds from them.
-GOLDEN_ARGS = {
-    "binary": [],
-    "deaths": ["--alpha", "0.1"],
-    "continuous": ["--c-max", "0.5", "--burn-in", "20", "--ramp", "40"],
-    "survival": ["--risk-trt", "60", "--risk-ctrl", "60", "--lambda-max", "0.3"],
-    "multistate": [],
-}
-
-
-def run_main(argv):
-    """(exit code, stdout, stderr) of ``main``, without pytest's capture
-    fixtures, which hypothesis tests cannot use."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, out.getvalue(), err.getvalue()
-
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
 def test_golden_checkpoint_resumes_bit_exactly(capsys, tmp_path, variant):
@@ -66,16 +43,7 @@ def test_saved_form_is_every_field(cls):
 
 
 def _monitor(variant, source, *argv):
-    return main(["monitor", "--variant", variant, "--input", str(source),
-                 *argv, *GOLDEN_ARGS[variant]])
-
-
-def _head(tmp_path, variant, k):
-    """The first ``k`` lines of a golden stream, as a file."""
-    lines = (GOLDEN / f"{variant}.ndjson").read_text().splitlines(keepends=True)
-    head = tmp_path / f"head{k}.ndjson"
-    head.write_text("".join(lines[:k]))
-    return head
+    return main(monitor_argv(variant, source, *argv))
 
 
 @pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
@@ -85,7 +53,8 @@ def test_writer_reproduces_golden_checkpoint(capsys, tmp_path, variant):
     apart from its time, its schema number and the multistate state model,
     which schema 2 no longer saves."""
     ck = tmp_path / "ck.json"
-    assert _monitor(variant, _head(tmp_path, variant, 60), "--checkpoint", str(ck)) in (0, 10)
+    head = golden_head(tmp_path, variant, 60)
+    assert _monitor(variant, head, "--checkpoint", str(ck)) in (0, 10)
     written = json.loads(ck.read_text())
     golden = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
     written.pop("written_at")
@@ -104,7 +73,8 @@ def test_interrupted_run_resumes_to_same_report(capsys, tmp_path, variant, cut):
     stream = GOLDEN / f"{variant}.ndjson"
     full, resumed, ck = tmp_path / "full.json", tmp_path / "resumed.json", tmp_path / "ck.json"
     code = _monitor(variant, stream, "--report", str(full))
-    assert _monitor(variant, _head(tmp_path, variant, cut), "--checkpoint", str(ck)) in (0, 10)
+    head = golden_head(tmp_path, variant, cut)
+    assert _monitor(variant, head, "--checkpoint", str(ck)) in (0, 10)
     assert _monitor(variant, stream, "--checkpoint", str(ck), "--resume",
                     "--report", str(resumed)) == code
     assert f"resumed from checkpoint at line {cut}" in capsys.readouterr().err

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,12 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as hs
 
-from test_checkpoint import GOLDEN, GOLDEN_ARGS, run_main
+import cli_cases
+from cli_cases import (GOLDEN, OUTPUTS, REFUSALS, SCENARIO_DIR, SCENARIOS, Run, matrix_scenario,
+                       monitor_lines, monitor_records, run_case, run_main, scenario,
+                       scenario_text)
 from trialbet.binary import BinaryState
 from trialbet.cli import EXIT_CROSSED, EXIT_ERROR, EXIT_OK, main
 from trialbet.multistate import CONTROL_DAILY
 from trialbet.simlab.generators import binary_trial
 from trialbet.simlab.scenario import SIM_VARIANTS
+
+
+def refused(tmp_path, argv, error):
+    """``argv`` ends in exit 1, no stdout and one ``error:`` line holding ``error``."""
+    assert run_case(Run(argv, error=error), tmp_path) is None
 
 
 def run_cli(capsys, *argv):
@@ -89,44 +98,25 @@ class TestMonitor:
         assert report["e_value"] == "inf"
         assert report["log_e_value"] > 709.79
 
-    def test_malformed_json_reports_line(self, capsys, tmp_path):
-        path = tmp_path / "bad.ndjson"
-        path.write_text('{"arm": 1, "outcome": 0}\nnot json at all\n')
-        code, _, err = run_cli(capsys, "monitor", "--variant", "binary",
-                               "--input", str(path))
-        assert code == EXIT_ERROR
-        assert "line 2" in err
+    def test_malformed_json_reports_line(self, tmp_path):
+        refused(tmp_path, monitor_lines("binary", ['{"arm": 1, "outcome": 0}', "not json at all"]),
+                "error: line 2: invalid JSON")
 
-    def test_unknown_field_rejected(self, capsys, tmp_path):
-        path = tmp_path / "extra.ndjson"
-        write_ndjson(path, [{"arm": 1, "outcome": 0, "site": "A"}])
-        code, _, err = run_cli(capsys, "monitor", "--variant", "binary",
-                               "--input", str(path))
-        assert code == EXIT_ERROR
-        assert "unknown fields" in err and "site" in err
+    def test_unknown_field_rejected(self, tmp_path):
+        refused(tmp_path, monitor_records("binary", [{"arm": 1, "outcome": 0, "site": "A"}]),
+                "unknown fields ['site']")
 
-    def test_missing_field_rejected(self, capsys, tmp_path):
-        path = tmp_path / "missing.ndjson"
-        write_ndjson(path, [{"arm": 1}])
-        code, _, err = run_cli(capsys, "monitor", "--variant", "binary",
-                               "--input", str(path))
-        assert code == EXIT_ERROR and "missing fields" in err
+    def test_missing_field_rejected(self, tmp_path):
+        refused(tmp_path, monitor_records("binary", [{"arm": 1}]), "missing fields")
 
-    def test_unsorted_survival_stream_rejected(self, capsys, tmp_path):
-        path = tmp_path / "surv.ndjson"
-        write_ndjson(path, [{"time": 5.0, "status": 1, "arm": 0},
-                            {"time": 4.0, "status": 1, "arm": 1}])
-        code, _, err = run_cli(capsys, "monitor", "--variant", "survival",
-                               "--input", str(path),
-                               "--risk-trt", "10", "--risk-ctrl", "10")
-        assert code == EXIT_ERROR and "not sorted" in err
+    def test_unsorted_survival_stream_rejected(self, tmp_path):
+        refused(tmp_path, monitor_records("survival", [{"time": 5.0, "status": 1, "arm": 0},
+                                                       {"time": 4.0, "status": 1, "arm": 1}],
+                                          "--risk-trt", "10", "--risk-ctrl", "10"), "not sorted")
 
-    def test_survival_requires_risk_sets(self, capsys, tmp_path):
-        path = tmp_path / "surv.ndjson"
-        write_ndjson(path, [{"time": 5.0, "status": 1, "arm": 0}])
-        code, _, err = run_cli(capsys, "monitor", "--variant", "survival",
-                               "--input", str(path))
-        assert code == EXIT_ERROR and "--risk-trt" in err
+    def test_survival_requires_risk_sets(self, tmp_path):
+        refused(tmp_path, monitor_records("survival", [{"time": 5.0, "status": 1, "arm": 0}]),
+                "--risk-trt")
 
     def test_survival_exhausted_risk_set_refused(self, capsys, tmp_path):
         """Ten treated events against a treated cohort of two: the third is refused."""
@@ -150,12 +140,9 @@ class TestMonitor:
         assert code == EXIT_OK
         assert json.loads(out)["events"] == 2
 
-    def test_multistate_unknown_state_rejected(self, capsys, tmp_path):
-        path = tmp_path / "ms.ndjson"
-        write_ndjson(path, [{"from": "ICU", "to": "Hospice", "arm": 0}])
-        code, _, err = run_cli(capsys, "monitor", "--variant", "multistate",
-                               "--input", str(path))
-        assert code == EXIT_ERROR and "unknown state" in err
+    def test_multistate_unknown_state_rejected(self, tmp_path):
+        refused(tmp_path, monitor_records("multistate", [{"from": "ICU", "to": "Hospice",
+                                                          "arm": 0}]), "unknown state")
 
     def test_multistate_stream_with_day_field(self, capsys, tmp_path):
         path = tmp_path / "ms.ndjson"
@@ -200,25 +187,20 @@ class TestCheckpoint:
         assert b["events"] == a["events"]
         assert b["counts"] == a["counts"]
 
-    def test_config_mismatch_refused(self, capsys, tmp_path, binary_stream):
-        path, _, _ = binary_stream
-        ck = tmp_path / "ck.json"
-        run_cli(capsys, "monitor", "--variant", "binary", "--input", str(path),
-                "--checkpoint", str(ck))
-        code, _, err = run_cli(capsys, "monitor", "--variant", "binary",
-                               "--input", str(path), "--checkpoint", str(ck),
-                               "--resume", "--ramp", "55")
-        assert code == EXIT_ERROR and "configuration does not match" in err
+    def test_config_mismatch_refused(self, tmp_path, binary_stream):
+        argv = ["monitor", "--input", str(binary_stream[0]),
+                "--checkpoint", str(tmp_path / "ck.json")]
+        assert run_case([Run([*argv, "--variant", "binary"], codes=(0, 10)),
+                         Run([*argv, "--variant", "binary", "--resume", "--ramp", "55"],
+                             error="configuration does not match")], tmp_path) is None
 
-    def test_variant_mismatch_refused(self, capsys, tmp_path, binary_stream):
-        path, _, _ = binary_stream
-        ck = tmp_path / "ck.json"
-        run_cli(capsys, "monitor", "--variant", "binary", "--input", str(path),
-                "--checkpoint", str(ck))
-        code, _, err = run_cli(capsys, "monitor", "--variant", "deaths",
-                               "--input", str(path), "--checkpoint", str(ck),
-                               "--resume")
-        assert code == EXIT_ERROR
+    def test_variant_mismatch_refused(self, tmp_path, binary_stream):
+        argv = ["monitor", "--input", str(binary_stream[0]),
+                "--checkpoint", str(tmp_path / "ck.json")]
+        assert run_case([Run([*argv, "--variant", "binary"], codes=(0, 10)),
+                         Run([*argv, "--variant", "deaths", "--resume"],
+                             error="checkpoint is for variant 'binary', not 'deaths'")],
+                        tmp_path) is None
 
 
 def test_monitor_prefix_purity(binary_stream):
@@ -264,13 +246,9 @@ class TestSimulate:
         assert 0 <= doc["rejection_rate"] <= 1
         assert "rejection rate" in out
 
-    def test_invalid_scenario_schema(self, capsys, tmp_path):
-        sc = tmp_path / "bad.json"
-        sc.write_text(json.dumps({"variant": "binary",
-                                  "params": {"n_patients": 10, "p_ctrl": 0.4,
-                                             "typo_field": 1}}))
-        code, _, err = run_cli(capsys, "simulate", "--scenario", str(sc))
-        assert code == EXIT_ERROR and "unknown parameters" in err
+    def test_invalid_scenario_schema(self, tmp_path):
+        refused(tmp_path, scenario({"variant": "binary", "params": {
+            "n_patients": 10, "p_ctrl": 0.4, "typo_field": 1}}), "unknown parameters")
 
     @pytest.mark.parametrize("doc", [
         [1],
@@ -278,12 +256,8 @@ class TestSimulate:
         {"variant": ["binary"]},
         {"variant": "binary", "params": {"n_patients": "abc", "p_ctrl": 0.4, "p_trt": 0.3}},
     ], ids=["not-an-object", "params-list", "variant-list", "n-patients-string"])
-    def test_malformed_scenario_is_one_error_line(self, capsys, tmp_path, doc):
-        sc = tmp_path / "bad.json"
-        sc.write_text(json.dumps(doc))
-        code, _, err = run_cli(capsys, "simulate", "--scenario", str(sc), "--seed", "1")
-        assert code == EXIT_ERROR
-        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    def test_malformed_scenario_is_one_error_line(self, tmp_path, doc):
+        refused(tmp_path, scenario(doc, "simulate", "--seed", "1"), "error: ")
 
     def test_impossible_trial_is_refused(self, capsys, tmp_path):
         sc = tmp_path / "bad.json"
@@ -432,12 +406,8 @@ def test_deeply_nested_event_is_one_error_line(capsys, tmp_path):
     assert _one_error_line(code, err) == "error: line 2: invalid JSON (nested too deeply)"
 
 
-def test_deeply_nested_scenario_is_one_error_line(capsys, tmp_path):
-    path = tmp_path / "deep.json"
-    path.write_text('{"variant": "binary", "params": ' + DEEP)
-    code, out, err = run_cli(capsys, "simulate", "--scenario", str(path))
-    assert out == ""
-    _one_error_line(code, err)
+def test_deeply_nested_scenario_is_one_error_line(tmp_path):
+    refused(tmp_path, scenario_text('{"variant": "binary", "params": ' + DEEP), "error: ")
 
 
 def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_stream):
@@ -450,381 +420,35 @@ def test_deeply_nested_checkpoint_is_one_error_line(capsys, tmp_path, binary_str
     _one_error_line(code, err)
 
 
-def _edited_checkpoint(variant, path, value):
-    """A resume from the golden ``variant`` checkpoint with the entry at
-    ``path`` (keys and indexes into its document) set to ``value``."""
-    def argv(tmp_path):
-        doc = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
-        *parents, last = path
-        node = doc
-        for key in parents:
-            node = node[key]
-        node[last] = value
-        ck = tmp_path / "ck.json"
-        ck.write_text(json.dumps(doc))
-        return ["monitor", "--variant", variant, "--input", str(GOLDEN / f"{variant}.ndjson"),
-                "--checkpoint", str(ck), "--resume", *GOLDEN_ARGS[variant]]
-    return argv
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_is_one_error_line(tmp_path, name):
+    """Inputs no run can use end in exit 1, no stdout and one ``error:`` line
+    (the refusal table of ``cli_cases.py``, which CI runs through the
+    installed script)."""
+    assert run_case(REFUSALS[name], tmp_path) is None
 
 
-def _checkpoint_text(variant, edit):
-    """A resume from the golden ``variant`` checkpoint whose text is ``edit``
-    of the golden text, for a file that is not JSON."""
-    def argv(tmp_path):
-        ck = tmp_path / "ck.json"
-        ck.write_text(edit((GOLDEN / f"{variant}.ckpt.json").read_text()))
-        return ["monitor", "--variant", variant, "--input", str(GOLDEN / f"{variant}.ndjson"),
-                "--checkpoint", str(ck), "--resume", *GOLDEN_ARGS[variant]]
-    return argv
-
-
-def _short_input_resume(variant, k):
-    """A resume from the golden ``variant`` checkpoint, at line 60, over only
-    the first ``k`` lines of its stream."""
-    def argv(tmp_path):
-        lines = (GOLDEN / f"{variant}.ndjson").read_text().splitlines(keepends=True)
-        head, ck = tmp_path / "head.ndjson", tmp_path / "ck.json"
-        head.write_text("".join(lines[:k]))
-        ck.write_text((GOLDEN / f"{variant}.ckpt.json").read_text())
-        return ["monitor", "--variant", variant, "--input", str(head),
-                "--checkpoint", str(ck), "--resume", *GOLDEN_ARGS[variant]]
-    return argv
-
-
-def _scenario_text(text):
-    def argv(tmp_path):
-        path = tmp_path / "sc.json"
-        path.write_text(text)
-        return ["simulate", "--scenario", str(path)]
-    return argv
-
-
-def _events(variant, records, *options):
-    """``monitor`` on a stream of ``records``."""
-    def argv(tmp_path):
-        path = tmp_path / "events.ndjson"
-        write_ndjson(path, records)
-        return ["monitor", "--variant", variant, "--input", str(path), *options]
-    return argv
-
-
-def _event_lines(variant, lines, *options):
-    """``monitor`` on a stream of raw ``lines``, for numbers ``json.dumps`` cannot write."""
-    def argv(tmp_path):
-        path = tmp_path / "events.ndjson"
-        path.write_text("".join(line + "\n" for line in lines))
-        return ["monitor", "--variant", variant, "--input", str(path), *options]
-    return argv
-
-
-DIGITS_5001 = "1" + "0" * 5000  # past Python's 4,300-digit limit on int conversion
-DIGIT_LIMIT = "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"
-
-
-def _scenario(doc):
-    def argv(tmp_path):
-        path = tmp_path / "sc.json"
-        path.write_text(json.dumps(doc))
-        return ["simulate", "--scenario", str(path)]
-    return argv
-
-
-def _matrices(edit, both=False):
-    """A multistate scenario whose ``trt`` matrix, and with ``both`` its
-    ``ctrl`` matrix, is ``edit`` of the control matrix."""
-    rows = [list(row) for row in CONTROL_DAILY.probs]
-    return _scenario({"variant": "multistate", "n_sims": 2, "params": {
-        "n_patients": 20, "matrices": {"trt": edit(rows), "ctrl": edit(rows) if both else rows}}})
-
-
-_BINARY = {"n_patients": 20, "p_ctrl": 0.4}
-
-
-# outcomes near the float maximum put residuals past the float range: the lab and the
-# monitor both refuse them
-_OVERFLOWING = {"variant": "continuous", "n_sims": 5, "seed": 1,
-                "params": {"n_patients": 60, "mu_ctrl": 1e308, "burn_in": 5, "ramp": 5}}
-
-
-def _lab(variant, **params):
-    return _scenario({"variant": variant, "n_sims": 2, "params": {"n_patients": 20, **params}})
-
-
-def _wage(variant, *argv):
-    return lambda tmp_path: ["wage", "--variant", variant, *argv]
-
-
-def _golden_monitor(variant, *argv):
-    """``monitor`` on a golden stream with extra options."""
-    def make(tmp_path):
-        return ["monitor", "--variant", variant,
-                "--input", str(GOLDEN / f"{variant}.ndjson"), *argv]
-    return make
-
-
-@pytest.mark.parametrize("argv,message", [
-    (_edited_checkpoint("binary", ["schema"], 3), "error: unsupported checkpoint schema: 3"),
-    (_edited_checkpoint("binary", ["schema"], True), "error: unsupported checkpoint schema: True"),
-    (_edited_checkpoint("binary", ["schema"], 1.0), "error: unsupported checkpoint schema: 1.0"),
-    (_events("survival", [{"time": 2.0, "status": 1, "arm": 1},
-                          {"time": 3.0, "status": 1, "arm": 0, "entry_time": 4.5}],
-             "--risk-trt", "5", "--risk-ctrl", "5"), "error: line 2: negative time on study"),
-    (_scenario({"variant": "binary", "params": _BINARY, "alpha": 1.5}),
-     "error: alpha must be in (0,1)"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 0}),
-     "error: n_sims must be >= 1"),
-    (_matrices(lambda rows: [[1.1, -0.1, 0.0, 0.0], *rows[1:]]),
-     "error: transition probabilities must be >= 0"),
-    (_matrices(lambda rows: rows[:3]), "error: transition matrix must be 4x4, got (3, 4)"),
-    (_matrices(lambda rows: [[math.nan, 0.07, 0.03, 0.02], *rows[1:]]),
-     "error: transition probabilities must be >= 0"),
-    (lambda tmp_path: ["power", "--variant", "binary", "--p1", "0.4", "--p2", "0.3",
-                       "--power", "1.5"], "error: power and alpha must be in (0,1)"),
-    (_lab("binary", p_ctrl=0.4, ramp=0), "error: ramp must be >= 1, got 0"),
-    (_lab("survival", lambda_max=1.8), "error: lambda_max must be in (0,1), got 1.8"),
-    (_lab("continuous", c_max=3.0), "error: c_max must be in (0,1), got 3.0"),
-    (_scenario({"variant": "deaths", "n_sims": 2, "params": {"n_deaths": 20, "burn_in": -5}}),
-     "error: burn_in must be >= 0, got -5"),
-    (_golden_monitor("binary", "--lambda-max", "0.3", "--c-max", "0.9"),
-     "error: binary monitoring does not read --c-max or --lambda-max"),
-    (_golden_monitor("continuous", "--p", "1.5"), "error: p must be in (0,1), got 1.5"),
-    (_golden_monitor("binary", "--p", "0"), "error: p must be in (0,1), got 0.0"),
-    (_golden_monitor("binary", "--resume"),
-     "error: --resume and --checkpoint-every need --checkpoint"),
-    (_golden_monitor("binary", "--checkpoint-every", "5"),
-     "error: --resume and --checkpoint-every need --checkpoint"),
-    (lambda tmp_path: [*_golden_monitor("binary", "--checkpoint-every", "-1")(tmp_path),
-                       "--checkpoint", str(tmp_path / "ck.json")],
-     "error: --checkpoint-every must be >= 0, got -1"),
-    (_golden_monitor("deaths", "--progress-every", "-1"),
-     "error: --progress-every must be >= 0, got -1"),
-    (lambda tmp_path: ["trajectories", "--scenario", str(_scenario_path("binary_alt")),
-                       "--trials", "-3", "--out", str(tmp_path / "t.csv")],
-     "error: --trials must be >= 0, got -3"),
-    (lambda tmp_path: ["simulate", "--scenario", str(_scenario_path("binary_alt")),
-                       "--workers", "0"], "error: --workers must be >= 1, got 0"),
-    (_wage("binary", "--n", "100", "--alpha", "1.5", "--sims", "3"),
-     "error: alpha must be in (0,1)"),
-    (_lab("binary", p_ctrl=0.4, n_patients=0), "error: n_patients must be an integer >= 1, got 0"),
-    (_lab("continuous", n_patients=2.5), "error: n_patients must be an integer >= 1, got 2.5"),
-    (_lab("survival", n_patients=True), "error: n_patients must be an integer >= 1, got True"),
-    (_scenario({"variant": "deaths", "n_sims": 2, "params": {"n_deaths": 0}}),
-     "error: n_deaths must be an integer >= 1, got 0"),
-    (_lab("multistate", horizon=0), "error: horizon must be an integer >= 1, got 0"),
-    (_wage("binary", "--arr", "0.05", "--n", "0", "--sims", "7"),
-     "error: n_patients must be an integer >= 1, got 0"),
-    (_wage("continuous", "--d", "0.3", "--n", "0", "--sims", "7"),
-     "error: n_patients must be an integer >= 1, got 0"),
-    (_wage("survival", "--hr", "0.7", "--n", "0", "--sims", "7"),
-     "error: n_patients must be an integer >= 1, got 0"),
-    (_lab("continuous", mu_trt=math.inf), "error: mu_trt must be finite, got inf"),
-    (_lab("continuous", sd=math.inf), "error: sd must be finite, got inf"),
-    (_lab("survival", hr=math.inf), "error: hr must be finite, got inf"),
-    (_wage("continuous", "--d", "nan", "--n", "50", "--sims", "3"),
-     "error: mu_trt must be finite, got nan"),
-    (_lab("multistate", start="Dead"),
-     "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got 'Dead'"),
-    (_lab("multistate", start="Foo"),
-     "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got 'Foo'"),
-    (_lab("multistate", start=["ICU"]),
-     "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got ['ICU']"),
-    (lambda tmp_path: ["power", "--variant", "survival", "--hr", "inf"],
-     "error: hazard ratio must be finite, positive and != 1, got inf"),
-    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "nan"],
-     "error: effect size must be finite and > 0, got nan"),
-    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "inf"],
-     "error: effect size must be finite and > 0, got inf"),
-    (_wage("survival", "--hr", "inf", "--sims", "3"),
-     "error: hazard ratio must be finite, positive and != 1, got inf"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2.9, "seed": 1.7}),
-     "error: n_sims must be an integer, got 2.9"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": True}),
-     "error: n_sims must be an integer, got True"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": "3"}),
-     "error: n_sims must be an integer, got '3'"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "seed": 1.7}),
-     "error: seed must be an integer, got 1.7"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "seed": -1}),
-     "error: seed must be >= 0"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "alpha": "0.05"}),
-     "error: alpha must be a number, got '0.05'"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sims": 2, "alpha": True}),
-     "error: alpha must be a number, got True"),
-    (_matrices(lambda rows: [rows[0], [0.0, 1.0, 0.0, 0.0], *rows[2:]], both=True),
-     "error: start 'ICU' has an identity row in both arms' matrices: no patient can leave it"),
-    (_scenario({"variant": "binary", "params": _BINARY, "n_sim": 5, "seeed": 3}),
-     "error: unknown scenario fields: ['n_sim', 'seeed']"),
-    (_lab("binary", p_ctrl="0.3"), "error: p_ctrl must be in [0, 1], got '0.3'"),
-    (_lab("survival", censor_upper="5"), "error: censor_upper must be > 0 when set, got '5'"),
-    (_lab("binary", p_ctrl=0.4, p_alloc=[0.5]), "error: p_alloc must be in (0, 1), got [0.5]"),
-    (_scenario({"variant": ["x"], "params": _BINARY}),
-     "error: unknown variant ['x']; expected one of "
-     "('binary', 'deaths', 'continuous', 'survival', 'multistate')"),
-    (_lab("binary", p_ctrl=True), "error: p_ctrl must be in [0, 1], got True"),
-    (_lab("binary", p_ctrl=0.4, ramp=True), "error: ramp must be >= 1, got True"),
-    (_lab("binary", p_ctrl=0.4, burn_in=True), "error: burn_in must be >= 0, got True"),
-    (_lab("continuous", sign_only="yes"), "error: sign_only must be true or false, got 'yes'"),
-    (_lab("binary", p_ctrl=0.4, burn_in="5"), "error: burn_in must be >= 0, got '5'"),
-    (_lab("continuous", c_max="0.5"), "error: c_max must be in (0,1), got '0.5'"),
-    (_lab("continuous", mu_trt="1"), "error: mu_trt must be a number, got '1'"),
-    (_lab("continuous", mu_ctrl=None), "error: mu_ctrl must be a number, got None"),
-    (_lab("continuous", mu_ctrl=True), "error: mu_ctrl must be a number, got True"),
-    (_lab("multistate", matrices=5),
-     "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set, got 5"),
-    (_matrices(lambda rows: [*rows[:3], [0, 0, 0, True]]),
-     "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set"),
-    (_lab("binary", p_ctrl=0.4, fixed_dev="x"),
-     "error: fixed_dev must be a number when set, got 'x'"),
-    (_lab("survival", bet_rule="kelly"),
-     "error: bet_rule must be 'fixed' or 'half_kelly', got 'kelly'"),
-    (_edited_checkpoint("continuous", ["state", "trt", 0], -1),
-     "error: corrupt checkpoint: arm counts must be >= 0, got -1 and 29"),
-    (lambda tmp_path: ["power", "--variant", "survival", "--hr", "0.5", "--alpha", "1e-308"],
-     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
-    (lambda tmp_path: ["power", "--variant", "binary", "--p1", "0.3", "--p2", "0.2",
-                       "--alpha", "1e-308"],
-     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
-    (_wage("survival", "--hr", "0.5", "--alpha", "1e-308", "--sims", "2"),
-     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
-    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.3", "--alpha", "1e-308"],
-     "error: alpha must be > 2**-53 to size a trial, got 1e-308"),
-    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.0001"],
-     "error: effect size d=0.0001 needs more than 1e7 patients per arm at power 0.8 "
-     "and alpha 0.05"),
-    (lambda tmp_path: ["power", "--variant", "continuous", "--d", "0.001", "--power", "0.9",
-                       "--alpha", "0.01"],
-     "error: effect size d=0.001 needs more than 1e7 patients per arm at power 0.9 "
-     "and alpha 0.01"),
-    (_wage("continuous", "--d", "0.0001", "--sims", "2"),
-     "error: effect size d=0.0001 needs more than 1e7 patients per arm"),
-    (_lab("survival", censor_upper=10**400), f"error: censor_upper must be finite, got {10**400}"),
-    (_lab("continuous", mu_trt=-10**309), f"error: mu_trt must be finite, got {-10**309}"),
-    (_matrices(lambda rows: [[10**400, *rows[0][1:]], *rows[1:]]),
-     "error: a transition-matrix entry is past the float range"),
-    (_events("continuous", [{"arm": 1, "y": 10**400}]),
-     f"error: line 1: field 'y' must be a finite number, got {10**400}"),
-    (_events("survival", [{"time": -10**400, "status": 1, "arm": 0}], "--risk-trt", "5",
-             "--risk-ctrl", "5"),
-     f"error: line 1: field 'time' must be a finite number, got {-10**400}"),
-    (_events("survival", [{"time": 3.0, "status": 1, "arm": 0, "entry_time": 10**400}],
-             "--risk-trt", "5", "--risk-ctrl", "5"),
-     f"error: line 1: field 'entry_time' must be a finite number, got {10**400}"),
-    (_golden_monitor("binary", "--burn-in", str(10**400)),
-     f"error: burn_in must be finite, got {10**400}"),
-    (_golden_monitor("deaths", "--ramp", str(10**400)),
-     f"error: ramp must be finite, got {10**400}"),
-    (_edited_checkpoint("binary", ["state", "ledger", "log_wealth"], "0x1p+1024"),
-     "error: corrupt checkpoint: field 'log_wealth' holds a hex float past the float range"),
-    (_edited_checkpoint("survival", ["state", "cum_z"], "-0x1p+1024"),
-     "error: corrupt checkpoint: field 'cum_z' holds a hex float past the float range"),
-    (_edited_checkpoint("continuous", ["state", "values", 3], "0x1.8p+1025"),
-     "error: corrupt checkpoint: field 'values' holds a hex float past the float range"),
-    (_edited_checkpoint("continuous", ["state", "ctrl", 2], "0x1p+1024"),
-     "error: corrupt checkpoint: field 'm2' holds a hex float past the float range"),
-    (_edited_checkpoint("binary", ["state", "e_trt"], 10**400),
-     f"error: corrupt checkpoint: field 'e_trt' is past the float range: {10**400}"),
-    (_edited_checkpoint("multistate", ["state", "good_trt"], 10**400),
-     f"error: corrupt checkpoint: field 'good_trt' is past the float range: {10**400}"),
-    (_edited_checkpoint("continuous", ["state", "trt", 0], 10**400),
-     f"error: corrupt checkpoint: field 'n' is past the float range: {10**400}"),
-    (_event_lines("binary", ['{"arm": 1, "outcome": 0}'] * 3
-                  + ['{"arm": 0, "outcome": ' + DIGITS_5001 + '}']),
-     f"error: line 4: {DIGIT_LIMIT}"),
-    (_event_lines("continuous", ['{"arm": 1, "y": 0.5}', '{"arm": 0, "y": -' + DIGITS_5001 + '}']),
-     f"error: line 2: {DIGIT_LIMIT}"),
-    (_event_lines("survival", ['{"time": 3.0, "status": 1, "arm": 0, "entry_time": '
-                               + DIGITS_5001 + '}'], "--risk-trt", "5", "--risk-ctrl", "5"),
-     f"error: line 1: {DIGIT_LIMIT}"),
-    # refused by step on a line parsed before: the error names its own line
-    (_event_lines("binary", ['{"arm": 1, "outcome": 0}'] * 3, "--p", "1e-320"),
-     "error: line 2: multiplier must be positive and finite, got inf"),
-    (_event_lines("survival", ['{"time": 1.0, "status": 1, "arm": 1}'] * 3,
-                  "--risk-trt", "2", "--risk-ctrl", "2"),
-     "error: line 3: treated risk set is exhausted"),
-    (_short_input_resume("binary", 30),
-     "error: input ends at line 30, before the checkpoint's line 60"),
-    (_short_input_resume("survival", 0),
-     "error: input ends at line 0, before the checkpoint's line 60"),
-    (_short_input_resume("deaths", 59),
-     "error: input ends at line 59, before the checkpoint's line 60"),
-    (_edited_checkpoint("continuous", ["state", "ledger", "log_wealth"], "inf"),
-     "error: corrupt checkpoint: log_wealth must be finite, got inf"),
-    (_edited_checkpoint("continuous", ["state", "ledger", "log_wealth"], "nan"),
-     "error: corrupt checkpoint: log_wealth must be finite, got nan"),
-    (_edited_checkpoint("binary", ["state", "ledger", "log_wealth"], "-inf"),
-     "error: corrupt checkpoint: log_wealth must be finite, got -inf"),
-    (_edited_checkpoint("continuous", ["state", "values", 3], "nan"),
-     "error: corrupt checkpoint: past outcomes must be finite numbers, got nan"),
-    (_edited_checkpoint("continuous", ["state", "values", 0], "-inf"),
-     "error: corrupt checkpoint: past outcomes must be finite numbers, got -inf"),
-    (_edited_checkpoint("survival", ["state", "cum_z"], "nan"),
-     "error: corrupt checkpoint: cum_z must be finite, got nan"),
-    (_edited_checkpoint("survival", ["state", "last_time"], "nan"),
-     "error: corrupt checkpoint: last_time must be finite or -inf, got nan"),
-    (_checkpoint_text("binary", lambda text: text[: len(text) // 2]),
-     "error: corrupt checkpoint: invalid JSON (Expecting value: line 1 column 208 (char 207))"),
-    (_checkpoint_text("deaths", lambda text: text.replace('"position": 60',
-                                                          '"position": ' + DIGITS_5001)),
-     "error: corrupt checkpoint: " + DIGIT_LIMIT),
-    (_scenario_text('{"variant": "binary", "n_sims": ' + DIGITS_5001 + "}"),
-     "sc.json: " + DIGIT_LIMIT),
-    (_scenario_text('{"variant": "binary", "n_sims": 5'),
-     "sc.json: invalid JSON (Expecting ',' delimiter: line 1 column 34 (char 33))"),
-    (_scenario(_OVERFLOWING),
-     "error: continuous seed 1: replication 0 ends at a NaN log e-value; "
-     "its data overflow the float range"),
-    (lambda tmp_path: ["trajectories", *_scenario(_OVERFLOWING)(tmp_path)[1:], "--out", str(tmp_path / "t.csv")],
-     "error: continuous seed 1: replication 0 ends at a NaN log e-value"),
-    (_wage("continuous", "--d", "1e308", "--n", "60", "--sims", "2"),
-     "error: continuous seed 0: replication 0 ends at a NaN log e-value"),
-], ids=["checkpoint-schema-3", "checkpoint-schema-true", "checkpoint-schema-float",
-        "entry-after-time", "alpha-1.5", "n_sims-0",
-        "negative-matrix-entry", "three-matrix-rows", "nan-matrix-entry", "power-1.5",
-        "lab-ramp-0", "lab-lambda_max-1.8", "lab-c_max-3", "lab-burn_in-negative",
-        "monitor-other-variant-options", "monitor-continuous-p-1.5", "monitor-binary-p-0",
-        "resume-without-checkpoint", "checkpoint-every-without-checkpoint",
-        "negative-checkpoint-every", "negative-progress-every", "trajectories-trials-negative",
-        "simulate-workers-0", "wage-alpha-1.5", "lab-n_patients-0", "lab-n_patients-2.5",
-        "lab-n_patients-true", "lab-n_deaths-0", "lab-horizon-0", "wage-binary-n-0",
-        "wage-continuous-n-0", "wage-survival-n-0", "lab-mu_trt-inf", "lab-sd-inf",
-        "lab-hr-inf", "wage-d-nan", "lab-start-Dead", "lab-start-Foo", "lab-start-list",
-        "power-hr-inf", "power-d-nan", "power-d-inf", "wage-hr-inf-sized", "n_sims-2.9",
-        "n_sims-true", "n_sims-string", "seed-1.7", "seed-negative", "alpha-string",
-        "alpha-true", "start-row-identity-in-both-arms", "misspelled-scenario-fields",
-        "p_ctrl-string", "censor_upper-string", "p_alloc-list", "variant-list-named",
-        "p_ctrl-true", "lab-ramp-true", "lab-burn_in-true", "lab-sign_only-yes",
-        "lab-burn_in-string", "lab-c_max-string", "lab-mu_trt-string", "lab-mu_ctrl-null",
-        "lab-mu_ctrl-true", "lab-matrices-5", "matrix-bool-entry", "lab-fixed_dev-string",
-        "lab-bet_rule-kelly", "checkpoint-arm-count-negative", "power-survival-alpha-1e-308",
-        "power-binary-alpha-1e-308", "wage-survival-alpha-1e-308-sized",
-        "power-continuous-alpha-1e-308", "power-continuous-d-1e-4", "power-continuous-d-1e-3",
-        "wage-continuous-d-1e-4-sized", "lab-censor_upper-400-digits",
-        "lab-mu_trt-past-float", "matrix-entry-400-digits", "event-y-400-digits",
-        "event-time-400-digits", "event-entry_time-400-digits", "monitor-burn-in-400-digits",
-        "monitor-ramp-400-digits", "checkpoint-log_wealth-hex-past-float",
-        "checkpoint-cum_z-hex-past-float", "checkpoint-values-hex-past-float",
-        "checkpoint-moment-hex-past-float", "checkpoint-e_trt-400-digits",
-        "checkpoint-good_trt-400-digits", "checkpoint-arm-count-400-digits",
-        "event-outcome-5001-digits-line-4", "event-y-5001-digits", "event-entry_time-5001-digits",
-        "recurring-line-payout-inf", "recurring-line-risk-set-exhausted",
-        "resume-input-30-of-60-lines", "resume-input-empty", "resume-input-59-of-60-lines",
-        "checkpoint-log_wealth-inf", "checkpoint-log_wealth-nan", "checkpoint-log_wealth-minus-inf",
-        "checkpoint-values-nan", "checkpoint-values-minus-inf", "checkpoint-cum_z-nan",
-        "checkpoint-last_time-nan", "checkpoint-truncated",
-        "checkpoint-position-5001-digits", "scenario-n_sims-5001-digits",
-        "scenario-truncated", "simulate-nan-e-value", "trajectories-nan-e-value",
-        "wage-continuous-d-1e308-nan-e-value"])
-def test_refusal_is_one_error_line(capsys, tmp_path, argv, message):
-    """Inputs no run can use end in exit 1 and one ``error:`` line."""
-    code, out, err = run_cli(capsys, *argv(tmp_path))
-    assert out == ""
-    assert message in _one_error_line(code, err)
+def test_cases_run_through_a_command(tmp_path, capsys):
+    """The runner CI uses: a golden and a refused case through ``python -m
+    trialbet.cli``, then the golden case against an edited golden file, which
+    fails and is named."""
+    entry = [sys.executable, "-m", "trialbet.cli"]
+    golden = OUTPUTS["monitor-binary"]
+    assert cli_cases.main(entry, {"monitor-binary": golden,
+                                  "monitor-binary-p-0": REFUSALS["monitor-binary-p-0"]}) == 0
+    edited = tmp_path / "binary.report.json"
+    text = (GOLDEN / "binary.report.json").read_text()
+    edited.write_text(text.replace('"crossed": false', '"crossed": true'))
+    assert edited.read_text() != text
+    capsys.readouterr()
+    assert cli_cases.main(entry, {"edited": golden._replace(golden={"-": edited})}) == 1
+    assert capsys.readouterr().out.startswith("FAIL edited: run 1 ")
 
 
 def test_start_row_identity_in_one_arm_runs(capsys, tmp_path):
     """Only an identity start row in both arms empties every trial; with one
     in one arm, the other arm's patients still move."""
-    argv = _matrices(lambda rows: [rows[0], [0.0, 1.0, 0.0, 0.0], *rows[2:]])(tmp_path)
+    argv = matrix_scenario(lambda rows: [rows[0], [0.0, 1.0, 0.0, 0.0], *rows[2:]])(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_OK and err == ""
     assert "median stream len   0\n" not in out
@@ -1121,7 +745,6 @@ def test_study_json_is_strict_when_e_values_overflow(capsys, tmp_path, recwarn):
 
 def test_cli_import_loads_no_simlab_or_scipy():
     import subprocess
-    import sys
 
     probe = ("import sys, trialbet.cli; "
              "print(sorted(m for m in sys.modules if m in ('scipy', 'numpy') or m.startswith("
@@ -1142,10 +765,9 @@ def test_one_worker_simulate_loads_no_process_pool():
     """Only a run with more than one worker imports the process pool; a fresh
     interpreter shows it, since other tests may have loaded it here."""
     import subprocess
-    import sys
 
     probe = ("import sys; from trialbet.cli import main; "
-             f"code = main(['simulate', '--scenario', {str(_scenario_path('binary_alt'))!r}, "
+             f"code = main(['simulate', '--scenario', {str(SCENARIO_DIR / 'binary_alt.json')!r}, "
              "'--sims', '5']); "
              "print(code, 'concurrent.futures.process' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
@@ -1181,18 +803,10 @@ def test_trajectories_run_every_wager_rule(capsys, tmp_path, variant, param):
         assert (logw[-1] if index.size else 0.0) == log_e
 
 
-SCENARIOS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multistate_alt",
-             "survival_alt"]
-
-
-def _scenario_path(stem):
-    return Path(__file__).parent.parent / "scenarios" / f"{stem}.json"
-
-
 def _committed_scenario(stem):
     from trialbet.simlab.scenario import SimScenario
 
-    return SimScenario.from_dict(json.loads(_scenario_path(stem).read_text()))
+    return SimScenario.from_dict(json.loads((SCENARIO_DIR / f"{stem}.json").read_text()))
 
 
 @pytest.mark.parametrize("stem", SCENARIOS)
@@ -1220,8 +834,9 @@ def test_trajectories_match_streaming_monitor(capsys, tmp_path, stem):
     scenario = _committed_scenario(stem)
     n = 30
     out_csv = tmp_path / "traj.csv"
-    code, _, _ = run_cli(capsys, "trajectories", "--scenario", str(_scenario_path(stem)),
-                         "--trials", str(n), "--out", str(out_csv))
+    code, _, _ = run_cli(capsys, "trajectories", "--scenario",
+                         str(SCENARIO_DIR / f"{stem}.json"), "--trials", str(n),
+                         "--out", str(out_csv))
     assert code == EXIT_OK
     rows = [row.split(",") for row in out_csv.read_text().splitlines()[2:]]
     expected = [(trial, step) for trial, steps

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,9 +20,9 @@ from trialbet.simlab.engine import (
 from trialbet.simlab.scenario import SIM_VARIANTS, SimScenario
 from trialbet.simlab.strategies import BettingStrategy
 
+from cli_cases import SCENARIO_DIR
 from oracles import head_to_head_per_trial, seed_sequence_rng, stream_trajectories
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 # each row's required parameters, and only those
 REQUIRED_ONLY = {"binary": {"n_patients": 30, "p_ctrl": 0.4}, "deaths": {"n_deaths": 30},
                  "continuous": {"n_patients": 30}, "survival": {"n_patients": 30},
@@ -89,7 +88,7 @@ class TestScenario:
         filled ``params``: ``simulate --sims`` rebuilds it through
         ``dataclasses.replace``, and perfbench through the constructor."""
         committed = [SimScenario.from_dict(json.loads(path.read_text()))
-                     for path in sorted(SCENARIOS.glob("*.json"))]
+                     for path in sorted(SCENARIO_DIR.glob("*.json"))]
         assert len(committed) == 6 and REQUIRED_ONLY.keys() == SIM_VARIANTS.keys()
         required_only = [SimScenario(variant, params) for variant, params in REQUIRED_ONLY.items()]
         for sc in (small_scenario(), *committed, *required_only):

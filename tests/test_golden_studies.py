@@ -1,55 +1,41 @@
-"""Study outputs against the files an earlier release wrote, byte for byte.
+"""Command outputs against the files an earlier release wrote, byte for byte.
 
 The determinism contract makes every study bit-exact for a given seed, so a
-refactor or speed-up of the lab must leave these files unchanged.
+refactor or speed-up of the lab must leave these files unchanged.  The cases
+are the ``STUDIES`` and ``OUTPUTS`` tables of ``cli_cases.py``, which CI also
+runs through the installed script.
 """
 
 import csv
 import json
-from pathlib import Path
 
 import pytest
 
+from cli_cases import (COMPARE_ARGS, GOLDEN, OUTPUTS, SCENARIO_DIR, SCENARIOS, STUDIES,
+                       WAGE_ARGS, run_case)
 from trialbet.cli import main
-
-ROOT = Path(__file__).parent.parent
-GOLDEN = Path(__file__).parent / "data" / "golden"
-
-# Continuous and survival are sized per effect (no --n), binary at a fixed n.
-WAGE_ARGS = {
-    "continuous": ["--d", "0.2,0.4", "--sims", "30", "--seed", "3"],
-    "binary": ["--arr", "0.05", "--n", "400", "--fixed", "0.08", "--sims", "40", "--seed", "5"],
-    "survival": ["--hr", "0.7,0.8", "--sims", "30", "--seed", "1"],
-}
-COMPARE_ARGS = ["--baselines", "0.15,0.40", "--sims", "25", "--seed", "2"]
-SCENARIOS = ["binary_alt", "binary_null", "continuous_alt", "deaths_alt", "multistate_alt",
-             "survival_alt"]
 
 
 @pytest.mark.parametrize("variant", sorted(WAGE_ARGS))
-def test_wage_outputs_match_golden(capsys, tmp_path, variant):
-    out = tmp_path / "wage.json"
-    csv = tmp_path / "wage.csv"
-    assert main(["wage", "--variant", variant, *WAGE_ARGS[variant], "--json", str(out),
-                 "--csv", str(csv)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"wage_{variant}.json").read_bytes()
-    assert csv.read_bytes() == (GOLDEN / f"wage_{variant}.csv").read_bytes()
+def test_wage_outputs_match_golden(tmp_path, variant):
+    assert run_case(STUDIES[f"wage-{variant}"], tmp_path) is None
 
 
 @pytest.mark.parametrize("stem", SCENARIOS)
-def test_simulate_outputs_match_golden(capsys, tmp_path, stem):
-    out = tmp_path / "oc.json"
-    assert main(["simulate", "--scenario", str(ROOT / "scenarios" / f"{stem}.json"),
-                 "--sims", "40", "--json", str(out)]) == 0
-    assert out.read_bytes() == (GOLDEN / f"simulate_{stem}.json").read_bytes()
+def test_simulate_outputs_match_golden(tmp_path, stem):
+    """On one worker and on two."""
+    assert run_case(STUDIES[f"simulate-{stem}"], tmp_path) is None
 
 
-def test_compare_outputs_match_golden(capsys, tmp_path):
-    out = tmp_path / "compare.json"
-    csv = tmp_path / "compare.csv"
-    assert main(["compare", *COMPARE_ARGS, "--json", str(out), "--csv", str(csv)]) == 0
-    assert out.read_bytes() == (GOLDEN / "compare.json").read_bytes()
-    assert csv.read_bytes() == (GOLDEN / "compare.csv").read_bytes()
+def test_compare_outputs_match_golden(tmp_path):
+    assert run_case(STUDIES["compare"], tmp_path) is None
+
+
+@pytest.mark.parametrize("name", OUTPUTS)
+def test_outputs_match_golden(tmp_path, name):
+    """The monitor on each golden stream, cut and resumed and read from stdin,
+    ``power`` and ``trajectories``."""
+    assert run_case(OUTPUTS[name], tmp_path) is None
 
 
 @pytest.mark.parametrize("stem,key", [("compare", "rows"), *((f"wage_{v}", "cells")
@@ -68,7 +54,7 @@ def test_golden_csv_rows_are_their_json_twins(stem, key):
 @pytest.mark.parametrize("argv", [
     ["compare", *COMPARE_ARGS],
     ["wage", "--variant", "survival", *WAGE_ARGS["survival"]],
-    ["trajectories", "--scenario", str(ROOT / "scenarios" / "survival_alt.json"),
+    ["trajectories", "--scenario", str(SCENARIO_DIR / "survival_alt.json"),
      "--trials", "3"],
 ], ids=["compare", "wage", "trajectories"])
 def test_csv_lines_end_in_lf(capsys, tmp_path, argv):

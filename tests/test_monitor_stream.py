@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as hs
 
 import oracles
-from test_checkpoint import GOLDEN, GOLDEN_ARGS, run_main
+from cli_cases import GOLDEN, GOLDEN_ARGS, run_main
 from trialbet import cli
 from trialbet.checkpoint import encode_state
 from trialbet.cli import parse_event
