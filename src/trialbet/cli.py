@@ -201,9 +201,9 @@ def cmd_monitor(args) -> int:
     if args.checkpoint and written != position:  # else the last write saved this state
         ckpt.write_checkpoint_file(args.checkpoint, variant, state, cfg, position)
     report = _monitor_summary(monitor, variant, state)
-    _write_json(report)
-    if args.report:
+    if args.report:  # first: a report that cannot be written leaves stdout empty
         _write_json(report, args.report)
+    _write_json(report)
     return EXIT_CROSSED if ledger.crossed else EXIT_OK
 
 
@@ -225,6 +225,8 @@ def cmd_simulate(args) -> int:
     _at_least(args, 1, "workers")
     scenario = _load_scenario(args)
     oc = engine.run_operating_characteristics(scenario, n_workers=args.workers)
+    if args.json:
+        _write_json(oc.to_dict(), args.json)
     med_cross = ("-" if oc.median_first_crossing is None
                  else f"{oc.median_first_crossing:.0f} ({100 * oc.median_crossing_fraction:.0f}%)")
     print(f"variant             {oc.variant}")
@@ -233,8 +235,6 @@ def cmd_simulate(args) -> int:
     print(f"median crossing     {med_cross}")
     print(f"median stream len   {oc.median_stream_length:.0f}")
     print(f"median final e      {oc.final_e_median:.4g}")
-    if args.json:
-        _write_json(oc.to_dict(), args.json)
     return EXIT_OK
 
 
@@ -293,13 +293,13 @@ def cmd_compare(args) -> int:
     rows = engine.head_to_head_deaths_vs_binary(
         baselines, arr=args.arr, power=args.power, alpha=args.alpha,
         n_sims=args.sims, seed=args.seed)
+    _write_study(args, engine.HeadToHeadRow, "rows", rows)
     print(f"{'baseline':>8} {'coin':>6} {'N':>6} {'deaths':>7} "
           f"{'binary':>7} {'deaths-only':>11} {'delta':>7}  winner")
     for r in rows:
         print(f"{r.baseline:8.2f} {r.coin:6.3f} {r.n_patients:6d} {r.mean_deaths:7.1f} "
               f"{100 * r.binary_power:6.1f}% {100 * r.deaths_power:10.1f}% "
               f"{r.delta_pp:+6.1f}pp  {r.winner}")
-    _write_study(args, engine.HeadToHeadRow, "rows", rows)
     return EXIT_OK
 
 
@@ -327,12 +327,12 @@ def cmd_wage(args) -> int:
     # frequentist design size, the convention the comparisons calibrate to
     cells = engine.wage_study(args.variant, strategies, effects, args.n,
                               n_sims=args.sims, alpha=args.alpha, seed=args.seed)
+    _write_study(args, engine.WageCell, "cells", cells)
     print(f"{'effect':>8} {'strategy':>16} {'power':>7} {'median E':>10} {'med cross':>10}")
     for c in cells:
         cross = "-" if c.median_crossing is None else f"{c.median_crossing:.0f}"
         print(f"{c.effect:8.2f} {c.strategy:>16} {100 * c.power:6.1f}% "
               f"{c.median_final_e:10.3g} {cross:>10}")
-    _write_study(args, engine.WageCell, "cells", cells)
     return EXIT_OK
 
 

@@ -236,7 +236,7 @@ def survival_prepare(time, status, treatment, presorted: bool = False) -> Surviv
             t, s, a = (np.take_along_axis(x, order, axis=-1) for x in (t, s, a))
         else:  # the stable sort puts NaNs last: refuse a descent or a NaN before a number
             nan = np.isnan(t) if np.isnan(np.max(t, initial=-np.inf)) else None
-            if np.any(np.diff(t, axis=-1) < 0) or (
+            if (t[..., 1:] < t[..., :-1]).any() or (
                     nan is not None and (nan[..., :-1] > nan[..., 1:]).any()):
                 raise ValueError("stream not sorted by time on study")
         event = s == 1

@@ -20,11 +20,17 @@ DEATHS_INFLATION = 2.5  # deaths-only design inflation over the frequentist N
 
 def _check_design(power: float, alpha: float) -> None:
     """Power and alpha a two-sided design can be sized at: at alpha <= 2**-53,
-    ``1 - alpha/2`` rounds to 1 and the critical value is infinite."""
+    ``1 - alpha/2`` rounds to 1 and the critical value is infinite.  A
+    two-sided test has power above alpha/2 at every size, so a power at or
+    below it has no size: the closed forms square a bracket that reaches 0
+    near there, and past it their size would grow again as power falls."""
     if not (0.0 < power < 1.0 and 0.0 < alpha < 1.0):
         raise ValueError("power and alpha must be in (0,1)")
     if 1.0 - alpha / 2.0 == 1.0:
         raise ValueError(f"alpha must be > 2**-53 to size a trial, got {alpha!r}")
+    if not power > alpha / 2.0:
+        raise ValueError(f"power must be > alpha/2 = {alpha / 2.0!r} to size a trial, "
+                         f"got {power!r}")
 
 
 def size_two_proportion(p1: float, p2: float, power: float, alpha: float = 0.05) -> int:

@@ -57,14 +57,20 @@ class Prefix(bytes):
     """An expected output that need only start with these bytes."""
 
 
+class Part(str):
+    """An expected stderr text, or error line, that need only hold this text."""
+
+
 class Run(NamedTuple):
     """One command of a case, which is a run or a list of runs sharing a temp dir.
 
     ``argv`` is a list, or a function of the temp dir that writes any input
     files there and returns the list; ``stdin`` is text, or a file to read.
-    A refused run (``error`` set) must exit 1 with no stdout and one stderr
-    line that starts ``error: `` and holds ``error``.  Any other run must exit
-    in ``codes``, and each ``golden`` output (``"-"`` for stdout, else a file
+    A refused run (``error`` set, text or a function of the temp dir) must
+    exit 1 with no stdout, write no file, and print one stderr line that
+    starts ``error: `` and equals ``error`` (holds it, for a ``Part``).  Any
+    other run must exit in ``codes``, print exactly ``stderr`` (or hold its
+    ``Part``), and each ``golden`` output (``"-"`` for stdout, else a file
     in the temp dir) must equal its golden file, its bytes or its ``Prefix``.
     """
 
@@ -72,7 +78,8 @@ class Run(NamedTuple):
     stdin: str | Path = ""
     codes: tuple = (0,)
     golden: dict = {}
-    error: str | None = None
+    error: str | Callable[[Path], str] | None = None
+    stderr: str = ""
 
 
 def run_main(argv, stdin=""):
@@ -85,17 +92,25 @@ def run_main(argv, stdin=""):
     return code, out.getvalue(), err.getvalue()
 
 
-def _problem(run, tmp, code, out, err):
-    """What ``run`` did that it should not have, or None."""
+def _matches(got: str, want: str) -> bool:
+    return want in got if isinstance(want, Part) else got == want
+
+
+def _problem(run, tmp, code, out, err, written):
+    """What ``run`` did that it should not have, or None; ``written`` lists
+    the files it added to the temp dir."""
     if run.error is not None:
+        error = run.error(tmp) if callable(run.error) else run.error
         lines = err.splitlines()
-        if (code, out, len(lines)) == (1, b"", 1) and lines[0].startswith("error: ") \
-                and run.error in lines[0]:
+        if (code, out, len(lines), written) == (1, b"", 1, []) \
+                and lines[0].startswith("error: ") and _matches(lines[0], error):
             return None
-        return (f"exit {code}, stdout {out[:200]!r}, stderr {err[:400]!r}; expected exit 1 "
-                f"and one error line holding {run.error[:200]!r}")
+        return (f"exit {code}, stdout {out[:200]!r}, stderr {err[:400]!r}, wrote {written}; "
+                f"expected exit 1, no stdout, no file and the error line {error[:200]!r}")
     if code not in run.codes:
         return f"exit {code}, expected one of {run.codes}; stderr {err[-400:]!r}"
+    if not _matches(err, run.stderr):
+        return f"stderr {err[-400:]!r}, expected {run.stderr!r}"
     for name, want in run.golden.items():
         path = tmp / name
         got = out if name == "-" else path.read_bytes() if path.exists() else None
@@ -115,6 +130,7 @@ def run_case(case, tmp: Path, entry=None):
     for k, run in enumerate([case] if isinstance(case, Run) else case, 1):
         argv = run.argv(tmp) if callable(run.argv) else run.argv
         stdin = run.stdin.read_text() if isinstance(run.stdin, Path) else run.stdin
+        inputs = set(tmp.iterdir())
         if entry is None:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")  # also a warning an earlier run gave
@@ -126,7 +142,8 @@ def run_case(case, tmp: Path, entry=None):
             done = subprocess.run([*entry, *argv], input=stdin.encode(), capture_output=True,
                                   timeout=600)
             code, out, err = done.returncode, done.stdout, done.stderr.decode(errors="replace")
-        problem = _problem(run, tmp, code, out, err)
+        problem = _problem(run, tmp, code, out, err,
+                           sorted(path.name for path in set(tmp.iterdir()) - inputs))
         if problem:
             return f"run {k} ({' '.join(argv)[:160]}): {problem}"
     return None
@@ -167,15 +184,29 @@ def _resume(variant, edit=lambda text: text, lines=None):
     return argv
 
 
-def _edited_checkpoint(variant, path, value):
+def _set(text, path, value=None, delete=False):
+    """The JSON document ``text`` with the entry at ``path`` (keys and indexes)
+    set to ``value``, or with ``delete`` removed."""
+    doc = json.loads(text)
+    *parents, last = path
+    parent = functools.reduce(operator.getitem, parents, doc)
+    if delete:
+        del parent[last]
+    else:
+        parent[last] = value
+    return json.dumps(doc)
+
+
+def _edited_checkpoint(variant, path, value=None, delete=False):
     """A resume from the golden ``variant`` checkpoint with the entry at
-    ``path`` (keys and indexes into its document) set to ``value``."""
-    def edit(text):
-        doc = json.loads(text)
-        *parents, last = path
-        functools.reduce(operator.getitem, parents, doc)[last] = value
-        return json.dumps(doc)
-    return _resume(variant, edit=edit)
+    ``path`` set to ``value``, or with ``delete`` removed."""
+    return _resume(variant, edit=lambda text: _set(text, path, value, delete))
+
+
+def _impossible(variant, path, value):
+    """A resume from the golden checkpoint with the entry at ``path`` set to
+    ``value``, asking for a ``--report`` the refusal must not write."""
+    return _writing(_edited_checkpoint(variant, path, value), report="report.json")
 
 
 def monitor_lines(variant, lines, *options):
@@ -227,6 +258,9 @@ def _writing(argv, **files):
 # -- outputs that must equal the golden files ---------------------------------------
 
 _TRAJECTORY_HEADER = Prefix(b"# schema: trialbet.v1\ntrial,index,lambda,multiplier,wealth\n")
+_RESUMED_AT_60 = "resumed from checkpoint at line 60\n"
+# the one golden stream that crosses: its notice ends in the time it crossed
+_CROSSED = {"deaths": Part("CROSSED at event 84: e-value 11.145 >= 10 [")}
 
 
 def _cut_at_60(variant):
@@ -236,7 +270,7 @@ def _cut_at_60(variant):
                          checkpoint="ck.json")),
             Run(_writing(monitor_argv(variant, GOLDEN / f"{variant}.ndjson", "--resume"),
                          checkpoint="ck.json", report="report.json"),
-                golden={"report.json": GOLDEN / f"{variant}.report.json"})]
+                golden={"report.json": GOLDEN / f"{variant}.report.json"}, stderr=_RESUMED_AT_60)]
 
 
 def _simulate(stem, *options):
@@ -253,16 +287,23 @@ def _json_and_csv(argv, stem):
 OUTPUTS = {
     # each variant's golden stream reproduces its report; exit 10 (crossed) is a valid end
     **{f"monitor-{v}": Run(monitor_argv(v, GOLDEN / f"{v}.ndjson"), codes=(0, 10),
-                           golden={"-": GOLDEN / f"{v}.report.json"}) for v in GOLDEN_ARGS},
+                           golden={"-": GOLDEN / f"{v}.report.json"}, stderr=_CROSSED.get(v, ""))
+       for v in GOLDEN_ARGS},
     # the continuous resume searches the MAD window from a fresh start
     "monitor-binary-cut-at-60": _cut_at_60("binary"),
     "monitor-continuous-cut-at-60": _cut_at_60("continuous"),
     # a schema-1 checkpoint, which also saved the state model, still resumes
     "monitor-multistate-schema-1-resume": Run(
         _writing(_resume("multistate"), report="report.json"),
-        golden={"report.json": GOLDEN / "multistate.report.json"}),
+        golden={"report.json": GOLDEN / "multistate.report.json"}, stderr=_RESUMED_AT_60),
     "monitor-survival-stdin": Run(monitor_argv("survival", "-"), GOLDEN / "survival.ndjson",
                                   golden={"-": GOLDEN / "survival.report.json"}),
+    "power-binary": Run(["power", "--variant", "binary", "--p1", "0.40", "--p2", "0.35",
+                         "--power", "0.80"], golden={"-": b"2942\n"}),
+    "power-continuous": Run(["power", "--variant", "continuous", "--d", "0.40", "--power", "0.80"],
+                            golden={"-": b"200\n"}),
+    "power-survival": Run(["power", "--variant", "survival", "--hr", "0.80", "--power", "0.80"],
+                          golden={"-": b"631\n"}),
     "power-deaths": Run(["power", "--variant", "deaths", "--p1", "0.25", "--p2", "0.15"],
                         golden={"-": GOLDEN / "power_deaths.txt"}),
     # a large effect: the t-test solver starts at 2 patients per arm
@@ -304,8 +345,12 @@ _NAN_LOG_E = "replication 0 ends at a NaN log e-value; its data overflow the flo
 _ALPHA_TOO_SMALL = "error: alpha must be > 2**-53 to size a trial, got 1e-308"
 _NOT_A_START = "error: start must be one of the non-absorbing states ('Ward', 'ICU'), got "
 _SURVIVAL_5 = ("--risk-trt", "5", "--risk-ctrl", "5")
+_ROWS = [list(row) for row in CONTROL_DAILY.probs]
+_RISK_SET_EXHAUSTED = ("error: line 3: treated risk set is exhausted: "
+                       "more treated records than the treated cohort size")
+DEEP = "[" * 100_000  # nested past the interpreter's recursion limit
 
-# name: (argv, the text its one error line holds[, stdin])
+# name: (argv, its one error line, as ``Run.error`` takes it[, stdin])
 REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin) in {
     "checkpoint-schema-3": (_edited_checkpoint("binary", ["schema"], 3),
                             "error: unsupported checkpoint schema: 3"),
@@ -454,7 +499,8 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
         "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set, got 5"),
     "matrix-bool-entry": (
         matrix_scenario(lambda rows: [*rows[:3], [0, 0, 0, True]]),
-        "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set"),
+        "error: matrices must be exactly 'trt' and 'ctrl' rows of numbers when set, got "
+        f"{ {'trt': [*_ROWS[:3], [0, 0, 0, True]], 'ctrl': _ROWS} }"),
     "lab-fixed_dev-string": (_lab("binary", p_ctrl=0.4, fixed_dev="x"),
                              "error: fixed_dev must be a number when set, got 'x'"),
     "lab-bet_rule-kelly": (_lab("survival", bet_rule="kelly"),
@@ -484,7 +530,8 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
               "and alpha 0.01"),
     "wage-continuous-d-1e-4-sized": (
         ["wage", "--variant", "continuous", "--d", "0.0001", "--sims", "2"],
-        "error: effect size d=0.0001 needs more than 1e7 patients per arm"),
+        "error: effect size d=0.0001 needs more than 1e7 patients per arm at power 0.8 "
+              "and alpha 0.05"),
     "lab-censor_upper-400-digits": (_lab("survival", censor_upper=10**400),
                                     f"error: censor_upper must be finite, got {10**400}"),
     "lab-mu_trt-past-float": (_lab("continuous", mu_trt=-10**309),
@@ -529,16 +576,16 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
         f"error: corrupt checkpoint: field 'n' is past the float range: {10**400}"),
     "event-outcome-5001-digits-line-4": (
         ["monitor", "--variant", "binary", "--input", "-"],
-        f"error: line 4: {DIGIT_LIMIT}",
+        Part(f"error: line 4: {DIGIT_LIMIT}"),
         '{"arm": 1, "outcome": 0}\n' * 3 + '{"arm": 0, "outcome": ' + DIGITS_5001 + "}\n"),
     "event-y-5001-digits": (
         monitor_lines("continuous", ['{"arm": 1, "y": 0.5}',
                                      '{"arm": 0, "y": -' + DIGITS_5001 + "}"]),
-        f"error: line 2: {DIGIT_LIMIT}"),
+        Part(f"error: line 2: {DIGIT_LIMIT}")),
     "event-entry_time-5001-digits": (
         monitor_lines("survival", ['{"time": 3.0, "status": 1, "arm": 0, "entry_time": '
                                    + DIGITS_5001 + "}"], *_SURVIVAL_5),
-        f"error: line 1: {DIGIT_LIMIT}"),
+        Part(f"error: line 1: {DIGIT_LIMIT}")),
     # refused by step on a line parsed before: the error names its own line
     "recurring-line-payout-inf": (
         monitor_lines("binary", ['{"arm": 1, "outcome": 0}'] * 3, "--p", "1e-320"),
@@ -546,7 +593,7 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
     "recurring-line-risk-set-exhausted": (
         ["monitor", "--variant", "survival", "--risk-trt", "2", "--risk-ctrl", "2",
          "--input", "-"],
-        "error: line 3: treated risk set is exhausted",
+        _RISK_SET_EXHAUSTED,
         '{"time": 1.0, "status": 1, "arm": 1}\n' * 3),
     "resume-input-30-of-60-lines": (
         _resume("binary", lines=30),
@@ -583,13 +630,14 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
     "checkpoint-position-5001-digits": (
         _resume("deaths", edit=lambda text: text.replace('"position": 60',
                                                          '"position": ' + DIGITS_5001)),
-        "error: corrupt checkpoint: " + DIGIT_LIMIT),
+        Part("error: corrupt checkpoint: " + DIGIT_LIMIT)),
     "scenario-n_sims-5001-digits": (
         scenario_text('{"variant": "binary", "n_sims": ' + DIGITS_5001 + "}"),
-        "sc.json: " + DIGIT_LIMIT),
+        Part("sc.json: " + DIGIT_LIMIT)),
     "scenario-truncated": (
         scenario_text('{"variant": "binary", "n_sims": 5'),
-        "sc.json: invalid JSON (Expecting ',' delimiter: line 1 column 34 (char 33))"),
+        lambda tmp: f"error: scenario {tmp / 'sc.json'}: invalid JSON "
+                    "(Expecting ',' delimiter: line 1 column 34 (char 33))"),
     "simulate-nan-e-value": (scenario(_OVERFLOWING), f"error: continuous seed 1: {_NAN_LOG_E}"),
     # and with no numpy warning beside the error line: outcomes whose spread, and
     # survival times whose shape, overflow the float range
@@ -605,8 +653,178 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
                                  f"error: continuous seed 1: {_NAN_LOG_E}"),
     "wage-continuous-d-1e308-nan-e-value": (
         ["wage", "--variant", "continuous", "--d", "1e308", "--n", "60", "--sims", "2"],
-        "error: continuous seed 0: replication 0 ends at a NaN log e-value"),
+        f"error: continuous seed 0: {_NAN_LOG_E}"),
+    # event streams
+    "event-not-json": (monitor_lines("binary", ['{"arm": 1, "outcome": 0}', "not json at all"]),
+                       "error: line 2: invalid JSON (Expecting value)"),
+    "event-unknown-field": (monitor_records("binary", [{"arm": 1, "outcome": 0, "site": "A"}]),
+                            "error: line 1: unknown fields ['site']"),
+    "event-missing-field": (monitor_records("binary", [{"arm": 1}]),
+                            "error: line 1: missing fields ['outcome']"),
+    "event-nested-too-deeply": (
+        monitor_lines("deaths", ['{"arm": 1}', '{"arm": ' + DEEP + "]" * len(DEEP) + "}"]),
+        "error: line 2: invalid JSON (nested too deeply)"),
+    "survival-unsorted": (
+        monitor_records("survival", [{"time": 5.0, "status": 1, "arm": 0},
+                                     {"time": 4.0, "status": 1, "arm": 1}],
+                        "--risk-trt", "10", "--risk-ctrl", "10"),
+        "error: line 2: stream not sorted: time 4.0 after 5.0"),
+    "survival-without-risk-sets": (
+        monitor_records("survival", [{"time": 5.0, "status": 1, "arm": 0}]),
+        "error: survival monitoring needs --risk-trt and --risk-ctrl"),
+    "survival-risk-set-exhausted": (
+        monitor_records("survival", [{"time": float(k), "status": 1, "arm": 1}
+                                     for k in range(1, 11)], "--risk-trt", "2", "--risk-ctrl", "2"),
+        _RISK_SET_EXHAUSTED),
+    # outcomes whose spread leaves the float range, and a time on study past it
+    "event-y-residual-past-float": (
+        monitor_records("continuous", [{"arm": k % 2, "y": 1e308} for k in range(3)]
+                        + [{"arm": 1, "y": -1e308}], "--burn-in", "3", "--ramp", "5"),
+        "error: line 4: residual must be finite, got -inf"),
+    "event-time-infinity": (
+        monitor_lines("survival", ['{"time": Infinity, "status": 1, "arm": 0}'], *_SURVIVAL_5),
+        "error: line 1: field 'time' must be a finite number, got inf"),
+    "multistate-unknown-state": (
+        monitor_records("multistate", [{"from": "ICU", "to": "Hospice", "arm": 0}]),
+        "error: line 1: unknown state: 'Hospice'"),
+    # checkpoints that cannot be resumed
+    "checkpoint-nested-too-deeply": (
+        _resume("binary", edit=lambda text: '{"schema": 1, "state": ' + DEEP),
+        "error: corrupt checkpoint: invalid JSON (nested too deeply)"),
+    "checkpoint-not-an-object": (_resume("binary", edit=lambda text: "[1]"),
+                                 "error: corrupt checkpoint: not a JSON object"),
+    "checkpoint-values-scalar": (
+        _edited_checkpoint("continuous", ["state", "values"], 5),
+        "error: corrupt checkpoint: field 'values' has the wrong type: 5"),
+    "checkpoint-no-ledger": (_edited_checkpoint("binary", ["state", "ledger"], delete=True),
+                             "error: corrupt checkpoint: no field 'ledger'"),
+    "checkpoint-schema-1-no-good": (
+        _edited_checkpoint("multistate", ["state", "good"], delete=True),
+        "error: corrupt checkpoint: no field 'good'"),
+    "checkpoint-schema-1-mixed-good": (
+        _edited_checkpoint("multistate", ["state", "good"], [["ICU"], "Ward"]),
+        "error: corrupt checkpoint: '<' not supported between instances of 'str' and 'list'"),
+    # a position before the state's events, or a setting the state holds that
+    # differs from the configuration
+    "checkpoint-binary-position": (
+        _impossible("binary", ["position"], -5),
+        "error: corrupt checkpoint: position -5 is before its 60 events"),
+    "checkpoint-binary-p-and-position": (
+        _writing(_resume("binary", edit=lambda text: _set(_set(text, ["state", "p"], 0.3),
+                                                          ["position"], -5)),
+                 report="report.json"),
+        "error: corrupt checkpoint: position -5 is before its 60 events"),
+    "checkpoint-deaths-position": (
+        _impossible("deaths", ["position"], 59),
+        "error: corrupt checkpoint: position 59 is before its 60 events"),
+    **{f"checkpoint-{variant}-{key}": (
+        _impossible(variant, ["state", key], value),
+        f"error: checkpoint {key} {held} does not match the configuration's {configured}; "
+        "refusing to resume")
+       for variant, key, value, held, configured in [
+           ("binary", "p", 0.3, 0.3, 0.5), ("continuous", "c_max", 0.9, 0.9, 0.5),
+           ("continuous", "p", 0.6, 0.6, 0.5), ("survival", "lambda_max", 0.5, 0.5, 0.3),
+           ("multistate", "burn_in", 3, 3, 30),
+           ("multistate", "good", [["Ward", "ICU"], ["ICU", "Dead"]],
+            [["ICU", "Dead"], ["Ward", "ICU"]], [["ICU", "Ward"], ["Ward", "Home"]]),
+           ("multistate", "states", ["ICU", "Ward", "Home", "Dead"],
+            ["ICU", "Ward", "Home", "Dead"], ["Ward", "ICU", "Home", "Dead"]),
+           ("multistate", "absorbing", ["Dead"], ["Dead"], ["Dead", "Home"])]},
+    # scenario files
+    "scenario-not-an-object": (scenario([1], "simulate", "--seed", "1"),
+                               "error: a scenario must be a JSON object"),
+    "scenario-params-list": (scenario({"variant": "binary", "params": [1, 2]}, "simulate",
+                                      "--seed", "1"),
+                             "error: scenario 'params' must be a JSON object"),
+    "scenario-variant-list": (
+        scenario({"variant": ["binary"]}, "simulate", "--seed", "1"),
+        "error: unknown variant ['binary']; expected one of "
+              "('binary', 'deaths', 'continuous', 'survival', 'multistate')"),
+    "scenario-n_patients-string": (
+        scenario({"variant": "binary", "params": {"n_patients": "abc", "p_ctrl": 0.4,
+                                                  "p_trt": 0.3}}, "simulate", "--seed", "1"),
+        "error: n_patients must be an integer >= 1, got 'abc'"),
+    "scenario-unknown-parameter": (
+        scenario({"variant": "binary", "params": {"n_patients": 10, "p_ctrl": 0.4,
+                                                  "typo_field": 1}}),
+        "error: unknown parameters for binary: ['typo_field']"),
+    "scenario-p_trt-1.2": (
+        scenario({"variant": "binary", "params": {"n_patients": 50, "p_ctrl": 0.4, "p_trt": 1.2}}),
+        "error: p_trt must be in [0, 1], got 1.2"),
+    "scenario-without-variant": (scenario({"params": {}}),
+                                 "error: scenario is missing the required field 'variant'"),
+    "scenario-nested-too-deeply": (
+        scenario_text('{"variant": "binary", "params": ' + DEEP),
+        lambda tmp: f"error: scenario {tmp / 'sc.json'}: invalid JSON (nested too deeply)"),
+    # sizing without an effect, or with an option the variant does not read
+    "power-binary-without-effect": (["power", "--variant", "binary"],
+                                    "error: --p1 and --p2 are required for binary sizing"),
+    "power-binary-without-p2": (["power", "--variant", "binary", "--p1", "0.4"],
+                                "error: --p1 and --p2 are required for binary sizing"),
+    "power-deaths-without-p1": (["power", "--variant", "deaths", "--p2", "0.15"],
+                                "error: --p1 and --p2 are required for deaths sizing"),
+    "power-continuous-without-d": (["power", "--variant", "continuous"],
+                                   "error: --d is required for continuous sizing"),
+    "power-survival-without-hr": (["power", "--variant", "survival", "--p1", "0.5"],
+                                  "error: --hr is required for survival sizing"),
+    "power-survival-p1": (["power", "--variant", "survival", "--hr", "0.8", "--p1", "0.5"],
+                          "error: survival sizing does not read --p1"),
+    "power-deaths-d": (["power", "--variant", "deaths", "--p1", "0.25", "--p2", "0.15",
+                        "--d", "0.3"],
+                       "error: deaths sizing does not read --d"),
+    # studies: fewer than one replication, an impossible trial, an unread option
+    **{f"{command[0]}-sims-{sims}": ([*command, "--sims", sims], "error: n_sims must be >= 1")
+       for command in (["wage", "--variant", "binary"], ["compare"]) for sims in ("0", "-3")},
+    # with --n given no sizing runs, so the scenario row's check refuses the effect
+    "wage-survival-hr-negative": (
+        ["wage", "--variant", "survival", "--hr", "-0.5", "--n", "50", "--sims", "3"],
+        "error: hr must be > 0, got -0.5"),
+    "wage-binary-arr-0.45": (
+        ["wage", "--variant", "binary", "--arr", "0.45", "--n", "50", "--sims", "3"],
+        "error: p_trt must be in [0, 1], got -0.04999999999999999"),
+    "wage-binary-hr": (["wage", "--variant", "binary", "--hr", "0.5", "--sims", "3"],
+                       "error: the binary wage study does not read --hr"),
+    "wage-continuous-fixed": (["wage", "--variant", "continuous", "--fixed", "0.9", "--sims", "3"],
+                              "error: the continuous wage study does not read --fixed"),
+    "wage-survival-arr-sign-c": (
+        ["wage", "--variant", "survival", "--arr", "0.1", "--sign-c", "0.3", "--sims", "3"],
+        "error: the survival wage study does not read --arr or --sign-c"),
+    # a power at or below alpha/2, which a two-sided test of any size exceeds
+    **{f"{name}-power-{power}": (
+        [*argv, "--power", power],
+        f"error: power must be > alpha/2 = 0.025 to size a trial, got {power}")
+       for name, argv, power in [
+           ("power-binary", ["power", "--variant", "binary", "--p1", "0.4", "--p2", "0.35"],
+            "0.025"),
+           ("power-deaths", ["power", "--variant", "deaths", "--p1", "0.25", "--p2", "0.15"],
+            "0.01"),
+           ("power-continuous", ["power", "--variant", "continuous", "--d", "0.4"], "0.01"),
+           ("power-survival", ["power", "--variant", "survival", "--hr", "0.8"], "1e-300"),
+           ("compare", ["compare", "--baselines", "0.3", "--sims", "2"], "0.01")]},
+    # an output that cannot be written is refused before anything is printed
+    **{f"{argv[0]}-{argv[-1][2:]}-a-directory": (
+        lambda tmp, argv=argv: [*argv, str(tmp)],
+        lambda tmp: f"error: [Errno 21] Is a directory: {str(tmp)!r}")
+       for argv in [_golden_monitor("binary", "--report"),
+                    ["simulate", "--scenario", str(SCENARIO_DIR / "binary_alt.json"),
+                     "--sims", "5", "--json"],
+                    ["compare", "--baselines", "0.3", "--sims", "5", "--csv"],
+                    ["wage", "--variant", "binary", "--n", "100", "--sims", "5", "--json"]]},
 }.items()}
+
+# a checkpoint written, then resumed under another configuration
+_CHECKPOINTED = Run(_writing(_golden_monitor("binary"), checkpoint="ck.json"))
+REFUSALS |= {
+    "resume-ramp-mismatch": [
+        _CHECKPOINTED,
+        Run(_writing(_golden_monitor("binary", "--resume", "--ramp", "55"), checkpoint="ck.json"),
+            error="error: checkpoint configuration does not match; refusing to resume")],
+    "resume-variant-mismatch": [
+        _CHECKPOINTED,
+        Run(_writing(["monitor", "--variant", "deaths", "--input", str(GOLDEN / "binary.ndjson"),
+                      "--resume"], checkpoint="ck.json"),
+            error="error: checkpoint is for variant 'binary', not 'deaths'")],
+}
 
 CASES = {**OUTPUTS, **STUDIES, **REFUSALS}
 

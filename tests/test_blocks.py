@@ -146,9 +146,11 @@ def test_survival_prepare_block(n, make, presorted):
             assert np.array_equal(single, ref), (field, k)
 
 
+@pytest.mark.filterwarnings("error")
 def test_time_order_is_the_stable_order():
     """Survival records are sorted by packed keys only where that gives the
-    stable order; ties, signed zeros and NaNs fall back to a stable sort."""
+    stable order; ties, signed zeros, infinities and NaNs fall back to a
+    stable sort, and the presorted check takes their order without a warning."""
     rng = np.random.default_rng(5)
     distinct = rng.exponential(10.0, (6, 300))
     rounded = np.round(distinct)  # many ties in every row
@@ -158,7 +160,10 @@ def test_time_order_is_the_stable_order():
     zeros[:, [7, 2]] = [0.0, -0.0]  # equal times of different sign bits
     nans = distinct.copy()
     nans[2, [3, 9, 11]] = np.nan
-    for t in (distinct, rounded, one_tied_row, zeros, nans, rounded[0], distinct[:, :1]):
+    infs = nans.copy()
+    infs[[1, 2], 5:7] = np.inf  # equal infinities, then NaNs, as the sort leaves them
+    infs[3, :2] = -np.inf
+    for t in (distinct, rounded, one_tied_row, zeros, nans, infs, rounded[0], distinct[:, :1]):
         status, arm = rng.integers(0, 2, (2, *t.shape))
         order = np.argsort(t, axis=-1, kind="stable")
         in_order = (np.take_along_axis(x, order, axis=-1) for x in (t, status, arm))

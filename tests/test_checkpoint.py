@@ -82,24 +82,6 @@ def test_interrupted_run_resumes_to_same_report(capsys, tmp_path, variant, cut):
     assert full.read_text() == (GOLDEN / f"{variant}.report.json").read_text()
 
 
-@pytest.mark.parametrize("variant,corrupt", [
-    ("binary", lambda doc: [1]),
-    ("continuous", lambda doc: {**doc, "state": {**doc["state"], "values": 5}}),
-    ("binary", lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items()
-                                             if k != "ledger"}}),
-    ("multistate", lambda doc: {**doc, "state": {k: v for k, v in doc["state"].items()
-                                                 if k != "good"}}),
-    ("multistate", lambda doc: {**doc, "state": {**doc["state"], "good": [["ICU"], "Ward"]}}),
-], ids=["not-an-object", "scalar-values", "no-ledger", "schema-1-no-good", "schema-1-mixed-good"])
-def test_corrupt_checkpoint_is_one_error_line(capsys, tmp_path, variant, corrupt):
-    ck = tmp_path / "ck.json"
-    ck.write_text(json.dumps(corrupt(json.loads((GOLDEN / f"{variant}.ckpt.json").read_text()))))
-    code = _monitor(variant, GOLDEN / f"{variant}.ndjson", "--checkpoint", str(ck), "--resume")
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: corrupt checkpoint"), err
-
-
 def test_failed_write_keeps_previous_checkpoint(tmp_path, monkeypatch):
     monitor = MONITORS["binary"]
     cfg = {"variant": "binary", "alpha": 0.05, "burn_in": 5, "ramp": 10, "p": 0.5}
@@ -158,40 +140,6 @@ def test_no_final_rewrite_of_the_last_periodic_checkpoint(tmp_path, monkeypatch,
     lines = [3 * (n // 2) - 1 for n in positions]  # each event pair is three lines
     assert code in (0, 10) and written == lines
     assert run_main([*argv, "--resume"])[:2] == (code, out)
-
-
-@pytest.mark.parametrize("variant,edit,message", [
-    ("binary", {"p": 0.3}, "checkpoint p 0.3 does not match"),
-    ("binary", {"position": -5}, "position -5 is before its 60 events"),
-    ("binary", {"p": 0.3, "position": -5}, "position -5"),
-    ("deaths", {"position": 59}, "position 59 is before its 60 events"),
-    ("continuous", {"c_max": 0.9}, "checkpoint c_max 0.9 does not match"),
-    ("continuous", {"p": 0.6}, "checkpoint p 0.6 does not match"),
-    ("survival", {"lambda_max": 0.5}, "checkpoint lambda_max 0.5 does not match"),
-    ("multistate", {"burn_in": 3}, "checkpoint burn_in 3 does not match"),
-    ("multistate", {"good": [["Ward", "ICU"], ["ICU", "Dead"]]},
-     "checkpoint good [['ICU', 'Dead'], ['Ward', 'ICU']] does not match"),
-    ("multistate", {"states": ["ICU", "Ward", "Home", "Dead"]},
-     "checkpoint states ['ICU', 'Ward', 'Home', 'Dead'] does not match"),
-    ("multistate", {"absorbing": ["Dead"]}, "checkpoint absorbing ['Dead'] does not match"),
-], ids=["binary-p", "binary-position", "binary-p-and-position", "deaths-position",
-        "continuous-c_max", "continuous-p", "survival-lambda_max", "multistate-burn_in",
-        "multistate-good", "multistate-states", "multistate-absorbing"])
-def test_impossible_checkpoint_is_refused(capsys, tmp_path, variant, edit, message):
-    """A position before the state's events, or a setting the state holds that
-    differs from the configuration, is refused instead of resumed."""
-    doc = json.loads((GOLDEN / f"{variant}.ckpt.json").read_text())
-    for key, value in edit.items():
-        (doc if key == "position" else doc["state"])[key] = value
-    ck = tmp_path / "ck.json"
-    ck.write_text(json.dumps(doc))
-    report = tmp_path / "report.json"
-    code = _monitor(variant, GOLDEN / f"{variant}.ndjson", "--checkpoint", str(ck), "--resume",
-                    "--report", str(report))
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: ") and message in err, err
-    assert not report.exists()
 
 
 def test_a_non_finite_float_decodes_only_where_a_run_can_hold_it():
