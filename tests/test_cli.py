@@ -192,6 +192,25 @@ class TestSimulate:
         assert "rejection rate" in out
 
 
+class TestPower:
+    """Sizes written out here, not only in the golden files that the
+    ``power-*`` rows of ``cli_cases.OUTPUTS`` compare against."""
+
+    def test_continuous_large_effect(self, capsys):
+        """The solver's bracket starts at 2 per arm, where the noncentral t is sound."""
+        code, out, err = run_cli(capsys, "power", "--variant", "continuous", "--d", "2")
+        assert (code, out, err) == (EXIT_OK, "12\n", "")
+
+    def test_deaths(self, capsys):
+        code, out, err = run_cli(capsys, "power", "--variant", "deaths",
+                                 "--p1", "0.25", "--p2", "0.15")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == ("frequentist N       500\n"
+                       "deaths-only N       1250\n"
+                       "expected deaths     250 (alt) / 313 (null)\n"
+                       "death coin          0.375\n")
+
+
 def test_compare_smoke(capsys, tmp_path):
     csv_path = tmp_path / "cmp.csv"
     code, out, _ = run_cli(capsys, "compare", "--baselines", "0.15,0.40",
