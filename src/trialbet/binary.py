@@ -16,7 +16,7 @@ from .core import MonitorState, RampSchedule, check_open_unit, clamp_wager
 DEFAULT_SCHEDULE = RampSchedule(burn_in=50, ramp=100)
 
 
-@dataclass
+@dataclass(slots=True)
 class BinaryState(MonitorState):
     """Streaming state for the binary monitor; one instance per trial stream."""
 
@@ -30,7 +30,7 @@ class BinaryState(MonitorState):
 
     def __post_init__(self, alpha: float, record_steps: bool) -> None:
         check_open_unit("p", self.p)
-        super().__post_init__(alpha, record_steps)
+        MonitorState.__post_init__(self, alpha, record_steps)
 
     def delta(self) -> float:
         """Running event-rate difference, treatment minus control.

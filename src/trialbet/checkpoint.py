@@ -21,10 +21,11 @@ import contextlib
 import hashlib
 import json
 import os
+import sys
 from dataclasses import fields, is_dataclass
 from datetime import datetime, timezone
 from functools import cache
-from typing import Any, get_type_hints
+from typing import Any
 
 from .continuous import _ArmMoments
 from .core import RampSchedule, finite
@@ -47,14 +48,21 @@ class CheckpointError(ValueError):
 _AS_GIVEN = frozenset({"alpha"}).union(*(m.options for m in MONITORS.values()))
 
 
+def _field_type(cls, f):
+    """The type of ``cls``'s field ``f``: its annotation, evaluated in the
+    module of the class that declares it.  Only fields are resolved, as
+    ``typing.get_type_hints`` before Python 3.11 refuses a ``KW_ONLY`` marker."""
+    owner = next(base for base in cls.__mro__ if f.name in vars(base).get("__annotations__", {}))
+    return eval(f.type, vars(sys.modules[owner.__module__]))
+
+
 @cache
 def _layout(cls) -> tuple[tuple[str, str, Any], ...]:
     """(name, how it is written, type) of each field of ``cls``, in declaration
     order."""
-    hints = get_type_hints(cls)
     layout = []
     for f in fields(cls):
-        name, hint = f.name, hints[f.name]
+        name, hint = f.name, _field_type(cls, f)
         how = ("flat" if hint is RampSchedule  # beside the owner's fields
                else "row" if hint is _ArmMoments  # a list of its field values
                else "object" if is_dataclass(hint)

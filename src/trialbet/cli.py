@@ -16,14 +16,15 @@ Exit codes: 0 = completed without crossing, 10 = threshold crossed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import errno
 import json
 import math
+import os
 import sys
-from collections import deque
 from datetime import datetime, timezone
-from itertools import islice
 
 from . import checkpoint as ckpt
 from .core import _exp_wealth
@@ -136,6 +137,38 @@ def _monitor_summary(monitor: Monitor, variant: str, state) -> dict:
     }
 
 
+# Characters one read takes while skipping lines: at most 4 bytes each, so the
+# read's byte hint stays within the 8,192-byte chunk that line iteration decodes
+_SKIP_READ = 2048
+_SKIP_BY_LINE = 32  # lines a skip reads one by one at its end
+
+
+def skip_lines(stream, count: int) -> int:
+    """Read past the first ``count`` lines of the text stream ``stream``, and
+    return how many it held: ``count``, or fewer when it ends first.
+
+    The lines are counted, not parsed.  A read takes at most as many
+    characters as lines remain, and every line holds at least its newline,
+    so no read passes line ``count``: a live producer is never waited on past
+    it.  The last lines are read one by one.  The text layer has turned each
+    ``\\r\\n`` and ``\\r`` into ``\\n`` when it does so for line iteration, and a last
+    line without a newline counts as a line.
+    """
+    seen, partial = 0, False
+    while count - seen > _SKIP_BY_LINE:
+        text = stream.read(min(count - seen, _SKIP_READ))
+        if not text:
+            return seen + partial
+        seen += text.count("\n")
+        partial = text[-1] != "\n"
+    while seen < count:
+        line = stream.readline()
+        if not line:
+            return seen + partial
+        seen, partial = seen + 1, False
+    return seen
+
+
 def cmd_monitor(args) -> int:
     variant = args.variant
     monitor = MONITORS[variant]
@@ -158,14 +191,13 @@ def cmd_monitor(args) -> int:
     written = None  # position of the last periodic checkpoint
     stream = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
     try:
-        lines = enumerate(stream, start=1)
         if args.resume:  # the input replays the stream from its start; skip the processed lines
-            skipped = deque(islice(lines, position), maxlen=1)
-            ends_at = skipped[0][0] if skipped else 0
+            ends_at = skip_lines(stream, position)
             if ends_at < position:
                 raise EventError(f"input ends at line {ends_at}, before the checkpoint's "
                                  f"line {position}")
             print(f"resumed from checkpoint at line {position}", file=sys.stderr)
+        lines = enumerate(stream, start=position + 1)
         # exact: a parse reads only (monitor, line) and returns immutable values
         parsed, room = {}, _MEMO_LINES  # line -> its step arguments; lines it may still take
         for line_no, line in lines:
@@ -276,14 +308,39 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
+def _write_all(writes: dict) -> None:
+    """Write each ``path: write`` output, all or none: ``write(name)`` writes
+    to a temporary name beside ``path``, and only once every output is written
+    are they renamed over their paths.  An output that is a directory is
+    refused before any is written, and an error names the output's path."""
+    for path in writes:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        for path, write in writes.items():
+            try:
+                write(f"{path}.tmp")
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, path) from None
+        for path in writes:
+            os.replace(f"{path}.tmp", path)
+    finally:
+        for path in writes:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(f"{path}.tmp")
+
+
 def _write_study(args, cls, key: str, rows: list) -> None:
     """Write a study's ``rows`` of dataclass ``cls`` to ``--csv``, one column
-    per field, and to ``--json`` under ``key``."""
+    per field, and to ``--json`` under ``key``: both or neither."""
+    writes = {}
     if args.csv:
-        _write_csv(args.csv, [f.name for f in dataclasses.fields(cls)],
-                   [list(vars(r).values()) for r in rows])
+        writes[args.csv] = lambda path: _write_csv(
+            path, [f.name for f in dataclasses.fields(cls)], [list(vars(r).values()) for r in rows])
     if args.json:
-        _write_json({"schema": SCHEMA_VERSION, key: [vars(r) for r in rows]}, args.json)
+        writes[args.json] = lambda path: _write_json(
+            {"schema": SCHEMA_VERSION, key: [vars(r) for r in rows]}, path)
+    _write_all(writes)
 
 
 def cmd_compare(args) -> int:
@@ -389,9 +446,11 @@ def cmd_trajectories(args) -> int:
     rows = [[trial, i, lam, mult, _exp_wealth(log_e)]
             for trial, columns in enumerate(trials, 1)
             for i, lam, mult, log_e in zip(*(column.tolist() for column in columns))]
-    _write_csv(args.out, ["trial", "index", "lambda", "multiplier", "wealth"], rows)
+    writes = {args.out: lambda path: _write_csv(
+        path, ["trial", "index", "lambda", "multiplier", "wealth"], rows)}
     if args.svg:
-        _write_svg(args.svg, trials, scenario.alpha)
+        writes[args.svg] = lambda path: _write_svg(path, trials, scenario.alpha)
+    _write_all(writes)
     print(f"wrote {len(rows)} steps from {args.trials} trials to {args.out}")
     return EXIT_OK
 
@@ -400,13 +459,7 @@ def cmd_trajectories(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="trialbet",
-        description="Anytime-valid betting monitors for randomized trials.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    mon = sub.add_parser("monitor", help="monitor an NDJSON event stream")
+def _monitor_options(mon: argparse.ArgumentParser) -> None:
     mon.add_argument("--variant", required=True, choices=list(MONITORS))
     mon.add_argument("--input", default="-", help="NDJSON file, or - for stdin")
     mon.add_argument("--alpha", type=float, default=0.05)
@@ -428,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--report", default=None, help="also write the JSON report here")
     mon.set_defaults(func=cmd_monitor)
 
-    sim = sub.add_parser("simulate", help="operating characteristics for a scenario")
+
+def _simulate_options(sim: argparse.ArgumentParser) -> None:
     sim.add_argument("--scenario", required=True)
     sim.add_argument("--sims", type=int, default=None)
     sim.add_argument("--seed", type=int, default=None)
@@ -436,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--json", default=None)
     sim.set_defaults(func=cmd_simulate)
 
-    pow_ = sub.add_parser("power", help="frequentist sample-size calculators")
+
+def _power_options(pow_: argparse.ArgumentParser) -> None:
     pow_.add_argument("--variant", required=True,
                       choices=["binary", "continuous", "survival", "deaths"])
     pow_.add_argument("--p1", type=float, default=None)
@@ -447,7 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     pow_.add_argument("--alpha", type=float, default=0.05)
     pow_.set_defaults(func=cmd_power)
 
-    cmp_ = sub.add_parser("compare", help="deaths-only vs binary on the same trials")
+
+def _compare_options(cmp_: argparse.ArgumentParser) -> None:
     cmp_.add_argument("--baselines", default="0.10,0.15,0.20,0.25,0.30,0.35,0.40")
     cmp_.add_argument("--arr", type=float, default=0.05)
     cmp_.add_argument("--power", type=float, default=0.80)
@@ -458,7 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--json", default=None)
     cmp_.set_defaults(func=cmd_compare)
 
-    wage = sub.add_parser("wage", help="fixed vs adaptive wager comparison")
+
+def _wage_options(wage: argparse.ArgumentParser) -> None:
     wage.add_argument("--variant", required=True,
                       choices=["survival", "binary", "continuous"])
     # effects and strategy values default to None: the variant's row fills them
@@ -475,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     wage.add_argument("--json", default=None)
     wage.set_defaults(func=cmd_wage)
 
-    traj = sub.add_parser("trajectories", help="export wealth trajectories")
+
+def _trajectories_options(traj: argparse.ArgumentParser) -> None:
     traj.add_argument("--scenario", required=True)
     traj.add_argument("--trials", type=int, default=30)
     traj.add_argument("--out", required=True)
@@ -483,11 +541,37 @@ def build_parser() -> argparse.ArgumentParser:
     traj.add_argument("--seed", type=int, default=None)
     traj.set_defaults(func=cmd_trajectories)
 
+
+# command: (its help text, what adds its options to its subparser)
+_COMMANDS = {
+    "monitor": ("monitor an NDJSON event stream", _monitor_options),
+    "simulate": ("operating characteristics for a scenario", _simulate_options),
+    "power": ("frequentist sample-size calculators", _power_options),
+    "compare": ("deaths-only vs binary on the same trials", _compare_options),
+    "wage": ("fixed vs adaptive wager comparison", _wage_options),
+    "trajectories": ("export wealth trajectories", _trajectories_options),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``trialbet`` parser, with every command and its help text.  When
+    ``command`` names one, only its subparser gets its options, the only ones
+    a command line that starts with it parses; else every subparser does."""
+    parser = argparse.ArgumentParser(
+        prog="trialbet",
+        description="Anytime-valid betting monitors for randomized trials.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_options) in _COMMANDS.items():
+        options = sub.add_parser(name, help=text)
+        if command == name or command not in _COMMANDS:
+            add_options(options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -130,7 +130,7 @@ def squash(r: float) -> float:
     return r / (1.0 + abs(r))
 
 
-@dataclass
+@dataclass(slots=True)
 class _ArmMoments:
     """Welford accumulator: numerically stable running mean and variance."""
 
@@ -154,8 +154,15 @@ class _ArmMoments:
         return math.sqrt(var)
 
 
-@dataclass
-class ContinuousState(MonitorState):
+class _SearchStart(MonitorState):
+    """Declares ``ContinuousState.mad_start``, which is no field: a slotted
+    dataclass may declare no slot of its own."""
+
+    __slots__ = ("mad_start",)
+
+
+@dataclass(slots=True)
+class ContinuousState(_SearchStart):
     """Streaming state for the continuous monitor; one instance per trial."""
 
     sched: RampSchedule = DEFAULT_SCHEDULE
@@ -172,7 +179,7 @@ class ContinuousState(MonitorState):
             raise ValueError(f"arm counts must be >= 0, got {self.trt.n} and {self.ctrl.n}")
         self.values = _finite_outcomes(self.values)  # arrival-order checkpoints resume bit-exactly
         self.mad_start = 0  # the MAD window's search start; not a field, so never saved
-        super().__post_init__(alpha, record_steps)
+        MonitorState.__post_init__(self, alpha, record_steps)
 
     @property
     def i(self) -> int:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import KW_ONLY, InitVar, dataclass
-from functools import cached_property
 
 # Wager clamp shared by the two-sided monitors (binary, deaths, continuous).
 # Keeps every payout strictly positive so log-wealth stays finite.
@@ -60,7 +59,7 @@ def shown(v) -> str:
         return f"an int of {v.bit_length()} bits"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RampSchedule:
     """Betting-strength schedule: flat zero for ``burn_in`` observations,
     then a linear rise to 1 over ``ramp`` further observations."""
@@ -108,7 +107,7 @@ def clamp_wager(raw: float, lo: float = WAGER_MIN, hi: float = WAGER_MAX) -> flo
     return m if m < hi else hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WealthStep:
     """One ledger row: the bet placed at ``index`` and its realized payout."""
 
@@ -123,8 +122,15 @@ class WealthStep:
         return _exp_wealth(self.log_wealth)
 
 
-@dataclass
-class WealthLedger:
+class _LedgerSlots:
+    """Declares the two ``WealthLedger`` attributes that are no fields, so no
+    checkpoint saves them: a slotted dataclass may declare no slot of its own."""
+
+    __slots__ = ("steps", "log_threshold")
+
+
+@dataclass(slots=True)
+class WealthLedger(_LedgerSlots):
     """Cumulative wealth of one betting stream.
 
     Single-writer: one ledger per monitored stream.  ``crossed`` latches at
@@ -134,6 +140,8 @@ class WealthLedger:
     Every field is saved state, and ``log_wealth`` is finite: no run reaches
     an infinite or NaN one.  ``record_steps`` is a constructor input: with it,
     ``steps`` lists each settled bet's ``WealthStep``; else it is None.
+    ``log_threshold``, ``log(1/alpha)``, is read on every bet and set once:
+    alpha is fixed for the ledger's life.
     """
 
     alpha: float = 0.05
@@ -148,14 +156,11 @@ class WealthLedger:
         if not finite(self.log_wealth):
             raise ValueError(f"log_wealth must be finite, got {self.log_wealth!r}")
         self.steps: list[WealthStep] | None = [] if record_steps else None
+        self.log_threshold = -math.log(self.alpha)
 
     @property
     def threshold(self) -> float:
         return 1.0 / self.alpha
-
-    @cached_property  # read on every bet; alpha is fixed for the ledger's life
-    def log_threshold(self) -> float:
-        return -math.log(self.alpha)
 
     @property
     def wealth(self) -> float:
@@ -190,10 +195,14 @@ class WealthLedger:
             raise ValueError(f"arm must be 0 or 1, got {arm}")
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitorState:
     """Base of every monitor state: the ledger that settles its bets, built from the
-    keyword-only ``alpha`` and ``record_steps`` (not saved) unless a resume passes one."""
+    keyword-only ``alpha`` and ``record_steps`` (not saved) unless a resume passes one.
+
+    The states are slotted, so an attribute no class declares is refused.  A
+    subclass's ``__post_init__`` calls this one as ``MonitorState.__post_init__(self,
+    ...)``: a zero-argument ``super()`` fails in a slotted dataclass (Python 3.10-3.13)."""
 
     _: KW_ONLY  # so a state's own fields, required ones too, may follow
     alpha: InitVar[float] = 0.05

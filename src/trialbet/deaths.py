@@ -33,7 +33,7 @@ def expected_deaths(n_patients: int, p_ctrl: float, p_trt: float) -> int:
     return math.ceil(n_patients / 2 * (p_ctrl + p_trt))
 
 
-@dataclass
+@dataclass(slots=True)
 class DeathsState(MonitorState):
     """Streaming state for deaths-only monitoring; one instance per trial."""
 

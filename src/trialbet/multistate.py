@@ -104,7 +104,7 @@ TREATMENT_DAILY = TransitionMatrix((
 ))
 
 
-@dataclass
+@dataclass(slots=True)
 class MultistateState(MonitorState):
     """Streaming state for the transition monitor; one instance per trial."""
 

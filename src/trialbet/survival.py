@@ -32,7 +32,7 @@ class SurvivalRecord(NamedTuple):
     arm: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SurvivalState(MonitorState):
     """Streaming state for the survival monitor; one instance per trial.
 
@@ -62,7 +62,7 @@ class SurvivalState(MonitorState):
             raise ValueError(f"cum_z must be finite, got {self.cum_z!r}")
         if not self.last_time <= FLOAT_MAX:
             raise ValueError(f"last_time must be finite or -inf, got {self.last_time!r}")
-        super().__post_init__(alpha, record_steps)
+        MonitorState.__post_init__(self, alpha, record_steps)
 
     def risk_proportion(self) -> float:
         """Treated fraction of the current risk set (0.5 when it is empty)."""

@@ -6,11 +6,13 @@ case through a command and exits 1 naming each case that fails:
 
     python tests/cli_cases.py trialbet                                 # the installed script
     PYTHONPATH=src python tests/cli_cases.py python -m trialbet.cli    # a checkout
+    python tests/cli_cases.py --only monitor trialbet                  # monitor runs alone
 
 The table is code, not data: its inputs (edited checkpoints, 5,001-digit
 integers) are built by code.
 """
 
+import argparse
 import contextlib
 import functools
 import io
@@ -121,13 +123,25 @@ def _problem(run, tmp, code, out, err, written):
     return None
 
 
+def runs(case) -> list:
+    """The runs of ``case``, which is a run or a list of runs."""
+    return [case] if isinstance(case, Run) else case
+
+
+def commands(case) -> set:
+    """The commands the runs of ``case`` give (their inputs built in a temp dir
+    of their own)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return {(run.argv(Path(tmp)) if callable(run.argv) else run.argv)[0] for run in runs(case)}
+
+
 def run_case(case, tmp: Path, entry=None):
     """None when every run of ``case`` ends as recorded, else what went wrong.
 
     Without ``entry`` each run goes through ``cli.main`` in this process, and
     any warning fails it; with ``entry``, an argv prefix such as
     ``["trialbet"]``, each run is a subprocess of that command."""
-    for k, run in enumerate([case] if isinstance(case, Run) else case, 1):
+    for k, run in enumerate(runs(case), 1):
         argv = run.argv(tmp) if callable(run.argv) else run.argv
         stdin = run.stdin.read_text() if isinstance(run.stdin, Path) else run.stdin
         inputs = set(tmp.iterdir())
@@ -263,13 +277,15 @@ _RESUMED_AT_60 = "resumed from checkpoint at line 60\n"
 _CROSSED = {"deaths": Part("CROSSED at event 84: e-value 11.145 >= 10 [")}
 
 
-def _cut_at_60(variant):
+def _cut_at_60(variant, stdin=False):
     """The golden stream's first 60 lines checkpointed, then the whole stream
-    resumed: the report is the uninterrupted run's."""
+    resumed, from the file or, with ``stdin``, from standard input: the report
+    is the uninterrupted run's."""
+    whole = GOLDEN / f"{variant}.ndjson"
     return [Run(_writing(lambda tmp: monitor_argv(variant, golden_head(tmp, variant, 60)),
                          checkpoint="ck.json")),
-            Run(_writing(monitor_argv(variant, GOLDEN / f"{variant}.ndjson", "--resume"),
-                         checkpoint="ck.json", report="report.json"),
+            Run(_writing(monitor_argv(variant, "-" if stdin else whole, "--resume"),
+                         checkpoint="ck.json", report="report.json"), whole if stdin else "",
                 golden={"report.json": GOLDEN / f"{variant}.report.json"}, stderr=_RESUMED_AT_60)]
 
 
@@ -298,6 +314,7 @@ OUTPUTS = {
         golden={"report.json": GOLDEN / "multistate.report.json"}, stderr=_RESUMED_AT_60),
     "monitor-survival-stdin": Run(monitor_argv("survival", "-"), GOLDEN / "survival.ndjson",
                                   golden={"-": GOLDEN / "survival.report.json"}),
+    "monitor-survival-stdin-cut-at-60": _cut_at_60("survival", stdin=True),
     "power-binary": Run(["power", "--variant", "binary", "--p1", "0.40", "--p2", "0.35",
                          "--power", "0.80"], golden={"-": b"2942\n"}),
     "power-continuous": Run(["power", "--variant", "continuous", "--d", "0.40", "--power", "0.80"],
@@ -335,7 +352,10 @@ STUDIES = {
 # -- inputs no run can use ------------------------------------------------------------
 
 DIGITS_5001 = "1" + "0" * 5000  # past Python's 4,300-digit limit on int conversion
-DIGIT_LIMIT = "invalid JSON (Exceeds the limit (4300 digits) for integer string conversion"
+try:  # the interpreter's own words for the limit, which changed in Python 3.11
+    int(DIGITS_5001)
+except ValueError as exc:
+    DIGIT_LIMIT = f"invalid JSON ({exc})"
 _BINARY = {"n_patients": 20, "p_ctrl": 0.4}
 # outcomes near the float maximum put residuals past the float range: the lab and the
 # monitor both refuse them
@@ -576,16 +596,16 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
         f"error: corrupt checkpoint: field 'n' is past the float range: {10**400}"),
     "event-outcome-5001-digits-line-4": (
         ["monitor", "--variant", "binary", "--input", "-"],
-        Part(f"error: line 4: {DIGIT_LIMIT}"),
+        f"error: line 4: {DIGIT_LIMIT}",
         '{"arm": 1, "outcome": 0}\n' * 3 + '{"arm": 0, "outcome": ' + DIGITS_5001 + "}\n"),
     "event-y-5001-digits": (
         monitor_lines("continuous", ['{"arm": 1, "y": 0.5}',
                                      '{"arm": 0, "y": -' + DIGITS_5001 + "}"]),
-        Part(f"error: line 2: {DIGIT_LIMIT}")),
+        f"error: line 2: {DIGIT_LIMIT}"),
     "event-entry_time-5001-digits": (
         monitor_lines("survival", ['{"time": 3.0, "status": 1, "arm": 0, "entry_time": '
                                    + DIGITS_5001 + "}"], *_SURVIVAL_5),
-        Part(f"error: line 1: {DIGIT_LIMIT}")),
+        f"error: line 1: {DIGIT_LIMIT}"),
     # refused by step on a line parsed before: the error names its own line
     "recurring-line-payout-inf": (
         monitor_lines("binary", ['{"arm": 1, "outcome": 0}'] * 3, "--p", "1e-320"),
@@ -630,7 +650,7 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
     "checkpoint-position-5001-digits": (
         _resume("deaths", edit=lambda text: text.replace('"position": 60',
                                                          '"position": ' + DIGITS_5001)),
-        Part("error: corrupt checkpoint: " + DIGIT_LIMIT)),
+        "error: corrupt checkpoint: " + DIGIT_LIMIT),
     "scenario-n_sims-5001-digits": (
         scenario_text('{"variant": "binary", "n_sims": ' + DIGITS_5001 + "}"),
         Part("sc.json: " + DIGIT_LIMIT)),
@@ -801,15 +821,22 @@ REFUSALS = {name: Run(argv, *stdin, error=error) for name, (argv, error, *stdin)
            ("power-continuous", ["power", "--variant", "continuous", "--d", "0.4"], "0.01"),
            ("power-survival", ["power", "--variant", "survival", "--hr", "0.8"], "1e-300"),
            ("compare", ["compare", "--baselines", "0.3", "--sims", "2"], "0.01")]},
-    # an output that cannot be written is refused before anything is printed
-    **{f"{argv[0]}-{argv[-1][2:]}-a-directory": (
-        lambda tmp, argv=argv: [*argv, str(tmp)],
+    # an output that cannot be written is refused before anything is printed, and
+    # before the command's other ``files`` are written
+    **{f"{argv[0]}-{argv[-1][2:]}-a-directory{''.join(f'-and-{key}' for key in files)}": (
+        _writing(lambda tmp, argv=argv: [*argv, str(tmp)], **files),
         lambda tmp: f"error: [Errno 21] Is a directory: {str(tmp)!r}")
-       for argv in [_golden_monitor("binary", "--report"),
-                    ["simulate", "--scenario", str(SCENARIO_DIR / "binary_alt.json"),
-                     "--sims", "5", "--json"],
-                    ["compare", "--baselines", "0.3", "--sims", "5", "--csv"],
-                    ["wage", "--variant", "binary", "--n", "100", "--sims", "5", "--json"]]},
+       for argv, files in [
+           (_golden_monitor("binary", "--report"), {}),
+           (["simulate", "--scenario", str(SCENARIO_DIR / "binary_alt.json"), "--sims", "5",
+             "--json"], {}),
+           (["compare", "--baselines", "0.3", "--sims", "5", "--csv"], {}),
+           (["wage", "--variant", "binary", "--n", "100", "--sims", "5", "--json"], {}),
+           (["compare", "--baselines", "0.3", "--sims", "5", "--json"], {"csv": "out.csv"}),
+           (["wage", "--variant", "binary", "--n", "100", "--sims", "5", "--json"],
+            {"csv": "out.csv"}),
+           (["trajectories", "--scenario", str(SCENARIO_DIR / "binary_alt.json"), "--trials", "2",
+             "--svg"], {"out": "traj.csv"})]},
 }.items()}
 
 # a checkpoint written, then resumed under another configuration
@@ -829,9 +856,12 @@ REFUSALS |= {
 CASES = {**OUTPUTS, **STUDIES, **REFUSALS}
 
 
-def main(entry, cases=CASES) -> int:
-    """Run ``cases`` through the command ``entry``; print each failing case,
-    and return 1 if any failed."""
+def main(entry, cases=CASES, only=None) -> int:
+    """Run ``cases`` through the command ``entry``, or with ``only`` those
+    whose runs are all that ``trialbet`` command; print each failing case, and
+    return 1 if any failed."""
+    if only is not None:
+        cases = {name: case for name, case in cases.items() if commands(case) == {only}}
     failed = 0
     for name, case in cases.items():
         with tempfile.TemporaryDirectory() as tmp:
@@ -847,6 +877,12 @@ def main(entry, cases=CASES) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) < 2:
-        sys.exit("usage: python tests/cli_cases.py COMMAND [ARG...], e.g. trialbet")
-    sys.exit(main(sys.argv[1:]))
+    parser = argparse.ArgumentParser(description="Run the command-line cases through a command.")
+    parser.add_argument("--only", metavar="COMMAND",
+                        help="run only the cases whose runs are all this trialbet command")
+    parser.add_argument("entry", nargs=argparse.REMAINDER,
+                        help="the command that runs trialbet, e.g. trialbet")
+    args = parser.parse_args()
+    if not args.entry:
+        parser.error("the command that runs trialbet is required, e.g. trialbet")
+    sys.exit(main(args.entry, only=args.only))

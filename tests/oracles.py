@@ -26,6 +26,10 @@ optimised paths, kept as the references those paths are compared against:
 ``json.loads`` plus two set differences per NDJSON record, and one kernel
 call per trial and monitor in the deaths-vs-binary comparison.
 
+``skip_lines`` is the plain form of a resume's skip past the processed lines:
+line iteration, which the bounded reads of ``cli.skip_lines`` must match in
+the lines counted, the text left to read and any decoding error.
+
 ``stream_trajectories`` replays a scenario's trials through the live monitor
 states, one event at a time, recording every ledger row: the reference the
 batch replay behind ``trialbet trajectories`` is compared against.
@@ -51,6 +55,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
+from itertools import islice
 
 import numpy as np
 
@@ -217,6 +223,12 @@ def parse_event(monitor, line: str, line_no: int) -> tuple:
         return monitor.parse(record, flag_field(record, "arm"))
     except ValueError as exc:
         raise EventError(f"line {line_no}: {exc}") from exc
+
+
+def skip_lines(stream, count: int) -> int:
+    """The first ``count`` lines of ``stream`` read by iteration: how many it held."""
+    skipped = deque(islice(enumerate(stream, start=1), count), maxlen=1)
+    return skipped[0][0] if skipped else 0
 
 
 def head_to_head_per_trial(baselines, arr: float, power: float, alpha: float,

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -383,6 +385,34 @@ def test_variant_choices_are_the_rows_with_design_facts():
 
     assert choices("power") == {v for v, sim in SIM_VARIANTS.items() if sim.size}
     assert choices("wage") == {v for v, sim in SIM_VARIANTS.items() if sim.wage}
+
+
+def _parsed(parser, argv):
+    """What ``parser`` makes of ``argv``: its namespace, as text so that a NaN
+    equals itself, or its exit code and what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return repr(sorted(vars(parser.parse_args(argv)).items()))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+def test_a_command_line_parses_alike_with_only_its_command_options(tmp_path):
+    """``main`` builds the options of the command it runs alone: each command
+    line of the case table, and ones argparse refuses or answers with help,
+    parse to the namespace, or the exit and output, of the full parser."""
+    from trialbet.cli import build_parser
+
+    argvs = [run.argv(tmp_path) if callable(run.argv) else run.argv
+             for case in cli_cases.CASES.values() for run in cli_cases.runs(case)]
+    argvs += [[], ["-h"], ["nope"], ["--variant", "binary"], ["monitor"], ["monitor", "-h"],
+              ["wage", "--help"], ["monitor", "--variant", "binary", "--bogus"],
+              ["monitor", "--variant", "binary", "power"], ["power", "--variant", "binary", "--p1"],
+              ["simulate", "--scenario", "s.json", "extra"], ["trajectories", "--out", "t.csv"]]
+    for argv in argvs:
+        assert _parsed(build_parser(argv[0] if argv else None), argv) == \
+               _parsed(build_parser(), argv), argv
 
 
 @pytest.mark.parametrize("variant,records,extra", [

@@ -1,17 +1,29 @@
+import copy
 import itertools
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as hs
 
+from cli_cases import GOLDEN, GOLDEN_ARGS, monitor_argv
+from trialbet import cli
+from trialbet.binary import BinaryState
 from trialbet.checkpoint import decode_state, encode_state
+from trialbet.continuous import ContinuousState, _ArmMoments
 from trialbet.core import (
     WAGER_MAX,
     WAGER_MIN,
+    MonitorState,
     RampSchedule,
     WealthLedger,
+    WealthStep,
     clamp_wager,
 )
+from trialbet.deaths import DeathsState
+from trialbet.multistate import MultistateState
+from trialbet.survival import SurvivalState
+from trialbet.variants import MONITORS
 
 import oracles
 from oracles import null_expectation, outcome
@@ -219,3 +231,59 @@ def test_signed_bet_ledger():
     led = WealthLedger(record_steps=True)
     led.apply(0.25, 1.0 + 0.25 * -0.5, 1)  # a signed bet of 0.25 on a score of -0.5
     assert led.steps[0].multiplier == pytest.approx(0.875, abs=1e-12)
+
+
+# one of each class a monitor makes or updates per event
+_PER_EVENT = [RampSchedule(1, 2), WealthStep(1, 0.5, 1.0, 0.0, False), WealthLedger(),
+              MonitorState(), _ArmMoments(), BinaryState(), DeathsState(), ContinuousState(),
+              SurvivalState(risk_trt=3, risk_ctrl=3), MultistateState()]
+
+
+@pytest.mark.parametrize("obj", _PER_EVENT, ids=lambda obj: type(obj).__name__)
+def test_per_event_state_is_slotted(obj):
+    """No instance dict: an attribute no class declares is refused (by a
+    frozen one's ``__setattr__`` as a TypeError: its ``super()`` call fails in
+    a slotted dataclass)."""
+    assert not hasattr(obj, "__dict__")
+    with pytest.raises(TypeError if type(obj).__dataclass_params__.frozen else AttributeError):
+        obj.undeclared = 1
+
+
+def test_study_rows_keep_their_dict():
+    """``cli`` writes a study row from ``vars(row)``."""
+    from trialbet.simlab.engine import HeadToHeadRow, WageCell
+    from trialbet.simlab.scenario import OperatingCharacteristics
+
+    for cls in (HeadToHeadRow, WageCell, OperatingCharacteristics):
+        assert "__slots__" not in vars(cls), cls
+
+
+def _everything(state):
+    """A state's saved fields and what no checkpoint saves: the recorded steps,
+    the threshold and, for continuous, the MAD window's search start."""
+    return (encode_state(state), state.ledger.steps, state.ledger.log_threshold,
+            getattr(state, "mad_start", None))
+
+
+@pytest.mark.parametrize("copier", [lambda state: pickle.loads(pickle.dumps(state)),
+                                    copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("variant", sorted(GOLDEN_ARGS))
+def test_a_copied_state_steps_on_as_its_original(variant, copier):
+    """A state pickled or deep-copied mid-stream, recording its steps, equals
+    its original in every attribute and steps on identically."""
+    monitor = MONITORS[variant]
+    cfg = cli._monitor_config(cli.build_parser().parse_args(monitor_argv(variant, "-")), monitor)
+    state = monitor.state(sched=RampSchedule(cfg["burn_in"], cfg["ramp"]), alpha=cfg["alpha"],
+                          record_steps=True, **{key: cfg[key] for key in monitor.options})
+    with open(GOLDEN / f"{variant}.ndjson", encoding="utf-8") as fh:
+        events = [cli.parse_event(monitor, line, k) for k, line in enumerate(fh, 1)]
+    half = len(events) // 2
+    for args in events[:half]:
+        state.step(*args)
+    twin = copier(state)
+    assert twin is not state and _everything(twin) == _everything(state)
+    assert state.ledger.steps and getattr(state, "mad_start", 1) > 0
+    for args in events[half:]:
+        state.step(*args)
+        twin.step(*args)
+    assert _everything(twin) == _everything(state)

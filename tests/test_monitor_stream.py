@@ -11,16 +11,24 @@ The command parses each distinct line once and steps the stored arguments
 when the line recurs, until it has stored ``cli._MEMO_LINES`` lines.  A
 stream of recurring lines must end exactly as a line-by-line replay through
 the reference parser does: the same exit, report, error line and checkpoint.
+
+A resume reads past the lines its checkpoint has processed without parsing
+them (``cli.skip_lines``).  Over a file, a ``StringIO`` and a pipe, it must
+count the lines, leave the text to read and raise the decoding error that
+line iteration (``oracles.skip_lines``) does, and read no character past the
+checkpoint's line.
 """
 
 import contextlib
 import io
 import itertools
 import json
+import math
 import operator
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as hs
@@ -147,6 +155,113 @@ def test_blank_lines_are_the_lines_strip_empties():
     for lines in (chars, list(map(operator.add, chars, itertools.repeat("\n")))):
         assert list(map(str.isspace, lines)) == list(map(operator.not_, map(str.strip, lines)))
     assert all(c.isspace() and not c.strip() for c in "\x1c\x1d\x1e\x1f\xa0\x85 　")
+
+
+class _Pipe(io.RawIOBase):
+    """A non-seekable byte stream that hands out at most 1,000 bytes a read."""
+
+    def __init__(self, data: bytes):
+        self.data, self.at = data, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        piece = self.data[self.at:self.at + min(len(buffer), 1000)]
+        buffer[:len(piece)] = piece
+        self.at += len(piece)
+        return len(piece)
+
+
+class _Producer(io.StringIO):
+    """Text whose reads may not reach past ``limit``, the end of the line a
+    resume stops at: a live producer may not have written any further."""
+
+    def __init__(self, text: str, limit: float):
+        super().__init__(text)
+        self.limit = limit
+
+    def read(self, size=-1):
+        assert 0 <= size and self.tell() + size <= self.limit, (self.tell(), size, self.limit)
+        return super().read(size)
+
+    def readline(self, size=-1):
+        line = super().readline(size)
+        assert self.tell() <= self.limit
+        return line
+
+
+def _streams(data: bytes, tmp: Path):
+    """Fresh text streams of ``data``: a file, a ``StringIO`` and a pipe."""
+    path = tmp / "stream.ndjson"
+    path.write_bytes(data)
+    return {"file": lambda: open(path, encoding="utf-8"),
+            "StringIO": lambda: io.StringIO(data.decode("utf-8")),
+            "pipe": lambda: io.TextIOWrapper(io.BufferedReader(_Pipe(data)), encoding="utf-8")}
+
+
+_ENDS = ["\n", "\r\n", "\r"]
+_SHORT = hs.text(alphabet='ab{}": 1é€\U0001d11e', max_size=12)  # blank lines too
+_LONG = hs.builds(operator.mul, hs.sampled_from("a€\U0001d11e"), hs.integers(2040, 4200))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=hs.data())
+def test_skip_reads_past_the_lines_iteration_reads(data):
+    """At every cut, past the end too, the bounded skip counts the lines line
+    iteration counts, leaves the same text to read, and reads no character
+    past the cut's line; also when it reads every line by ``read``."""
+    bodies = [data.draw(_SHORT) for _ in range(data.draw(hs.integers(0, 120), label="lines"))]
+    for long in data.draw(hs.lists(_LONG, max_size=3), label="long"):
+        bodies.insert(data.draw(hs.integers(0, len(bodies)), label="at"), long)
+    ends = [data.draw(hs.sampled_from(_ENDS)) for _ in bodies[1:]]
+    ends.append(data.draw(hs.sampled_from(["", *_ENDS]), label="last end"))  # "": none
+    text = "".join(map(operator.add, bodies, ends))
+    lines = io.StringIO(text).readlines()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+            cli, "_SKIP_BY_LINE", data.draw(hs.sampled_from([cli._SKIP_BY_LINE, 0]))):
+        streams = _streams(text.encode("utf-8"), Path(tmp))
+        for cut in range(len(bodies) + 3):
+            for kind, make in streams.items():
+                with make() as ours, make() as reference:
+                    assert (cli.skip_lines(ours, cut), ours.read()) == \
+                           (oracles.skip_lines(reference, cut), reference.read()), (kind, cut)
+            # where line ``cut`` ends; one the input ends without a newline ends with it
+            ended = 0 < cut <= len(lines) and lines[cut - 1].endswith("\n") or cut == 0
+            limit = len("".join(lines[:cut])) if ended else math.inf
+            assert cli.skip_lines(_Producer(text, limit), cut) == min(cut, len(lines))
+
+
+# 5,000 lines of mostly 4-byte characters: a read of 2,048 characters asks for
+# about 6,000 bytes, which one read of twice as many would take past 8,192
+_NOTE = "é€" + "\U0001d11e" * 80
+_THOUSANDS = "".join(f'{{"arm": {k % 2}, "y": {k / 7}, "note": "{_NOTE}"}}{_ENDS[k % 7 % 3]}'
+                     for k in range(5_000)).encode("utf-8")
+
+
+@pytest.mark.parametrize("cut", [0, 33, 2_048, 2_049, 4_999, 5_000, 5_001])
+def test_skip_past_thousands_of_lines(tmp_path, cut):
+    for kind, make in _streams(_THOUSANDS, tmp_path).items():
+        with make() as ours, make() as reference:
+            assert (cli.skip_lines(ours, cut), ours.read()) == \
+                   (oracles.skip_lines(reference, cut), reference.read()), kind
+
+
+@pytest.mark.parametrize("offset", [0, 1, 8_191, 8_192, 8_193, 100_000, 700_000, 1_500_000])
+def test_invalid_utf8_before_the_cut_is_the_same_error(tmp_path, offset):
+    """A byte that is no UTF-8 before the checkpoint's line raises the error
+    line iteration raises, its position in the decoded chunk included: each
+    read asks for at most the 8,192 bytes iteration decodes at a time."""
+    data = _THOUSANDS[:offset] + b"\xff" + _THOUSANDS[offset:]
+    for kind, make in _streams(data, tmp_path).items():
+        if kind == "StringIO":
+            continue  # holds text: decoding came before
+        errors = []
+        for skip in (cli.skip_lines, oracles.skip_lines):
+            with make() as stream, pytest.raises(UnicodeDecodeError) as caught:
+                skip(stream, 5_000)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1], kind
 
 
 # a value each required field takes, or is refused by ``step`` alone: an
